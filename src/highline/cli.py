@@ -29,8 +29,15 @@ from .events import (
 from .features import View
 from .framing import Framing, default_origin, parse_duration
 from .generator import ScenarioConfig, generate
-from .hlelog import FlattenOrder, export_dfg, summarize, write_hlel_csv, write_summary_csv
-from .linkage import LinkTable
+from .hlelog import (
+    FlattenOrder,
+    export_dfg,
+    summarize,
+    text_output,
+    write_hlel_csv,
+    write_summary_csv,
+)
+from .linkage import LinkTable, build_link_table
 from .pipeline import AnalysisResult, analyze_log
 
 
@@ -191,8 +198,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _ingest(config: RunConfig) -> EventLog:
+    return ingest_csv(config.input, config.mapping(), config.timestamp_format)
+
+
 def _run_pipeline(config: RunConfig) -> AnalysisResult:
-    log = ingest_csv(config.input, config.mapping(), config.timestamp_format)
+    log = _ingest(config)
     if config.origin == "auto":
         origin = default_origin(log)
     else:
@@ -236,17 +247,11 @@ def _write_links_csv(links: LinkTable, log: EventLog, path_or_fh, include_zeros:
             for c2 in components[i + 1 :]:
                 yield c1, c2, links.value(c1, c2)
 
-    def write(fh):
+    with text_output(path_or_fh) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind1", "component1", "kind2", "component2", "link"])
         for c1, c2, value in rows():
             writer.writerow([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(value)])
-
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
-    else:
-        write(path_or_fh)
 
 
 def _write_matrix_csv(result: AnalysisResult, path: str) -> None:
@@ -310,11 +315,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"generated {len(log)} events over {cases} cases -> {args.out}")
         elif args.command == "links":
             config = _run_config(args)
-            result = _run_pipeline(config)
-            if args.out:
-                _write_links_csv(result.links, result.log, args.out, config.include_zero_links)
-            else:
-                _write_links_csv(result.links, result.log, sys.stdout, config.include_zero_links)
+            log = _ingest(config)
+            _write_links_csv(
+                build_link_table(log), log, args.out or sys.stdout, config.include_zero_links
+            )
         elif args.command == "summary":
             config = _run_config(args)
             result = _run_pipeline(config)
@@ -325,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
                 result.framing.origin,
                 top=config.summary_top,
             )
-            if args.out:
-                write_summary_csv(table, args.out, config.timestamp_format)
-            else:
-                _print_summary(table)
+            write_summary_csv(table, args.out or sys.stdout, config.timestamp_format)
         elif args.command == "dfg":
             config = _run_config(args)
             result = _run_pipeline(config)
@@ -349,20 +350,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _print_summary(table) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["period", "start", "events", "hles"]
-    for a in table.activities:
-        header.extend([f"count:{a}", f"avg:{a}"])
-    writer.writerow(header)
-    for row in table.rows:
-        record = [row.period, row.start.isoformat(), row.events, row.hles]
-        for count, avg in zip(row.counts, row.averages):
-            record.append(count)
-            record.append("" if avg is None else f"{avg:.6g}")
-        writer.writerow(record)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -113,9 +114,9 @@ class EvaluationMatrix:
     def defined(self) -> Iterator[tuple[FeatureId, int, float]]:
         """All defined cells, ordered by (feature name, window)."""
         for fid, arr in self._arrays.items():
-            for off, v in enumerate(arr):
-                if not math.isnan(v):
-                    yield fid, self.windows.first + off, float(v)
+            offsets = np.flatnonzero(~np.isnan(arr))
+            for off, v in zip(offsets.tolist(), arr[offsets].tolist()):
+                yield fid, self.windows.first + off, v
 
     def views_present(self) -> tuple[View, ...]:
         return tuple(sorted({f.view for f in self._arrays}, key=lambda v: v.value))
@@ -400,12 +401,20 @@ def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> tuple
 
     Ordered by (window, feature name).
     """
+    first = matrix.windows.first
     hles = []
-    for fid, w, value in matrix.defined():
+    # features come in name order, so a stable sort by window alone gives
+    # (window, name) order
+    for fid in matrix.features:
         threshold = thresholds.by_view.get(fid.view)
         if threshold is None:
             continue
-        if value >= threshold:
-            hles.append(HighLevelEvent(fid, w, value))
-    hles.sort(key=lambda h: (h.window, h.feature.name))
+        arr = matrix.array(fid)
+        # NaN compares false, so undefined cells never qualify
+        offsets = np.flatnonzero(arr >= threshold)
+        hles.extend(
+            HighLevelEvent(fid, first + off, v)
+            for off, v in zip(offsets.tolist(), arr[offsets].tolist())
+        )
+    hles.sort(key=attrgetter("window"))
     return tuple(hles)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from typing import ContextManager, Iterable, Sequence, TextIO
 
 from .errors import ConfigError, DataError
 from .events import EventLog, format_timestamp, parse_timestamp
@@ -282,12 +283,13 @@ def summarize(
 
 
 def write_summary_csv(
-    table: SummaryTable, path: str, timestamp_format: str | None = None
+    table: SummaryTable, path_or_fh: str | TextIO, timestamp_format: str | None = None
 ) -> None:
+    """Write the summary table as CSV to a path or an open text handle."""
     header = ["period", "start", "events", "hles"]
     for a in table.activities:
         header.extend([f"count:{a}", f"avg:{a}"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with text_output(path_or_fh) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in table.rows:
@@ -296,3 +298,10 @@ def write_summary_csv(
                 record.append(count)
                 record.append("" if avg is None else f"{avg:.6g}")
             writer.writerow(record)
+
+
+def text_output(path_or_fh: str | TextIO) -> ContextManager[TextIO]:
+    """A new file for a path, closed on exit; an open handle as it is, left open."""
+    if isinstance(path_or_fh, str):
+        return open(path_or_fh, "w", newline="", encoding="utf-8")
+    return nullcontext(path_or_fh)

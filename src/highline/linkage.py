@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 from .events import Component, ComponentKind, EventLog, Segment
-from .features import HighLevelEvent
+from .features import FeatureId, HighLevelEvent
 
 
 def _pair(c1: Component, c2: Component) -> tuple[Component, Component]:
@@ -32,7 +34,11 @@ def _pair(c1: Component, c2: Component) -> tuple[Component, Component]:
 class LinkTable:
     """Symmetric map from unordered component pairs to link values.
 
-    Only nonzero entries are stored; lookups of unseen pairs yield 0.
+    Only nonzero entries are stored; lookups of unseen pairs yield 0 and a
+    component is linked to itself with 1. The components of the stored
+    pairs are interned to dense ids once, and the values are held as a
+    symmetric matrix over those ids whose diagonal is 1, so a lookup is two
+    dict reads and an array read.
     """
 
     def __init__(self, links: Mapping[tuple[Component, Component], float]):
@@ -42,11 +48,32 @@ class LinkTable:
                 key = _pair(c1, c2)
                 canonical[key] = max(canonical.get(key, 0.0), v)
         self._links = dict(sorted(canonical.items(), key=_pair_sort))
+        self._ids: dict[Component, int] = {}
+        for pair in self._links:
+            for c in pair:
+                self._ids.setdefault(c, len(self._ids))
+        self._matrix = np.zeros((len(self._ids), len(self._ids)))
+        for (c1, c2), v in self._links.items():
+            i, j = self._ids[c1], self._ids[c2]
+            self._matrix[i, j] = self._matrix[j, i] = v
+        np.fill_diagonal(self._matrix, 1.0)
 
     def value(self, c1: Component, c2: Component) -> float:
-        if c1 == c2:
-            return 1.0
-        return self._links.get(_pair(c1, c2), 0.0)
+        i, j = self._ids.get(c1), self._ids.get(c2)
+        if i is None or j is None:
+            return 1.0 if c1 == c2 else 0.0
+        return float(self._matrix[i, j])
+
+    def matrix(self, components: Sequence[Component]) -> np.ndarray:
+        """Link values among distinct ``components``, 1 on the diagonal.
+
+        Components outside the table are linked to nothing but themselves.
+        """
+        ids = np.array([self._ids.get(c, -1) for c in components], dtype=np.intp)
+        known = np.flatnonzero(ids >= 0)
+        m = np.eye(len(ids))
+        m[np.ix_(known, known)] = self._matrix[np.ix_(ids[known], ids[known])]
+        return m
 
     def pairs(self) -> Iterator[tuple[Component, Component, float]]:
         """Nonzero entries in deterministic order."""
@@ -221,6 +248,69 @@ def proximity(hle1: HighLevelEvent, hle2: HighLevelEvent, links: LinkTable) -> f
     return links.value(hle1.feature.component, hle2.feature.component)
 
 
+@dataclass(frozen=True)
+class _Layers:
+    """Distinct high-level events sorted by (window, feature name, value),
+    with their windows and interned component ids as arrays, and which
+    component pairs propagate at the given lambda."""
+
+    hles: tuple[HighLevelEvent, ...]
+    windows: np.ndarray
+    components: np.ndarray
+    propagates: np.ndarray
+
+    def window_pairs(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """For each pair of adjacent windows w, w+1: the offsets of their
+        first events and the proximity >= lambda matrix between them."""
+        w = self.windows
+        first = np.ones(len(w), dtype=bool)
+        first[1:] = w[1:] != w[:-1]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(w))
+        for k in np.flatnonzero(np.diff(w[starts]) == 1).tolist():
+            a, b, c = int(starts[k]), int(ends[k]), int(ends[k + 1])
+            yield a, b, self.propagates[self.components[a:b, None], self.components[b:c]]
+
+
+def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _Layers:
+    if not 0 <= lam <= 1:
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    hles = list(hles)
+    # events of one feature mostly share its FeatureId object: looking it up
+    # by identity first hashes each distinct object once, not every event
+    features: dict[FeatureId, int] = {}
+    by_object: dict[int, int] = {}
+    feature_of = []
+    for h in hles:
+        i = by_object.get(id(h.feature))
+        if i is None:
+            i = by_object[id(h.feature)] = features.setdefault(h.feature, len(features))
+        feature_of.append(i)
+    components: dict[Component, int] = {}
+    component_of = np.array(
+        [components.setdefault(f.component, len(components)) for f in features], dtype=np.intp
+    )
+    names = [f.name for f in features]
+    name_rank = np.empty(len(names), dtype=np.intp)
+    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    feature = np.array(feature_of, dtype=np.intp)
+    windows = np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles))
+    values = np.fromiter((h.value for h in hles), dtype=float, count=len(hles))
+    # the keys after the name order distinct events of one feature and window
+    # and put equal events next to each other, where all but the first drop
+    order = np.lexsort((feature, values, name_rank[feature], windows))
+    w, f, v = windows[order], feature[order], values[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[1:] = (w[1:] == w[:-1]) & (f[1:] == f[:-1]) & (v[1:] == v[:-1])
+    order = order[~repeat]
+    return _Layers(
+        hles=tuple(hles[i] for i in order.tolist()),
+        windows=windows[order],
+        components=component_of[feature[order]],
+        propagates=links.matrix(list(components)) >= lam,
+    )
+
+
 def propagation_edges(
     hles: Iterable[HighLevelEvent], links: LinkTable, lam: float
 ) -> tuple[tuple[HighLevelEvent, HighLevelEvent], ...]:
@@ -230,18 +320,14 @@ def propagation_edges(
     whenever their proximity reaches ``lam``. Ordered deterministically by
     (window, feature name) of both endpoints.
     """
-    if not 0 <= lam <= 1:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    ordered = sorted(set(hles), key=lambda h: (h.window, h.feature.name))
-    by_window: dict[int, list[HighLevelEvent]] = {}
-    for h in ordered:
-        by_window.setdefault(h.window, []).append(h)
+    layers = _layers(hles, links, lam)
+    ordered = layers.hles
     edges = []
-    for w, current in by_window.items():
-        for h in current:
-            for succ in by_window.get(w + 1, ()):
-                if proximity(h, succ, links) >= lam:
-                    edges.append((h, succ))
+    for a, b, block in layers.window_pairs():
+        rows, cols = np.nonzero(block)
+        edges.extend(
+            (ordered[a + i], ordered[b + j]) for i, j in zip(rows.tolist(), cols.tolist())
+        )
     return tuple(edges)
 
 
@@ -259,20 +345,22 @@ class CascadeAssignment:
         return tuple(h for h, i in self.ids.items() if i == cascade_id)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The roots of ``nodes``, which are then re-pointed straight at them."""
+    roots = parent[nodes]
+    while True:
+        up = parent[roots]
+        if (up == roots).all():
+            parent[nodes] = roots
+            return roots
+        roots = up
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
+def _union(parent: np.ndarray, x: int, y: int) -> None:
+    """Join the sets of x and y under the smaller root."""
+    x, y = _find(parent, np.array([x, y])).tolist()
+    if x != y:
+        parent[max(x, y)] = min(x, y)
 
 
 def cascades(
@@ -284,22 +372,25 @@ def cascades(
     the undirected closure of the propagation relation (proximity >= lam
     between adjacent windows). Ids are dense and deterministic: cascades
     are numbered by their earliest window, ties broken by the smallest
-    feature name in that window.
+    feature name in that window, then by the smallest value.
     """
-    ordered = sorted(set(hles), key=lambda h: (h.window, h.feature.name))
-    index = {h: i for i, h in enumerate(ordered)}
-
-    uf = _UnionFind(len(ordered))
-    for h, succ in propagation_edges(ordered, links, lam):
-        uf.union(index[h], index[succ])
-
-    groups: dict[int, list[HighLevelEvent]] = {}
-    for h in ordered:
-        groups.setdefault(uf.find(index[h]), []).append(h)
-    # members are already (window, name)-sorted, so the first one keys the group
-    keyed = sorted(groups.values(), key=lambda g: (g[0].window, g[0].feature.name))
-    ids: dict[HighLevelEvent, int] = {}
-    for cid, members in enumerate(keyed, start=1):
-        for h in members:
-            ids[h] = cid
-    return CascadeAssignment(ids={h: ids[h] for h in ordered})
+    layers = _layers(hles, links, lam)
+    n = len(layers.hles)
+    # union-find over positions in (window, name) order; every set's root is
+    # its smallest position, so its first member
+    parent = np.arange(n)
+    for a, b, block in layers.window_pairs():
+        linked = block.any(axis=0)
+        if not linked.any():
+            continue
+        roots = _find(parent, np.arange(a, b))
+        # each event of w+1 joins the smallest root among its predecessors,
+        # and the other predecessors' roots merge into that one
+        low = np.where(block, roots[:, None], n).min(axis=0)
+        parent[b + np.flatnonzero(linked)] = low[linked]
+        rows, cols = np.nonzero(block & (roots[:, None] != low))
+        for x, y in set(zip(roots[rows].tolist(), low[cols].tolist())):
+            _union(parent, x, y)
+    roots = _find(parent, np.arange(n))
+    ids = np.cumsum(roots == np.arange(n))[roots]
+    return CascadeAssignment(ids=dict(zip(layers.hles, ids.tolist())))

@@ -193,6 +193,26 @@ def oracle_link(log, steps, comp1, comp2):
 # --- cascades ------------------------------------------------------------------
 
 
+def oracle_proximity(h1, h2, link_value):
+    """Proximity of h1 to h2: only into the next window, 1 for one component.
+
+    ``link_value(c1, c2)`` supplies pairwise component closeness.
+    """
+    if h2.window != h1.window + 1:
+        return 0.0
+    if h1.feature.component == h2.feature.component:
+        return 1.0
+    return link_value(h1.feature.component, h2.feature.component)
+
+
+def oracle_propagates(h1, h2, link_value, lam):
+    """Whether h1 propagates to h2: h2 in the next window and proximity >= lam.
+
+    The window test is explicit because at lam = 0 proximity 0 passes too.
+    """
+    return h2.window == h1.window + 1 and oracle_proximity(h1, h2, link_value) >= lam
+
+
 def oracle_partition(hles, link_value, lam):
     """Connected components of the symmetrized propagation relation.
 
@@ -200,18 +220,14 @@ def oracle_partition(hles, link_value, lam):
     set of frozensets of high-level events.
     """
 
-    def prox(h1, h2):
-        if h2.window != h1.window + 1:
-            return 0.0
-        if h1.feature.component == h2.feature.component:
-            return 1.0
-        return link_value(h1.feature.component, h2.feature.component)
+    def prop(h1, h2):
+        return oracle_propagates(h1, h2, link_value, lam)
 
     hles = list(hles)
     neighbors = {h: [] for h in hles}
     for h1 in hles:
         for h2 in hles:
-            if prox(h1, h2) >= lam or prox(h2, h1) >= lam:
+            if prop(h1, h2) or prop(h2, h1):
                 if h1 is not h2:
                     neighbors[h1].append(h2)
     seen = set()

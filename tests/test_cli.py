@@ -127,6 +127,11 @@ def test_links_subcommand(log_t_csv, tmp_path, capsys):
     assert run(["links", "--input", log_t_csv, "--window-width", "20s", "--include-zeros"]) == 0
     out = capsys.readouterr().out
     assert "activity,a,activity,c,0.0" in out
+    # the same table as the full pipeline writes
+    assert run(["analyze", "--input", log_t_csv, "--window-width", "20s", "--include-zeros",
+                "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "full" / "links.csv").read_text() == out
 
 
 def test_summary_subcommand(log_t_csv, tmp_path):
@@ -138,6 +143,25 @@ def test_summary_subcommand(log_t_csv, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("period,start,events,hles")
     assert len(lines) >= 2
+
+
+def test_summary_stdout_matches_out_file_under_custom_format(tmp_path, capsys):
+    path = tmp_path / "dmy.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,a,02/01/2023 09:00,r1\n"
+        "c1,b,02/01/2023 09:30,r2\n"
+        "c2,a,05/01/2023 10:00,r1\n"
+        "c2,b,05/01/2023 11:15,r2\n"
+    )
+    args = ["summary", "--input", str(path), "--timestamp-format", "%d/%m/%Y %H:%M",
+            "--window-width", "1h", "--percentile", "0.5"]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "summary.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert "02/01/2023 00:00" in printed
 
 
 def test_dfg_subcommand(log_t_csv, tmp_path, capsys):

@@ -262,22 +262,53 @@ def test_lambda_out_of_range():
         cascades([], LinkTable({}), 1.5)
 
 
+WORLD_VIEWS = {
+    ComponentKind.ACTIVITY: (View.EXEC,),
+    ComponentKind.RESOURCE: (View.DO, View.WL),
+    ComponentKind.SEGMENT: (View.ENTER, View.DELAY),
+}
+
+
 def random_hle_world(rng, n_hles=60, n_windows=8):
-    names = [f"A{i}" for i in range(5)]
+    """Random high-level events and links, as a LinkTable and as the raw pair
+    dict it was built from.
+
+    Components of all three kinds, several views per resource and segment,
+    the last two components absent from the table, windows with gaps, and a
+    few events repeated as equal but distinct objects.
+    """
+    components = (
+        [comp(f"A{i}") for i in range(3)]
+        + [Component.resource(f"R{i}") for i in range(2)]
+        + [Component.segment(f"A{i}", f"A{i + 1}") for i in range(2)]
+    )
+    linked = components[:-2]
     pairs = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
+    for i, a in enumerate(linked):
+        for b in linked[i + 1 :]:
             pairs[(a, b)] = rng.random() if rng.random() < 0.7 else 0.0
-    links = table_of(pairs)
+    windows = rng.sample(range(2 * n_windows), n_windows)
     seen = set()
     hles = []
     for _ in range(n_hles):
-        key = (rng.choice(names), rng.randint(0, n_windows))
+        c = rng.choice(components)
+        key = (rng.choice(WORLD_VIEWS[c.kind]), c, rng.choice(windows))
         if key in seen:
             continue
         seen.add(key)
-        hles.append(hle(View.EXEC, comp(key[0]), key[1], value=rng.random()))
-    return hles, links
+        hles.append(hle(*key, value=rng.random()))
+    for h in rng.sample(hles, min(5, len(hles))):
+        hles.append(hle(h.feature.view, h.feature.component, h.window, h.value))
+    return hles, LinkTable(pairs), pairs
+
+
+def raw_link(pairs):
+    """Link values read straight from a pair dict, in either orientation."""
+    return lambda c1, c2: max(pairs.get((c1, c2), 0.0), pairs.get((c2, c1), 0.0))
+
+
+def world_lambdas(rng):
+    return (0.0, 1.0, rng.random())
 
 
 def test_propagation_edges_span_adjacent_windows_only():
@@ -285,39 +316,45 @@ def test_propagation_edges_span_adjacent_windows_only():
 
     rng = random.Random(71)
     for _ in range(10):
-        hles, links = random_hle_world(rng)
-        lam = rng.random()
-        edges = propagation_edges(hles, links, lam)
-        for h1, h2 in edges:
-            assert h2.window == h1.window + 1
-            assert proximity(h1, h2, links) >= lam
-        # edge set is exactly the pairs passing the proximity test
-        expected = {
-            (h1, h2)
-            for h1 in hles
-            for h2 in hles
-            if h2.window == h1.window + 1 and proximity(h1, h2, links) >= lam
-        }
-        assert set(edges) == expected
+        hles, links, pairs = random_hle_world(rng)
+        for lam in world_lambdas(rng):
+            edges = propagation_edges(hles, links, lam)
+            for h1, h2 in edges:
+                assert h2.window == h1.window + 1
+                assert proximity(h1, h2, links) >= lam
+            # edge set is exactly the pairs passing the proximity test
+            expected = {
+                (h1, h2)
+                for h1 in hles
+                for h2 in hles
+                if h2.window == h1.window + 1 and proximity(h1, h2, links) >= lam
+            }
+            assert set(edges) == expected
+            # ... and the pairs the oracle passes on the raw links
+            assert set(edges) == {
+                (h1, h2)
+                for h1 in hles
+                for h2 in hles
+                if oracles.oracle_propagates(h1, h2, raw_link(pairs), lam)
+            }
+            assert len(edges) == len(set(edges))
 
 
 def test_cascades_match_reachability_oracle():
     rng = random.Random(61)
     for _ in range(20):
-        hles, links = random_hle_world(rng)
-        lam = rng.random()
-        assignment = cascades(hles, links, lam)
-        got = oracles.partition_of(assignment)
-        expected = oracles.oracle_partition(
-            hles, lambda c1, c2: links.value(c1, c2), lam
-        )
-        assert got == expected
+        hles, links, pairs = random_hle_world(rng)
+        for lam in world_lambdas(rng):
+            assignment = cascades(hles, links, lam)
+            got = oracles.partition_of(assignment)
+            expected = oracles.oracle_partition(hles, raw_link(pairs), lam)
+            assert got == expected
 
 
 def test_lambda_refines_cascades():
     rng = random.Random(67)
     for _ in range(10):
-        hles, links = random_hle_world(rng)
+        hles, links, _ = random_hle_world(rng)
         lam1, lam2 = sorted((rng.random(), rng.random()))
         coarse = cascades(hles, links, lam1)
         fine = cascades(hles, links, lam2)
