@@ -311,8 +311,7 @@ def main(argv: list[str] | None = None) -> int:
                 scenario = ScenarioConfig.from_dict({**scenario.to_dict(), "seed": args.seed})
             log = generate(scenario)
             write_event_csv(log, args.out)
-            cases = len({e.case for e in log})
-            print(f"generated {len(log)} events over {cases} cases -> {args.out}")
+            print(f"generated {len(log)} events over {len(log.case_names)} cases -> {args.out}")
         elif args.command == "links":
             config = _run_config(args)
             log = _ingest(config)

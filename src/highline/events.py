@@ -5,18 +5,30 @@ an activity, a timestamp and a resource. From the log we derive *steps*
 (directly-follows event pairs within one case) and the three component
 sets: activities, resources and segments (activity pairs realized by at
 least one step).
+
+The log is held as columns: integer codes for case, activity and resource,
+timestamps as microseconds since the epoch, and the event ids. Steps are
+two arrays of row positions. ``Event`` and ``Step`` objects are views built
+from the columns on demand; the analysis itself never needs them.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
+
+log_ = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,70 +132,207 @@ class Provenance:
     timestamp_format: str | None = None
 
 
-class EventLog:
-    """Immutable, stably ordered event collection with cached derived data.
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
 
-    Events iterate in ascending (timestamp, case, id) order. All derived
-    structures (steps, component sets, restrictions) are computed once and
-    are read-only, so a log can be shared freely across workers.
+
+def to_microseconds(t: datetime) -> int:
+    """Microseconds from the epoch to a naive (UTC) timestamp."""
+    return (t - _EPOCH) // _MICROSECOND
+
+
+def from_microseconds(us: int) -> datetime:
+    """The naive timestamp ``us`` microseconds after the epoch."""
+    return _EPOCH + timedelta(microseconds=us)
+
+
+def _datetimes(times_us: np.ndarray) -> list[datetime]:
+    return times_us.astype("datetime64[us]").tolist()
+
+
+def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    names = sorted(dict.fromkeys(values))
+    code = {name: i for i, name in enumerate(names)}
+    return tuple(names), np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class EventLog:
+    """Immutable, stably ordered event log held as integer-coded columns.
+
+    Rows are in ascending (timestamp, case, id) order. ``case_codes``,
+    ``activity_codes`` and ``resource_codes`` index ``case_names``,
+    ``activity_names`` and ``resource_names``, which are sorted, so code
+    order is name order. ``times_us`` holds the timestamps as microseconds
+    since the epoch (naive UTC) and ``ids`` the event ids. Steps are two
+    arrays of row positions (``step_rows``).
+
+    Everything derived is computed once, on first use, and is read-only, so
+    a log can be shared freely across workers. That includes the object
+    views (``events``, ``steps``, ``case_sequences``, the groupings by
+    component): they are built from the columns only when asked for.
     """
 
-    def __init__(self, events: Iterable[Event], provenance: Provenance | None = None):
-        ordered = tuple(sorted(events, key=lambda e: (e.timestamp, e.case, e.id)))
-        ids = set()
-        for e in ordered:
-            if e.id in ids:
-                raise DataError(f"duplicate event id: {e.id}")
-            ids.add(e.id)
-            if not e.case or not e.activity or not e.resource:
-                raise DataError(f"event {e.id}: empty attribute value")
-        self._events = ordered
+    def __init__(self, events: Iterable[Event] = (), provenance: Provenance | None = None):
+        events = list(events)
+        self._set_columns(
+            [e.case for e in events],
+            [e.activity for e in events],
+            [to_microseconds(e.timestamp) for e in events],
+            [e.resource for e in events],
+            [e.id for e in events],
+        )
         self.provenance = provenance
 
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return self._events
+    @classmethod
+    def from_columns(
+        cls,
+        cases: Sequence[str],
+        activities: Sequence[str],
+        times_us: Sequence[int],
+        resources: Sequence[str],
+        ids: Sequence[int] | None = None,
+        provenance: Provenance | None = None,
+    ) -> "EventLog":
+        """A log from parallel columns: names, microseconds since the epoch
+        and event ids (1..n in input order when omitted)."""
+        log = cls.__new__(cls)
+        log._set_columns(
+            list(cases),
+            list(activities),
+            times_us,
+            list(resources),
+            range(1, len(cases) + 1) if ids is None else ids,
+        )
+        log.provenance = provenance
+        return log
+
+    def _set_columns(self, cases, activities, times_us, resources, ids) -> None:
+        self.case_names, case = _intern(cases)
+        self.activity_names, activity = _intern(activities)
+        self.resource_names, resource = _intern(resources)
+        times = np.asarray(times_us, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(case) == len(activity) == len(times) == len(resource) == len(ids):
+            raise DataError("event columns differ in length")
+        order = np.lexsort((ids, case, times))
+        self.case_codes = _frozen(case[order])
+        self.activity_codes = _frozen(activity[order])
+        self.resource_codes = _frozen(resource[order])
+        self.times_us = _frozen(times[order])
+        self.ids = _frozen(ids[order])
+        self._validate()
+
+    def _validate(self) -> None:
+        names = (self.case_names, self.activity_names, self.resource_names)
+        ids = np.sort(self.ids)
+        if not any("" in n for n in names) and not (ids[1:] == ids[:-1]).any():
+            return
+        # name the first offending event in row order
+        seen: set[int] = set()
+        columns = (self.case_codes, self.activity_codes, self.resource_codes)
+        for row, i in enumerate(self.ids.tolist()):
+            if i in seen:
+                raise DataError(f"duplicate event id: {i}")
+            seen.add(i)
+            if not all(n[c[row]] for n, c in zip(names, columns)):
+                raise DataError(f"event {i}: empty attribute value")
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self.events)
+
+    def time_range(self) -> tuple[datetime, datetime]:
+        """The earliest and the latest timestamp of a non-empty log."""
+        return from_microseconds(int(self.times_us[0])), from_microseconds(int(self.times_us[-1]))
+
+    @cached_property
+    def _case_order(self) -> np.ndarray:
+        # rows are in (timestamp, case, id) order, so a stable sort by case
+        # leaves the rows of each case in (timestamp, id) order
+        return np.argsort(self.case_codes, kind="stable")
+
+    @cached_property
+    def step_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row positions of the first and of the second event of each step,
+        steps in (case, timestamp, id) order of their first event."""
+        order = self._case_order
+        same = self.case_codes[order[1:]] == self.case_codes[order[:-1]]
+        return _frozen(order[:-1][same]), _frozen(order[1:][same])
+
+    @cached_property
+    def step_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The segment code of each step, and the (source, target) activity
+        codes of each segment as an (S, 2) array. Segment codes follow
+        (source, target) name order."""
+        first, second = self.step_rows
+        n = len(self.activity_names)
+        pairs = self.activity_codes[first] * n + self.activity_codes[second]
+        distinct, codes = np.unique(pairs, return_inverse=True)
+        return _frozen(codes.reshape(-1)), _frozen(np.stack([distinct // n, distinct % n], axis=1))
+
+    @cached_property
+    def segment_names(self) -> tuple[Segment, ...]:
+        """The segments in code order."""
+        names = self.activity_names
+        return tuple(Segment(names[s], names[t]) for s, t in self.step_segments[1].tolist())
+
+    @cached_property
+    def activities(self) -> frozenset[str]:
+        return frozenset(self.activity_names)
+
+    @cached_property
+    def resources(self) -> frozenset[str]:
+        return frozenset(self.resource_names)
+
+    @cached_property
+    def segments(self) -> frozenset[Segment]:
+        return frozenset(self.segment_names)
+
+    # --- object views, built on first use ------------------------------------
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The rows as ``Event`` objects."""
+        cases, acts, ress = self.case_names, self.activity_names, self.resource_names
+        return tuple(
+            Event(i, cases[c], acts[a], t, ress[r])
+            for i, c, a, t, r in zip(
+                self.ids.tolist(),
+                self.case_codes.tolist(),
+                self.activity_codes.tolist(),
+                _datetimes(self.times_us),
+                self.resource_codes.tolist(),
+            )
+        )
 
     @cached_property
     def case_sequences(self) -> dict[str, tuple[Event, ...]]:
         """Per-case event sequences in (timestamp, id) order, cases sorted."""
-        groups: dict[str, list[Event]] = {}
-        for e in self._events:
-            groups.setdefault(e.case, []).append(e)
-        return {
-            case: tuple(sorted(groups[case], key=Event.order_key))
-            for case in sorted(groups)
-        }
+        events = self.events
+        groups: dict[str, list[Event]] = {case: [] for case in self.case_names}
+        for row in self._case_order.tolist():
+            groups[events[row].case].append(events[row])
+        return {case: tuple(seq) for case, seq in groups.items()}
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
         return compute_steps(self)
 
     @cached_property
-    def activities(self) -> frozenset[str]:
-        return frozenset(e.activity for e in self._events)
-
-    @cached_property
-    def resources(self) -> frozenset[str]:
-        return frozenset(e.resource for e in self._events)
-
-    @cached_property
-    def segments(self) -> frozenset[Segment]:
-        return frozenset(s.segment for s in self.steps)
-
-    @cached_property
     def events_by_activity(self) -> dict[str, tuple[Event, ...]]:
-        return _group(self._events, lambda e: e.activity)
+        return _group(self.events, lambda e: e.activity)
 
     @cached_property
     def events_by_resource(self) -> dict[str, tuple[Event, ...]]:
-        return _group(self._events, lambda e: e.resource)
+        return _group(self.events, lambda e: e.resource)
 
     @cached_property
     def steps_by_segment(self) -> dict[Segment, tuple[Step, ...]]:
@@ -208,16 +357,15 @@ def _group(items, key):
 
 
 def compute_steps(log: EventLog) -> tuple[Step, ...]:
-    """All directly-follows pairs of the log.
+    """All directly-follows pairs of the log, as ``Step`` objects.
 
     For a case with k events this yields exactly k-1 steps. Equal
     timestamps within a case are resolved by event id (input order), making
     the per-case order total.
     """
-    steps: list[Step] = []
-    for seq in log.case_sequences.values():
-        steps.extend(Step(a, b) for a, b in zip(seq, seq[1:]))
-    return tuple(steps)
+    events = log.events
+    first, second = log.step_rows
+    return tuple(Step(events[i], events[j]) for i, j in zip(first.tolist(), second.tolist()))
 
 
 def component_sets(log: EventLog) -> tuple[frozenset[str], frozenset[str], frozenset[Segment]]:
@@ -246,6 +394,17 @@ def restrict(log: EventLog, component: Component) -> tuple[Event, ...] | tuple[S
         raise KeyError(f"unknown segment: {component.label}") from None
 
 
+def _parser(timestamp_format: str | None) -> Callable[[str], datetime]:
+    """Timestamp text to datetime, offset kept: ISO 8601 or ``strptime``."""
+    if timestamp_format is None:
+        return datetime.fromisoformat
+    return lambda text: datetime.strptime(text, timestamp_format)
+
+
+def _naive_utc(t: datetime) -> datetime:
+    return t if t.tzinfo is None else t.astimezone(timezone.utc).replace(tzinfo=None)
+
+
 def parse_timestamp(text: str, timestamp_format: str | None = None) -> datetime:
     """Parse a timestamp string.
 
@@ -253,17 +412,17 @@ def parse_timestamp(text: str, timestamp_format: str | None = None) -> datetime:
     Timestamps carrying a UTC offset are normalized to naive UTC so that
     all timestamps of a log are comparable.
     """
-    if timestamp_format is None:
-        t = datetime.fromisoformat(text)
-    else:
-        t = datetime.strptime(text, timestamp_format)
-    if t.tzinfo is not None:
-        t = t.astimezone(timezone.utc).replace(tzinfo=None)
-    return t
+    return _naive_utc(_parser(timestamp_format)(text))
 
 
 def format_timestamp(t: datetime, timestamp_format: str | None = None) -> str:
     return t.isoformat() if timestamp_format is None else t.strftime(timestamp_format)
+
+
+_ATTRIBUTES = ("case", "activity", "timestamp", "resource")
+# rows are read this many at a time, so that only one chunk's row lists and
+# field strings are alive at once
+_CHUNK_ROWS = 1 << 12
 
 
 def ingest_csv(
@@ -277,9 +436,19 @@ def ingest_csv(
     so re-ingesting the same file always yields the same ordering, equal
     timestamps included. Attribute values are stripped of surrounding
     whitespace; a value that is empty after stripping is a row error.
+    A file that mixes timestamps with and without a UTC offset is read as
+    naive UTC throughout, with a warning naming the first line of the
+    less frequent kind.
     """
     mapping = mapping or ColumnMapping()
-    events: list[Event] = []
+    parse = _parser(timestamp_format)
+    # one string object per distinct name, however many rows repeat it
+    names: dict[str, str] = {}
+    cases: list[str] = []
+    activities: list[str] = []
+    resources: list[str] = []
+    times: list[np.ndarray] = []
+    aware: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -287,42 +456,96 @@ def ingest_csv(
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         index: dict[str, int] = {}
-        for attr, column in (
-            ("case", mapping.case),
-            ("activity", mapping.activity),
-            ("timestamp", mapping.timestamp),
-            ("resource", mapping.resource),
-        ):
+        for attr in _ATTRIBUTES:
+            column = getattr(mapping, attr)
             if column not in header:
                 raise ConfigError(f"{path}: missing column {column!r} (mapped to {attr})")
             index[attr] = header.index(column)
-        row_id = 0
-        for row in reader:
-            row_id += 1
-            line = reader.line_num
-            if len(row) <= max(index.values()):
-                raise DataError(f"{path}, line {line}: too few columns")
-            values = {attr: row[i].strip() for attr, i in index.items()}
-            for attr, value in values.items():
-                if not value:
-                    raise DataError(f"{path}, line {line}: empty {attr} value")
-            try:
-                ts = parse_timestamp(values["timestamp"], timestamp_format)
-            except ValueError:
-                raise DataError(
-                    f"{path}, line {line}: unparseable timestamp {values['timestamp']!r}"
-                ) from None
-            events.append(
-                Event(
-                    id=row_id,
-                    case=values["case"],
-                    activity=values["activity"],
-                    timestamp=ts,
-                    resource=values["resource"],
-                )
+        # each chunk is checked column by column; the first invalid row is
+        # then located by a row-by-row re-read that knows its line number
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if min(map(len, chunk)) <= max(index.values()):
+                raise _row_error(path, index, timestamp_format)
+            case, activity, stamp, resource = (
+                list(map(str.strip, map(itemgetter(index[attr]), chunk))) for attr in _ATTRIBUTES
             )
-    provenance = Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format)
-    return EventLog(events, provenance)
+            if "" in case or "" in activity or "" in stamp or "" in resource:
+                raise _row_error(path, index, timestamp_format)
+            try:
+                stamps = list(map(parse, stamp))
+            except ValueError:
+                raise _row_error(path, index, timestamp_format) from None
+            for kept, values in ((cases, case), (activities, activity), (resources, resource)):
+                kept.extend(map(names.setdefault, values, values))
+            us, offset = _microseconds(stamps)
+            times.append(us)
+            aware.append(offset)
+    if aware:
+        _warn_mixed_offsets(path, np.concatenate(aware))
+    return EventLog.from_columns(
+        cases,
+        activities,
+        np.concatenate(times) if times else [],
+        resources,
+        provenance=Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format),
+    )
+
+
+def _microseconds(stamps: list[datetime]) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of parsed timestamps, offsets folded
+    into naive UTC, and which of the timestamps carried an offset."""
+    n = len(stamps)
+    try:
+        us = np.fromiter(((t - _EPOCH) // _MICROSECOND for t in stamps), dtype=np.int64, count=n)
+        return us, np.zeros(n, dtype=bool)
+    except TypeError:  # an offset-aware timestamp
+        us = np.fromiter((to_microseconds(_naive_utc(t)) for t in stamps), dtype=np.int64, count=n)
+        return us, np.fromiter((t.tzinfo is not None for t in stamps), dtype=bool, count=n)
+
+
+def _warn_mixed_offsets(path: str, aware: np.ndarray) -> None:
+    """Warn once when some but not all timestamps carried a UTC offset."""
+    n_aware = int(aware.sum())
+    if not 0 < n_aware < len(aware):
+        return
+    minority = n_aware <= len(aware) - n_aware
+    row = int(np.argmax(aware == minority))
+    line, _ = next(islice(_data_rows(path), row, None))
+    log_.warning(
+        "%s: %d timestamps carry a UTC offset and %d do not; all are read as naive UTC "
+        "(first %s timestamp on line %d)",
+        path,
+        n_aware,
+        len(aware) - n_aware,
+        "offset-aware" if minority else "naive",
+        line,
+    )
+
+
+def _data_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of a CSV file, each with the line number it ends on."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            yield reader.line_num, row
+
+
+def _row_error(path: str, index: dict[str, int], timestamp_format: str | None) -> DataError:
+    """The error of the first invalid data row of ``path``."""
+    parse = _parser(timestamp_format)
+    for line, row in _data_rows(path):
+        if len(row) <= max(index.values()):
+            return DataError(f"{path}, line {line}: too few columns")
+        values = {attr: row[i].strip() for attr, i in index.items()}
+        for attr, value in values.items():
+            if not value:
+                return DataError(f"{path}, line {line}: empty {attr} value")
+        try:
+            parse(values["timestamp"])
+        except ValueError:
+            return DataError(f"{path}, line {line}: unparseable timestamp {values['timestamp']!r}")
+    return DataError(f"{path}: changed while being read")
 
 
 def write_event_csv(
@@ -333,10 +556,16 @@ def write_event_csv(
 ) -> None:
     """Write a log back to CSV in the standard four-column layout."""
     mapping = mapping or ColumnMapping()
+    cases, acts, ress = log.case_names, log.activity_names, log.resource_names
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([mapping.case, mapping.activity, mapping.timestamp, mapping.resource])
-        for e in log:
-            writer.writerow(
-                [e.case, e.activity, format_timestamp(e.timestamp, timestamp_format), e.resource]
+        writer.writerows(
+            [cases[c], acts[a], format_timestamp(t, timestamp_format), ress[r]]
+            for c, a, t, r in zip(
+                log.case_codes.tolist(),
+                log.activity_codes.tolist(),
+                _datetimes(log.times_us),
+                log.resource_codes.tolist(),
             )
+        )

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .events import Component, ComponentKind, EventLog, Segment
+from .events import Component, ComponentKind, EventLog, Segment, to_microseconds
 from .framing import Framing, WindowSet, window_set
 
 log_ = logging.getLogger(__name__)
@@ -237,22 +237,25 @@ def evaluate(
     """
     windows = window_set(framing, log)
     selected = tuple(views) if views is not None else ALL_VIEWS
-    acts = _selection(log.activities, activities, "activity")
-    ress = _selection(log.resources, resources, "resource")
-    segs = _selection(log.segments, segments, "segment")
-
+    chosen = {
+        ComponentKind.ACTIVITY: _selection(log.activities, activities, "activity"),
+        ComponentKind.RESOURCE: _selection(log.resources, resources, "resource"),
+        ComponentKind.SEGMENT: _selection(log.segments, segments, "segment"),
+    }
+    names = {
+        ComponentKind.ACTIVITY: log.activity_names,
+        ComponentKind.RESOURCE: log.resource_names,
+        ComponentKind.SEGMENT: log.segment_names,
+    }
+    grid = _Grid(log, framing, windows)
     arrays: dict[FeatureId, np.ndarray] = {}
     for view in selected:
         kind = VIEW_KIND[view]
-        if kind is ComponentKind.ACTIVITY:
-            components = [Component.activity(a) for a in acts]
-        elif kind is ComponentKind.RESOURCE:
-            components = [Component.resource(r) for r in ress]
-        else:
-            components = [Component(ComponentKind.SEGMENT, Segment(*s)) for s in segs]
-        for comp in components:
-            fid = FeatureId(view, comp)
-            arrays[fid] = _feature_array(log, framing, windows, fid)
+        table = grid.view(view)
+        code = {name: i for i, name in enumerate(names[kind])}
+        for key in chosen[kind]:
+            key = Segment(*key) if kind is ComponentKind.SEGMENT else key
+            arrays[FeatureId(view, Component(kind, key))] = table[code[key]]
     return EvaluationMatrix(windows, arrays)
 
 
@@ -267,85 +270,97 @@ def _selection(available, requested, kind):
     return requested
 
 
-def _feature_array(
-    log: EventLog, framing: Framing, windows: WindowSet, fid: FeatureId
-) -> np.ndarray:
-    n = len(windows)
-    view, key = fid.view, fid.component.key
+class _Grid:
+    """Every view of a log as a (component code, window offset) array.
 
-    if view in (View.EXEC, View.DO):
-        groups = log.events_by_activity if view is View.EXEC else log.events_by_resource
-        offs = _offsets(framing, windows, (e.timestamp for e in groups.get(key, ())))
-        return np.bincount(offs, minlength=n).astype(float)
+    Each view is a count or a sum grouped by the component code of an event
+    or step and the window offset of one or both of its timestamps, so it is
+    one ``bincount`` over ``code * windows + offset``, or the running sum of
+    such a count where a step covers a range of windows.
+    """
 
-    if view is View.TODO:
-        steps = log.steps_by_second_resource.get(key, ())
-        offs = _offsets(framing, windows, (s.first.timestamp for s in steps))
-        return np.bincount(offs, minlength=n).astype(float)
+    def __init__(self, log: EventLog, framing: Framing, windows: WindowSet):
+        self.log, self.framing, self.windows = log, framing, windows
+        self.n = len(windows)
+        # (t - origin) / 1e6 is the float that timedelta.total_seconds() gives
+        # while |t - origin| < 2**53 microseconds (about 285 years)
+        self.seconds = (log.times_us - to_microseconds(framing.origin)) / 1e6
+        self.offsets = np.floor(self.seconds / framing.width).astype(np.intp) - windows.first
+        self.first, self.second = log.step_rows
+        self.segment = log.step_segments[0]
 
-    if view is View.WL:
-        # A triggered event counts in every window from its trigger's window
-        # through its own; an untriggered event only in its own window.
-        triggered_ids = set()
-        lo, hi = [], []
-        for s in log.steps_by_second_resource.get(key, ()):
-            triggered_ids.add(s.second.id)
-            lo.append(s.first.timestamp)
-            hi.append(s.second.timestamp)
-        occ = [e.timestamp for e in log.events_by_resource.get(key, ()) if e.id not in triggered_ids]
-        cover = _interval_cover(_offsets(framing, windows, lo), _offsets(framing, windows, hi), n)
-        return cover + np.bincount(_offsets(framing, windows, occ), minlength=n)
+    def _count(self, codes: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
+        n = self.n
+        return np.bincount(codes * n + offsets, minlength=size * n).reshape(size, n)
 
-    steps = log.steps_by_segment.get(key, ())
-    first_off = _offsets(framing, windows, (s.first.timestamp for s in steps))
-    second_off = _offsets(framing, windows, (s.second.timestamp for s in steps))
+    def _cover(self, codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+        """Per code, how many of the inclusive offset intervals [lo, hi]
+        cover each window."""
+        m = self.n + 1
+        starts = np.bincount(codes * m + lo, minlength=size * m)
+        ends = np.bincount(codes * m + hi + 1, minlength=size * m)
+        return np.cumsum((starts - ends).reshape(size, m), axis=1)[:, :-1]
 
-    if view is View.ENTER:
-        return np.bincount(first_off, minlength=n).astype(float)
-    if view is View.EXIT:
-        return np.bincount(second_off, minlength=n).astype(float)
-    if view is View.PROGR:
-        return _interval_cover(first_off, second_off, n)
+    def view(self, view: View) -> np.ndarray:
+        log, off, first, second = self.log, self.offsets, self.first, self.second
+        n_res, n_seg = len(log.resource_names), len(log.segment_names)
+        if view is View.EXEC:
+            return self._count(log.activity_codes, off, len(log.activity_names)).astype(float)
+        if view is View.DO:
+            return self._count(log.resource_codes, off, n_res).astype(float)
+        if view is View.TODO:
+            return self._count(log.resource_codes[second], off[first], n_res).astype(float)
+        if view is View.WL:
+            # A triggered event counts in every window from its trigger's
+            # window through its own; an untriggered event only in its own.
+            untriggered = np.ones(len(log), dtype=bool)
+            untriggered[second] = False
+            waiting = self._cover(log.resource_codes[second], off[first], off[second], n_res)
+            own = self._count(log.resource_codes[untriggered], off[untriggered], n_res)
+            return (waiting + own).astype(float)
+        seg, lo, hi = self.segment, off[first], off[second]
+        if view is View.ENTER:
+            return self._count(seg, lo, n_seg).astype(float)
+        if view is View.EXIT:
+            return self._count(seg, hi, n_seg).astype(float)
+        progr = self._cover(seg, lo, hi, n_seg)
+        if view is View.PROGR:
+            return progr.astype(float)
+        return self._delay(progr)
 
-    # delay: (sum of full durations of steps leaving in w
-    #         + sum of (end(w) - trigger time) over steps crossing but not
-    #           leaving in w) / number of steps crossing w
-    first_sec = np.array([framing.seconds(s.first.timestamp) for s in steps])
-    second_sec = np.array([framing.seconds(s.second.timestamp) for s in steps])
-    progr = _interval_cover(first_off, second_off, n)
-    leave_dur = np.bincount(second_off, weights=second_sec - first_sec, minlength=n)
-    # crossing-not-leaving means windows [first_off, second_off - 1]
-    cnt = np.zeros(n + 1)
-    np.add.at(cnt, first_off, 1.0)
-    np.add.at(cnt, second_off, -1.0)
-    cnt = np.cumsum(cnt[:-1])
-    tsum = np.zeros(n + 1)
-    np.add.at(tsum, first_off, first_sec)
-    np.add.at(tsum, second_off, -first_sec)
-    tsum = np.cumsum(tsum[:-1])
-    # window ends via the datetime path, so the waited-so-far term agrees
-    # with the microsecond-quantized bounds used everywhere else
-    end_sec = np.array(
-        [framing.seconds(framing.window_start(windows.first + off + 1)) for off in range(n)]
-    )
-    numer = leave_dur + cnt * end_sec - tsum
-    with np.errstate(invalid="ignore"):
-        return np.where(progr > 0, numer / np.maximum(progr, 1.0), np.nan)
+    def _delay(self, progr: np.ndarray) -> np.ndarray:
+        """(sum of full durations of steps leaving in w
+            + sum of (end(w) - trigger time) over steps crossing but not
+              leaving w) / number of steps crossing w.
 
-
-def _offsets(framing: Framing, windows: WindowSet, times) -> np.ndarray:
-    secs = np.fromiter((framing.seconds(t) for t in times), dtype=float)
-    if secs.size == 0:
-        return np.empty(0, dtype=int)
-    return np.floor(secs / framing.width).astype(int) - windows.first
-
-
-def _interval_cover(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Counts, per window, of the inclusive index intervals [lo, hi]."""
-    d = np.zeros(n + 1)
-    np.add.at(d, lo, 1.0)
-    np.add.at(d, hi + 1, -1.0)
-    return np.cumsum(d[:-1])
+        Sums run in step order, per (segment, window), as a per-segment loop
+        over the steps would add them.
+        """
+        framing, windows, n = self.framing, self.windows, self.n
+        seg, size, m = self.segment, len(progr), n + 1
+        lo, hi = self.offsets[self.first], self.offsets[self.second]
+        first_sec, second_sec = self.seconds[self.first], self.seconds[self.second]
+        leave_dur = np.bincount(
+            seg * n + hi, weights=second_sec - first_sec, minlength=size * n
+        ).reshape(size, n)
+        # crossing-not-leaving means windows [lo, hi - 1]
+        starts, ends = seg * m + lo, seg * m + hi
+        cnt = np.bincount(starts, minlength=size * m) - np.bincount(ends, minlength=size * m)
+        cnt = np.cumsum(cnt.reshape(size, m)[:, :-1], axis=1)
+        tsum = np.bincount(
+            np.concatenate([starts, ends]),
+            weights=np.concatenate([first_sec, -first_sec]),
+            minlength=size * m,
+        )
+        tsum = np.cumsum(tsum.reshape(size, m)[:, :-1], axis=1)
+        # window ends via the datetime path, so the waited-so-far term agrees
+        # with the microsecond-quantized bounds used everywhere else
+        end_sec = np.array(
+            [framing.seconds(framing.window_start(windows.first + off + 1)) for off in range(n)]
+        )
+        numer = leave_dur + cnt * end_sec - tsum
+        with np.errstate(invalid="ignore"):
+            return np.where(progr > 0, numer / np.maximum(progr, 1.0), np.nan)
 
 
 # --- thresholds and high-level events ----------------------------------------

@@ -73,15 +73,15 @@ def window_set(framing: Framing, log) -> WindowSet:
     """
     if len(log) == 0:
         raise DataError("no events")
-    times = [e.timestamp for e in log]
-    return WindowSet(framing.window_of(min(times)), framing.window_of(max(times)))
+    first, last = log.time_range()
+    return WindowSet(framing.window_of(first), framing.window_of(last))
 
 
 def default_origin(log) -> datetime:
     """Midnight of the first event's day."""
     if len(log) == 0:
         raise DataError("no events")
-    first = min(e.timestamp for e in log)
+    first, _ = log.time_range()
     return datetime(first.year, first.month, first.day)
 
 

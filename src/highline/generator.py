@@ -23,10 +23,10 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 
 from .errors import ConfigError
-from .events import Event, EventLog, Provenance
+from .events import EventLog, Provenance, to_microseconds
 
 ACT_REQUEST = "request"
 ACT_REPORT = "report"
@@ -377,17 +377,14 @@ def _to_log(raw: list[tuple[int, int, str, str, str]], config: ScenarioConfig) -
             last = t
             adjusted.append((t, case, activity, resource))
     adjusted.sort(key=lambda r: (r[0], r[1]))
-    events = [
-        Event(
-            id=i + 1,
-            case=case,
-            activity=activity,
-            timestamp=config.start + timedelta(seconds=t),
-            resource=resource,
-        )
-        for i, (t, case, activity, resource) in enumerate(adjusted)
-    ]
-    return EventLog(events, Provenance(source=f"generated(seed={config.seed})"))
+    start_us = to_microseconds(config.start)
+    return EventLog.from_columns(
+        [case for _, case, _, _ in adjusted],
+        [activity for _, _, activity, _ in adjusted],
+        [start_us + t * 1_000_000 for t, _, _, _ in adjusted],
+        [resource for _, _, _, resource in adjusted],
+        provenance=Provenance(source=f"generated(seed={config.seed})"),
+    )
 
 
 def weekly_event_counts(log: EventLog, start: datetime) -> dict[int, int]:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import ContextManager, Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .events import EventLog, format_timestamp, parse_timestamp
+from .events import EventLog, format_timestamp, parse_timestamp, to_microseconds
 from .features import HighLevelEvent, ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
@@ -63,31 +65,46 @@ def build_hlel(
     Entries are sorted by (case, window, activity name); ids follow that
     order.
     """
-    drafts = []
+    hles = list(hles)
+    # The assignment's keys are mostly the very objects given here, so the
+    # cascade is looked up by identity first and hashing (five levels deep
+    # for a HighLevelEvent) is left to equal copies. Likewise the features
+    # of one view and component are mostly one object: their columns are
+    # computed once per object.
+    case_by_object = {id(h): case for h, case in assignment.ids.items()}
+    feature_of: dict[int, int] = {}
+    columns: list[tuple[str, str, str, str, float]] = []
+    features, cases = [], []
     for h in hles:
-        drafts.append(
-            (
-                assignment.ids[h],
-                h.window,
-                h.feature.name,
-                h,
+        f = h.feature
+        i = feature_of.get(id(f))
+        if i is None:
+            i = feature_of[id(f)] = len(columns)
+            columns.append(
+                (f.name, f.view.value, f.component.kind.value, f.component.label,
+                 thresholds.for_feature(f))
             )
-        )
-    drafts.sort(key=lambda d: d[:3])
+        features.append(i)
+        cid = case_by_object.get(id(h))
+        cases.append(assignment.ids[h] if cid is None else cid)
+    feature = np.array(features, dtype=np.intp)
+    case = np.array(cases, dtype=np.int64)
+    window = np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles))
+    names = sorted({col[0] for col in columns})
+    rank = {name: r for r, name in enumerate(names)}
+    name_rank = np.array([rank[col[0]] for col in columns], dtype=np.intp)
+    # lexsort is stable, like sorting by the (case, window, name) key
+    order = np.lexsort((name_rank[feature], window, case))
+    starts = {w: framing.window_start(w) for w in np.unique(window).tolist()}
     entries = []
-    for hle_id, (case, window, activity, h) in enumerate(drafts, start=1):
+    for hle_id, (k, c, w, i) in enumerate(
+        zip(order.tolist(), case[order].tolist(), window[order].tolist(), feature[order].tolist()),
+        start=1,
+    ):
+        name, view, kind, label, threshold = columns[i]
         entries.append(
             HighLevelLogEntry(
-                hle_id=hle_id,
-                case=case,
-                activity=activity,
-                timestamp=framing.window_start(window),
-                window=window,
-                view=h.feature.view.value,
-                component_kind=h.feature.component.kind.value,
-                component=h.feature.component.label,
-                value=h.value,
-                threshold=thresholds.for_feature(h.feature),
+                hle_id, c, name, starts[w], w, view, kind, label, hles[k].value, threshold
             )
         )
     return tuple(entries)
@@ -252,13 +269,19 @@ def summarize(
     else:
         chosen = list(activities)
 
-    event_counts: Counter = Counter(period_of(e.timestamp) for e in log)
-    hle_counts: Counter = Counter(period_of(e.timestamp) for e in entries)
+    # np.floor_divide rounds like Python's float //, which floor(a / b) does not
+    seconds = (log.times_us - to_microseconds(origin)) / 1e6
+    periods, counts = np.unique(np.floor_divide(seconds, period_seconds), return_counts=True)
+    event_counts = dict(zip((periods.astype(np.int64) + 1).tolist(), counts.tolist()))
+    # entries of one window share their timestamp
+    entry_periods = {t: period_of(t) for t in {e.timestamp for e in entries}}
+    hle_counts: Counter = Counter(entry_periods[e.timestamp] for e in entries)
     act_values: dict[tuple[int, str], list[float]] = {}
     for e in entries:
         if e.activity in chosen:
             scale = 3600.0 if e.view == View.DELAY.value else 1.0
-            act_values.setdefault((period_of(e.timestamp), e.activity), []).append(e.value / scale)
+            key = (entry_periods[e.timestamp], e.activity)
+            act_values.setdefault(key, []).append(e.value / scale)
 
     periods = sorted(set(event_counts) | set(hle_counts))
     rows = []

@@ -16,7 +16,6 @@ cascade.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -173,63 +172,66 @@ def link_segment_pair(log: EventLog, s1: Segment, s2: Segment) -> float:
 
 
 def build_link_table(log: EventLog) -> LinkTable:
-    """The full link table of a log, all component kinds combined."""
-    act_n = {a: len(es) for a, es in log.events_by_activity.items()}
-    res_n = {r: len(es) for r, es in log.events_by_resource.items()}
-    seg_n = {s: len(st) for s, st in log.steps_by_segment.items()}
+    """The full link table of a log, all component kinds combined.
 
-    res_pairs: Counter = Counter()
-    act_res: Counter = Counter()
-    seg_res: Counter = Counter()
-    for st in log.steps:
-        res_pairs[(st.first.resource, st.second.resource)] += 1
-    for e in log:
-        act_res[(e.activity, e.resource)] += 1
-    for seg, steps in log.steps_by_segment.items():
-        for st in steps:
-            for r in {st.first.resource, st.second.resource}:
-                seg_res[(seg, r)] += 1
-    chains: Counter = Counter()
-    for seq in log.case_sequences.values():
-        for e1, e2, e3 in zip(seq, seq[1:], seq[2:]):
-            s1 = Segment(e1.activity, e2.activity)
-            s2 = Segment(e2.activity, e3.activity)
-            chains[(s1, s2)] += 1
+    Every count is a ``bincount`` over the log's codes: events per activity
+    or resource, steps per segment, resource handovers, (activity, resource)
+    co-executions, (segment, resource) touches and chained step pairs.
+    """
+    n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
+    acts = [Component.activity(a) for a in log.activity_names]
+    ress = [Component.resource(r) for r in log.resource_names]
+    segs = [Component(ComponentKind.SEGMENT, s) for s in log.segment_names]
+    act, res = log.activity_codes, log.resource_codes
+    first, second = log.step_rows
+    seg, ends = log.step_segments
+    act_n = np.bincount(act, minlength=n_act)
+    res_n = np.bincount(res, minlength=n_res)
+    seg_n = np.bincount(seg, minlength=n_seg)
+    r1, r2 = res[first], res[second]
+    source, target = ends[:, 0], ends[:, 1]
 
     links: dict[tuple[Component, Component], float] = {}
 
-    def put(c1: Component, c2: Component, value: float) -> None:
-        if value > 0:
-            key = _pair(c1, c2)
+    def put(left, right, i, j, values) -> None:
+        """Link left[i[k]] and right[j[k]] with values[k], where positive."""
+        keep = values > 0
+        for a, b, value in zip(i[keep].tolist(), j[keep].tolist(), values[keep].tolist()):
+            key = _pair(left[a], right[b])
             links[key] = max(links.get(key, 0.0), min(1.0, value))
 
-    for (a1, a2), count in seg_n.items():
-        if a1 != a2:
-            put(Component.activity(a1), Component.activity(a2), count / act_n[a1])
-    for (r1, r2), count in res_pairs.items():
-        if r1 != r2:
-            put(Component.resource(r1), Component.resource(r2), count / res_n[r1])
-    for (a, r), count in act_res.items():
-        put(Component.activity(a), Component.resource(r), max(count / act_n[a], count / res_n[r]))
-    for seg in seg_n:
-        reverse = seg_n.get(Segment(seg.target, seg.source), 0)
-        moved = max(seg_n[seg], reverse)
-        comp = Component(ComponentKind.SEGMENT, seg)
-        for a in {seg.source, seg.target}:
-            put(Component.activity(a), comp, moved / act_n[a])
-    for (seg, r), count in seg_res.items():
-        put(
-            Component.resource(r),
-            Component(ComponentKind.SEGMENT, seg),
-            max(count / res_n[r], count / seg_n[seg]),
-        )
-    for (s1, s2), count in chains.items():
-        if s1 != s2:
-            put(
-                Component(ComponentKind.SEGMENT, s1),
-                Component(ComponentKind.SEGMENT, s2),
-                max(count / seg_n[s1], count / seg_n[s2]),
-            )
+    def pair_counts(x, n_x, y, n_y):
+        """The (x, y) code pairs that occur, as (x, y, count) arrays."""
+        counts = np.bincount(x * n_y + y, minlength=n_x * n_y)
+        nonzero = np.flatnonzero(counts)
+        return nonzero // n_y, nonzero % n_y, counts[nonzero]
+
+    loop = source == target
+    put(acts, acts, source[~loop], target[~loop], seg_n[~loop] / act_n[source[~loop]])
+    h1, h2, count = pair_counts(r1, n_res, r2, n_res)
+    handover = h1 != h2
+    put(ress, ress, h1[handover], h2[handover], count[handover] / res_n[h1[handover]])
+    a, r, count = pair_counts(act, n_act, res, n_res)
+    put(acts, ress, a, r, np.maximum(count / act_n[a], count / res_n[r]))
+    # steps moving a case over the segment in either direction
+    reverse = dict(zip((source * n_act + target).tolist(), seg_n.tolist()))
+    back = np.array([reverse.get(k, 0) for k in (target * n_act + source).tolist()], dtype=np.int64)
+    moved = np.maximum(seg_n, back)
+    codes = np.arange(n_seg)
+    put(acts, segs, source, codes, moved / act_n[source])
+    put(acts, segs, target[~loop], codes[~loop], moved[~loop] / act_n[target[~loop]])
+    # a step touches a resource once, even where both its events share it
+    other = r1 != r2
+    s, r, count = pair_counts(
+        np.concatenate([seg, seg[other]]), n_seg, np.concatenate([r1, r2[other]]), n_res
+    )
+    put(segs, ress, s, r, np.maximum(count / res_n[r], count / seg_n[s]))
+    # consecutive steps of one case share an event: chained segment pairs
+    chained = second[:-1] == first[1:]
+    s1, s2, count = pair_counts(seg[:-1][chained], n_seg, seg[1:][chained], n_seg)
+    distinct = s1 != s2
+    s1, s2, count = s1[distinct], s2[distinct], count[distinct]
+    put(segs, segs, s1, s2, np.maximum(count / seg_n[s1], count / seg_n[s2]))
     return LinkTable(links)
 
 

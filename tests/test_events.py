@@ -1,5 +1,8 @@
+import logging
 import random
+from datetime import datetime
 
+import numpy as np
 import pytest
 
 from conftest import log_t_csv_text, make_log, random_log
@@ -10,12 +13,21 @@ from highline import (
     Component,
     ConfigError,
     DataError,
+    Event,
+    EventLog,
+    Framing,
+    Step,
+    analyze_log,
     component_sets,
     compute_steps,
+    default_origin,
     ingest_csv,
     restrict,
+    summarize,
     write_event_csv,
 )
+import highline.events as events_module
+from highline.events import to_microseconds
 
 
 def step_ids(log):
@@ -131,6 +143,22 @@ def test_ingest_bad_timestamp_names_line(tmp_path):
         ingest_csv(str(path))
 
 
+def test_ingest_names_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(events_module, "_CHUNK_ROWS", 2)
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,a,2024-01-01T00:00:00,r1\n"
+        "c1,b,2024-01-01T00:00:01,r1\n"
+        'c2,"multi\nline",2024-01-01T00:00:02,r1\n'
+        "c2,b,later,r1\n"
+        "c3,,2024-01-01T00:00:04,r1\n"
+    )
+    # the quoted field spans two lines, so the bad timestamp ends on line 6
+    with pytest.raises(DataError, match="line 6: unparseable timestamp 'later'"):
+        ingest_csv(str(path))
+
+
 def test_ingest_empty_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("case,activity,timestamp,resource\nc1,,2024-01-01T00:00:00,r1\n")
@@ -172,3 +200,96 @@ def test_event_csv_round_trip(tmp_path, log_t):
 
 def test_compute_steps_is_exposed(log_t):
     assert {(s.first.id, s.second.id) for s in compute_steps(log_t)} == step_ids(log_t)
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 4096])
+def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_rows):
+    monkeypatch.setattr(events_module, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,a,2024-01-01T10:00:00,r1\n"
+        "c1,b,2024-01-01T12:30:00+02:00,r1\n"
+        "c2,a,2024-01-01T11:00:00,r2\n"
+    )
+    with caplog.at_level(logging.WARNING, logger="highline.events"):
+        log = ingest_csv(str(path))
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "1 timestamps carry a UTC offset and 2 do not" in message
+    assert "first offset-aware timestamp on line 3" in message
+    # the offset-aware timestamp is folded to naive UTC, as before
+    assert [e.timestamp for e in log] == [
+        datetime(2024, 1, 1, 10), datetime(2024, 1, 1, 10, 30), datetime(2024, 1, 1, 11)
+    ]
+
+
+def test_uniform_timezone_offsets_do_not_warn(tmp_path, caplog):
+    for name, stamps in (
+        ("aware", ("2024-01-01T10:00:00+01:00", "2024-01-01T11:00:00Z")),
+        ("naive", ("2024-01-01T10:00:00", "2024-01-01T11:00:00")),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(
+            "case,activity,timestamp,resource\n" + "".join(f"c1,a,{t},r1\n" for t in stamps)
+        )
+        with caplog.at_level(logging.WARNING, logger="highline.events"):
+            ingest_csv(str(path))
+    assert not caplog.records
+
+
+def test_ingest_columns_are_coded_in_name_order(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(log_t_csv_text())
+    log = ingest_csv(str(path))
+    assert log.activity_names == ("a", "b", "c")
+    assert log.resource_names == ("r1", "r2")
+    assert [log.case_names[c] for c in log.case_codes.tolist()] == [e.case for e in log]
+    assert log.times_us.dtype == np.int64
+    assert log.times_us.tolist() == sorted(log.times_us.tolist())
+    first, second = log.step_rows
+    assert list(zip(log.ids[first].tolist(), log.ids[second].tolist())) == [
+        (1, 2), (2, 3), (4, 5), (5, 6)
+    ]
+    assert log.segment_names == (("a", "b"), ("b", "c"))
+
+
+def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Event or Step object was built")
+
+    monkeypatch.setattr(Event, "__init__", refuse)
+    monkeypatch.setattr(Step, "__new__", refuse)
+    path = tmp_path / "t.csv"
+    path.write_text(log_t_csv_text())
+    log = ingest_csv(str(path))
+    framing = Framing(default_origin(log), 20.0)
+    result = analyze_log(log, framing, percentile=0.5, lam=0.5)
+    summarize(log, result.entries, 60.0, framing.origin)
+    assert result.hles
+    assert not {"events", "steps", "case_sequences"} & set(vars(log))
+    with pytest.raises(AssertionError, match="was built"):
+        log.events
+
+
+def test_from_columns_matches_event_objects(log_t):
+    events = list(log_t)
+    log = EventLog.from_columns(
+        [e.case for e in events],
+        [e.activity for e in events],
+        [to_microseconds(e.timestamp) for e in events],
+        [e.resource for e in events],
+        ids=[e.id for e in events],
+    )
+    assert list(log) == events
+    with pytest.raises(DataError, match="differ in length"):
+        EventLog.from_columns(["c1"], ["a"], [0, 1], ["r1"])
+
+
+def test_log_rejects_duplicate_ids_and_empty_values():
+    t = datetime(2024, 1, 1)
+    with pytest.raises(DataError, match="duplicate event id: 1"):
+        EventLog([Event(1, "c1", "a", t, "r1"), Event(1, "c2", "b", t, "r1")])
+    with pytest.raises(DataError, match="event 2: empty attribute value"):
+        EventLog([Event(1, "c1", "a", t, "r1"), Event(2, "c1", "", t, "r1")])

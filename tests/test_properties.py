@@ -1,0 +1,167 @@
+"""Property tests of the columnar event core against the brute-force oracles.
+
+Logs are drawn small, from few cases, activities and resources and a short
+time span, so that timestamp ties inside a case, self-loop segments and
+single-event cases all occur often.
+"""
+
+import csv
+import itertools
+from collections import Counter
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import BASE
+
+from highline import (
+    Component,
+    Event,
+    EventLog,
+    Framing,
+    View,
+    build_link_table,
+    evaluate,
+    ingest_csv,
+    summarize,
+)
+
+SETTINGS = settings(max_examples=50, deadline=None)
+
+ROW = st.tuples(
+    st.sampled_from(["c1", "c2", "c3", "c4"]),
+    st.sampled_from(["a", "b", "c"]),
+    st.integers(0, 40),
+    st.sampled_from(["r1", "r2", "r3"]),
+)
+ROWS = st.lists(ROW, min_size=1, max_size=25)
+# at most one event per (case, timestamp): the per-case order needs no ids
+DISTINCT_ROWS = st.lists(ROW, min_size=1, max_size=25, unique_by=lambda r: (r[0], r[2]))
+FRAMINGS = st.builds(
+    lambda shift, width: Framing(BASE + timedelta(seconds=shift), width),
+    st.integers(-20, 20),
+    st.sampled_from([1.0, 4.5, 7.0, 13.0, 60.0]),
+)
+
+
+def events_of(rows):
+    return [
+        Event(i + 1, c, a, BASE + timedelta(seconds=s), r) for i, (c, a, s, r) in enumerate(rows)
+    ]
+
+
+def components_of(events):
+    steps = oracles.oracle_step_events(events)
+    return sorted(
+        {Component.activity(e.activity) for e in events}
+        | {Component.resource(e.resource) for e in events}
+        | {Component.segment(e1.activity, e2.activity) for e1, e2 in steps},
+        key=Component.sort_key,
+    )
+
+
+@SETTINGS
+@given(ROWS)
+def test_columnar_steps_equal_oracle(rows):
+    events = events_of(rows)
+    log = EventLog(events)
+    first, second = log.step_rows
+    pairs = list(zip(log.ids[first].tolist(), log.ids[second].tolist()))
+    assert set(pairs) == oracles.oracle_steps(events)
+    # steps run in (case, timestamp, id) order of their first event
+    by_id = {e.id: e for e in events}
+    keys = [(by_id[i].case, by_id[i].timestamp, i) for i, _ in pairs]
+    assert keys == sorted(keys)
+    # rows run in (timestamp, case, id) order
+    rows = [(by_id[i].timestamp, by_id[i].case, i) for i in log.ids.tolist()]
+    assert rows == sorted(rows)
+
+
+def oracle_value(view, events, steps, framing, key, w):
+    origin, width = framing.origin, framing.width
+    if view is View.EXEC:
+        return oracles.oracle_exec(events, origin, width, key, w)
+    if view is View.DO:
+        return oracles.oracle_do(events, origin, width, key, w)
+    if view is View.TODO:
+        return oracles.oracle_todo(steps, origin, width, key, w)
+    if view is View.WL:
+        return oracles.oracle_wl(events, steps, origin, width, key, w)
+    if view is View.ENTER:
+        return oracles.oracle_enter(steps, origin, width, key, w)
+    if view is View.EXIT:
+        return oracles.oracle_exit(steps, origin, width, key, w)
+    if view is View.PROGR:
+        return oracles.oracle_progr(steps, origin, width, key, w)
+    return oracles.oracle_delay(steps, origin, width, key, w)
+
+
+@SETTINGS
+@given(ROWS, FRAMINGS)
+def test_evaluate_equals_oracles_for_every_view(rows, framing):
+    events = events_of(rows)
+    steps = oracles.oracle_step_events(events)
+    matrix = evaluate(EventLog(events), framing)
+    assert {f.view for f in matrix.features} == (
+        set(View) if steps else {View.EXEC, View.DO, View.TODO, View.WL}
+    )
+    for fid in matrix.features:
+        for w in matrix.windows:
+            got = matrix.value(fid, w)
+            want = oracle_value(fid.view, events, steps, framing, fid.component.key, w)
+            if want is None or fid.view is not View.DELAY:
+                assert got == want, (fid.name, w)
+            else:
+                assert got == pytest.approx(want, rel=1e-9), (fid.name, w)
+
+
+@SETTINGS
+@given(ROWS)
+def test_link_table_equals_oracle(rows):
+    events = events_of(rows)
+    steps = oracles.oracle_step_events(events)
+    table = build_link_table(EventLog(events))
+    for c1, c2 in itertools.combinations(components_of(events), 2):
+        assert table.value(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
+
+
+def write_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case", "activity", "timestamp", "resource"])
+        for c, a, s, r in rows:
+            writer.writerow([c, a, (BASE + timedelta(seconds=s)).isoformat(), r])
+
+
+@SETTINGS
+@given(DISTINCT_ROWS, FRAMINGS, st.data())
+def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, data):
+    permuted = data.draw(st.permutations(rows))
+    tmp = tmp_path_factory.mktemp("perm")
+    write_csv(tmp / "a.csv", rows)
+    write_csv(tmp / "b.csv", permuted)
+    logs = [ingest_csv(str(tmp / name)) for name in ("a.csv", "b.csv")]
+    m1, m2 = (evaluate(log, framing) for log in logs)
+    assert m1.features == m2.features
+    for fid in m1.features:
+        assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid.name
+    t1, t2 = (build_link_table(log) for log in logs)
+    assert list(t1.pairs()) == list(t2.pairs())
+
+
+@SETTINGS
+@given(ROWS, st.integers(-30, 30), st.sampled_from([0.1, 3.0, 7.3, 10.0, 86400.0]))
+def test_summary_periods_follow_python_floor_division(rows, shift, period):
+    events = events_of(rows)
+    origin = BASE + timedelta(seconds=shift)
+    table = summarize(EventLog(events), (), period, origin)
+    want = Counter(
+        int((e.timestamp - origin).total_seconds() // period) + 1 for e in events
+    )
+    got = {row.period: row.events for row in table.rows if row.events}
+    assert got == want
+
