@@ -8,7 +8,7 @@ restrictions per component.
 import tempfile
 from pathlib import Path
 
-from highline import Component, component_sets, ingest_csv, restrict
+from highline import Component, ingest_csv, restrict
 
 CSV = """\
 case,activity,timestamp,resource
@@ -35,10 +35,9 @@ def main():
         print(f"  {step.first.case}: {step.first.activity} -> {step.second.activity}"
               f"  (waited {step.duration_seconds:.0f}s)")
 
-    activities, resources, segments = component_sets(log)
-    print(f"\nactivities: {sorted(activities)}")
-    print(f"resources:  {sorted(resources)}")
-    print(f"segments:   {sorted(s.label for s in segments)}")
+    print(f"\nactivities: {sorted(log.activities)}")
+    print(f"resources:  {sorted(log.resources)}")
+    print(f"segments:   {sorted(s.label for s in log.segments)}")
 
     print("\nJane's events:")
     for e in restrict(log, Component.resource("Jane")):

@@ -17,8 +17,6 @@ from .events import (
     Provenance,
     Segment,
     Step,
-    component_sets,
-    compute_steps,
     ingest_csv,
     restrict,
     write_event_csv,
@@ -30,14 +28,6 @@ from .features import (
     ThresholdTable,
     View,
     compute_thresholds,
-    eval_delay,
-    eval_do,
-    eval_enter,
-    eval_exec,
-    eval_exit,
-    eval_progr,
-    eval_todo,
-    eval_wl,
     evaluate,
     generate_hles,
     nearest_rank,
@@ -61,12 +51,6 @@ from .linkage import (
     LinkTable,
     build_link_table,
     cascades,
-    link_activity_pair,
-    link_activity_resource,
-    link_activity_segment,
-    link_resource_pair,
-    link_resource_segment,
-    link_segment_pair,
     propagation_edges,
     proximity,
 )
@@ -105,30 +89,14 @@ __all__ = [
     "build_hlel",
     "build_link_table",
     "cascades",
-    "component_sets",
-    "compute_steps",
     "compute_thresholds",
     "default_origin",
-    "eval_delay",
-    "eval_do",
-    "eval_enter",
-    "eval_exec",
-    "eval_exit",
-    "eval_progr",
-    "eval_todo",
-    "eval_wl",
     "evaluate",
     "export_dfg",
     "flatten",
     "generate",
     "generate_hles",
     "ingest_csv",
-    "link_activity_pair",
-    "link_activity_resource",
-    "link_activity_segment",
-    "link_resource_pair",
-    "link_resource_segment",
-    "link_segment_pair",
     "nearest_rank",
     "parse_duration",
     "propagation_edges",

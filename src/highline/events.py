@@ -174,8 +174,8 @@ class EventLog:
 
     Everything derived is computed once, on first use, and is read-only, so
     a log can be shared freely across workers. That includes the object
-    views (``events``, ``steps``, ``case_sequences``, the groupings by
-    component): they are built from the columns only when asked for.
+    views (``events``, ``steps``, ``case_sequences``): they are built from
+    the columns only when asked for.
     """
 
     def __init__(self, events: Iterable[Event] = (), provenance: Provenance | None = None):
@@ -324,74 +324,32 @@ class EventLog:
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
-        return compute_steps(self)
-
-    @cached_property
-    def events_by_activity(self) -> dict[str, tuple[Event, ...]]:
-        return _group(self.events, lambda e: e.activity)
-
-    @cached_property
-    def events_by_resource(self) -> dict[str, tuple[Event, ...]]:
-        return _group(self.events, lambda e: e.resource)
-
-    @cached_property
-    def steps_by_segment(self) -> dict[Segment, tuple[Step, ...]]:
-        return _group(self.steps, lambda s: s.segment)
-
-    @cached_property
-    def steps_by_second_resource(self) -> dict[str, tuple[Step, ...]]:
-        """Steps grouped by the resource of the triggered (second) event."""
-        return _group(self.steps, lambda s: s.second.resource)
-
-    @cached_property
-    def incoming_step(self) -> dict[int, Step]:
-        """The unique step triggering each event, keyed by the event id."""
-        return {s.second.id: s for s in self.steps}
-
-
-def _group(items, key):
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return {k: tuple(v) for k, v in groups.items()}
-
-
-def compute_steps(log: EventLog) -> tuple[Step, ...]:
-    """All directly-follows pairs of the log, as ``Step`` objects.
-
-    For a case with k events this yields exactly k-1 steps. Equal
-    timestamps within a case are resolved by event id (input order), making
-    the per-case order total.
-    """
-    events = log.events
-    first, second = log.step_rows
-    return tuple(Step(events[i], events[j]) for i, j in zip(first.tolist(), second.tolist()))
-
-
-def component_sets(log: EventLog) -> tuple[frozenset[str], frozenset[str], frozenset[Segment]]:
-    """The activity, resource and segment sets of the log."""
-    return (log.activities, log.resources, log.segments)
+        """All directly-follows pairs as ``Step`` objects, in ``step_rows``
+        order. A case with k events has k-1 steps; equal timestamps within a
+        case are resolved by event id (input order)."""
+        events = self.events
+        first, second = self.step_rows
+        return tuple(Step(events[i], events[j]) for i, j in zip(first.tolist(), second.tolist()))
 
 
 def restrict(log: EventLog, component: Component) -> tuple[Event, ...] | tuple[Step, ...]:
-    """The a-events, r-events or s-steps of the log.
+    """The a-events or r-events of the log in row order, or its s-steps in
+    step order, selected by a mask over the code column.
 
     Raises KeyError when the component does not occur in the log.
     """
-    if component.kind is ComponentKind.ACTIVITY:
-        try:
-            return log.events_by_activity[component.key]
-        except KeyError:
-            raise KeyError(f"unknown activity: {component.key!r}") from None
-    if component.kind is ComponentKind.RESOURCE:
-        try:
-            return log.events_by_resource[component.key]
-        except KeyError:
-            raise KeyError(f"unknown resource: {component.key!r}") from None
+    if component.kind is ComponentKind.SEGMENT:
+        names, codes, label = log.segment_names, log.step_segments[0], component.label
+    elif component.kind is ComponentKind.ACTIVITY:
+        names, codes, label = log.activity_names, log.activity_codes, repr(component.key)
+    else:
+        names, codes, label = log.resource_names, log.resource_codes, repr(component.key)
     try:
-        return log.steps_by_segment[component.key]
-    except KeyError:
-        raise KeyError(f"unknown segment: {component.label}") from None
+        code = names.index(component.key)
+    except ValueError:
+        raise KeyError(f"unknown {component.kind.value}: {label}") from None
+    items = log.steps if component.kind is ComponentKind.SEGMENT else log.events
+    return tuple(items[i] for i in np.flatnonzero(codes == code).tolist())
 
 
 def _parser(timestamp_format: str | None) -> Callable[[str], datetime]:

@@ -107,8 +107,16 @@ class EvaluationMatrix:
         return self._arrays[feature]
 
     def value(self, feature: FeatureId, w: int) -> float | None:
-        """The evaluated value, or None where the feature is undefined."""
-        v = self._arrays[feature][self.windows.offset(w)]
+        """The evaluated value, or None where the feature is undefined.
+
+        Raises IndexError for a window outside ``windows``.
+        """
+        windows = self.windows
+        if w not in windows:
+            raise IndexError(
+                f"window {w} outside the evaluated windows {windows.first}..{windows.last}"
+            )
+        v = self._arrays[feature][windows.offset(w)]
         return None if math.isnan(v) else float(v)
 
     def defined(self) -> Iterator[tuple[FeatureId, int, float]]:
@@ -131,92 +139,6 @@ class EvaluationMatrix:
         if exclude_zeros:
             values = values[values != 0]
         return values
-
-
-# --- single-cell evaluation -------------------------------------------------
-#
-# These follow the set comprehensions directly and are convenient for spot
-# checks and small logs. `evaluate` below computes whole windows-length
-# arrays instead and is the path the pipeline uses.
-
-
-def eval_exec(log: EventLog, framing: Framing, activity: str, w: int) -> int:
-    events = _known(log.events_by_activity, activity, "activity")
-    start, end = framing.window_bounds(w)
-    return sum(1 for e in events if start <= e.timestamp < end)
-
-
-def eval_do(log: EventLog, framing: Framing, resource: str, w: int) -> int:
-    events = _known(log.events_by_resource, resource, "resource")
-    start, end = framing.window_bounds(w)
-    return sum(1 for e in events if start <= e.timestamp < end)
-
-
-def eval_todo(log: EventLog, framing: Framing, resource: str, w: int) -> int:
-    _known(log.events_by_resource, resource, "resource")
-    start, end = framing.window_bounds(w)
-    steps = log.steps_by_second_resource.get(resource, ())
-    return sum(1 for s in steps if start <= s.first.timestamp < end)
-
-
-def eval_wl(log: EventLog, framing: Framing, resource: str, w: int) -> int:
-    events = _known(log.events_by_resource, resource, "resource")
-    start, end = framing.window_bounds(w)
-    count = 0
-    for e in events:
-        if start <= e.timestamp < end:
-            count += 1
-            continue
-        trigger = log.incoming_step.get(e.id)
-        if trigger is not None and trigger.first.timestamp < end and e.timestamp > start:
-            count += 1
-    return count
-
-
-def eval_enter(log: EventLog, framing: Framing, segment: Segment, w: int) -> int:
-    steps = _known(log.steps_by_segment, segment, "segment")
-    start, end = framing.window_bounds(w)
-    return sum(1 for s in steps if start <= s.first.timestamp < end)
-
-
-def eval_exit(log: EventLog, framing: Framing, segment: Segment, w: int) -> int:
-    steps = _known(log.steps_by_segment, segment, "segment")
-    start, end = framing.window_bounds(w)
-    return sum(1 for s in steps if start <= s.second.timestamp < end)
-
-
-def eval_progr(log: EventLog, framing: Framing, segment: Segment, w: int) -> int:
-    steps = _known(log.steps_by_segment, segment, "segment")
-    start, end = framing.window_bounds(w)
-    return sum(1 for s in steps if s.first.timestamp < end and s.second.timestamp >= start)
-
-
-def eval_delay(log: EventLog, framing: Framing, segment: Segment, w: int) -> float | None:
-    """Average accumulated waiting time in seconds; None when nothing crosses.
-
-    Steps leaving during the window contribute their full duration, steps
-    still in progress at the window's end contribute the time waited so far.
-    """
-    steps = _known(log.steps_by_segment, segment, "segment")
-    start, end = framing.window_bounds(w)
-    crossing = [s for s in steps if s.first.timestamp < end and s.second.timestamp >= start]
-    if not crossing:
-        return None
-    total = 0.0
-    for s in crossing:
-        if start <= s.second.timestamp < end:
-            total += s.duration_seconds
-        else:
-            total += (end - s.first.timestamp).total_seconds()
-    return total / len(crossing)
-
-
-def _known(groups: Mapping, key, kind: str):
-    try:
-        return groups[key]
-    except KeyError:
-        label = key.label if isinstance(key, Segment) else repr(key)
-        raise KeyError(f"unknown {kind}: {label}") from None
 
 
 # --- whole-matrix evaluation -------------------------------------------------

@@ -195,6 +195,8 @@ def write_hlel_csv(
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighLevelLogEntry, ...]:
+    """Read a ``write_hlel_csv`` export back. A malformed row raises
+    DataError naming the path and its line."""
     entries = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -202,20 +204,25 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighL
         if header != list(HLEL_COLUMNS):
             raise DataError(f"{path}: not a high-level event log export")
         for row in reader:
-            entries.append(
-                HighLevelLogEntry(
-                    hle_id=int(row[0]),
-                    case=int(row[1]),
-                    activity=row[2],
-                    timestamp=parse_timestamp(row[3], timestamp_format),
-                    window=int(row[4]),
-                    view=row[5],
-                    component_kind=row[6],
-                    component=row[7],
-                    value=float(row[8]),
-                    threshold=float(row[9]),
+            if len(row) < len(HLEL_COLUMNS):
+                raise DataError(f"{path}, line {reader.line_num}: too few columns")
+            try:
+                entries.append(
+                    HighLevelLogEntry(
+                        hle_id=int(row[0]),
+                        case=int(row[1]),
+                        activity=row[2],
+                        timestamp=parse_timestamp(row[3], timestamp_format),
+                        window=int(row[4]),
+                        view=row[5],
+                        component_kind=row[6],
+                        component=row[7],
+                        value=float(row[8]),
+                        threshold=float(row[9]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return tuple(entries)
 
 

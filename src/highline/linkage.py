@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .events import Component, ComponentKind, EventLog, Segment
+from .events import Component, ComponentKind, EventLog
 from .features import FeatureId, HighLevelEvent
 
 
@@ -86,89 +86,6 @@ class LinkTable:
 def _pair_sort(item):
     (c1, c2), _ = item
     return (c1.sort_key(), c2.sort_key())
-
-
-# --- pairwise link values -----------------------------------------------------
-#
-# Each function computes one pair directly from the log. `build_link_table`
-# below derives the whole table from shared counters in one pass; the two
-# paths are checked against each other in the tests.
-
-
-def link_activity_pair(log: EventLog, a1: str, a2: str) -> float:
-    """max over both directions of (directly-follows count / source events)."""
-    if a1 == a2:
-        raise ConfigError("link is defined for distinct components only")
-    n1 = len(log.events_by_activity[a1])
-    n2 = len(log.events_by_activity[a2])
-    forward = sum(1 for s in log.steps if s.first.activity == a1 and s.second.activity == a2)
-    backward = sum(1 for s in log.steps if s.first.activity == a2 and s.second.activity == a1)
-    return max(forward / n1, backward / n2)
-
-
-def link_resource_pair(log: EventLog, r1: str, r2: str) -> float:
-    """max over both directions of (handover count / handing resource events)."""
-    if r1 == r2:
-        raise ConfigError("link is defined for distinct components only")
-    n1 = len(log.events_by_resource[r1])
-    n2 = len(log.events_by_resource[r2])
-    forward = sum(1 for s in log.steps if s.first.resource == r1 and s.second.resource == r2)
-    backward = sum(1 for s in log.steps if s.first.resource == r2 and s.second.resource == r1)
-    return max(forward / n1, backward / n2)
-
-
-def link_activity_resource(log: EventLog, a: str, r: str) -> float:
-    """Co-execution: shared events over either side's event count."""
-    a_events = log.events_by_activity[a]
-    n_r = len(log.events_by_resource[r])
-    both = sum(1 for e in a_events if e.resource == r)
-    return max(both / len(a_events), both / n_r)
-
-
-def link_activity_segment(log: EventLog, a: str, s: Segment) -> float:
-    """Nonzero only for the segment's own activities: how often an
-    occurrence of the activity moves a case over the segment."""
-    if s not in log.segments:
-        raise KeyError(f"unknown segment: {s.label}")
-    if a not in (s.source, s.target):
-        return 0.0
-    n_a = len(log.events_by_activity[a])
-    forward = len(log.steps_by_segment.get(s, ()))
-    backward = len(log.steps_by_segment.get(Segment(s.target, s.source), ()))
-    return max(forward, backward) / n_a
-
-
-def link_resource_segment(log: EventLog, r: str, s: Segment) -> float:
-    """How often the resource executes one of the segment's activities.
-
-    Clamped to 1: on self-loop segments a single r-event can sit on both
-    sides of two different steps, which would push the event-based ratio
-    over 1.
-    """
-    steps = log.steps_by_segment[s]
-    n_r = len(log.events_by_resource[r])
-    touching = sum(1 for st in steps if st.first.resource == r or st.second.resource == r)
-    return min(1.0, max(touching / n_r, touching / len(steps)))
-
-
-def link_segment_pair(log: EventLog, s1: Segment, s2: Segment) -> float:
-    """Chained segments: the fraction of steps continuing from one segment
-    into the other, 0 when the segments cannot be chained."""
-    if s1 == s2:
-        raise ConfigError("link is defined for distinct components only")
-    best = 0.0
-    for a, b in ((s1, s2), (s2, s1)):
-        if a.target != b.source:
-            continue
-        triples = 0
-        for seq in log.case_sequences.values():
-            for e1, e2, e3 in zip(seq, seq[1:], seq[2:]):
-                if (e1.activity, e2.activity) == a and (e2.activity, e3.activity) == b:
-                    triples += 1
-        n_a = len(log.steps_by_segment[a])
-        n_b = len(log.steps_by_segment[b])
-        best = max(best, triples / n_a, triples / n_b)
-    return best
 
 
 def build_link_table(log: EventLog) -> LinkTable:

@@ -15,7 +15,7 @@ from .features import (
     evaluate,
     generate_hles,
 )
-from .framing import Framing, WindowSet, window_set
+from .framing import Framing, WindowSet
 from .hlelog import FlattenOrder, HighLevelLogEntry, build_hlel, flatten
 from .linkage import CascadeAssignment, LinkTable, build_link_table, cascades
 
@@ -55,7 +55,6 @@ def analyze_log(
     ``views`` and the three component filters default to everything the log
     contains.
     """
-    windows = window_set(framing, log)
     matrix = evaluate(
         log,
         framing,
@@ -73,7 +72,7 @@ def analyze_log(
     return AnalysisResult(
         log=log,
         framing=framing,
-        windows=windows,
+        windows=matrix.windows,
         matrix=matrix,
         thresholds=thresholds,
         hles=hles,

@@ -30,6 +30,7 @@ from highline import (
     evaluate,
     generate,
     generate_hles,
+    restrict,
     write_event_csv,
 )
 from highline.cli import main as cli_main
@@ -133,11 +134,11 @@ def test_features_oracle_equivalence():
                     got = arr[off]
                     if fid.view is View.EXEC:
                         want = oracles.oracle_exec(
-                            log.events_by_activity[comp], BASE, width, comp, w
+                            restrict(log, fid.component), BASE, width, comp, w
                         )
                     elif fid.view is View.DO:
                         want = oracles.oracle_do(
-                            log.events_by_resource[comp], BASE, width, comp, w
+                            restrict(log, fid.component), BASE, width, comp, w
                         )
                     elif fid.view is View.TODO:
                         want = oracles.oracle_todo(
@@ -145,7 +146,7 @@ def test_features_oracle_equivalence():
                         )
                     elif fid.view is View.WL:
                         want = oracles.oracle_wl(
-                            log.events_by_resource[comp], steps, BASE, width, comp, w,
+                            restrict(log, fid.component), steps, BASE, width, comp, w,
                             triggers=triggers,
                         )
                     elif fid.view is View.ENTER:
@@ -175,12 +176,12 @@ def test_features_oracle_equivalence():
             for s in log.segments:
                 enter_fid = FeatureId(View.ENTER, Component(ComponentKind.SEGMENT, s))
                 exit_fid = FeatureId(View.EXIT, Component(ComponentKind.SEGMENT, s))
-                total = len(log.steps_by_segment[s])
+                total = len(restrict(log, Component(ComponentKind.SEGMENT, s)))
                 assert matrix.array(enter_fid).sum() == total
                 assert matrix.array(exit_fid).sum() == total
             for a in log.activities:
                 fid = FeatureId(View.EXEC, Component.activity(a))
-                assert matrix.array(fid).sum() == len(log.events_by_activity[a])
+                assert matrix.array(fid).sum() == len(restrict(log, fid.component))
 
 
 def test_link_bounds_and_log_t_table(log_t):

@@ -18,8 +18,6 @@ from highline import (
     Framing,
     Step,
     analyze_log,
-    component_sets,
-    compute_steps,
     default_origin,
     ingest_csv,
     restrict,
@@ -55,15 +53,14 @@ def test_equal_timestamps_break_ties_by_id():
 
 
 def test_component_sets(log_t):
-    acts, ress, segs = component_sets(log_t)
-    assert acts == {"a", "b", "c"}
-    assert ress == {"r1", "r2"}
-    assert {tuple(s) for s in segs} == {("a", "b"), ("b", "c")}
+    assert log_t.activities == {"a", "b", "c"}
+    assert log_t.resources == {"r1", "r2"}
+    assert {tuple(s) for s in log_t.segments} == {("a", "b"), ("b", "c")}
 
 
 def test_component_sets_no_steps():
     log = make_log([("c1", "a", 0, "r1")])
-    assert component_sets(log)[2] == frozenset()
+    assert log.segments == frozenset()
 
 
 def test_self_loop_segment_allowed():
@@ -76,14 +73,33 @@ def test_restrict(log_t):
     assert {e.id for e in r1_events} == {1, 3, 4, 6}
     ab_steps = restrict(log_t, Component.segment("a", "b"))
     assert {(s.first.id, s.second.id) for s in ab_steps} == {(1, 2), (4, 5)}
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown activity: 'z'"):
         restrict(log_t, Component.activity("z"))
+    with pytest.raises(KeyError, match="unknown resource: 'a'"):
+        restrict(log_t, Component.resource("a"))
+    with pytest.raises(KeyError, match=r"unknown segment: \(c,a\)"):
+        restrict(log_t, Component.segment("c", "a"))
 
 
 def test_restrict_partitions(log_t):
     by_activity = sum(len(restrict(log_t, Component.activity(a))) for a in log_t.activities)
     by_resource = sum(len(restrict(log_t, Component.resource(r))) for r in log_t.resources)
     assert by_activity == by_resource == len(log_t)
+
+
+def test_restrict_reads_rows_and_steps_in_order():
+    rng = random.Random(13)
+    for _ in range(10):
+        log = random_log(rng, max_events=80, max_cases=8)
+        for a in log.activities:
+            want = tuple(e for e in log.events if e.activity == a)
+            assert restrict(log, Component.activity(a)) == want
+        for r in log.resources:
+            want = tuple(e for e in log.events if e.resource == r)
+            assert restrict(log, Component.resource(r)) == want
+        for s in log.segments:
+            want = tuple(st for st in log.steps if st.segment == s)
+            assert restrict(log, Component.segment(*s)) == want
 
 
 def test_steps_match_oracle_on_random_logs():
@@ -196,10 +212,6 @@ def test_event_csv_round_trip(tmp_path, log_t):
     assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == [
         (e.case, e.activity, e.timestamp, e.resource) for e in log_t
     ]
-
-
-def test_compute_steps_is_exposed(log_t):
-    assert {(s.first.id, s.second.id) for s in compute_steps(log_t)} == step_ids(log_t)
 
 
 @pytest.mark.parametrize("chunk_rows", [2, 4096])

@@ -10,84 +10,96 @@ import oracles
 
 from highline import (
     Component,
+    ComponentKind,
     ConfigError,
     FeatureId,
     Framing,
     Segment,
     View,
     compute_thresholds,
-    eval_delay,
-    eval_do,
-    eval_enter,
-    eval_exec,
-    eval_exit,
-    eval_progr,
-    eval_todo,
-    eval_wl,
     evaluate,
     generate_hles,
     nearest_rank,
+    restrict,
 )
+from highline.features import VIEW_KIND
 
 F20 = Framing(BASE, 20.0)
+
+
+def cell(log, view, key, w):
+    """One cell of the evaluation matrix of ``log`` under F20."""
+    kind = VIEW_KIND[view]
+    comp = Component.segment(*key) if kind is ComponentKind.SEGMENT else Component(kind, key)
+    return evaluate(log, F20, views=(view,)).value(FeatureId(view, comp), w)
 
 
 # --- spot values on the micro fixture (all re-derivable via oracles.py) ---------
 
 
 def test_exec_values(log_t):
-    assert eval_exec(log_t, F20, "a", 0) == 2
-    assert eval_exec(log_t, F20, "c", 0) == 0
-    assert eval_exec(log_t, F20, "c", 1) == 1  # boundary event belongs to the later window
+    assert cell(log_t, View.EXEC, "a", 0) == 2
+    assert cell(log_t, View.EXEC, "c", 0) == 0
+    assert cell(log_t, View.EXEC, "c", 1) == 1  # boundary event belongs to the later window
 
 
 def test_do_values(log_t):
-    assert eval_do(log_t, F20, "r1", 0) == 2
-    assert eval_do(log_t, F20, "r2", 2) == 0
-    assert eval_do(log_t, F20, "r1", 1) == 1
+    assert cell(log_t, View.DO, "r1", 0) == 2
+    assert cell(log_t, View.DO, "r2", 2) == 0
+    assert cell(log_t, View.DO, "r1", 1) == 1
 
 
 def test_todo_values(log_t):
-    assert eval_todo(log_t, F20, "r2", 0) == 2
-    assert eval_todo(log_t, F20, "r1", 0) == 1
+    assert cell(log_t, View.TODO, "r2", 0) == 2
+    assert cell(log_t, View.TODO, "r1", 0) == 1
     # first events of cases are never triggered
-    total_triggered = sum(eval_todo(log_t, F20, r, w) for r in log_t.resources for w in range(3))
+    matrix = evaluate(log_t, F20, views=(View.TODO,))
+    total_triggered = sum(matrix.array(fid).sum() for fid in matrix.features)
     assert total_triggered == len(log_t.steps)
 
 
 def test_wl_values(log_t):
-    assert eval_wl(log_t, F20, "r2", 0) == 2  # e2 occurs, e5 waits
-    assert eval_wl(log_t, F20, "r1", 1) == 2  # e3 occurs, e6 waits
-    assert eval_wl(log_t, F20, "r2", 2) == 0
+    assert cell(log_t, View.WL, "r2", 0) == 2  # e2 occurs, e5 waits
+    assert cell(log_t, View.WL, "r1", 1) == 2  # e3 occurs, e6 waits
+    assert cell(log_t, View.WL, "r2", 2) == 0
 
 
 def test_segment_counts(log_t):
     ab = Segment("a", "b")
-    assert eval_enter(log_t, F20, ab, 0) == 2
-    assert eval_exit(log_t, F20, ab, 0) == 1
-    assert eval_exit(log_t, F20, ab, 1) == 1
-    assert eval_progr(log_t, F20, ab, 0) == 2
+    assert cell(log_t, View.ENTER, ab, 0) == 2
+    assert cell(log_t, View.EXIT, ab, 0) == 1
+    assert cell(log_t, View.EXIT, ab, 1) == 1
+    assert cell(log_t, View.PROGR, ab, 0) == 2
 
 
 def test_delay_values(log_t):
-    assert eval_delay(log_t, F20, Segment("a", "b"), 0) == pytest.approx(12.5)
-    assert eval_delay(log_t, F20, Segment("b", "c"), 2) == pytest.approx(15.0)
+    assert cell(log_t, View.DELAY, Segment("a", "b"), 0) == pytest.approx(12.5)
+    assert cell(log_t, View.DELAY, Segment("b", "c"), 2) == pytest.approx(15.0)
     # nothing crosses (a,b) in w2
-    assert eval_delay(log_t, F20, Segment("a", "b"), 2) is None
+    assert cell(log_t, View.DELAY, Segment("a", "b"), 2) is None
 
 
 def test_delay_single_step_inside_window():
     log = make_log([("c1", "a", 3, "r1"), ("c1", "b", 9, "r1")])
-    assert eval_delay(log, F20, Segment("a", "b"), 0) == pytest.approx(6.0)
+    assert cell(log, View.DELAY, Segment("a", "b"), 0) == pytest.approx(6.0)
 
 
 def test_unknown_component_raises(log_t):
-    with pytest.raises(KeyError):
-        eval_exec(log_t, F20, "z", 0)
-    with pytest.raises(KeyError):
-        eval_wl(log_t, F20, "nobody", 0)
-    with pytest.raises(KeyError):
-        eval_enter(log_t, F20, Segment("a", "c"), 0)
+    with pytest.raises(KeyError, match="unknown activity: 'z'"):
+        evaluate(log_t, F20, activities=["z"])
+    with pytest.raises(KeyError, match="unknown resource: 'nobody'"):
+        evaluate(log_t, F20, resources=["nobody"])
+    with pytest.raises(KeyError, match=r"unknown segment: \(a,c\)"):
+        evaluate(log_t, F20, segments=[Segment("a", "c")])
+
+
+def test_value_outside_the_windows_raises(log_t):
+    matrix = evaluate(log_t, F20)
+    assert (matrix.windows.first, matrix.windows.last) == (0, 2)
+    fid = FeatureId(View.EXEC, Component.activity("c"))
+    for w in (matrix.windows.first - 1, matrix.windows.last + 1):
+        with pytest.raises(IndexError, match=f"window {w} outside the evaluated windows 0..2"):
+            matrix.value(fid, w)
 
 
 # --- matrix --------------------------------------------------------------------
@@ -95,20 +107,11 @@ def test_unknown_component_raises(log_t):
 
 def test_matrix_agrees_with_single_cell(log_t):
     matrix = evaluate(log_t, F20)
+    steps = oracles.oracle_step_events(log_t)
     for fid in matrix.features:
         for w in matrix.windows:
             got = matrix.value(fid, w)
-            comp = fid.component.key
-            expected = {
-                View.EXEC: lambda: eval_exec(log_t, F20, comp, w),
-                View.DO: lambda: eval_do(log_t, F20, comp, w),
-                View.TODO: lambda: eval_todo(log_t, F20, comp, w),
-                View.WL: lambda: eval_wl(log_t, F20, comp, w),
-                View.ENTER: lambda: eval_enter(log_t, F20, comp, w),
-                View.EXIT: lambda: eval_exit(log_t, F20, comp, w),
-                View.PROGR: lambda: eval_progr(log_t, F20, comp, w),
-                View.DELAY: lambda: eval_delay(log_t, F20, comp, w),
-            }[fid.view]()
+            expected = _oracle_cell(log_t, steps, BASE, 20.0, fid.view, fid.component.key, w)
             if expected is None:
                 assert got is None
             else:
@@ -179,26 +182,24 @@ def test_conservation_invariants():
     rng = random.Random(37)
     for _ in range(6):
         log = random_log(rng, max_events=150, span=3000)
-        framing = Framing(BASE, 111.0)
-        matrix = evaluate(log, framing)
-        windows = list(matrix.windows)
+        matrix = evaluate(log, Framing(BASE, 111.0))
+
+        def arr(view, comp):
+            return matrix.array(FeatureId(view, comp))
+
         for a in log.activities:
-            total = sum(eval_exec(log, framing, a, w) for w in windows)
-            assert total == len(log.events_by_activity[a])
+            comp = Component.activity(a)
+            assert arr(View.EXEC, comp).sum() == len(restrict(log, comp))
         for r in log.resources:
-            total = sum(eval_do(log, framing, r, w) for w in windows)
-            assert total == len(log.events_by_resource[r])
+            comp = Component.resource(r)
+            assert arr(View.DO, comp).sum() == len(restrict(log, comp))
+            assert (arr(View.WL, comp) >= arr(View.DO, comp)).all()
         for s in log.segments:
-            enters = sum(eval_enter(log, framing, s, w) for w in windows)
-            exits = sum(eval_exit(log, framing, s, w) for w in windows)
-            assert enters == exits == len(log.steps_by_segment[s])
-            for w in windows:
-                progr = eval_progr(log, framing, s, w)
-                assert eval_enter(log, framing, s, w) <= progr
-                assert eval_exit(log, framing, s, w) <= progr
-        for r in log.resources:
-            for w in windows:
-                assert eval_wl(log, framing, r, w) >= eval_do(log, framing, r, w)
+            comp = Component(ComponentKind.SEGMENT, s)
+            enters, exits, progr = (arr(v, comp) for v in (View.ENTER, View.EXIT, View.PROGR))
+            assert enters.sum() == exits.sum() == len(restrict(log, comp))
+            assert (enters <= progr).all()
+            assert (exits <= progr).all()
 
 
 def test_delay_bounds():

@@ -1,3 +1,4 @@
+import csv
 import random
 from collections import Counter
 from datetime import timedelta
@@ -10,6 +11,7 @@ from highline import (
     CascadeAssignment,
     Component,
     ConfigError,
+    DataError,
     FeatureId,
     FlattenOrder,
     Framing,
@@ -164,6 +166,31 @@ def test_hlel_csv_round_trip(tmp_path, log_t):
     write_hlel_csv(result.entries, str(path))
     back = read_hlel_csv(str(path))
     assert back == result.entries
+
+
+def _corrupt_hlel(tmp_path, log_t, edit):
+    """An HLEL export of log_t whose second data row (line 3) is edited."""
+    result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
+    path = tmp_path / "hlel.csv"
+    write_hlel_csv(result.entries, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[2] = edit(rows[2])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return str(path)
+
+
+def test_read_hlel_short_row_names_its_line(tmp_path, log_t):
+    path = _corrupt_hlel(tmp_path, log_t, lambda row: row[:7])
+    with pytest.raises(DataError, match=r"hlel\.csv, line 3: too few columns"):
+        read_hlel_csv(path)
+
+
+def test_read_hlel_non_integer_id_names_its_line(tmp_path, log_t):
+    path = _corrupt_hlel(tmp_path, log_t, lambda row: ["x"] + row[1:])
+    with pytest.raises(DataError, match=r"hlel\.csv, line 3: invalid literal for int"):
+        read_hlel_csv(path)
 
 
 def test_case_ids_are_cascade_ids(log_t):

@@ -17,12 +17,6 @@ from highline import (
     View,
     build_link_table,
     cascades,
-    link_activity_pair,
-    link_activity_resource,
-    link_activity_segment,
-    link_resource_pair,
-    link_resource_segment,
-    link_segment_pair,
     proximity,
 )
 
@@ -70,26 +64,24 @@ def test_log_t_full_table(log_t):
         assert table.value(c2, c1) == table.value(c1, c2)
 
 
+def link(log, c1, c2):
+    """The production link value of two components of ``log``."""
+    return build_link_table(log).value(c1, c2)
+
+
 def test_log_t_pairwise_functions(log_t):
-    assert link_activity_pair(log_t, "a", "b") == 1.0
-    assert link_activity_pair(log_t, "a", "c") == 0.0
-    assert link_resource_pair(log_t, "r1", "r2") == 1.0
-    assert link_activity_resource(log_t, "a", "r1") == 1.0
-    assert link_activity_resource(log_t, "b", "r1") == 0.0
-    assert link_activity_resource(log_t, "c", "r1") == 1.0
-    assert link_activity_segment(log_t, "a", AB) == 1.0
-    assert link_activity_segment(log_t, "c", AB) == 0.0
-    assert link_activity_segment(log_t, "b", BC) == 1.0
-    assert link_resource_segment(log_t, "r2", AB) == 1.0
-    assert link_resource_segment(log_t, "r1", AB) == 1.0
-    assert link_segment_pair(log_t, AB, BC) == 1.0
-
-
-def test_distinct_components_required(log_t):
-    with pytest.raises(ConfigError):
-        link_activity_pair(log_t, "a", "a")
-    with pytest.raises(ConfigError):
-        link_segment_pair(log_t, AB, AB)
+    assert link(log_t, Component.activity("a"), Component.activity("b")) == 1.0
+    assert link(log_t, Component.activity("a"), Component.activity("c")) == 0.0
+    assert link(log_t, Component.resource("r1"), Component.resource("r2")) == 1.0
+    assert link(log_t, Component.activity("a"), Component.resource("r1")) == 1.0
+    assert link(log_t, Component.activity("b"), Component.resource("r1")) == 0.0
+    assert link(log_t, Component.activity("c"), Component.resource("r1")) == 1.0
+    assert link(log_t, Component.activity("a"), Component.segment(*AB)) == 1.0
+    assert link(log_t, Component.activity("c"), Component.segment(*AB)) == 0.0
+    assert link(log_t, Component.activity("b"), Component.segment(*BC)) == 1.0
+    assert link(log_t, Component.resource("r2"), Component.segment(*AB)) == 1.0
+    assert link(log_t, Component.resource("r1"), Component.segment(*AB)) == 1.0
+    assert link(log_t, Component.segment(*AB), Component.segment(*BC)) == 1.0
 
 
 def test_resource_working_alone_has_zero_resource_links():
@@ -99,7 +91,7 @@ def test_resource_working_alone_has_zero_resource_links():
             ("c2", "a", 5, "other"), ("c2", "b", 15, "other"),
         ]
     )
-    assert link_resource_pair(log, "solo", "other") == 0.0
+    assert link(log, Component.resource("solo"), Component.resource("other")) == 0.0
 
 
 def test_partial_segment_chain():
@@ -111,7 +103,7 @@ def test_partial_segment_chain():
             ("c3", "x", 0, "r"), ("c3", "b", 10, "r"), ("c3", "c", 20, "r"),
         ]
     )
-    assert link_segment_pair(log, AB, BC) == pytest.approx(0.5)
+    assert link(log, Component.segment(*AB), Component.segment(*BC)) == pytest.approx(0.5)
 
 
 def test_segment_chain_recognized_in_both_orientations():
@@ -120,9 +112,9 @@ def test_segment_chain_recognized_in_both_orientations():
             ("c1", "a", 0, "r"), ("c1", "b", 10, "r"), ("c1", "a", 20, "r"),
         ]
     )
-    ba = Segment("b", "a")
-    assert link_segment_pair(log, AB, ba) == 1.0
-    assert link_segment_pair(log, ba, AB) == 1.0
+    ab, ba = Component.segment("a", "b"), Component.segment("b", "a")
+    assert link(log, ab, ba) == 1.0
+    assert link(log, ba, ab) == 1.0
 
 
 def test_self_loop_segment_resource_link_is_clamped():
@@ -130,7 +122,7 @@ def test_self_loop_segment_resource_link_is_clamped():
     log = make_log(
         [("c1", "a", 0, "x"), ("c1", "a", 10, "r"), ("c1", "a", 20, "x")]
     )
-    value = link_resource_segment(log, "r", Segment("a", "a"))
+    value = link(log, Component.resource("r"), Component.segment("a", "a"))
     assert value == 1.0
 
 

@@ -24,10 +24,16 @@ from highline import (
     EventLog,
     Framing,
     View,
+    analyze_log,
     build_link_table,
+    cascades,
+    compute_thresholds,
     evaluate,
+    generate_hles,
     ingest_csv,
+    read_hlel_csv,
     summarize,
+    write_hlel_csv,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -41,6 +47,7 @@ ROW = st.tuples(
 ROWS = st.lists(ROW, min_size=1, max_size=25)
 # at most one event per (case, timestamp): the per-case order needs no ids
 DISTINCT_ROWS = st.lists(ROW, min_size=1, max_size=25, unique_by=lambda r: (r[0], r[2]))
+UNIT = st.floats(0.0, 1.0)
 FRAMINGS = st.builds(
     lambda shift, width: Framing(BASE + timedelta(seconds=shift), width),
     st.integers(-20, 20),
@@ -165,3 +172,34 @@ def test_summary_periods_follow_python_floor_division(rows, shift, period):
     got = {row.period: row.events for row in table.rows if row.events}
     assert got == want
 
+
+
+@SETTINGS
+@given(ROWS, FRAMINGS, UNIT, UNIT)
+def test_raising_the_percentile_keeps_a_subset_of_the_hles(rows, framing, p1, p2):
+    p1, p2 = sorted((p1, p2))
+    matrix = evaluate(EventLog(events_of(rows)), framing)
+    low, high = (set(generate_hles(matrix, compute_thresholds(matrix, p))) for p in (p1, p2))
+    assert high <= low
+
+
+@SETTINGS
+@given(ROWS, FRAMINGS, UNIT, UNIT, UNIT)
+def test_raising_lambda_refines_the_cascades(rows, framing, p, lam1, lam2):
+    lam1, lam2 = sorted((lam1, lam2))
+    log = EventLog(events_of(rows))
+    matrix = evaluate(log, framing)
+    hles = generate_hles(matrix, compute_thresholds(matrix, p))
+    links = build_link_table(log)
+    coarse = cascades(hles, links, lam1)
+    for block in oracles.partition_of(cascades(hles, links, lam2)):
+        assert len({coarse.ids[h] for h in block}) == 1
+
+
+@SETTINGS
+@given(ROWS, FRAMINGS, UNIT, UNIT)
+def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
+    entries = analyze_log(EventLog(events_of(rows)), framing, p, lam).entries
+    path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
+    write_hlel_csv(entries, str(path))
+    assert read_hlel_csv(str(path)) == entries
