@@ -25,6 +25,7 @@ from .features import (
     EvaluationMatrix,
     FeatureId,
     HighLevelEvent,
+    HLETable,
     ThresholdTable,
     View,
     compute_thresholds,
@@ -36,6 +37,7 @@ from .framing import Framing, WindowSet, default_origin, parse_duration, window_
 from .generator import ScenarioConfig, WeekSpec, generate, weekly_event_counts
 from .hlelog import (
     FlattenOrder,
+    HighLevelLog,
     HighLevelLogEntry,
     SummaryTable,
     build_hlel,
@@ -72,7 +74,9 @@ __all__ = [
     "FeatureId",
     "FlattenOrder",
     "Framing",
+    "HLETable",
     "HighLevelEvent",
+    "HighLevelLog",
     "HighLevelLogEntry",
     "HighlineError",
     "LinkTable",

@@ -25,8 +25,8 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -90,6 +90,84 @@ class HighLevelEvent:
     feature: FeatureId
     window: int
     value: float
+
+
+class HLETable(Sequence[HighLevelEvent]):
+    """High-level events as columns: row k is the event of feature
+    ``features[codes[k]]`` in window ``windows[k]`` with value ``values[k]``.
+
+    ``features`` are in name order, so a code orders rows like the feature's
+    name. As a sequence the table yields ``HighLevelEvent`` objects, built
+    once on first use; the analysis reads the columns only.
+    """
+
+    def __init__(
+        self,
+        features: tuple[FeatureId, ...],
+        codes: np.ndarray,
+        windows: np.ndarray,
+        values: np.ndarray,
+    ):
+        self.features = features
+        self.codes = codes
+        self.windows = windows
+        self.values = values
+
+    @classmethod
+    def of(cls, hles: Iterable[HighLevelEvent]) -> "HLETable":
+        """A table as it is; any other events as a table in the given order."""
+        if isinstance(hles, HLETable):
+            return hles
+        hles = list(hles)
+        # events of one feature mostly share its FeatureId object: looking it
+        # up by identity first hashes each distinct object once, not every event
+        seen: dict[FeatureId, int] = {}
+        by_object: dict[int, int] = {}
+        first_seen = []
+        for h in hles:
+            i = by_object.get(id(h.feature))
+            if i is None:
+                i = by_object[id(h.feature)] = seen.setdefault(h.feature, len(seen))
+            first_seen.append(i)
+        features = list(seen)
+        by_name = sorted(range(len(features)), key=lambda i: features[i].name)
+        rank = np.empty(len(features), dtype=np.intp)
+        rank[by_name] = np.arange(len(features))
+        return cls(
+            tuple(features[i] for i in by_name),
+            rank[np.array(first_seen, dtype=np.intp)],
+            np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles)),
+            np.fromiter((h.value for h in hles), dtype=float, count=len(hles)),
+        )
+
+    def distinct(self) -> "HLETable":
+        """The distinct events ordered by (window, feature name, value);
+        the table itself when it already is."""
+        order = np.lexsort((self.values, self.codes, self.windows))
+        w, c, v = self.windows[order], self.codes[order], self.values[order]
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[1:] = (w[1:] == w[:-1]) & (c[1:] == c[:-1]) & (v[1:] == v[:-1])
+        if not repeat.any() and (order == np.arange(len(order))).all():
+            return self
+        keep = ~repeat
+        return HLETable(self.features, c[keep], w[keep], v[keep])
+
+    @cached_property
+    def _objects(self) -> tuple[HighLevelEvent, ...]:
+        features = self.features
+        return tuple(
+            HighLevelEvent(features[c], w, v)
+            for c, w, v in zip(self.codes.tolist(), self.windows.tolist(), self.values.tolist())
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k):
+        return self._objects[k]
+
+    def __iter__(self) -> Iterator[HighLevelEvent]:
+        return iter(self._objects)
 
 
 class EvaluationMatrix:
@@ -319,7 +397,8 @@ def compute_thresholds(
 
     A view whose pool is empty (possible for delay, or for any view under
     ``exclude_zeros``) is left out with a warning; it can produce no
-    high-level events.
+    high-level events. A view whose threshold is its pool's minimum is
+    kept with a warning: every defined cell of it becomes a high-level event.
     """
     if not 0 <= p <= 1:
         raise ConfigError(f"percentile must lie in [0, 1], got {p}")
@@ -329,29 +408,26 @@ def compute_thresholds(
         if len(pool) == 0:
             log_.warning("view %s has no defined values; no threshold derived", view.value)
             continue
-        by_view[view] = nearest_rank(pool, p)
+        threshold = by_view[view] = nearest_rank(pool, p)
+        if threshold == pool.min():
+            log_.warning(
+                "view %s: threshold %r is the minimum of its %d pooled values; "
+                "every defined cell of the view becomes a high-level event",
+                view.value, threshold, len(pool),
+            )
     return ThresholdTable(percentile=p, by_view=by_view)
 
 
-def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> tuple[HighLevelEvent, ...]:
+def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> HLETable:
     """All (feature, window) cells whose defined value meets the threshold.
 
     Ordered by (window, feature name).
     """
-    first = matrix.windows.first
-    hles = []
-    # features come in name order, so a stable sort by window alone gives
-    # (window, name) order
-    for fid in matrix.features:
-        threshold = thresholds.by_view.get(fid.view)
-        if threshold is None:
-            continue
-        arr = matrix.array(fid)
-        # NaN compares false, so undefined cells never qualify
-        offsets = np.flatnonzero(arr >= threshold)
-        hles.extend(
-            HighLevelEvent(fid, first + off, v)
-            for off, v in zip(offsets.tolist(), arr[offsets].tolist())
-        )
-    hles.sort(key=attrgetter("window"))
-    return tuple(hles)
+    features = tuple(f for f in matrix.features if f.view in thresholds.by_view)
+    values = np.array([matrix.array(f) for f in features])
+    values = values.reshape(len(features), len(matrix.windows))
+    limits = np.array([thresholds.by_view[f.view] for f in features])
+    # NaN compares false, so undefined cells never qualify; nonzero of the
+    # transposed mask runs window by window, features in name order
+    offsets, codes = np.nonzero((values >= limits[:, None]).T)
+    return HLETable(features, codes, matrix.windows.first + offsets, values[codes, offsets])

@@ -10,17 +10,17 @@ them into a classical log for directly-follows analysis.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import ContextManager, Iterable, Sequence, TextIO
+from functools import cached_property
+from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .events import EventLog, format_timestamp, parse_timestamp, to_microseconds
-from .features import HighLevelEvent, ThresholdTable, View
+from .features import HighLevelEvent, HLETable, ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
 
@@ -54,60 +54,151 @@ class HighLevelLogEntry:
     threshold: float
 
 
+class HLELFeature(NamedTuple):
+    """The columns an entry takes from its feature."""
+
+    activity: str
+    view: str
+    component_kind: str
+    component: str
+    threshold: float
+
+
+class HighLevelLog(Sequence[HighLevelLogEntry]):
+    """The high-level event log as columns.
+
+    Row k is entry ``hle_ids[k]`` of case ``cases[k]``, for the feature
+    ``features[feature_codes[k]]`` in window ``windows[k]`` with value
+    ``values[k]``, timestamped ``stamps[stamp_codes[k]]``. As a sequence it
+    yields ``HighLevelLogEntry`` objects, built once on first use, and it
+    equals any sequence of equal entries; the writers read the columns.
+    """
+
+    def __init__(
+        self,
+        features: Sequence[HLELFeature],
+        feature_codes: np.ndarray,
+        cases: np.ndarray,
+        windows: np.ndarray,
+        values: np.ndarray,
+        hle_ids: np.ndarray,
+        stamps: Sequence[datetime],
+        stamp_codes: np.ndarray,
+    ):
+        self.features = tuple(features)
+        self.feature_codes = feature_codes
+        self.cases = cases
+        self.windows = windows
+        self.values = values
+        self.hle_ids = hle_ids
+        self.stamps = tuple(stamps)
+        self.stamp_codes = stamp_codes
+
+    @classmethod
+    def of(cls, entries: Iterable[HighLevelLogEntry]) -> "HighLevelLog":
+        """A log as it is; any other entries as columns in the given order."""
+        if isinstance(entries, HighLevelLog):
+            return entries
+        entries = list(entries)
+        features: dict[HLELFeature, int] = {}
+        stamps: dict[datetime, int] = {}
+        feature_codes, stamp_codes = [], []
+        for e in entries:
+            f = HLELFeature(e.activity, e.view, e.component_kind, e.component, e.threshold)
+            feature_codes.append(features.setdefault(f, len(features)))
+            stamp_codes.append(stamps.setdefault(e.timestamp, len(stamps)))
+
+        def column(name, dtype):
+            return np.fromiter((getattr(e, name) for e in entries), dtype=dtype, count=len(entries))
+
+        return cls(
+            list(features),
+            np.array(feature_codes, dtype=np.intp),
+            column("case", np.int64),
+            column("window", np.int64),
+            column("value", float),
+            column("hle_id", np.int64),
+            list(stamps),
+            np.array(stamp_codes, dtype=np.intp),
+        )
+
+    def take(self, rows: np.ndarray) -> "HighLevelLog":
+        """The log of the given rows, in that order."""
+        return HighLevelLog(
+            self.features, self.feature_codes[rows], self.cases[rows], self.windows[rows],
+            self.values[rows], self.hle_ids[rows], self.stamps, self.stamp_codes[rows],
+        )
+
+    def activity_codes(self) -> tuple[list[str], np.ndarray]:
+        """The sorted distinct activity names of the features, and each
+        row's index among them."""
+        names = sorted({f.activity for f in self.features})
+        rank = {name: i for i, name in enumerate(names)}
+        of_feature = np.array([rank[f.activity] for f in self.features], dtype=np.intp)
+        return names, of_feature[self.feature_codes]
+
+    @cached_property
+    def _objects(self) -> tuple[HighLevelLogEntry, ...]:
+        features, stamps = self.features, self.stamps
+        return tuple(
+            HighLevelLogEntry(i, c, f.activity, stamps[s], w, f.view, f.component_kind,
+                              f.component, v, f.threshold)
+            for i, c, f, s, w, v in zip(
+                self.hle_ids.tolist(), self.cases.tolist(),
+                map(features.__getitem__, self.feature_codes.tolist()),
+                self.stamp_codes.tolist(), self.windows.tolist(), self.values.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.cases)
+
+    def __getitem__(self, k):
+        return self._objects[k]
+
+    def __iter__(self) -> Iterator[HighLevelLogEntry]:
+        return iter(self._objects)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 def build_hlel(
     hles: Iterable[HighLevelEvent],
     assignment: CascadeAssignment,
     framing: Framing,
     thresholds: ThresholdTable,
-) -> tuple[HighLevelLogEntry, ...]:
-    """Materialize the high-level event log, one entry per high-level event.
+) -> HighLevelLog:
+    """Materialize the high-level event log, one entry per high-level event
+    (equal events given twice give two entries).
 
     Entries are sorted by (case, window, activity name); ids follow that
     order.
     """
-    hles = list(hles)
-    # The assignment's keys are mostly the very objects given here, so the
-    # cascade is looked up by identity first and hashing (five levels deep
-    # for a HighLevelEvent) is left to equal copies. Likewise the features
-    # of one view and component are mostly one object: their columns are
-    # computed once per object.
-    case_by_object = {id(h): case for h, case in assignment.ids.items()}
-    feature_of: dict[int, int] = {}
-    columns: list[tuple[str, str, str, str, float]] = []
-    features, cases = [], []
-    for h in hles:
-        f = h.feature
-        i = feature_of.get(id(f))
-        if i is None:
-            i = feature_of[id(f)] = len(columns)
-            columns.append(
-                (f.name, f.view.value, f.component.kind.value, f.component.label,
-                 thresholds.for_feature(f))
-            )
-        features.append(i)
-        cid = case_by_object.get(id(h))
-        cases.append(assignment.ids[h] if cid is None else cid)
-    feature = np.array(features, dtype=np.intp)
-    case = np.array(cases, dtype=np.int64)
-    window = np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles))
-    names = sorted({col[0] for col in columns})
-    rank = {name: r for r, name in enumerate(names)}
-    name_rank = np.array([rank[col[0]] for col in columns], dtype=np.intp)
-    # lexsort is stable, like sorting by the (case, window, name) key
-    order = np.lexsort((name_rank[feature], window, case))
-    starts = {w: framing.window_start(w) for w in np.unique(window).tolist()}
-    entries = []
-    for hle_id, (k, c, w, i) in enumerate(
-        zip(order.tolist(), case[order].tolist(), window[order].tolist(), feature[order].tolist()),
-        start=1,
-    ):
-        name, view, kind, label, threshold = columns[i]
-        entries.append(
-            HighLevelLogEntry(
-                hle_id, c, name, starts[w], w, view, kind, label, hles[k].value, threshold
-            )
-        )
-    return tuple(entries)
+    table = HLETable.of(hles)
+    cases = assignment.cases_of(table)
+    # table codes follow the feature names; lexsort is stable, like sorting
+    # by the (case, window, name) key
+    order = np.lexsort((table.codes, table.windows, cases))
+    windows = table.windows[order]
+    starts, stamp_codes = np.unique(windows, return_inverse=True)
+    features = [
+        HLELFeature(f.name, f.view.value, f.component.kind.value, f.component.label,
+                    thresholds.for_feature(f))
+        for f in table.features
+    ]
+    return HighLevelLog(
+        features,
+        table.codes[order],
+        cases[order],
+        windows,
+        table.values[order],
+        np.arange(1, len(order) + 1),
+        [framing.window_start(w) for w in starts.tolist()],
+        stamp_codes,
+    )
 
 
 class FlattenOrder:
@@ -137,13 +228,15 @@ class FlattenOrder:
 
 def flatten(
     entries: Iterable[HighLevelLogEntry], order: FlattenOrder | None = None
-) -> tuple[HighLevelLogEntry, ...]:
+) -> HighLevelLog:
     """Totally order the log: by case, then window, then the fixed
     activity order within each window. Idempotent."""
+    hlel = HighLevelLog.of(entries)
     order = order or FlattenOrder()
-    return tuple(
-        sorted(entries, key=lambda e: (e.case, e.window, order.key(e.activity)))
-    )
+    keys = [order.key(f.activity) for f in hlel.features]
+    rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
+    rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
+    return hlel.take(np.lexsort((rank[hlel.feature_codes], hlel.windows, hlel.cases)))
 
 
 def export_dfg(entries: Sequence[HighLevelLogEntry]) -> str:
@@ -152,17 +245,19 @@ def export_dfg(entries: Sequence[HighLevelLogEntry]) -> str:
     Nodes carry activity frequencies, edges count within-case adjacencies.
     Output ordering is deterministic.
     """
-    node_freq: Counter = Counter(e.activity for e in entries)
-    edge_freq: Counter = Counter()
-    for prev, cur in zip(entries, entries[1:]):
-        if prev.case == cur.case:
-            edge_freq[(prev.activity, cur.activity)] += 1
+    hlel = HighLevelLog.of(entries)
+    names, act = hlel.activity_codes()
+    nodes = np.bincount(act, minlength=len(names))
+    same = hlel.cases[1:] == hlel.cases[:-1]
+    pairs, counts = np.unique(act[:-1][same] * len(names) + act[1:][same], return_counts=True)
 
     lines = ["digraph dfg {", "  rankdir=LR;"]
-    for name in sorted(node_freq):
-        lines.append(f'  {_quote(name)} [label={_quote(f"{name} ({node_freq[name]})")}];')
-    for (src, dst) in sorted(edge_freq):
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(str(edge_freq[(src, dst)]))}];")
+    for i in np.flatnonzero(nodes).tolist():
+        name = names[i]
+        lines.append(f'  {_quote(name)} [label={_quote(f"{name} ({nodes[i]})")}];')
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        src, dst = names[pair // len(names)], names[pair % len(names)]
+        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(str(count))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -174,24 +269,24 @@ def _quote(text: str) -> str:
 def write_hlel_csv(
     entries: Iterable[HighLevelLogEntry], path: str, timestamp_format: str | None = None
 ) -> None:
+    hlel = HighLevelLog.of(entries)
+    stamps = [format_timestamp(t, timestamp_format) for t in hlel.stamps]
+    fields = [
+        (f.activity, f.view, f.component_kind, f.component, repr(f.threshold))
+        for f in hlel.features
+    ]
+    rows = (
+        (i, c, f[0], stamps[s], w, f[1], f[2], f[3], repr(v), f[4])
+        for i, c, f, s, w, v in zip(
+            hlel.hle_ids.tolist(), hlel.cases.tolist(),
+            map(fields.__getitem__, hlel.feature_codes.tolist()),
+            hlel.stamp_codes.tolist(), hlel.windows.tolist(), hlel.values.tolist(),
+        )
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HLEL_COLUMNS)
-        for e in entries:
-            writer.writerow(
-                [
-                    e.hle_id,
-                    e.case,
-                    e.activity,
-                    format_timestamp(e.timestamp, timestamp_format),
-                    e.window,
-                    e.view,
-                    e.component_kind,
-                    e.component,
-                    repr(e.value),
-                    repr(e.threshold),
-                ]
-            )
+        writer.writerows(rows)
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighLevelLogEntry, ...]:
@@ -204,8 +299,9 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighL
         if header != list(HLEL_COLUMNS):
             raise DataError(f"{path}: not a high-level event log export")
         for row in reader:
-            if len(row) < len(HLEL_COLUMNS):
-                raise DataError(f"{path}, line {reader.line_num}: too few columns")
+            if len(row) != len(HLEL_COLUMNS):
+                few = "few" if len(row) < len(HLEL_COLUMNS) else "many"
+                raise DataError(f"{path}, line {reader.line_num}: too {few} columns")
             try:
                 entries.append(
                     HighLevelLogEntry(
@@ -270,9 +366,13 @@ def summarize(
     def period_of(t: datetime) -> int:
         return int((t - origin).total_seconds() // period_seconds) + 1
 
+    hlel = HighLevelLog.of(entries)
+    names, act = hlel.activity_codes()
+    freq = np.bincount(act, minlength=len(names))
     if activities is None:
-        freq = Counter(e.activity for e in entries)
-        chosen = sorted(freq, key=lambda a: (-freq[a], a))[:top]
+        # a stable sort by count keeps equally frequent names in name order
+        present = [i for i in sorted(range(len(names)), key=lambda i: -freq[i]) if freq[i]]
+        chosen = [names[i] for i in present[:top]]
     else:
         chosen = list(activities)
 
@@ -280,15 +380,26 @@ def summarize(
     seconds = (log.times_us - to_microseconds(origin)) / 1e6
     periods, counts = np.unique(np.floor_divide(seconds, period_seconds), return_counts=True)
     event_counts = dict(zip((periods.astype(np.int64) + 1).tolist(), counts.tolist()))
-    # entries of one window share their timestamp
-    entry_periods = {t: period_of(t) for t in {e.timestamp for e in entries}}
-    hle_counts: Counter = Counter(entry_periods[e.timestamp] for e in entries)
-    act_values: dict[tuple[int, str], list[float]] = {}
-    for e in entries:
-        if e.activity in chosen:
-            scale = 3600.0 if e.view == View.DELAY.value else 1.0
-            key = (entry_periods[e.timestamp], e.activity)
-            act_values.setdefault(key, []).append(e.value / scale)
+    # entries with one timestamp share their period
+    period = np.array([period_of(t) for t in hlel.stamps], dtype=np.int64)[hlel.stamp_codes]
+    periods, counts = np.unique(period, return_counts=True)
+    hle_counts = dict(zip(periods.tolist(), counts.tolist()))
+    # per (period, activity): how many entries and the sum of their values,
+    # added in entry order as a loop over the entries would
+    first, n = int(period.min(initial=0)), len(names)
+    cell = (period - first) * n + act
+    scale = np.array(
+        [3600.0 if f.view == View.DELAY.value else 1.0 for f in hlel.features]
+    )[hlel.feature_codes]
+    cell_counts = np.bincount(cell, minlength=1)
+    cell_sums = np.bincount(cell, weights=hlel.values / scale, minlength=1)
+    used = np.flatnonzero(cell_counts)
+    totals = {
+        (first + k // n, names[k % n]): (count, total)
+        for k, count, total in zip(
+            used.tolist(), cell_counts[used].tolist(), cell_sums[used].tolist()
+        )
+    }
 
     periods = sorted(set(event_counts) | set(hle_counts))
     rows = []
@@ -296,9 +407,9 @@ def summarize(
         counts = []
         averages: list[float | None] = []
         for a in chosen:
-            values = act_values.get((p, a), [])
-            counts.append(len(values))
-            averages.append(sum(values) / len(values) if values else None)
+            count, total = totals.get((p, a), (0, 0.0))
+            counts.append(count)
+            averages.append(total / count if count else None)
         rows.append(
             SummaryRow(
                 period=p,

@@ -17,13 +17,14 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .events import Component, ComponentKind, EventLog
-from .features import FeatureId, HighLevelEvent
+from .features import HighLevelEvent, HLETable
 
 
 def _pair(c1: Component, c2: Component) -> tuple[Component, Component]:
@@ -170,18 +171,17 @@ def proximity(hle1: HighLevelEvent, hle2: HighLevelEvent, links: LinkTable) -> f
 @dataclass(frozen=True)
 class _Layers:
     """Distinct high-level events sorted by (window, feature name, value),
-    with their windows and interned component ids as arrays, and which
-    component pairs propagate at the given lambda."""
+    their interned component ids, and which component pairs propagate at
+    the given lambda."""
 
-    hles: tuple[HighLevelEvent, ...]
-    windows: np.ndarray
+    hles: HLETable
     components: np.ndarray
     propagates: np.ndarray
 
     def window_pairs(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """For each pair of adjacent windows w, w+1: the offsets of their
         first events and the proximity >= lambda matrix between them."""
-        w = self.windows
+        w = self.hles.windows
         first = np.ones(len(w), dtype=bool)
         first[1:] = w[1:] != w[:-1]
         starts = np.flatnonzero(first)
@@ -194,38 +194,15 @@ class _Layers:
 def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _Layers:
     if not 0 <= lam <= 1:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    hles = list(hles)
-    # events of one feature mostly share its FeatureId object: looking it up
-    # by identity first hashes each distinct object once, not every event
-    features: dict[FeatureId, int] = {}
-    by_object: dict[int, int] = {}
-    feature_of = []
-    for h in hles:
-        i = by_object.get(id(h.feature))
-        if i is None:
-            i = by_object[id(h.feature)] = features.setdefault(h.feature, len(features))
-        feature_of.append(i)
+    table = HLETable.of(hles).distinct()
     components: dict[Component, int] = {}
     component_of = np.array(
-        [components.setdefault(f.component, len(components)) for f in features], dtype=np.intp
+        [components.setdefault(f.component, len(components)) for f in table.features],
+        dtype=np.intp,
     )
-    names = [f.name for f in features]
-    name_rank = np.empty(len(names), dtype=np.intp)
-    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    feature = np.array(feature_of, dtype=np.intp)
-    windows = np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles))
-    values = np.fromiter((h.value for h in hles), dtype=float, count=len(hles))
-    # the keys after the name order distinct events of one feature and window
-    # and put equal events next to each other, where all but the first drop
-    order = np.lexsort((feature, values, name_rank[feature], windows))
-    w, f, v = windows[order], feature[order], values[order]
-    repeat = np.zeros(len(order), dtype=bool)
-    repeat[1:] = (w[1:] == w[:-1]) & (f[1:] == f[:-1]) & (v[1:] == v[:-1])
-    order = order[~repeat]
     return _Layers(
-        hles=tuple(hles[i] for i in order.tolist()),
-        windows=windows[order],
-        components=component_of[feature[order]],
+        hles=table,
+        components=component_of[table.codes],
         propagates=links.matrix(list(components)) >= lam,
     )
 
@@ -241,7 +218,7 @@ def propagation_edges(
     """
     layers = _layers(hles, links, lam)
     ordered = layers.hles
-    edges = []
+    edges: list[tuple[HighLevelEvent, HighLevelEvent]] = []
     for a, b, block in layers.window_pairs():
         rows, cols = np.nonzero(block)
         edges.extend(
@@ -250,18 +227,47 @@ def propagation_edges(
     return tuple(edges)
 
 
-@dataclass(frozen=True)
 class CascadeAssignment:
-    """Dense cascade ids (1..k) for a set of high-level events."""
+    """Dense cascade ids (1..k) of high-level events: ``cases[k]`` is the
+    cascade of row k of ``hles``.
 
-    ids: Mapping[HighLevelEvent, int]
+    ``ids`` maps each event to its cascade; it is built on first read.
+    """
+
+    def __init__(self, hles: HLETable, cases: np.ndarray):
+        self.hles = hles
+        self.cases = cases
+
+    @classmethod
+    def from_ids(cls, ids: Mapping[HighLevelEvent, int]) -> "CascadeAssignment":
+        return cls(HLETable.of(ids), np.fromiter(ids.values(), dtype=np.int64, count=len(ids)))
+
+    @cached_property
+    def ids(self) -> Mapping[HighLevelEvent, int]:
+        return dict(zip(self.hles, self.cases.tolist()))
 
     @property
     def count(self) -> int:
-        return max(self.ids.values(), default=0)
+        return int(self.cases.max(initial=0))
 
     def members(self, cascade_id: int) -> tuple[HighLevelEvent, ...]:
-        return tuple(h for h, i in self.ids.items() if i == cascade_id)
+        hles = self.hles
+        return tuple(hles[k] for k in np.flatnonzero(self.cases == cascade_id).tolist())
+
+    def cases_of(self, hles: HLETable) -> np.ndarray:
+        """The cascade id of every row of ``hles``; KeyError for an event
+        the assignment does not cover."""
+        if hles is self.hles:
+            return self.cases
+        code = {f: i for i, f in enumerate(self.hles.features)}
+        own = zip(self.hles.codes.tolist(), self.hles.windows.tolist(), self.hles.values.tolist())
+        case_of = dict(zip(own, self.cases.tolist()))
+        codes = np.array([code.get(f, -1) for f in hles.features], dtype=np.intp)[hles.codes]
+        keys = zip(codes.tolist(), hles.windows.tolist(), hles.values.tolist())
+        cases = [case_of.get(key) for key in keys]
+        if None in cases:
+            raise KeyError(hles[cases.index(None)])
+        return np.array(cases, dtype=np.int64)
 
 
 def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -311,5 +317,4 @@ def cascades(
         for x, y in set(zip(roots[rows].tolist(), low[cols].tolist())):
             _union(parent, x, y)
     roots = _find(parent, np.arange(n))
-    ids = np.cumsum(roots == np.arange(n))[roots]
-    return CascadeAssignment(ids=dict(zip(layers.hles, ids.tolist())))
+    return CascadeAssignment(layers.hles, np.cumsum(roots == np.arange(n))[roots])

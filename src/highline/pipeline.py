@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .events import EventLog
 from .features import (
     EvaluationMatrix,
-    HighLevelEvent,
+    HLETable,
     ThresholdTable,
     View,
     compute_thresholds,
@@ -16,7 +16,7 @@ from .features import (
     generate_hles,
 )
 from .framing import Framing, WindowSet
-from .hlelog import FlattenOrder, HighLevelLogEntry, build_hlel, flatten
+from .hlelog import FlattenOrder, HighLevelLog, build_hlel, flatten
 from .linkage import CascadeAssignment, LinkTable, build_link_table, cascades
 
 
@@ -27,11 +27,11 @@ class AnalysisResult:
     windows: WindowSet
     matrix: EvaluationMatrix
     thresholds: ThresholdTable
-    hles: tuple[HighLevelEvent, ...]
+    hles: HLETable
     links: LinkTable
     assignment: CascadeAssignment
-    entries: tuple[HighLevelLogEntry, ...]
-    flattened: tuple[HighLevelLogEntry, ...]
+    entries: HighLevelLog
+    flattened: HighLevelLog
 
     @property
     def cascade_count(self) -> int:

@@ -254,3 +254,41 @@ def partition_of(assignment):
     for h, cid in assignment.ids.items():
         groups.setdefault(cid, set()).add(h)
     return {frozenset(g) for g in groups.values()}
+
+
+# --- high-level event log --------------------------------------------------------
+
+
+def oracle_dfg_counts(entries):
+    """Activity frequencies and within-case adjacencies of a flattened log,
+    counted entry by entry."""
+    nodes, edges = {}, {}
+    for e in entries:
+        nodes[e.activity] = nodes.get(e.activity, 0) + 1
+    for prev, cur in zip(entries, entries[1:]):
+        if prev.case == cur.case:
+            key = (prev.activity, cur.activity)
+            edges[key] = edges.get(key, 0) + 1
+    return nodes, edges
+
+
+def oracle_hle_summary(entries, period_seconds, origin, activities):
+    """Per 1-based period with entries: the entry count, and per activity
+    the count and the mean value (delay in hours), summed in entry order."""
+    out = {}
+    for e in entries:
+        p = int((e.timestamp - origin).total_seconds() // period_seconds) + 1
+        out.setdefault(p, []).append(e)
+    summary = {}
+    for p, group in out.items():
+        counts, averages = [], []
+        for a in activities:
+            values = [e.value / (3600.0 if e.view == "delay" else 1.0)
+                      for e in group if e.activity == a]
+            total = 0.0
+            for v in values:
+                total += v
+            counts.append(len(values))
+            averages.append(total / len(values) if values else None)
+        summary[p] = (len(group), tuple(counts), tuple(averages))
+    return summary

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import log_t_csv_text
 
+from highline import HighLevelEvent, HighLevelLogEntry
 from highline.cli import main
 
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
@@ -43,6 +44,32 @@ def test_analyze_writes_artifacts(log_t_csv, tmp_path, capsys):
     assert "windows: 3" in printed
     assert "high-level events: 50" in printed
     assert "cascades: 1" in printed
+
+
+def test_analyze_of_a_sparse_log_builds_no_event_or_entry_object(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HighLevelEvent or HighLevelLogEntry was built")
+
+    monkeypatch.setattr(HighLevelEvent, "__init__", refuse)
+    monkeypatch.setattr(HighLevelLogEntry, "__init__", refuse)
+    # two cases a day apart: 1,440 one-minute windows, nearly all of them
+    # full of high-level events once the thresholds collapse
+    path = tmp_path / "sparse.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,request,2023-01-02T00:10:00,Ann\n"
+        "c1,answer,2023-01-02T00:40:00,Bob\n"
+        "c2,request,2023-01-03T00:20:00,Ann\n"
+        "c2,answer,2023-01-03T00:55:00,Bob\n"
+    )
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(path), "--out", str(out), "--window-width", "60s"]) == 0
+    printed = capsys.readouterr().out
+    hles = int(printed.split("high-level events: ")[1].split()[0])
+    assert hles > 1000
+    for name in ARTIFACTS + ("config.json",):
+        assert (out / name).stat().st_size > 0, name
+    assert len((out / "hlel.csv").read_text().splitlines()) == hles + 1
 
 
 def test_analyze_is_deterministic(log_t_csv, tmp_path):

@@ -252,6 +252,27 @@ def test_empty_view_is_dropped_with_warning(caplog):
     assert any("delay" in r.message for r in caplog.records)
 
 
+def test_threshold_at_the_pool_minimum_warns_once_per_view(caplog):
+    # the (a,b) step is in progress in all three windows: progr pools to {1, 1, 1}
+    log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 50, "r1")])
+    matrix = evaluate(log, F20)
+    with caplog.at_level(logging.WARNING, logger="highline.features"):
+        table = compute_thresholds(matrix, 0.9)
+    assert [r.getMessage() for r in caplog.records] == [
+        "view progr: threshold 1.0 is the minimum of its 3 pooled values; "
+        "every defined cell of the view becomes a high-level event"
+    ]
+    # value >= threshold still holds: every progr cell is an event
+    hles = generate_hles(matrix, table)
+    assert sum(h.feature.view is View.PROGR for h in hles) == 3
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="highline.features"):
+        compute_thresholds(matrix, 0.0)
+    assert sorted(r.getMessage().split(":")[0] for r in caplog.records) == [
+        f"view {v.value}" for v in matrix.views_present()
+    ]
+
+
 def test_generate_hles_p0_fires_every_defined_cell(log_t):
     matrix = evaluate(log_t, F20)
     table = compute_thresholds(matrix, 0.0)

@@ -40,13 +40,13 @@ def thresholds_for(*views):
 
 
 def test_build_hlel_empty():
-    entries = build_hlel([], CascadeAssignment(ids={}), F20, thresholds_for())
+    entries = build_hlel([], CascadeAssignment.from_ids({}), F20, thresholds_for())
     assert entries == ()
 
 
 def test_build_hlel_maps_attributes():
     hles = [hle("Jane", 4), hle("Jane", 5), hle("Pete", 5)]
-    assignment = CascadeAssignment(ids={h: 1 for h in hles})
+    assignment = CascadeAssignment.from_ids({h: 1 for h in hles})
     entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
     assert len(entries) == 3
     assert {e.case for e in entries} == {1}
@@ -63,7 +63,7 @@ def test_build_hlel_maps_attributes():
 def test_build_hlel_is_bijective():
     rng = random.Random(3)
     hles = [hle(f"r{i}", rng.randint(0, 9), value=float(i)) for i in range(25)]
-    assignment = CascadeAssignment(ids={h: 1 + (i % 4) for i, h in enumerate(hles)})
+    assignment = CascadeAssignment.from_ids({h: 1 + (i % 4) for i, h in enumerate(hles)})
     entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
     assert len(entries) == len(hles)
     assert sorted((e.activity, e.window, e.value) for e in entries) == sorted(
@@ -73,7 +73,7 @@ def test_build_hlel_is_bijective():
 
 def test_flatten_orders_within_window():
     hles = [hle("Jane", 3), HighLevelEvent(FeatureId(View.ENTER, Component.segment("report", "answer")), 3, 9.0)]
-    assignment = CascadeAssignment(ids={h: 1 for h in hles})
+    assignment = CascadeAssignment.from_ids({h: 1 for h in hles})
     thresholds = ThresholdTable(0.5, {View.WL: 1.0, View.ENTER: 1.0})
     entries = build_hlel(hles, assignment, F20, thresholds)
     flat = flatten(entries)
@@ -99,13 +99,13 @@ def test_flatten_order_rejects_duplicates():
 def test_flatten_idempotent_and_stable():
     rng = random.Random(5)
     hles = [hle(f"r{rng.randint(0, 3)}", rng.randint(0, 6), value=float(i)) for i in range(20)]
-    assignment = CascadeAssignment(ids={h: 1 + (i % 3) for i, h in enumerate(hles)})
+    assignment = CascadeAssignment.from_ids({h: 1 + (i % 3) for i, h in enumerate(hles)})
     entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
     once = flatten(entries)
     assert flatten(once) == once
     # an already total case stays put
     single = [hle("solo", w, value=float(w)) for w in range(4)]
-    assignment = CascadeAssignment(ids={h: 1 for h in single})
+    assignment = CascadeAssignment.from_ids({h: 1 for h in single})
     entries = build_hlel(single, assignment, F20, thresholds_for(View.WL))
     assert flatten(entries) == entries
 
@@ -184,6 +184,12 @@ def _corrupt_hlel(tmp_path, log_t, edit):
 def test_read_hlel_short_row_names_its_line(tmp_path, log_t):
     path = _corrupt_hlel(tmp_path, log_t, lambda row: row[:7])
     with pytest.raises(DataError, match=r"hlel\.csv, line 3: too few columns"):
+        read_hlel_csv(path)
+
+
+def test_read_hlel_long_row_names_its_line(tmp_path, log_t):
+    path = _corrupt_hlel(tmp_path, log_t, lambda row: row + ["extra"])
+    with pytest.raises(DataError, match=r"hlel\.csv, line 3: too many columns"):
         read_hlel_csv(path)
 
 

@@ -60,28 +60,13 @@ LOG_T_TABLE = {
 def test_log_t_full_table(log_t):
     table = build_link_table(log_t)
     for (c1, c2), expected in LOG_T_TABLE.items():
-        assert table.value(c1, c2) == pytest.approx(expected), (c1.label, c2.label)
-        assert table.value(c2, c1) == table.value(c1, c2)
+        assert table.value(c1, c2) == expected, (c1.label, c2.label)
+        assert table.value(c2, c1) == expected, (c2.label, c1.label)
 
 
 def link(log, c1, c2):
     """The production link value of two components of ``log``."""
     return build_link_table(log).value(c1, c2)
-
-
-def test_log_t_pairwise_functions(log_t):
-    assert link(log_t, Component.activity("a"), Component.activity("b")) == 1.0
-    assert link(log_t, Component.activity("a"), Component.activity("c")) == 0.0
-    assert link(log_t, Component.resource("r1"), Component.resource("r2")) == 1.0
-    assert link(log_t, Component.activity("a"), Component.resource("r1")) == 1.0
-    assert link(log_t, Component.activity("b"), Component.resource("r1")) == 0.0
-    assert link(log_t, Component.activity("c"), Component.resource("r1")) == 1.0
-    assert link(log_t, Component.activity("a"), Component.segment(*AB)) == 1.0
-    assert link(log_t, Component.activity("c"), Component.segment(*AB)) == 0.0
-    assert link(log_t, Component.activity("b"), Component.segment(*BC)) == 1.0
-    assert link(log_t, Component.resource("r2"), Component.segment(*AB)) == 1.0
-    assert link(log_t, Component.resource("r1"), Component.segment(*AB)) == 1.0
-    assert link(log_t, Component.segment(*AB), Component.segment(*BC)) == 1.0
 
 
 def test_resource_working_alone_has_zero_resource_links():
@@ -126,7 +111,7 @@ def test_self_loop_segment_resource_link_is_clamped():
     assert value == 1.0
 
 
-def test_table_matches_pairwise_functions_and_oracle():
+def test_table_matches_oracle():
     rng = random.Random(53)
     for _ in range(10):
         log = random_log(rng, max_events=80, max_cases=8)

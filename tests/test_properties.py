@@ -1,4 +1,5 @@
-"""Property tests of the columnar event core against the brute-force oracles.
+"""Property tests of the columnar event core and the columnar high-level
+event layer against the brute-force oracles.
 
 Logs are drawn small, from few cases, activities and resources and a short
 time span, so that timestamp ties inside a case, self-loop segments and
@@ -6,7 +7,9 @@ single-event cases all occur often.
 """
 
 import csv
+import dataclasses
 import itertools
+import re
 from collections import Counter
 from datetime import timedelta
 
@@ -22,15 +25,22 @@ from highline import (
     Component,
     Event,
     EventLog,
+    FeatureId,
+    FlattenOrder,
     Framing,
+    HighLevelEvent,
     View,
     analyze_log,
+    build_hlel,
     build_link_table,
     cascades,
     compute_thresholds,
     evaluate,
+    export_dfg,
+    flatten,
     generate_hles,
     ingest_csv,
+    propagation_edges,
     read_hlel_csv,
     summarize,
     write_hlel_csv,
@@ -203,3 +213,79 @@ def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
     write_hlel_csv(entries, str(path))
     assert read_hlel_csv(str(path)) == entries
+
+
+def copy_of(h):
+    """An equal high-level event that shares no object with ``h``."""
+    c = h.feature.component
+    return HighLevelEvent(FeatureId(h.feature.view, Component(c.kind, c.key)), h.window, h.value)
+
+
+def dfg_counts(dot):
+    """Node and edge counts of an ``export_dfg`` text, checking that both
+    come in name order."""
+    nodes = re.findall(r'^  "([^"]*)" \[label="[^"]* \((\d+)\)"\];$', dot, re.M)
+    edges = re.findall(r'^  "([^"]*)" -> "([^"]*)" \[label="(\d+)"\];$', dot, re.M)
+    assert [n for n, _ in nodes] == sorted(n for n, _ in nodes)
+    assert [(a, b) for a, b, _ in edges] == sorted((a, b) for a, b, _ in edges)
+    return {n: int(c) for n, c in nodes}, {(a, b): int(c) for a, b, c in edges}
+
+
+@SETTINGS
+@given(ROWS, FRAMINGS, UNIT, UNIT, st.sampled_from([1.0, 7.0, 60.0, 86400.0]), st.data())
+def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, data):
+    log = EventLog(events_of(rows))
+    matrix = evaluate(log, framing)
+    thresholds = compute_thresholds(matrix, p)
+    table = generate_hles(matrix, thresholds)
+    links = build_link_table(log)
+    copies = [copy_of(h) for h in table]
+    repeats = data.draw(st.lists(st.sampled_from(copies), max_size=5)) if copies else []
+    shuffled = data.draw(st.permutations(copies + [copy_of(h) for h in repeats]))
+    distinct = data.draw(st.permutations(copies))
+
+    assignment = cascades(table, links, lam)
+    from_objects = cascades(shuffled, links, lam)
+    assert assignment.ids == from_objects.ids
+    assert assignment.count == from_objects.count
+    if len(table) <= 500:  # the oracle compares every pair of events
+        assert oracles.partition_of(assignment) == oracles.oracle_partition(table, links.value, lam)
+    edges = propagation_edges(table, links, lam)
+    assert edges == propagation_edges(shuffled, links, lam)
+    by_window = {}
+    for h in table:
+        by_window.setdefault(h.window, []).append(h)
+    assert set(edges) == {
+        (h1, h2)
+        for h1 in table
+        for h2 in by_window.get(h1.window + 1, ())
+        if oracles.oracle_propagates(h1, h2, links.value, lam)
+    }
+
+    entries = build_hlel(table, assignment, framing, thresholds)
+    assert entries == build_hlel(distinct, from_objects, framing, thresholds)
+    # object input keeps one entry per given event, repeats included
+    repeated = build_hlel(shuffled, from_objects, framing, thresholds)
+    assert len(repeated) == len(shuffled)
+    assert {dataclasses.replace(e, hle_id=0) for e in repeated} == {
+        dataclasses.replace(e, hle_id=0) for e in entries
+    }
+
+    names = sorted({e.activity for e in entries})
+    for order in (None, FlattenOrder(data.draw(st.permutations(names))[: len(names) // 2])):
+        flat = flatten(entries, order)
+        assert flat == flatten(list(entries), order)
+        key = (order or FlattenOrder()).key
+        assert flat == tuple(sorted(entries, key=lambda e: (e.case, e.window, key(e.activity))))
+    flat = flatten(entries)
+    assert export_dfg(flat) == export_dfg(list(flat))
+    assert dfg_counts(export_dfg(flat)) == oracles.oracle_dfg_counts(list(flat))
+
+    summary = summarize(log, entries, period, framing.origin)
+    assert summary == summarize(log, list(entries), period, framing.origin)
+    freq = Counter(e.activity for e in entries)
+    assert list(summary.activities) == sorted(freq, key=lambda a: (-freq[a], a))[:4]
+    expected = oracles.oracle_hle_summary(entries, period, framing.origin, summary.activities)
+    none = (0, (0,) * len(summary.activities), (None,) * len(summary.activities))
+    for row in summary.rows:
+        assert (row.hles, row.counts, row.averages) == expected.get(row.period, none)
