@@ -150,11 +150,35 @@ def _datetimes(times_us: np.ndarray) -> list[datetime]:
     return times_us.astype("datetime64[us]").tolist()
 
 
-def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
-    names = sorted(dict.fromkeys(values))
-    code = {name: i for i, name in enumerate(names)}
-    return tuple(names), np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+class _Columns:
+    """Event columns as they grow, as int64 bytes: case, activity and
+    resource codes, each coded in order of first appearance, and
+    microseconds since the epoch."""
+
+    def __init__(self) -> None:
+        self.codes: tuple[dict[str, int], ...] = ({}, {}, {})
+        self.columns = (bytearray(), bytearray(), bytearray())
+        self.times_us = bytearray()
+
+    def add(self, names: Sequence[Sequence[str]], times_us) -> list[str]:
+        """Append cases, activities and resources (``names``) and their
+        timestamps; returns the names not seen before."""
+        new: list[str] = []
+        for code, column, values in zip(self.codes, self.columns, names):
+            fresh = [name for name in dict.fromkeys(values) if name not in code]
+            code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
+            column += np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values)).data
+            new += fresh
+        self.times_us += np.ascontiguousarray(times_us, dtype=np.int64).data
+        return new
+
+    def ranked(self) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
+        """Per column, the sorted names and each row's index among them."""
+        for code, column in zip(self.codes, self.columns):
+            names = sorted(code)
+            rank = np.empty(len(names), dtype=np.intp)
+            rank[list(map(code.__getitem__, names))] = np.arange(len(names))
+            yield tuple(names), rank[np.frombuffer(column, dtype=np.int64)]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -180,14 +204,12 @@ class EventLog:
 
     def __init__(self, events: Iterable[Event] = (), provenance: Provenance | None = None):
         events = list(events)
-        self._set_columns(
-            [e.case for e in events],
-            [e.activity for e in events],
+        columns = _Columns()
+        columns.add(
+            ([e.case for e in events], [e.activity for e in events], [e.resource for e in events]),
             [to_microseconds(e.timestamp) for e in events],
-            [e.resource for e in events],
-            [e.id for e in events],
         )
-        self.provenance = provenance
+        self._set_columns(columns, [e.id for e in events], provenance)
 
     @classmethod
     def from_columns(
@@ -201,23 +223,24 @@ class EventLog:
     ) -> "EventLog":
         """A log from parallel columns: names, microseconds since the epoch
         and event ids (1..n in input order when omitted)."""
+        columns = _Columns()
+        columns.add((cases, activities, resources), times_us)
+        return cls._of(columns, ids, provenance)
+
+    @classmethod
+    def _of(cls, columns: _Columns, ids: Sequence[int] | None, provenance: Provenance | None) -> "EventLog":
         log = cls.__new__(cls)
-        log._set_columns(
-            list(cases),
-            list(activities),
-            times_us,
-            list(resources),
-            range(1, len(cases) + 1) if ids is None else ids,
-        )
-        log.provenance = provenance
+        log._set_columns(columns, ids, provenance)
         return log
 
-    def _set_columns(self, cases, activities, times_us, resources, ids) -> None:
-        self.case_names, case = _intern(cases)
-        self.activity_names, activity = _intern(activities)
-        self.resource_names, resource = _intern(resources)
-        times = np.asarray(times_us, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
+    def _set_columns(self, columns: _Columns, ids: Sequence[int] | None, provenance: Provenance | None) -> None:
+        """Rank the codes by name and sort the rows; ids default to 1..n in
+        the order the rows were added."""
+        (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
+            columns.ranked()
+        )
+        times = np.frombuffer(columns.times_us, dtype=np.int64)
+        ids = np.arange(1, len(case) + 1) if ids is None else np.asarray(ids, dtype=np.int64)
         if not len(case) == len(activity) == len(times) == len(resource) == len(ids):
             raise DataError("event columns differ in length")
         order = np.lexsort((ids, case, times))
@@ -226,6 +249,7 @@ class EventLog:
         self.resource_codes = _frozen(resource[order])
         self.times_us = _frozen(times[order])
         self.ids = _frozen(ids[order])
+        self.provenance = provenance
         self._validate()
 
     def _validate(self) -> None:
@@ -378,9 +402,11 @@ def format_timestamp(t: datetime, timestamp_format: str | None = None) -> str:
 
 
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
-# rows are read this many at a time, so that only one chunk's row lists and
-# field strings are alive at once
+# the general reader takes rows this many at a time, and the standard-layout
+# reader bytes this many at a time (cut at the last newline), so that only
+# one chunk's field strings are alive at once
 _CHUNK_ROWS = 1 << 12
+_CHUNK_BYTES = 1 << 16
 
 
 def ingest_csv(
@@ -396,18 +422,141 @@ def ingest_csv(
     whitespace; a value that is empty after stripping is a row error.
     A file that mixes timestamps with and without a UTC offset is read as
     naive UTC throughout, with a warning naming the first line of the
-    less frequent kind.
+    less frequent kind. A leading byte order mark is skipped.
+
+    A file in the layout ``write_event_csv`` writes is parsed straight from
+    its bytes with ``str.split`` and numpy; any other file, and any file
+    read with a ``timestamp_format``, goes through ``csv.reader`` from its
+    first line. Both give the same log.
     """
     mapping = mapping or ColumnMapping()
+    provenance = Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format)
+    if timestamp_format is None:
+        columns = _Columns()
+        try:
+            _read_standard(path, mapping, columns)
+            return EventLog._of(columns, None, provenance)
+        except _NotStandard:
+            pass
+    columns = _Columns()
+    _read_general(path, mapping, timestamp_format, columns)
+    return EventLog._of(columns, None, provenance)
+
+
+class _NotStandard(Exception):
+    """The file is not in the standard layout; it is read by ``_read_general``."""
+
+
+def _read_standard(path: str, mapping: ColumnMapping, columns: _Columns) -> None:
+    """Fill ``columns`` from a file in the standard layout, or raise
+    ``_NotStandard`` at the first chunk that is not in it.
+
+    The layout: no ``"`` and no carriage return; every line, the last one
+    included, has the header's number of fields; names are non-empty and
+    have no surrounding whitespace; timestamps are ASCII
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]``. Such a file gives ``csv.reader`` and
+    ``datetime.fromisoformat`` nothing to do that ``str.split`` and numpy
+    cannot. A chunk that fails sends the whole file to the general reader,
+    since a quoted field may span the newline the chunk was cut at.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = line.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            raise _NotStandard from None
+        if '"' in header or "\r" in header or len(line) > csv.field_size_limit():
+            raise _NotStandard
+        header = header.removesuffix("\n").split(",")
+        try:
+            index = [header.index(getattr(mapping, attr)) for attr in _ATTRIBUTES]
+        except ValueError:
+            raise _NotStandard from None
+        rest = b""
+        while True:
+            block = fh.read(_CHUNK_BYTES)
+            data = rest + block
+            if not block:
+                if data:
+                    _add_standard(data + b"\n", len(header), index, columns)
+                return
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                _add_standard(data[:cut], len(header), index, columns)
+            rest = data[cut:]
+            if len(rest) > csv.field_size_limit():
+                raise _NotStandard  # a line csv.reader may refuse
+
+
+def _add_standard(chunk: bytes, width: int, index: list[int], columns: _Columns) -> None:
+    """Add the lines of ``chunk`` (complete lines of ``width`` fields each)
+    to ``columns``, or raise ``_NotStandard``."""
+    if b'"' in chunk or b"\r" in chunk:
+        raise _NotStandard
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    # commas before each line end; a blank line has none
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    if (np.diff(commas, prepend=0) != width - 1).any():
+        raise _NotStandard
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        raise _NotStandard  # a line csv.reader may refuse
+    try:
+        fields = chunk.decode("utf-8").replace("\n", ",").split(",")
+    except UnicodeDecodeError:
+        raise _NotStandard from None
+    n = len(ends) * width
+    case, activity, stamp, resource = (fields[i:n:width] for i in index)
+    new = columns.add((case, activity, resource), _standard_microseconds(stamp))
+    # str.strip returns a name without surrounding whitespace as it is
+    if "" in new or list(map(str.strip, new)) != new:
+        raise _NotStandard
+
+
+# a strict ISO 8601 timestamp, by byte position: lowest and highest byte
+_ISO_LOW = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
+_ISO_HIGH = np.frombuffer(b"9999-99-99T99:99:99.999999", dtype=np.uint8)
+
+
+def _standard_microseconds(stamps: list[str]) -> np.ndarray:
+    """Microseconds since the epoch of timestamps that are all ASCII
+    ``YYYY-MM-DDTHH:MM:SS`` or ``YYYY-MM-DDTHH:MM:SS.ffffff`` with a year of
+    at least 1, as ``datetime.fromisoformat`` reads them; otherwise raises
+    ``_NotStandard``."""
+    lengths = set(map(len, stamps))
+    if not lengths <= {19, 26}:
+        raise _NotStandard
+    width = max(lengths)
+    # short stamps among long ones are padded with NULs, which numpy drops
+    padded = stamps if len(lengths) == 1 else (s.ljust(width, "\0") for s in stamps)
+    try:
+        text = "".join(padded).encode("ascii")
+    except UnicodeEncodeError:
+        raise _NotStandard from None
+    grid = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), width)
+    shaped = (grid >= _ISO_LOW[:width]) & (grid <= _ISO_HIGH[:width])
+    if not shaped[:, :19].all() or (grid[:, :4] == ord("0")).all(axis=1).any():
+        raise _NotStandard
+    if width > 19:
+        tail = shaped[:, 19:].all(axis=1)
+        if len(lengths) > 1:
+            tail |= np.fromiter(map(len, stamps), dtype=np.intp, count=len(stamps)) == 19
+        if not tail.all():
+            raise _NotStandard
+    try:
+        # numpy refuses month 13, Feb 30, hour 24, minute 60 and second 60,
+        # as fromisoformat does
+        return grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
+    except ValueError:
+        raise _NotStandard from None
+
+
+def _read_general(path: str, mapping: ColumnMapping, timestamp_format: str | None, columns: _Columns) -> None:
+    """Fill ``columns`` from any CSV file through ``csv.reader``; raises the
+    error of the first invalid row, and warns of mixed UTC offsets."""
     parse = _parser(timestamp_format)
-    # one string object per distinct name, however many rows repeat it
-    names: dict[str, str] = {}
-    cases: list[str] = []
-    activities: list[str] = []
-    resources: list[str] = []
-    times: list[np.ndarray] = []
     aware: list[np.ndarray] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -433,20 +582,11 @@ def ingest_csv(
                 stamps = list(map(parse, stamp))
             except ValueError:
                 raise _row_error(path, index, timestamp_format) from None
-            for kept, values in ((cases, case), (activities, activity), (resources, resource)):
-                kept.extend(map(names.setdefault, values, values))
             us, offset = _microseconds(stamps)
-            times.append(us)
+            columns.add((case, activity, resource), us)
             aware.append(offset)
     if aware:
         _warn_mixed_offsets(path, np.concatenate(aware))
-    return EventLog.from_columns(
-        cases,
-        activities,
-        np.concatenate(times) if times else [],
-        resources,
-        provenance=Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format),
-    )
 
 
 def _microseconds(stamps: list[datetime]) -> tuple[np.ndarray, np.ndarray]:
@@ -482,7 +622,7 @@ def _warn_mixed_offsets(path: str, aware: np.ndarray) -> None:
 
 def _data_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """The data rows of a CSV file, each with the line number it ends on."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:

@@ -266,27 +266,49 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_WRITE_ROWS = 1 << 12
+
+
 def write_hlel_csv(
     entries: Iterable[HighLevelLogEntry], path: str, timestamp_format: str | None = None
 ) -> None:
     hlel = HighLevelLog.of(entries)
-    stamps = [format_timestamp(t, timestamp_format) for t in hlel.stamps]
-    fields = [
-        (f.activity, f.view, f.component_kind, f.component, repr(f.threshold))
+    row = csv.writer(_Echo, lineterminator="\n").writerow
+
+    def fields(*values: str) -> str:
+        # the values as the csv module quotes them inside a row; the extra
+        # empty field keeps a lone empty value unquoted, as inside a row
+        return row((*values, ""))[:-2]
+
+    stamps = [fields(format_timestamp(t, timestamp_format)) for t in hlel.stamps]
+    features = [
+        (fields(f.activity), fields(f.view, f.component_kind, f.component), fields(repr(f.threshold)))
         for f in hlel.features
     ]
-    rows = (
-        (i, c, f[0], stamps[s], w, f[1], f[2], f[3], repr(v), f[4])
-        for i, c, f, s, w, v in zip(
-            hlel.hle_ids.tolist(), hlel.cases.tolist(),
-            map(fields.__getitem__, hlel.feature_codes.tolist()),
-            hlel.stamp_codes.tolist(), hlel.windows.tolist(), hlel.values.tolist(),
-        )
-    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HLEL_COLUMNS)
-        writer.writerows(rows)
+        fh.write(row(HLEL_COLUMNS))
+        # a slice of rows at a time, so that only its Python values are alive;
+        # ids, windows and float reprs never need quoting
+        for start in range(0, len(hlel.hle_ids), _WRITE_ROWS):
+            part = slice(start, start + _WRITE_ROWS)
+            fh.writelines(
+                f"{i},{c},{f[0]},{t},{w},{f[1]},{v!r},{f[2]}\n"
+                for i, c, f, t, w, v in zip(
+                    hlel.hle_ids[part].tolist(), hlel.cases[part].tolist(),
+                    map(features.__getitem__, hlel.feature_codes[part].tolist()),
+                    map(stamps.__getitem__, hlel.stamp_codes[part].tolist()),
+                    hlel.windows[part].tolist(), hlel.values[part].tolist(),
+                )
+            )
+
+
+class _Echo:
+    """A file whose ``write`` returns what it is given, so that
+    ``csv.writer(_Echo).writerow(values)`` returns the line."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighLevelLogEntry, ...]:

@@ -1,3 +1,5 @@
+import codecs
+import csv
 import logging
 import random
 from datetime import datetime
@@ -16,9 +18,12 @@ from highline import (
     Event,
     EventLog,
     Framing,
+    ScenarioConfig,
     Step,
+    WeekSpec,
     analyze_log,
     default_origin,
+    generate,
     ingest_csv,
     restrict,
     summarize,
@@ -26,10 +31,20 @@ from highline import (
 )
 import highline.events as events_module
 from highline.events import to_microseconds
+from highline.generator import QUIET_ARRIVALS
 
 
 def step_ids(log):
     return {(s.first.id, s.second.id) for s in log.steps}
+
+
+def columns(log):
+    """Everything an EventLog holds, as plain values."""
+    return (
+        log.case_names, log.activity_names, log.resource_names,
+        *(a.tolist() for a in (log.case_codes, log.activity_codes, log.resource_codes,
+                               log.times_us, log.ids)),
+    )
 
 
 def test_log_t_steps(log_t):
@@ -161,6 +176,7 @@ def test_ingest_bad_timestamp_names_line(tmp_path):
 
 def test_ingest_names_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(events_module, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(events_module, "_CHUNK_BYTES", 16)
     path = tmp_path / "bad.csv"
     path.write_text(
         "case,activity,timestamp,resource\n"
@@ -217,6 +233,10 @@ def test_event_csv_round_trip(tmp_path, log_t):
 @pytest.mark.parametrize("chunk_rows", [2, 4096])
 def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_rows):
     monkeypatch.setattr(events_module, "_CHUNK_ROWS", chunk_rows)
+    if chunk_rows == 2:
+        # the first line is in the standard layout, so the standard-layout
+        # reader takes one chunk before the offset sends the file to csv.reader
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", 16)
     path = tmp_path / "mixed.csv"
     path.write_text(
         "case,activity,timestamp,resource\n"
@@ -235,6 +255,38 @@ def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_r
     assert [e.timestamp for e in log] == [
         datetime(2024, 1, 1, 10), datetime(2024, 1, 1, 10, 30), datetime(2024, 1, 1, 11)
     ]
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+def test_ingest_skips_a_byte_order_mark(tmp_path, log_t, quoting):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_event_csv(log_t, str(plain))
+    with open(plain, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(marked, "w", newline="", encoding="utf-8-sig") as fh:
+        csv.writer(fh, quoting=quoting).writerows(rows)
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert columns(ingest_csv(str(marked))) == columns(ingest_csv(str(plain)))
+    # line numbers in errors count the header line as 1, BOM or not
+    marked.write_bytes(codecs.BOM_UTF8 + b"case,activity,timestamp,resource\n"
+                       b"c1,a,2024-01-01T00:00:00,r1\n,b,2024-01-01T00:00:01,r1\n")
+    with pytest.raises(DataError, match="line 3: empty case value"):
+        ingest_csv(str(marked))
+
+
+def test_a_generated_log_is_read_without_csv_reader(tmp_path, monkeypatch):
+    log = generate(ScenarioConfig(weeks=(WeekSpec(QUIET_ARRIVALS),), seed=3))
+    path = tmp_path / "generated.csv"
+    write_event_csv(log, str(path))
+    assert path.stat().st_size > 8 * 4096
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the general reader was used")
+
+    monkeypatch.setattr(events_module, "_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(events_module.csv, "reader", refuse)
+    monkeypatch.setattr(events_module, "_parser", refuse)
+    assert columns(ingest_csv(str(path))) == columns(log)
 
 
 def test_uniform_timezone_offsets_do_not_warn(tmp_path, caplog):

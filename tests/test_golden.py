@@ -7,24 +7,35 @@ number, an order or a format in the pipeline shows up here as a diff against
 files under version control, not only as a disagreement between two runs.
 """
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+import highline.events as events
 from highline.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo_output"
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
 
 
-def test_analyze_reproduces_committed_demo_artifacts(tmp_path):
+def quoted_crlf_copy(path: Path) -> Path:
+    """The committed scenario with every field quoted and CRLF line ends,
+    which the standard-layout reader leaves to csv.reader."""
+    copy = path / "scenario_quoted.csv"
+    with open(DEMO / "scenario.csv", newline="", encoding="utf-8") as src, \
+            open(copy, "w", newline="", encoding="utf-8") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+    return copy
+
+
+def assert_analyze_reproduces_artifacts(source: Path, out: Path) -> None:
     config = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))
     assert (config["window_width"], config["percentile"], config["lam"]) == ("1h", 0.9, 0.5)
-    out = tmp_path / "out"
     code = main([
         "analyze",
-        "--input", str(DEMO / "scenario.csv"),
+        "--input", str(source),
         "--out", str(out),
         "--window-width", config["window_width"],
         "--percentile", str(config["percentile"]),
@@ -38,3 +49,23 @@ def test_analyze_reproduces_committed_demo_artifacts(tmp_path):
         got = (out / name).read_bytes()
         if got != expected:
             pytest.fail(f"{name} differs from demo_output/{name}")
+
+
+def count_general_reads(monkeypatch) -> list:
+    """A list that grows by one for each file read by csv.reader."""
+    reads = []
+    read_general = events._read_general
+    monkeypatch.setattr(events, "_read_general", lambda *args: reads.append(read_general(*args)))
+    return reads
+
+
+def test_analyze_reproduces_committed_demo_artifacts(tmp_path, monkeypatch):
+    general = count_general_reads(monkeypatch)
+    assert_analyze_reproduces_artifacts(DEMO / "scenario.csv", tmp_path / "out")
+    assert not general  # the committed input is in the standard layout
+
+
+def test_a_quoted_crlf_copy_of_the_input_reproduces_them_through_csv_reader(tmp_path, monkeypatch):
+    general = count_general_reads(monkeypatch)
+    assert_analyze_reproduces_artifacts(quoted_crlf_copy(tmp_path), tmp_path / "out")
+    assert len(general) == 1

@@ -11,15 +11,18 @@ import dataclasses
 import itertools
 import re
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE
+
+import highline.events as events
 
 from highline import (
     Component,
@@ -45,6 +48,7 @@ from highline import (
     summarize,
     write_hlel_csv,
 )
+from highline.events import parse_timestamp, to_microseconds
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -168,6 +172,138 @@ def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, d
         assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid.name
     t1, t2 = (build_link_table(log) for log in logs)
     assert list(t1.pairs()) == list(t2.pairs())
+
+
+# --- ingest: the standard-layout reader agrees with csv.reader -----------------
+
+PLAIN_NAMES = ["c1", "c2", "r1", "act", "é", "日本"]
+ODD_NAMES = [
+    "", " c1", "c2 ", "a b", "\t", "\x85", "x,y", 'say "hi"', "two\nlines", "car\rriage", "n\x00ul",
+]
+# whole seconds (19 characters) and microseconds (26) mix in one file
+PLAIN_STAMPS = st.builds(
+    lambda t, whole: (t.replace(microsecond=0) if whole else t).isoformat(),
+    st.datetimes(min_value=datetime(1, 1, 1)), st.booleans(),
+)
+# each is the edge of the standard shape, or just beyond it, in one respect
+EDGE_STAMPS = [
+    "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59.999999",
+    "2024-02-29T12:00:00", "2023-02-29T12:00:00", "1900-02-29T00:00:00", "2000-02-29T00:00:00",
+    "2024-13-01T00:00:00", "2024-00-10T00:00:00", "2024-04-31T00:00:00",
+    "2024-01-01T24:00:00", "2024-01-01T23:60:00", "2024-01-01T23:59:60",
+    "2024-01-01 10:00:00", "2024-01-01T10:00:00.5", "2024-01-01T10:00:00.12345",
+    "2024-01-01T10:00:00.1234567", "2024-01-01T10:00:00Z", "2024-01-01T10:00:00+02:00",
+    "2024-01-01T10:00:00.123456-05:30", "\u0662\u0660\u0662\u0664-01-01T00:00:00",
+    "2024-01-01T10:00:0\uff13", "2024-01-01T10:00:00\U0001d7ce", "2024-01-01T10:00:00\0\0\0\0\0\0\0",
+    "2024-01-01T10:00:00.\0\0\0\0\0\0", "2024-01-01T10:00:\x0000",
+]
+
+
+@st.composite
+def odd_stamps(draw):
+    """Timestamps at and beyond the edges of the standard shape."""
+    day = draw(st.sampled_from([
+        "0000-01-01", "0001-01-01", "9999-12-31", "2024-02-29", "2023-02-29", "1900-02-29",
+        "2000-02-29", "2024-13-01", "2024-00-10", "2024-04-31", "1969-12-31",
+    ]))
+    clock = draw(st.sampled_from(["00:00:00", "23:59:59", "24:00:00", "23:60:00", "23:59:60"]))
+    fraction = draw(st.sampled_from(["", ".", ".5", ".123", ".12345", ".123456", ".1234567"]))
+    zone = draw(st.sampled_from(["", "", "Z", "+02:00", "-05:30", "+00:00"]))
+    text = day + draw(st.sampled_from(["T", " "])) + clock + fraction + zone
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([k for k, ch in enumerate(text) if ch.isdigit()]))
+        text = text[:i] + draw(st.sampled_from(["\u0663", "\uff13", "\U0001d7d1"])) + text[i + 1:]
+    return text
+
+
+ODD_STAMPS = st.one_of(st.sampled_from(EDGE_STAMPS), odd_stamps())
+
+
+@st.composite
+def event_csvs(draw):
+    """A CSV event log, and whether it is in the standard layout. Most files
+    are, and the rest break it in one or a few ways."""
+    odd = draw(st.sets(st.sampled_from(
+        ["names", "header", "stamps", "quotes", "crlf", "blank", "wide rows", "short rows"]
+    ), min_size=1, max_size=2)) if draw(st.booleans()) else set()
+    names = st.sampled_from(PLAIN_NAMES + (ODD_NAMES if "names" in odd else []))
+    extra = [draw(st.sampled_from(ODD_NAMES))] if "header" in odd else draw(st.sampled_from([[], ["note"]]))
+    header = draw(st.permutations(["case", "activity", "timestamp", "resource"] + extra))
+
+    def field(column):
+        value = draw(PLAIN_STAMPS if column == "timestamp" else names)
+        if "quotes" in odd and draw(st.booleans()):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(header)]
+    rows = draw(st.integers(0, 8))
+    # one odd stamp among plain ones is what the standard reader must notice
+    odd_row = draw(st.integers(0, rows - 1)) if "stamps" in odd and rows else None
+    for k in range(rows):
+        row = [field(column) for column in header]
+        if k == odd_row:
+            row[header.index("timestamp")] = draw(ODD_STAMPS)
+        if "wide rows" in odd and draw(st.booleans()):
+            # one more field, or a whole row's worth that csv.reader ignores
+            row += draw(st.sampled_from([[draw(names)], [field(column) for column in header]]))
+        if "short rows" in odd and draw(st.booleans()):
+            row.pop()
+        lines.append(",".join(row))
+    if "blank" in odd:
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+    text = ("\r\n" if "crlf" in odd else "\n").join(lines) + draw(st.sampled_from(["", "\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8"), not odd
+
+
+def outcome(read, path):
+    """The columns and names of the log read, or the error raised."""
+    try:
+        log = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        log.case_names, log.activity_names, log.resource_names,
+        *(a.tolist() for a in (log.case_codes, log.activity_codes, log.resource_codes,
+                               log.times_us, log.ids)),
+    )
+
+
+def read_general(path):
+    with mock.patch.object(events, "_read_standard", side_effect=events._NotStandard):
+        return ingest_csv(path)
+
+
+@SETTINGS
+@given(st.lists(PLAIN_STAMPS, max_size=4), ODD_STAMPS, st.lists(PLAIN_STAMPS, max_size=4))
+def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(before, stamp, after):
+    stamps = [*before, stamp, *after]
+    try:
+        want = [to_microseconds(parse_timestamp(s)) for s in stamps]
+    except (ValueError, OverflowError):  # an offset can move year 1 out of range
+        want = None
+    try:
+        got = events._standard_microseconds(stamps).tolist()
+    except events._NotStandard:
+        return
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_csvs(), st.integers(1, 300))
+def test_standard_reader_agrees_with_csv_reader_or_defers(tmp_path_factory, file, chunk_bytes):
+    data, standard = file
+    path = tmp_path_factory.mktemp("ingest") / "log.csv"
+    path.write_bytes(data)
+    with mock.patch.object(events, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(events, "_read_general", wraps=events._read_general) as general:
+        got = outcome(ingest_csv, str(path))
+    event("read by csv.reader" if general.called else "read in the standard layout")
+    assert got == outcome(read_general, str(path))
+    if standard:
+        assert not general.called
 
 
 @SETTINGS
