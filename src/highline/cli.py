@@ -211,6 +211,8 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
             origin = parse_timestamp(config.origin, config.timestamp_format)
         except ValueError:
             raise ConfigError(f"unparseable --origin value {config.origin!r}") from None
+        except OverflowError:
+            raise ConfigError(f"--origin value {config.origin!r} is out of range in UTC") from None
     framing = Framing(origin=origin, width=parse_duration(config.window_width))
     order = (
         FlattenOrder.from_file(config.flatten_order_file)

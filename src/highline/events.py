@@ -582,7 +582,10 @@ def _read_general(path: str, mapping: ColumnMapping, timestamp_format: str | Non
                 stamps = list(map(parse, stamp))
             except ValueError:
                 raise _row_error(path, index, timestamp_format) from None
-            us, offset = _microseconds(stamps)
+            try:
+                us, offset = _microseconds(stamps)
+            except OverflowError:
+                raise _row_error(path, index, timestamp_format) from None
             columns.add((case, activity, resource), us)
             aware.append(offset)
     if aware:
@@ -640,9 +643,13 @@ def _row_error(path: str, index: dict[str, int], timestamp_format: str | None) -
             if not value:
                 return DataError(f"{path}, line {line}: empty {attr} value")
         try:
-            parse(values["timestamp"])
+            _naive_utc(parse(values["timestamp"]))
         except ValueError:
             return DataError(f"{path}, line {line}: unparseable timestamp {values['timestamp']!r}")
+        except OverflowError:
+            return DataError(
+                f"{path}, line {line}: timestamp {values['timestamp']!r} is out of range in UTC"
+            )
     return DataError(f"{path}: changed while being read")
 
 

@@ -171,24 +171,27 @@ def proximity(hle1: HighLevelEvent, hle2: HighLevelEvent, links: LinkTable) -> f
 @dataclass(frozen=True)
 class _Layers:
     """Distinct high-level events sorted by (window, feature name, value),
-    their interned component ids, and which component pairs propagate at
-    the given lambda."""
+    grouped into (window, component) super-nodes, and the super-node edges
+    that propagate at the given lambda.
+
+    Events of one window and component have the same neighbours, so the
+    propagation graph is the super-node graph with every super-node blown
+    up into its events: ``node[k]`` is the super-node of row k, super-nodes
+    are numbered in (window, component) order, and super-node ``tail[e]``
+    propagates to ``head[e]`` in the directly following window.
+    """
 
     hles: HLETable
-    components: np.ndarray
-    propagates: np.ndarray
+    nodes: int
+    node: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
 
-    def window_pairs(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """For each pair of adjacent windows w, w+1: the offsets of their
-        first events and the proximity >= lambda matrix between them."""
-        w = self.hles.windows
-        first = np.ones(len(w), dtype=bool)
-        first[1:] = w[1:] != w[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(w))
-        for k in np.flatnonzero(np.diff(w[starts]) == 1).tolist():
-            a, b, c = int(starts[k]), int(ends[k]), int(ends[k + 1])
-            yield a, b, self.propagates[self.components[a:b, None], self.components[b:c]]
+
+def _offsets(count: np.ndarray) -> np.ndarray:
+    """0..count[i]-1 for every i, concatenated."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
 
 
 def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _Layers:
@@ -200,11 +203,30 @@ def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _La
         [components.setdefault(f.component, len(components)) for f in table.features],
         dtype=np.intp,
     )
-    return _Layers(
-        hles=table,
-        components=component_of[table.codes],
-        propagates=links.matrix(list(components)) >= lam,
+    n_c = max(len(components), 1)
+    # a window enters the keys as its rank among the distinct windows, so
+    # the keys stay below rows * components whatever the window numbers
+    w = table.windows
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = w[1:] != w[:-1]
+    keys, node = np.unique(
+        (np.cumsum(new) - 1) * n_c + component_of[table.codes], return_inverse=True
     )
+    rank, component = np.divmod(keys, n_c)
+    # only super-nodes whose next distinct window is directly adjacent have
+    # successors: each one's candidate heads are its component's neighbours
+    adjacent = np.append(np.diff(w[new]) == 1, False)
+    source = np.flatnonzero(adjacent[rank])
+    near_rows, near = np.nonzero(links.matrix(list(components)) >= lam)
+    near_start = np.searchsorted(near_rows, np.arange(n_c + 1))
+    degree = np.diff(near_start)[component[source]]
+    tail = np.repeat(source, degree)
+    target = (rank[tail] + 1) * n_c + near[
+        np.repeat(near_start[component[source]], degree) + _offsets(degree)
+    ]
+    head = np.minimum(np.searchsorted(keys, target), max(len(keys) - 1, 0))
+    hit = keys[head] == target
+    return _Layers(hles=table, nodes=len(keys), node=node, tail=tail[hit], head=head[hit])
 
 
 def propagation_edges(
@@ -217,14 +239,21 @@ def propagation_edges(
     (window, feature name) of both endpoints.
     """
     layers = _layers(hles, links, lam)
-    ordered = layers.hles
-    edges: list[tuple[HighLevelEvent, HighLevelEvent]] = []
-    for a, b, block in layers.window_pairs():
-        rows, cols = np.nonzero(block)
-        edges.extend(
-            (ordered[a + i], ordered[b + j]) for i, j in zip(rows.tolist(), cols.tolist())
-        )
-    return tuple(edges)
+    # each super-node edge stands for every pair of a tail row and a head row
+    members = np.argsort(layers.node, kind="stable")
+    size = np.bincount(layers.node, minlength=layers.nodes)
+    start = np.cumsum(size) - size
+    width = size[layers.head]
+    count = size[layers.tail] * width
+    edge = np.repeat(np.arange(len(count)), count)
+    i, j = np.divmod(_offsets(count), width[edge])
+    first = members[start[layers.tail][edge] + i]
+    second = members[start[layers.head][edge] + j]
+    # rows are in (window, feature name, value) order
+    order = np.argsort(first * len(members) + second)
+    first, second = first[order].tolist(), second[order].tolist()
+    events = tuple(layers.hles)
+    return tuple(zip(map(events.__getitem__, first), map(events.__getitem__, second)))
 
 
 class CascadeAssignment:
@@ -270,22 +299,39 @@ class CascadeAssignment:
         return np.array(cases, dtype=np.int64)
 
 
-def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The roots of ``nodes``, which are then re-pointed straight at them."""
-    roots = parent[nodes]
+def _join(nodes: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:
+    """The root of every node's set, joining the sets along each edge
+    tail[e]-head[e], and the number of hooking rounds that took.
+
+    Every set's root is its smallest node, and every hook points a root at
+    a smaller node. A round hooks the larger root of each edge whose ends
+    lie in different sets onto the smallest such neighbour. A root that
+    neither hooked nor was hooked onto then hooks onto the node that its
+    (larger) neighbour hooked onto, which lies below it. So every set with
+    an edge to another merges with at least one, the sets of a connected
+    part at least halve each round, and S nodes take at most ceil(log2 S)
+    rounds. Each round ends by pointing every node straight at its root.
+    """
+    parent = np.arange(nodes)
+    rounds = 0
     while True:
-        up = parent[roots]
-        if (up == roots).all():
-            parent[nodes] = roots
-            return roots
-        roots = up
-
-
-def _union(parent: np.ndarray, x: int, y: int) -> None:
-    """Join the sets of x and y under the smaller root."""
-    x, y = _find(parent, np.array([x, y])).tolist()
-    if x != y:
-        parent[max(x, y)] = min(x, y)
+        low, high = parent[tail], parent[head]
+        apart = low != high
+        if not apart.any():
+            return parent, rounds
+        tail, head = tail[apart], head[apart]
+        low, high = np.minimum(low[apart], high[apart]), np.maximum(low[apart], high[apart])
+        np.minimum.at(parent, high, low)
+        hooked_onto = np.zeros(nodes, dtype=bool)
+        hooked_onto[parent[high]] = True
+        stuck = (parent[low] == low) & ~hooked_onto[low]
+        np.minimum.at(parent, low[stuck], parent[high[stuck]])
+        rounds += 1
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
 
 
 def cascades(
@@ -300,21 +346,13 @@ def cascades(
     feature name in that window, then by the smallest value.
     """
     layers = _layers(hles, links, lam)
-    n = len(layers.hles)
-    # union-find over positions in (window, name) order; every set's root is
-    # its smallest position, so its first member
-    parent = np.arange(n)
-    for a, b, block in layers.window_pairs():
-        linked = block.any(axis=0)
-        if not linked.any():
-            continue
-        roots = _find(parent, np.arange(a, b))
-        # each event of w+1 joins the smallest root among its predecessors,
-        # and the other predecessors' roots merge into that one
-        low = np.where(block, roots[:, None], n).min(axis=0)
-        parent[b + np.flatnonzero(linked)] = low[linked]
-        rows, cols = np.nonzero(block & (roots[:, None] != low))
-        for x, y in set(zip(roots[rows].tolist(), low[cols].tolist())):
-            _union(parent, x, y)
-    roots = _find(parent, np.arange(n))
-    return CascadeAssignment(layers.hles, np.cumsum(roots == np.arange(n))[roots])
+    root, _ = _join(layers.nodes, layers.tail, layers.head)
+    # the events of a super-node with an edge share its set; those of one
+    # without stay apart. Either way, a row stands for its set's first row.
+    rows = np.arange(len(layers.hles))
+    linked = np.zeros(layers.nodes, dtype=bool)
+    linked[layers.tail] = linked[layers.head] = True
+    first = np.full(layers.nodes, len(rows))
+    np.minimum.at(first, root[layers.node], rows)
+    rep = np.where(linked[layers.node], first[root[layers.node]], rows)
+    return CascadeAssignment(layers.hles, np.cumsum(rep == rows)[rep])

@@ -248,6 +248,17 @@ def oracle_partition(hles, link_value, lam):
     return blocks
 
 
+def oracle_cascade_ids(hles, link_value, lam):
+    """Cascade id of every distinct event: the blocks of ``oracle_partition``
+    numbered 1, 2, ... in the order of their first event by (window, feature
+    name, value)."""
+    block_of = {h: block for block in oracle_partition(hles, link_value, lam) for h in block}
+    ids = {}
+    for h in sorted(block_of, key=lambda h: (h.window, h.feature.name, h.value)):
+        ids.setdefault(block_of[h], len(ids) + 1)
+    return {h: ids[block] for h, block in block_of.items()}
+
+
 def partition_of(assignment):
     """Turn a cascade assignment into a partition for comparison."""
     groups = {}

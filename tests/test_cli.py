@@ -137,6 +137,19 @@ def test_missing_column_is_a_config_error(tmp_path, capsys):
     assert "case_id" in capsys.readouterr().err
 
 
+def test_out_of_range_stamps_are_errors_not_tracebacks(log_t_csv, tmp_path, capsys):
+    path = tmp_path / "edge.csv"
+    path.write_text("case,activity,timestamp,resource\nc1,a,9999-12-31T23:00:00-02:00,r1\n")
+    assert run(["analyze", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: timestamp '9999-12-31T23:00:00-02:00' is out of range" in err
+    code = run(["analyze", "--input", log_t_csv, "--out", str(tmp_path / "o"),
+                "--origin", "0001-01-01T00:00:00+02:00"])
+    assert code == 2
+    assert "--origin value '0001-01-01T00:00:00+02:00' is out of range" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_log_fails(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("case,activity,timestamp,resource\n")

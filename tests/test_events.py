@@ -274,6 +274,21 @@ def test_ingest_skips_a_byte_order_mark(tmp_path, log_t, quoting):
         ingest_csv(str(marked))
 
 
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+02:00", "9999-12-31T23:00:00-02:00"])
+def test_an_offset_stamp_beyond_the_utc_range_names_its_line(tmp_path, quoting, stamp):
+    path = tmp_path / "edge.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=quoting, lineterminator="\n").writerows([
+            ["case", "activity", "timestamp", "resource"],
+            ["c1", "a", "2024-01-01T00:00:00", "r1"],
+            ["c1", "b", stamp, "r1"],
+        ])
+    with pytest.raises(DataError) as exc:
+        ingest_csv(str(path))
+    assert str(exc.value) == f"{path}, line 3: timestamp {stamp!r} is out of range in UTC"
+
+
 def test_a_generated_log_is_read_without_csv_reader(tmp_path, monkeypatch):
     log = generate(ScenarioConfig(weeks=(WeekSpec(QUIET_ARRIVALS),), seed=3))
     path = tmp_path / "generated.csv"

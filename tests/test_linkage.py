@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_log, random_log
@@ -12,13 +14,16 @@ from highline import (
     ConfigError,
     FeatureId,
     HighLevelEvent,
+    HLETable,
     LinkTable,
     Segment,
     View,
     build_link_table,
     cascades,
+    propagation_edges,
     proximity,
 )
+import highline.linkage as linkage
 
 AB = Segment("a", "b")
 BC = Segment("b", "c")
@@ -338,3 +343,57 @@ def test_lambda_refines_cascades():
         coarse_of = {h: coarse.ids[h] for h in coarse.ids}
         for block in oracles.partition_of(fine):
             assert len({coarse_of[h] for h in block}) == 1
+
+
+def chain(windows):
+    """A chain through ``windows`` windows that alternates between two linked
+    resources: r1 with two views in even windows, r0 with one in odd ones.
+    Names order r0 first, so the component id descends at every step from
+    an even window to the next."""
+    r0, r1 = Component.resource("r0"), Component.resource("r1")
+    features = (FeatureId(View.DO, r0), FeatureId(View.DO, r1), FeatureId(View.WL, r1))
+    odd = np.arange(1, windows, 2)
+    even = np.arange(0, windows, 2)
+    codes = np.concatenate([np.zeros(len(odd)), np.ones(len(even)), np.full(len(even), 2)])
+    table = HLETable(
+        features,
+        codes.astype(np.intp),
+        np.concatenate([odd, even, even]).astype(np.int64),
+        np.ones(len(codes)),
+    )
+    return table, LinkTable({(r0, r1): 0.5})
+
+
+def test_a_long_alternating_chain_is_one_cascade():
+    table, links = chain(2000)
+    assert cascades(table, links, 0.5).count == 1
+    assert len(propagation_edges(table, links, 0.5)) == 2 * 1999
+    layers = linkage._layers(table, links, 0.5)
+    assert layers.nodes == 2000
+    assert linkage._join(layers.nodes, layers.tail, layers.head)[1] <= math.ceil(math.log2(2000))
+
+    prefix, _ = chain(300)
+    assignment = cascades(prefix, links, 0.5)
+    assert assignment.ids == oracles.oracle_cascade_ids(prefix, links.value, 0.5)
+    assert set(propagation_edges(prefix, links, 0.5)) == {
+        (h1, h2)
+        for h1, h2 in itertools.product(prefix, repeat=2)
+        if oracles.oracle_propagates(h1, h2, links.value, 0.5)
+    }
+
+
+def test_joining_takes_at_most_log2_rounds_where_plain_min_hooking_takes_more():
+    # super-nodes 0-4 in window 0, 5-7 in window 1 (one resource each), with
+    # edges 0-5, 1-6, 2-7, 3-7, 4-7, 3-5 and 4-6: hooking only the larger
+    # root of each edge onto the smaller needs 4 rounds here, one more than
+    # log2 of the 8 super-nodes
+    r = [Component.resource(f"r{i}") for i in range(8)]
+    edges = [(0, 5), (1, 6), (2, 7), (3, 7), (4, 7), (3, 5), (4, 6)]
+    links = LinkTable({(r[a], r[b]): 1.0 for a, b in edges})
+    hles = [hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)]
+    layers = linkage._layers(hles, links, 0.5)
+    assert (layers.nodes, len(layers.tail)) == (8, len(edges))
+    root, rounds = linkage._join(layers.nodes, layers.tail, layers.head)
+    assert rounds <= 3
+    assert root.tolist() == [0] * 8
+    assert cascades(hles, links, 0.5).count == 1

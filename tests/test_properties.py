@@ -9,6 +9,7 @@ single-event cases all occur often.
 import csv
 import dataclasses
 import itertools
+import math
 import re
 from collections import Counter
 from datetime import datetime, timedelta
@@ -23,6 +24,7 @@ import oracles
 from conftest import BASE
 
 import highline.events as events
+import highline.linkage as linkage
 
 from highline import (
     Component,
@@ -32,6 +34,8 @@ from highline import (
     FlattenOrder,
     Framing,
     HighLevelEvent,
+    HLETable,
+    LinkTable,
     View,
     analyze_log,
     build_hlel,
@@ -425,3 +429,84 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     none = (0, (0,) * len(summary.activities), (None,) * len(summary.activities))
     for row in summary.rows:
         assert (row.hles, row.counts, row.averages) == expected.get(row.period, none)
+
+
+def hle_table(rows):
+    """An ``HLETable`` of (view, component, window, value) rows, built from
+    its columns."""
+    features = sorted({FeatureId(v, c) for v, c, _, _ in rows}, key=lambda f: f.name)
+    code = {f: i for i, f in enumerate(features)}
+    return HLETable(
+        tuple(features),
+        np.array([code[FeatureId(v, c)] for v, c, _, _ in rows], dtype=np.intp),
+        np.array([w for _, _, w, _ in rows], dtype=np.int64),
+        np.array([x for _, _, _, x in rows], dtype=float),
+    )
+
+
+@st.composite
+def propagation_graphs(draw):
+    """High-level events of up to 8 resources in paths, zig-zags and stars,
+    with link values at, just above and just below lambda.
+
+    A path steps one window at a time, or two for a gap, through drawn or
+    descending resource ids, so its window order and its component order
+    disagree. A zig-zag fills windows w and w+1 with many resources; a star
+    has one resource in its middle window and many on both sides. A
+    resource's views order its features' names, and so its component id,
+    differently from its number.
+    """
+    lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    m = draw(st.integers(1, 8))
+    resources = [Component.resource(f"r{i}") for i in range(m)]
+    near = [lam, float(np.nextafter(lam, 2.0)), float(np.nextafter(lam, -1.0)), 0.0, 1.0]
+    links = LinkTable({
+        (a, b): min(1.0, max(0.0, draw(st.sampled_from(near))))
+        for a, b in itertools.combinations(resources, 2)
+    })
+    some = st.lists(st.integers(0, m - 1), min_size=1, max_size=m)
+    placed = []  # (window, resource number)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, 40))
+        shape = draw(st.sampled_from(["path", "zigzag", "star"]))
+        if shape == "path":
+            ids = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=20))
+            if draw(st.booleans()):
+                ids.sort(reverse=True)
+            gaps = st.sampled_from([1, 1, 1, 2])
+            steps = draw(st.lists(gaps, min_size=len(ids), max_size=len(ids)))
+            placed += zip(itertools.accumulate(steps, initial=start), ids)
+        elif shape == "zigzag":
+            placed += [(start, i) for i in draw(some)] + [(start + 1, i) for i in draw(some)]
+        else:
+            placed += [(start, i) for i in draw(some)] + [(start + 1, draw(st.integers(0, m - 1)))]
+            placed += [(start + 2, i) for i in draw(some)]
+    views = st.lists(st.sampled_from([View.DO, View.TODO, View.WL]), min_size=1, max_size=2)
+    rows = [
+        (view, resources[i], w, draw(st.sampled_from([0.5, 1.0])))
+        for w, i in placed
+        for view in draw(views)
+    ]
+    return hle_table(rows), links, lam
+
+
+@SETTINGS
+@given(propagation_graphs())
+def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
+    table, links, lam = graph
+    assignment = cascades(table, links, lam)
+    assert assignment.ids == oracles.oracle_cascade_ids(table, links.value, lam)
+    edges = propagation_edges(table, links, lam)
+    assert list(edges) == sorted(
+        edges, key=lambda e: tuple((h.window, h.feature.name, h.value) for h in e)
+    )
+    assert set(edges) == {
+        (h1, h2)
+        for h1, h2 in itertools.product(set(table), repeat=2)
+        if oracles.oracle_propagates(h1, h2, links.value, lam)
+    }
+    # every round at least halves the sets of each connected part
+    layers = linkage._layers(table, links, lam)
+    _, rounds = linkage._join(layers.nodes, layers.tail, layers.head)
+    event(f"{rounds} hooking rounds")
+    assert rounds <= math.ceil(math.log2(max(layers.nodes, 1)))
