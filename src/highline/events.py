@@ -25,6 +25,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -151,26 +152,23 @@ def _datetimes(times_us: np.ndarray) -> list[datetime]:
 
 
 class _Columns:
-    """Event columns as they grow, as int64 bytes: case, activity and
-    resource codes, each coded in order of first appearance, and
-    microseconds since the epoch."""
+    """Event columns given as ``str`` names, as they grow, as int64 bytes:
+    case, activity and resource codes, each coded in order of first
+    appearance, and microseconds since the epoch."""
 
     def __init__(self) -> None:
         self.codes: tuple[dict[str, int], ...] = ({}, {}, {})
         self.columns = (bytearray(), bytearray(), bytearray())
         self.times_us = bytearray()
 
-    def add(self, names: Sequence[Sequence[str]], times_us) -> list[str]:
+    def add(self, names: Sequence[Sequence[str]], times_us) -> None:
         """Append cases, activities and resources (``names``) and their
-        timestamps; returns the names not seen before."""
-        new: list[str] = []
+        timestamps."""
         for code, column, values in zip(self.codes, self.columns, names):
             fresh = [name for name in dict.fromkeys(values) if name not in code]
             code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
             column += np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values)).data
-            new += fresh
         self.times_us += np.ascontiguousarray(times_us, dtype=np.int64).data
-        return new
 
     def ranked(self) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
         """Per column, the sorted names and each row's index among them."""
@@ -179,6 +177,92 @@ class _Columns:
             rank = np.empty(len(names), dtype=np.intp)
             rank[list(map(code.__getitem__, names))] = np.arange(len(names))
             yield tuple(names), rank[np.frombuffer(column, dtype=np.int64)]
+
+
+# the byte mask that keeps the first i bytes of a big-endian 8-byte word
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * i)) for i in range(9)], dtype=np.uint64)
+# packed keys may take at most this many bytes per byte of the file read
+# (a file whose names are all of one length needs less than 1); a file with
+# a few much longer names is read by ``_read_general``
+_KEY_BYTES_PER_BYTE = 2
+
+
+class _Keys:
+    """Event columns of a standard-layout file as they grow.
+
+    Each name column is held as packed keys: its UTF-8 bytes, NUL-padded to
+    whole 8-byte words and read big-endian, so that integer order is byte
+    order, one uint64 array per word. Timestamps are int64 bytes of
+    microseconds since the epoch. ``finish`` interns each column once.
+    """
+
+    def __init__(self) -> None:
+        self.words: tuple[list[bytearray], ...] = ([], [], [])
+        self.rows = 0
+        self.size = 0  # bytes of the chunks added
+        self.times_us = bytearray()
+        self._ranked: list[tuple[tuple[str, ...], np.ndarray]] = []
+
+    def fits(self, rows: int, size: int, words: Sequence[int]) -> bool:
+        """Whether the keys stay within ``_KEY_BYTES_PER_BYTE`` bytes per
+        byte read after adding ``rows`` rows of ``size`` bytes whose name
+        columns need ``words`` words each."""
+        total = self.rows + rows
+        key_bytes = sum(8 * total * max(k, len(column)) for k, column in zip(words, self.words))
+        return key_bytes <= _KEY_BYTES_PER_BYTE * (self.size + size)
+
+    def add(self, keys: Sequence[Sequence[np.ndarray]], times_us: np.ndarray, size: int) -> None:
+        """Append the words of each name column's keys (``keys``) and the
+        timestamps of ``size`` bytes of rows; a column with fewer words
+        than before is padded with zero words, and one with more is padded
+        in the rows before."""
+        n = len(times_us)
+        for column, words in zip(self.words, keys):
+            for j, word in enumerate(words):
+                if j == len(column):
+                    column.append(bytearray(8 * self.rows))
+                column[j] += word.data
+            for word in column[len(words) :]:
+                word += bytes(8 * n)
+        self.rows += n
+        self.size += size
+        self.times_us += times_us.data
+
+    def finish(self) -> None:
+        """Intern each column: one ``np.unique`` per word, and one more to
+        fold each later word's ranks into the ranks of the words before.
+        Raises ``_NotStandard`` for a name with surrounding whitespace."""
+        if not self.rows:
+            self._ranked = [((), np.zeros(0, dtype=np.intp))] * 3
+            return
+        for column in self.words:
+            codes = None
+            for word in column:
+                values, rank = np.unique(np.frombuffer(word, dtype=np.uint64), return_inverse=True)
+                if codes is not None:  # both ranks stay below rows, so the pair fits in int64
+                    rank = np.unique(codes * len(values) + rank, return_inverse=True)[1]
+                codes = rank
+            first = np.empty(int(codes.max()) + 1, dtype=np.intp)
+            first[codes] = np.arange(self.rows)
+            names = _decoded(np.stack([np.frombuffer(w, dtype=np.uint64)[first] for w in column], axis=1))
+            if list(map(str.strip, names)) != names:
+                raise _NotStandard
+            self._ranked.append((tuple(names), codes))
+            column.clear()
+
+    def ranked(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
+        """Per column, the sorted names and each row's index among them."""
+        return self._ranked
+
+
+def _decoded(keys: np.ndarray) -> list[str]:
+    """The names of distinct packed keys, one per row of ``keys``, decoded
+    from one buffer. UTF-8 byte order is code point order, so names of
+    sorted keys come out sorted as ``str``."""
+    grid = keys.astype(">u8").view(np.uint8)
+    # names hold no NUL, so the nonzero bytes of a row are its name
+    lines = np.concatenate([grid, np.full((len(grid), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return lines[lines != 0].tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -228,19 +312,24 @@ class EventLog:
         return cls._of(columns, ids, provenance)
 
     @classmethod
-    def _of(cls, columns: _Columns, ids: Sequence[int] | None, provenance: Provenance | None) -> "EventLog":
+    def _of(
+        cls, columns: _Columns | _Keys, ids: Sequence[int] | None, provenance: Provenance | None
+    ) -> "EventLog":
         log = cls.__new__(cls)
         log._set_columns(columns, ids, provenance)
         return log
 
-    def _set_columns(self, columns: _Columns, ids: Sequence[int] | None, provenance: Provenance | None) -> None:
+    def _set_columns(
+        self, columns: _Columns | _Keys, ids: Sequence[int] | None, provenance: Provenance | None
+    ) -> None:
         """Rank the codes by name and sort the rows; ids default to 1..n in
         the order the rows were added."""
         (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
             columns.ranked()
         )
         times = np.frombuffer(columns.times_us, dtype=np.int64)
-        ids = np.arange(1, len(case) + 1) if ids is None else np.asarray(ids, dtype=np.int64)
+        default_ids = ids is None
+        ids = np.arange(1, len(case) + 1) if default_ids else np.asarray(ids, dtype=np.int64)
         if not len(case) == len(activity) == len(times) == len(resource) == len(ids):
             raise DataError("event columns differ in length")
         order = np.lexsort((ids, case, times))
@@ -250,12 +339,13 @@ class EventLog:
         self.times_us = _frozen(times[order])
         self.ids = _frozen(ids[order])
         self.provenance = provenance
-        self._validate()
+        self._validate(default_ids)
 
-    def _validate(self) -> None:
+    def _validate(self, default_ids: bool) -> None:
         names = (self.case_names, self.activity_names, self.resource_names)
-        ids = np.sort(self.ids)
-        if not any("" in n for n in names) and not (ids[1:] == ids[:-1]).any():
+        # names are sorted, so an empty name comes first
+        empty = any(n[:1] == ("",) for n in names)
+        if not empty and (default_ids or len(np.unique(self.ids)) == len(self.ids)):
             return
         # name the first offending event in row order
         seen: set[int] = set()
@@ -404,7 +494,7 @@ def format_timestamp(t: datetime, timestamp_format: str | None = None) -> str:
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
 # the general reader takes rows this many at a time, and the standard-layout
 # reader bytes this many at a time (cut at the last newline), so that only
-# one chunk's field strings are alive at once
+# one chunk's fields are alive at once
 _CHUNK_ROWS = 1 << 12
 _CHUNK_BYTES = 1 << 16
 
@@ -422,50 +512,69 @@ def ingest_csv(
     whitespace; a value that is empty after stripping is a row error.
     A file that mixes timestamps with and without a UTC offset is read as
     naive UTC throughout, with a warning naming the first line of the
-    less frequent kind. A leading byte order mark is skipped.
+    less frequent kind. A leading byte order mark is skipped. A file that
+    is not UTF-8 is an error naming the line of its first invalid byte.
 
     A file in the layout ``write_event_csv`` writes is parsed straight from
-    its bytes with ``str.split`` and numpy; any other file, and any file
-    read with a ``timestamp_format``, goes through ``csv.reader`` from its
-    first line. Both give the same log.
+    its bytes with numpy, each name column interned once at the end; any
+    other file, and any file read with a ``timestamp_format``, goes through
+    ``csv.reader`` from its first line. Both give the same log.
     """
     mapping = mapping or ColumnMapping()
     provenance = Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format)
+    columns: _Keys | _Columns | None = None
     if timestamp_format is None:
-        columns = _Columns()
         try:
-            _read_standard(path, mapping, columns)
-            return EventLog._of(columns, None, provenance)
+            columns = _read_standard(path, mapping)
         except _NotStandard:
             pass
-    columns = _Columns()
-    _read_general(path, mapping, timestamp_format, columns)
+    if columns is None:
+        columns = _Columns()
+        try:
+            _read_general(path, mapping, timestamp_format, columns)
+        except UnicodeDecodeError:
+            raise not_utf8_error(path) from None
     return EventLog._of(columns, None, provenance)
+
+
+def not_utf8_error(path: str) -> DataError:
+    """The error for a file that is not UTF-8, naming the line of its first
+    invalid byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}, line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}")
+    return DataError(f"{path}: changed while being read")
 
 
 class _NotStandard(Exception):
     """The file is not in the standard layout; it is read by ``_read_general``."""
 
 
-def _read_standard(path: str, mapping: ColumnMapping, columns: _Columns) -> None:
-    """Fill ``columns`` from a file in the standard layout, or raise
-    ``_NotStandard`` at the first chunk that is not in it.
+def _read_standard(path: str, mapping: ColumnMapping) -> _Keys:
+    """The columns of a file in the standard layout, or ``_NotStandard`` at
+    the first chunk that is not in it.
 
-    The layout: no ``"`` and no carriage return; every line, the last one
-    included, has the header's number of fields; names are non-empty and
-    have no surrounding whitespace; timestamps are ASCII
+    The layout: UTF-8 with no ``"``, carriage return or NUL byte; every
+    line, the last one included, has the header's number of fields; names
+    are non-empty and have no surrounding whitespace; timestamps are ASCII
     ``YYYY-MM-DDTHH:MM:SS[.ffffff]``. Such a file gives ``csv.reader`` and
-    ``datetime.fromisoformat`` nothing to do that ``str.split`` and numpy
-    cannot. A chunk that fails sends the whole file to the general reader,
-    since a quoted field may span the newline the chunk was cut at.
+    ``datetime.fromisoformat`` nothing to do that numpy cannot. A chunk that
+    fails sends the whole file to the general reader, since a quoted field
+    may span the newline the chunk was cut at; so does a name too long to
+    pack (``_KEY_BYTES_PER_BYTE``).
     """
+    keys = _Keys()
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
             header = line.decode("utf-8-sig")
         except UnicodeDecodeError:
             raise _NotStandard from None
-        if '"' in header or "\r" in header or len(line) > csv.field_size_limit():
+        if '"' in header or "\r" in header or "\0" in header or len(line) > csv.field_size_limit():
             raise _NotStandard
         header = header.removesuffix("\n").split(",")
         try:
@@ -478,77 +587,102 @@ def _read_standard(path: str, mapping: ColumnMapping, columns: _Columns) -> None
             data = rest + block
             if not block:
                 if data:
-                    _add_standard(data + b"\n", len(header), index, columns)
-                return
+                    _add_standard(data + b"\n", len(header), index, keys)
+                break
             cut = data.rfind(b"\n") + 1
             if cut:
-                _add_standard(data[:cut], len(header), index, columns)
+                _add_standard(data[:cut], len(header), index, keys)
             rest = data[cut:]
             if len(rest) > csv.field_size_limit():
                 raise _NotStandard  # a line csv.reader may refuse
+    keys.finish()
+    return keys
 
 
-def _add_standard(chunk: bytes, width: int, index: list[int], columns: _Columns) -> None:
+def _add_standard(chunk: bytes, width: int, index: list[int], keys: _Keys) -> None:
     """Add the lines of ``chunk`` (complete lines of ``width`` fields each)
-    to ``columns``, or raise ``_NotStandard``."""
-    if b'"' in chunk or b"\r" in chunk:
+    to ``keys``, or raise ``_NotStandard``. Every field is located from the
+    positions of the commas and newlines, and gathered from the bytes."""
+    # a NUL would pack like the padding of a shorter name
+    if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
         raise _NotStandard
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    # commas before each line end; a blank line has none
-    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
-    if (np.diff(commas, prepend=0) != width - 1).any():
-        raise _NotStandard
-    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
-        raise _NotStandard  # a line csv.reader may refuse
     try:
-        fields = chunk.decode("utf-8").replace("\n", ",").split(",")
+        chunk.decode("utf-8")
     except UnicodeDecodeError:
         raise _NotStandard from None
-    n = len(ends) * width
-    case, activity, stamp, resource = (fields[i:n:width] for i in index)
-    new = columns.add((case, activity, resource), _standard_microseconds(stamp))
-    # str.strip returns a name without surrounding whitespace as it is
-    if "" in new or list(map(str.strip, new)) != new:
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    stops = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if len(stops) % width:
         raise _NotStandard
+    # one row of field ends per line: commas, then the line's newline
+    stops = stops.reshape(-1, width)
+    line = np.full(width, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
+    if (raw[stops] != line).any():
+        raise _NotStandard
+    if np.diff(stops[:, -1], prepend=-1).max() > csv.field_size_limit():
+        raise _NotStandard  # a line csv.reader may refuse
+    starts = np.concatenate(([0], stops.ravel()[:-1] + 1)).reshape(stops.shape)
+    lengths = stops - starts
+    case, activity, stamp, resource = index
+    columns = [case, activity, resource]
+    name_lengths = lengths[:, columns]
+    if name_lengths.min() == 0:
+        raise _NotStandard  # an empty name is a row error
+    words = ((name_lengths.max(axis=0) + 7) // 8).tolist()
+    if not keys.fits(len(stops), len(chunk), words):
+        raise _NotStandard
+    padded = chunk + bytes(8 * max(words) + len(_ISO_LOW))
+    # every 8 bytes from each position of the chunk, as one big-endian word
+    at = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    packed = [
+        [
+            np.bitwise_and(at[starts[:, i] + 8 * j], _KEEP[np.clip(lengths[:, i] - 8 * j, 0, 8)])
+            for j in range(k)
+        ]
+        for i, k in zip(columns, words)
+    ]
+    us = _standard_microseconds(np.frombuffer(padded, dtype=np.uint8), starts[:, stamp], lengths[:, stamp])
+    keys.add(packed, us, len(chunk))
 
 
-# a strict ISO 8601 timestamp, by byte position: lowest and highest byte
+# a strict ISO 8601 timestamp, by byte position: lowest byte, and the span
+# up to the highest
 _ISO_LOW = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
-_ISO_HIGH = np.frombuffer(b"9999-99-99T99:99:99.999999", dtype=np.uint8)
+_ISO_SPAN = np.frombuffer(b"9999-99-99T99:99:99.999999", dtype=np.uint8) - _ISO_LOW
+_YEAR_ONE_US = to_microseconds(datetime(1, 1, 1))
 
 
-def _standard_microseconds(stamps: list[str]) -> np.ndarray:
-    """Microseconds since the epoch of timestamps that are all ASCII
-    ``YYYY-MM-DDTHH:MM:SS`` or ``YYYY-MM-DDTHH:MM:SS.ffffff`` with a year of
-    at least 1, as ``datetime.fromisoformat`` reads them; otherwise raises
+def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Microseconds since the epoch of the timestamps at ``starts`` in the
+    bytes ``raw`` (which run on at least 26 bytes past each start), if
+    they are all ASCII ``YYYY-MM-DDTHH:MM:SS`` or
+    ``YYYY-MM-DDTHH:MM:SS.ffffff`` with a year of at least 1, as
+    ``datetime.fromisoformat`` reads them; otherwise raises
     ``_NotStandard``."""
-    lengths = set(map(len, stamps))
-    if not lengths <= {19, 26}:
+    short = lengths == 19
+    width = 19 if short.all() else 26
+    if width > 19 and not (short | (lengths == 26)).all():
         raise _NotStandard
-    width = max(lengths)
-    # short stamps among long ones are padded with NULs, which numpy drops
-    padded = stamps if len(lengths) == 1 else (s.ljust(width, "\0") for s in stamps)
-    try:
-        text = "".join(padded).encode("ascii")
-    except UnicodeEncodeError:
-        raise _NotStandard from None
-    grid = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), width)
-    shaped = (grid >= _ISO_LOW[:width]) & (grid <= _ISO_HIGH[:width])
-    if not shaped[:, :19].all() or (grid[:, :4] == ord("0")).all(axis=1).any():
+    grid = sliding_window_view(raw, width)[starts]
+    # a byte below the lowest wraps around to above the span
+    shaped = grid - _ISO_LOW[:width] <= _ISO_SPAN[:width]
+    if not shaped[:, :19].all():
         raise _NotStandard
     if width > 19:
-        tail = shaped[:, 19:].all(axis=1)
-        if len(lengths) > 1:
-            tail |= np.fromiter(map(len, stamps), dtype=np.intp, count=len(stamps)) == 19
-        if not tail.all():
+        if not (shaped[:, 19:].all(axis=1) | short).all():
             raise _NotStandard
+        # short stamps among long ones are padded with NULs, which numpy drops
+        grid[short, 19:] = 0
     try:
         # numpy refuses month 13, Feb 30, hour 24, minute 60 and second 60,
-        # as fromisoformat does
-        return grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
+        # as fromisoformat does, but reads year 0
+        us = grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
     except ValueError:
         raise _NotStandard from None
+    if us.min() < _YEAR_ONE_US:
+        raise _NotStandard
+    return us
 
 
 def _read_general(path: str, mapping: ColumnMapping, timestamp_format: str | None, columns: _Columns) -> None:

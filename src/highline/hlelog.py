@@ -19,7 +19,7 @@ from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence, Tex
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import EventLog, format_timestamp, parse_timestamp, to_microseconds
+from .events import EventLog, format_timestamp, not_utf8_error, parse_timestamp, to_microseconds
 from .features import HighLevelEvent, HLETable, ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
@@ -313,34 +313,38 @@ class _Echo:
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighLevelLogEntry, ...]:
     """Read a ``write_hlel_csv`` export back. A malformed row raises
-    DataError naming the path and its line."""
+    DataError naming the path and its line, and so does a byte that is not
+    UTF-8."""
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(HLEL_COLUMNS):
-            raise DataError(f"{path}: not a high-level event log export")
-        for row in reader:
-            if len(row) != len(HLEL_COLUMNS):
-                few = "few" if len(row) < len(HLEL_COLUMNS) else "many"
-                raise DataError(f"{path}, line {reader.line_num}: too {few} columns")
-            try:
-                entries.append(
-                    HighLevelLogEntry(
-                        hle_id=int(row[0]),
-                        case=int(row[1]),
-                        activity=row[2],
-                        timestamp=parse_timestamp(row[3], timestamp_format),
-                        window=int(row[4]),
-                        view=row[5],
-                        component_kind=row[6],
-                        component=row[7],
-                        value=float(row[8]),
-                        threshold=float(row[9]),
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(HLEL_COLUMNS):
+                raise DataError(f"{path}: not a high-level event log export")
+            for row in reader:
+                if len(row) != len(HLEL_COLUMNS):
+                    few = "few" if len(row) < len(HLEL_COLUMNS) else "many"
+                    raise DataError(f"{path}, line {reader.line_num}: too {few} columns")
+                try:
+                    entries.append(
+                        HighLevelLogEntry(
+                            hle_id=int(row[0]),
+                            case=int(row[1]),
+                            activity=row[2],
+                            timestamp=parse_timestamp(row[3], timestamp_format),
+                            window=int(row[4]),
+                            view=row[5],
+                            component_kind=row[6],
+                            component=row[7],
+                            value=float(row[8]),
+                            threshold=float(row[9]),
+                        )
                     )
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+                except ValueError as exc:
+                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     return tuple(entries)
 
 

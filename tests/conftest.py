@@ -1,9 +1,11 @@
 import random
 from datetime import datetime, timedelta
+from unittest import mock
 
 import pytest
 
-from highline import Event, EventLog
+import highline.events
+from highline import Event, EventLog, ingest_csv
 
 BASE = datetime(2024, 1, 1)
 
@@ -37,6 +39,12 @@ def log_t_csv_text():
     for c, a, s, r in LOG_T_ROWS:
         lines.append(f"{c},{a},{(BASE + timedelta(seconds=s)).isoformat()},{r}")
     return "\n".join(lines) + "\n"
+
+
+def read_general(path):
+    """The log ``csv.reader`` reads from ``path``."""
+    with mock.patch.object(highline.events, "_read_standard", side_effect=highline.events._NotStandard):
+        return ingest_csv(path)
 
 
 def random_log(rng: random.Random, max_events=200, max_cases=20, span=3600, tie_rate=0.1):

@@ -119,6 +119,51 @@ def test_usage_errors_exit_2(log_t_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("percentile", "0.9"),
+    ("percentile", True),
+    ("summary_top", "4"),
+    ("summary_top", 4.0),
+    ("window_width", 5),
+    ("views", "exec"),
+    ("views", ["exec", 1]),
+    ("activities", "a"),
+    ("segments", ["a", "b"]),
+    ("exclude_zeros", "yes"),
+    ("out", 7),
+])
+def test_a_mistyped_config_field_is_a_config_error(log_t_csv, tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"input": log_t_csv, "out": str(tmp_path / "o"), field: value}))
+    assert run(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: field {field!r} must be ")
+    assert err.rstrip().endswith(f"got {json.dumps(value)}")
+
+
+def test_a_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('[["input", "log.csv"]]')
+    assert run(["analyze", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+
+
+def test_config_fields_of_their_own_types_are_accepted(log_t_csv, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "input": log_t_csv, "out": str(tmp_path / "o"), "window_width": "20s", "percentile": 1,
+        "lam": 0, "views": None, "segments": [["a", "b"]], "exclude_zeros": True, "summary_top": 2,
+    }))
+    assert run(["analyze", "--config", str(path)]) == 0
+
+
+def test_a_latin1_log_is_an_error_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(log_t_csv_text().replace("c2,a,", "c2,caf\u00e9,").encode("latin-1"))
+    assert run(["analyze", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}, line 5: invalid UTF-8 byte 0xe9\n"
+
+
 def test_unknown_flag_is_a_usage_error(log_t_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "--input", log_t_csv, "--frobnicate"])

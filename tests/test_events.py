@@ -2,12 +2,14 @@ import codecs
 import csv
 import logging
 import random
-from datetime import datetime
+import tracemalloc
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import log_t_csv_text, make_log, random_log
+from conftest import BASE, log_t_csv_text, make_log, random_log, read_general
 from oracles import oracle_steps
 
 from highline import (
@@ -302,6 +304,67 @@ def test_a_generated_log_is_read_without_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(events_module.csv, "reader", refuse)
     monkeypatch.setattr(events_module, "_parser", refuse)
     assert columns(ingest_csv(str(path))) == columns(log)
+
+
+def event_csv(path, rows):
+    """Write (case, activity, seconds, resource) rows in the standard layout."""
+    lines = ["case,activity,timestamp,resource"]
+    lines += [f"{c},{a},{(BASE + timedelta(seconds=s)).isoformat()},{r}" for c, a, s, r in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_a_short_line_and_a_wide_line_are_not_read_as_two_rows(tmp_path):
+    # three fields, then five: the separators still add up to two lines of four
+    path = tmp_path / "ragged.csv"
+    path.write_text("case,activity,timestamp,resource\n"
+                    "c1,a,2024-01-01T00:00:00\nr1,c2,b,2024-01-01T00:00:01,r2\n")
+    with pytest.raises(DataError, match="line 2: too few columns"):
+        ingest_csv(str(path))
+
+
+@pytest.mark.parametrize("name", ["c\x001", "c1\x00", "\x00"])
+def test_a_nul_byte_sends_the_file_to_csv_reader(tmp_path, name):
+    # a packed key pads a name with NULs, so "c" and "c\0" would collide
+    path = tmp_path / "nul.csv"
+    event_csv(path, [("c", "a", 0, "r1"), (name, "a", 1, "r1")])
+    with mock.patch.object(events_module, "_read_general", wraps=events_module._read_general) as general:
+        log = ingest_csv(str(path))
+    assert general.called
+    assert log.case_names == tuple(sorted({"c", name}))
+
+
+def test_a_100000_byte_name_is_read_as_csv_reader_reads_it_in_bounded_memory(tmp_path):
+    long_name = "n" * 100_000
+    rows = [(long_name if i == 2_500 else f"c{i % 300}", f"a{i % 7}", i, f"r{i % 5}") for i in range(5_000)]
+    path = tmp_path / "long.csv"
+    event_csv(path, rows)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        log = ingest_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns(log) == columns(read_general(str(path)))
+    assert long_name in log.case_names
+    # packing the chunk around the long name would take about 1,700 rows
+    # of 100,000 bytes each, 670 times the file; csv.reader needs about 11
+    assert peak < 16 * size
+
+
+@pytest.mark.parametrize("standard", [True, False])
+def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, standard):
+    path = tmp_path / "latin1.csv"
+    quote = "" if standard else '"'
+    path.write_bytes(
+        "case,activity,timestamp,resource\n"
+        f"c1,{quote}request{quote},2024-01-01T00:00:00,r1\n"
+        "c1,café,2024-01-01T00:00:01,r1\n"
+        "c2,café,2024-01-01T00:00:02,r\u00e9\n".encode("latin-1")
+    )
+    with pytest.raises(DataError) as exc:
+        ingest_csv(str(path))
+    assert str(exc.value) == f"{path}, line 3: invalid UTF-8 byte 0xe9"
 
 
 def test_uniform_timezone_offsets_do_not_warn(tmp_path, caplog):

@@ -199,6 +199,18 @@ def test_read_hlel_non_integer_id_names_its_line(tmp_path, log_t):
         read_hlel_csv(path)
 
 
+def test_read_hlel_latin1_byte_names_its_line(tmp_path, log_t):
+    path = _corrupt_hlel(tmp_path, log_t, lambda row: row)
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[2] = lines[2].replace(b",", b",caf\xe9", 1)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    with pytest.raises(DataError) as exc:
+        read_hlel_csv(path)
+    assert str(exc.value) == f"{path}, line 3: invalid UTF-8 byte 0xe9"
+
+
 def test_case_ids_are_cascade_ids(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     for e in result.entries:

@@ -21,7 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BASE
+from conftest import BASE, read_general
 
 import highline.events as events
 import highline.linkage as linkage
@@ -180,9 +180,15 @@ def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, d
 
 # --- ingest: the standard-layout reader agrees with csv.reader -----------------
 
-PLAIN_NAMES = ["c1", "c2", "r1", "act", "é", "日本"]
+PLAIN_NAMES = [
+    "c1", "c2", "r1", "act", "é", "日本",
+    # names are packed into 8-byte words: lengths at and across word
+    # boundaries, an 8-byte prefix shared, and a character across byte 8
+    "abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefghXY", "abcdefg日",
+]
 ODD_NAMES = [
     "", " c1", "c2 ", "a b", "\t", "\x85", "x,y", 'say "hi"', "two\nlines", "car\rriage", "n\x00ul",
+    "\u00a0x", "x\u3000", "\x1cx",
 ]
 # whole seconds (19 characters) and microseconds (26) mix in one file
 PLAIN_STAMPS = st.builds(
@@ -275,11 +281,6 @@ def outcome(read, path):
     )
 
 
-def read_general(path):
-    with mock.patch.object(events, "_read_standard", side_effect=events._NotStandard):
-        return ingest_csv(path)
-
-
 @SETTINGS
 @given(st.lists(PLAIN_STAMPS, max_size=4), ODD_STAMPS, st.lists(PLAIN_STAMPS, max_size=4))
 def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(before, stamp, after):
@@ -288,8 +289,13 @@ def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(before, stamp
         want = [to_microseconds(parse_timestamp(s)) for s in stamps]
     except (ValueError, OverflowError):  # an offset can move year 1 out of range
         want = None
+    # the stamps as fields of one line of bytes, as the reader finds them
+    fields = [s.encode("utf-8") for s in stamps]
+    lengths = np.array(list(map(len, fields)))
+    starts = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+    raw = np.frombuffer(b",".join(fields) + b"\n" + bytes(26), dtype=np.uint8)
     try:
-        got = events._standard_microseconds(stamps).tolist()
+        got = events._standard_microseconds(raw, starts, lengths).tolist()
     except events._NotStandard:
         return
     assert got == want
