@@ -54,7 +54,6 @@ from .linkage import (
     build_link_table,
     cascades,
     propagation_edges,
-    proximity,
 )
 from .pipeline import AnalysisResult, analyze_log
 
@@ -104,7 +103,6 @@ __all__ = [
     "nearest_rank",
     "parse_duration",
     "propagation_edges",
-    "proximity",
     "read_hlel_csv",
     "restrict",
     "summarize",

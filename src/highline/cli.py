@@ -13,11 +13,10 @@ import csv
 import json
 import os
 import sys
-import types
 import typing
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_json_types, read_json_object
 from .events import (
     ColumnMapping,
     Component,
@@ -105,46 +104,19 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(data) - set(known)
+        data = read_json_object(path)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
         if "input" not in data:
             raise ConfigError(f"{path}: missing required field 'input'")
-        hints = typing.get_type_hints(cls)
-        for name, value in data.items():
-            if not _has_type(value, hints[name]):
-                raise ConfigError(
-                    f"{path}: field {name!r} must be {known[name].type}, got {json.dumps(value)}"
-                )
+        check_json_types(data, typing.get_type_hints(cls), path)
         return cls(**data)
 
     def write_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _has_type(value: object, hint: object) -> bool:
-    """Whether a JSON value is of a ``RunConfig`` field's type; an integer
-    is a float, and a boolean is no number."""
-    if isinstance(hint, types.UnionType):
-        return any(_has_type(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, not_utf8_error
 
 log_ = logging.getLogger(__name__)
 
@@ -535,19 +535,6 @@ def ingest_csv(
         except UnicodeDecodeError:
             raise not_utf8_error(path) from None
     return EventLog._of(columns, None, provenance)
-
-
-def not_utf8_error(path: str) -> DataError:
-    """The error for a file that is not UTF-8, naming the line of its first
-    invalid byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return DataError(f"{path}, line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}")
-    return DataError(f"{path}: changed while being read")
 
 
 class _NotStandard(Exception):

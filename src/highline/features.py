@@ -113,33 +113,6 @@ class HLETable(Sequence[HighLevelEvent]):
         self.windows = windows
         self.values = values
 
-    @classmethod
-    def of(cls, hles: Iterable[HighLevelEvent]) -> "HLETable":
-        """A table as it is; any other events as a table in the given order."""
-        if isinstance(hles, HLETable):
-            return hles
-        hles = list(hles)
-        # events of one feature mostly share its FeatureId object: looking it
-        # up by identity first hashes each distinct object once, not every event
-        seen: dict[FeatureId, int] = {}
-        by_object: dict[int, int] = {}
-        first_seen = []
-        for h in hles:
-            i = by_object.get(id(h.feature))
-            if i is None:
-                i = by_object[id(h.feature)] = seen.setdefault(h.feature, len(seen))
-            first_seen.append(i)
-        features = list(seen)
-        by_name = sorted(range(len(features)), key=lambda i: features[i].name)
-        rank = np.empty(len(features), dtype=np.intp)
-        rank[by_name] = np.arange(len(features))
-        return cls(
-            tuple(features[i] for i in by_name),
-            rank[np.array(first_seen, dtype=np.intp)],
-            np.fromiter((h.window for h in hles), dtype=np.int64, count=len(hles)),
-            np.fromiter((h.value for h in hles), dtype=float, count=len(hles)),
-        )
-
     def distinct(self) -> "HLETable":
         """The distinct events ordered by (window, feature name, value);
         the table itself when it already is."""

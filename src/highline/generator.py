@@ -20,12 +20,12 @@ untouched.
 from __future__ import annotations
 
 import heapq
-import json
 import random
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .errors import ConfigError
+from .errors import ConfigError, check_json_types, read_json_object
 from .events import EventLog, Provenance, to_microseconds
 
 ACT_REQUEST = "request"
@@ -139,6 +139,9 @@ class ScenarioConfig:
         unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown scenario config fields: {sorted(unknown)}")
+        # the JSON forms of the fields that to_dict converts
+        hints = {**typing.get_type_hints(cls), "weeks": list[tuple[int, int] | None], "start": str}
+        check_json_types(data, hints, "scenario config")
         merged = {**known, **data}
         try:
             return cls(
@@ -162,17 +165,12 @@ class ScenarioConfig:
                 intake_resource=merged["intake_resource"],
                 seed=merged["seed"],
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"malformed scenario config: {exc}") from None
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path))
 
 
 @dataclass

@@ -14,13 +14,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import ContextManager, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .events import EventLog, format_timestamp, not_utf8_error, parse_timestamp, to_microseconds
-from .features import HighLevelEvent, HLETable, ThresholdTable, View
+from .errors import ConfigError, DataError, not_utf8_error
+from .events import EventLog, format_timestamp, parse_timestamp, to_microseconds
+from .features import ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
 
@@ -94,34 +94,6 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
         self.stamps = tuple(stamps)
         self.stamp_codes = stamp_codes
 
-    @classmethod
-    def of(cls, entries: Iterable[HighLevelLogEntry]) -> "HighLevelLog":
-        """A log as it is; any other entries as columns in the given order."""
-        if isinstance(entries, HighLevelLog):
-            return entries
-        entries = list(entries)
-        features: dict[HLELFeature, int] = {}
-        stamps: dict[datetime, int] = {}
-        feature_codes, stamp_codes = [], []
-        for e in entries:
-            f = HLELFeature(e.activity, e.view, e.component_kind, e.component, e.threshold)
-            feature_codes.append(features.setdefault(f, len(features)))
-            stamp_codes.append(stamps.setdefault(e.timestamp, len(stamps)))
-
-        def column(name, dtype):
-            return np.fromiter((getattr(e, name) for e in entries), dtype=dtype, count=len(entries))
-
-        return cls(
-            list(features),
-            np.array(feature_codes, dtype=np.intp),
-            column("case", np.int64),
-            column("window", np.int64),
-            column("value", float),
-            column("hle_id", np.int64),
-            list(stamps),
-            np.array(stamp_codes, dtype=np.intp),
-        )
-
     def take(self, rows: np.ndarray) -> "HighLevelLog":
         """The log of the given rows, in that order."""
         return HighLevelLog(
@@ -166,19 +138,15 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
 
 
 def build_hlel(
-    hles: Iterable[HighLevelEvent],
-    assignment: CascadeAssignment,
-    framing: Framing,
-    thresholds: ThresholdTable,
+    assignment: CascadeAssignment, framing: Framing, thresholds: ThresholdTable
 ) -> HighLevelLog:
     """Materialize the high-level event log, one entry per high-level event
-    (equal events given twice give two entries).
+    of the assignment, its cascade as the case.
 
     Entries are sorted by (case, window, activity name); ids follow that
     order.
     """
-    table = HLETable.of(hles)
-    cases = assignment.cases_of(table)
+    table, cases = assignment.hles, assignment.cases
     # table codes follow the feature names; lexsort is stable, like sorting
     # by the (case, window, name) key
     order = np.lexsort((table.codes, table.windows, cases))
@@ -216,8 +184,11 @@ class FlattenOrder:
 
     @classmethod
     def from_file(cls, path: str) -> "FlattenOrder":
-        with open(path, encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                names = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise not_utf8_error(path, ConfigError) from None
         return cls(names)
 
     def key(self, name: str) -> tuple[int, int | str]:
@@ -226,12 +197,9 @@ class FlattenOrder:
         return (1, name)
 
 
-def flatten(
-    entries: Iterable[HighLevelLogEntry], order: FlattenOrder | None = None
-) -> HighLevelLog:
+def flatten(hlel: HighLevelLog, order: FlattenOrder | None = None) -> HighLevelLog:
     """Totally order the log: by case, then window, then the fixed
     activity order within each window. Idempotent."""
-    hlel = HighLevelLog.of(entries)
     order = order or FlattenOrder()
     keys = [order.key(f.activity) for f in hlel.features]
     rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
@@ -239,13 +207,12 @@ def flatten(
     return hlel.take(np.lexsort((rank[hlel.feature_codes], hlel.windows, hlel.cases)))
 
 
-def export_dfg(entries: Sequence[HighLevelLogEntry]) -> str:
+def export_dfg(hlel: HighLevelLog) -> str:
     """A DOT directly-follows graph of a flattened log.
 
     Nodes carry activity frequencies, edges count within-case adjacencies.
     Output ordering is deterministic.
     """
-    hlel = HighLevelLog.of(entries)
     names, act = hlel.activity_codes()
     nodes = np.bincount(act, minlength=len(names))
     same = hlel.cases[1:] == hlel.cases[:-1]
@@ -269,10 +236,7 @@ def _quote(text: str) -> str:
 _WRITE_ROWS = 1 << 12
 
 
-def write_hlel_csv(
-    entries: Iterable[HighLevelLogEntry], path: str, timestamp_format: str | None = None
-) -> None:
-    hlel = HighLevelLog.of(entries)
+def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
     row = csv.writer(_Echo, lineterminator="\n").writerow
 
     def fields(*values: str) -> str:
@@ -311,11 +275,15 @@ class _Echo:
         return line
 
 
-def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighLevelLogEntry, ...]:
-    """Read a ``write_hlel_csv`` export back. A malformed row raises
-    DataError naming the path and its line, and so does a byte that is not
-    UTF-8."""
-    entries = []
+def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:
+    """Read a ``write_hlel_csv`` export back, interning the feature columns
+    and the timestamps. A malformed row raises DataError naming the path and
+    its line, and so does a byte that is not UTF-8."""
+    features: dict[HLELFeature, int] = {}
+    stamp_code: dict[str, int] = {}
+    stamps: list[datetime] = []
+    rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
+    values: list[float] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -327,25 +295,23 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> tuple[HighL
                     few = "few" if len(row) < len(HLEL_COLUMNS) else "many"
                     raise DataError(f"{path}, line {reader.line_num}: too {few} columns")
                 try:
-                    entries.append(
-                        HighLevelLogEntry(
-                            hle_id=int(row[0]),
-                            case=int(row[1]),
-                            activity=row[2],
-                            timestamp=parse_timestamp(row[3], timestamp_format),
-                            window=int(row[4]),
-                            view=row[5],
-                            component_kind=row[6],
-                            component=row[7],
-                            value=float(row[8]),
-                            threshold=float(row[9]),
-                        )
-                    )
+                    hle_id, case, window = int(row[0]), int(row[1]), int(row[4])
+                    value, threshold = float(row[8]), float(row[9])
+                    feature = HLELFeature(row[2], row[5], row[6], row[7], threshold)
+                    if row[3] not in stamp_code:
+                        stamps.append(parse_timestamp(row[3], timestamp_format))
+                        stamp_code[row[3]] = len(stamp_code)
                 except ValueError as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+                code = features.setdefault(feature, len(features))
+                rows.append((hle_id, case, window, code, stamp_code[row[3]]))
+                values.append(value)
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
-    return tuple(entries)
+    ids, cases, windows, codes, stamp_codes = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return HighLevelLog(
+        list(features), codes, cases, windows, np.array(values), ids, stamps, stamp_codes
+    )
 
 
 # --- summary -------------------------------------------------------------------
@@ -373,7 +339,7 @@ class SummaryTable:
 
 def summarize(
     log: EventLog,
-    entries: Sequence[HighLevelLogEntry],
+    hlel: HighLevelLog,
     period_seconds: float,
     origin: datetime,
     activities: Sequence[str] | None = None,
@@ -392,7 +358,6 @@ def summarize(
     def period_of(t: datetime) -> int:
         return int((t - origin).total_seconds() // period_seconds) + 1
 
-    hlel = HighLevelLog.of(entries)
     names, act = hlel.activity_codes()
     freq = np.bincount(act, minlength=len(names))
     if activities is None:

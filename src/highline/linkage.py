@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -156,18 +156,6 @@ def build_link_table(log: EventLog) -> LinkTable:
 # --- proximity and cascades ----------------------------------------------------
 
 
-def proximity(hle1: HighLevelEvent, hle2: HighLevelEvent, links: LinkTable) -> float:
-    """Closeness of two high-level events.
-
-    Positive only when ``hle2`` sits in the window directly after ``hle1``:
-    1 for the same component regardless of view, the components' link value
-    otherwise.
-    """
-    if hle2.window != hle1.window + 1:
-        return 0.0
-    return links.value(hle1.feature.component, hle2.feature.component)
-
-
 @dataclass(frozen=True)
 class _Layers:
     """Distinct high-level events sorted by (window, feature name, value),
@@ -194,10 +182,10 @@ def _offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
 
 
-def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _Layers:
+def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     if not 0 <= lam <= 1:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    table = HLETable.of(hles).distinct()
+    table = hles.distinct()
     components: dict[Component, int] = {}
     component_of = np.array(
         [components.setdefault(f.component, len(components)) for f in table.features],
@@ -229,14 +217,13 @@ def _layers(hles: Iterable[HighLevelEvent], links: LinkTable, lam: float) -> _La
     return _Layers(hles=table, nodes=len(keys), node=node, tail=tail[hit], head=head[hit])
 
 
-def propagation_edges(
-    hles: Iterable[HighLevelEvent], links: LinkTable, lam: float
-) -> tuple[tuple[HighLevelEvent, HighLevelEvent], ...]:
-    """All direct propagations among the given high-level events.
+def propagation_edges(hles: HLETable, links: LinkTable, lam: float) -> np.ndarray:
+    """All direct propagations among the given high-level events, as an
+    (E, 2) array of row pairs into ``hles.distinct()`` sorted by (first,
+    second); for ``generate_hles`` output that is ``hles`` itself.
 
     An edge runs from an event to one in the directly following window
-    whenever their proximity reaches ``lam``. Ordered deterministically by
-    (window, feature name) of both endpoints.
+    whenever their proximity reaches ``lam``.
     """
     layers = _layers(hles, links, lam)
     # each super-node edge stands for every pair of a tail row and a head row
@@ -249,16 +236,13 @@ def propagation_edges(
     i, j = np.divmod(_offsets(count), width[edge])
     first = members[start[layers.tail][edge] + i]
     second = members[start[layers.head][edge] + j]
-    # rows are in (window, feature name, value) order
     order = np.argsort(first * len(members) + second)
-    first, second = first[order].tolist(), second[order].tolist()
-    events = tuple(layers.hles)
-    return tuple(zip(map(events.__getitem__, first), map(events.__getitem__, second)))
+    return np.column_stack((first[order], second[order]))
 
 
 class CascadeAssignment:
-    """Dense cascade ids (1..k) of high-level events: ``cases[k]`` is the
-    cascade of row k of ``hles``.
+    """Dense cascade ids (1..k) of distinct high-level events: ``cases[k]``
+    is the cascade of row k of ``hles``.
 
     ``ids`` maps each event to its cascade; it is built on first read.
     """
@@ -266,10 +250,6 @@ class CascadeAssignment:
     def __init__(self, hles: HLETable, cases: np.ndarray):
         self.hles = hles
         self.cases = cases
-
-    @classmethod
-    def from_ids(cls, ids: Mapping[HighLevelEvent, int]) -> "CascadeAssignment":
-        return cls(HLETable.of(ids), np.fromiter(ids.values(), dtype=np.int64, count=len(ids)))
 
     @cached_property
     def ids(self) -> Mapping[HighLevelEvent, int]:
@@ -282,21 +262,6 @@ class CascadeAssignment:
     def members(self, cascade_id: int) -> tuple[HighLevelEvent, ...]:
         hles = self.hles
         return tuple(hles[k] for k in np.flatnonzero(self.cases == cascade_id).tolist())
-
-    def cases_of(self, hles: HLETable) -> np.ndarray:
-        """The cascade id of every row of ``hles``; KeyError for an event
-        the assignment does not cover."""
-        if hles is self.hles:
-            return self.cases
-        code = {f: i for i, f in enumerate(self.hles.features)}
-        own = zip(self.hles.codes.tolist(), self.hles.windows.tolist(), self.hles.values.tolist())
-        case_of = dict(zip(own, self.cases.tolist()))
-        codes = np.array([code.get(f, -1) for f in hles.features], dtype=np.intp)[hles.codes]
-        keys = zip(codes.tolist(), hles.windows.tolist(), hles.values.tolist())
-        cases = [case_of.get(key) for key in keys]
-        if None in cases:
-            raise KeyError(hles[cases.index(None)])
-        return np.array(cases, dtype=np.int64)
 
 
 def _join(nodes: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:
@@ -334,9 +299,7 @@ def _join(nodes: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, i
             parent = up
 
 
-def cascades(
-    hles: Iterable[HighLevelEvent], links: LinkTable, lam: float
-) -> CascadeAssignment:
+def cascades(hles: HLETable, links: LinkTable, lam: float) -> CascadeAssignment:
     """Partition high-level events into cascades.
 
     Events end up in the same cascade exactly when they are connected in

@@ -67,7 +67,7 @@ def analyze_log(
     hles = generate_hles(matrix, thresholds)
     links = build_link_table(log)
     assignment = cascades(hles, links, lam)
-    entries = build_hlel(hles, assignment, framing, thresholds)
+    entries = build_hlel(assignment, framing, thresholds)
     flattened = flatten(entries, flatten_order)
     return AnalysisResult(
         log=log,

@@ -9,6 +9,11 @@ can be compared against each other.
 from collections import deque
 from datetime import datetime, timedelta
 
+import numpy as np
+
+from highline import HLETable, HighLevelLog
+from highline.hlelog import HLELFeature
+
 
 def order_key(e):
     return (e.timestamp, e.id)
@@ -303,3 +308,53 @@ def oracle_hle_summary(entries, period_seconds, origin, activities):
             averages.append(total / len(values) if values else None)
         summary[p] = (len(group), tuple(counts), tuple(averages))
     return summary
+
+
+# --- columns of hand-made objects --------------------------------------------------
+
+
+def hle_table(hles):
+    """An ``HLETable`` of the given high-level events, in the given order,
+    built from its columns; features in name order, as the table has them."""
+    hles = list(hles)
+    features = sorted({h.feature for h in hles}, key=lambda f: f.name)
+    code = {f: i for i, f in enumerate(features)}
+    return HLETable(
+        tuple(features),
+        np.array([code[h.feature] for h in hles], dtype=np.intp),
+        np.array([h.window for h in hles], dtype=np.int64),
+        np.array([h.value for h in hles], dtype=float),
+    )
+
+
+def edge_events(hles, edges):
+    """The rows of a ``propagation_edges`` array over ``hles`` as pairs of
+    high-level events."""
+    events = list(hles.distinct())
+    return [(events[i], events[j]) for i, j in edges.tolist()]
+
+
+def high_level_log(entries):
+    """A ``HighLevelLog`` of the given entries, in the given order, built
+    from its columns."""
+    entries = list(entries)
+    features = [
+        HLELFeature(e.activity, e.view, e.component_kind, e.component, e.threshold)
+        for e in entries
+    ]
+    feature_code = {f: i for i, f in enumerate(dict.fromkeys(features))}
+    stamp_code = {t: i for i, t in enumerate(dict.fromkeys(e.timestamp for e in entries))}
+
+    def column(values, dtype):
+        return np.array(list(values), dtype=dtype)
+
+    return HighLevelLog(
+        list(feature_code),
+        column(map(feature_code.__getitem__, features), np.intp),
+        column((e.case for e in entries), np.int64),
+        column((e.window for e in entries), np.int64),
+        column((e.value for e in entries), float),
+        column((e.hle_id for e in entries), np.int64),
+        list(stamp_code),
+        column((stamp_code[e.timestamp] for e in entries), np.intp),
+    )

@@ -245,14 +245,15 @@ def test_cascade_correctness():
                     )
                 )
             lam1, lam2 = sorted((rng.random(), rng.random()))
-            fine = cascades(hles, links, lam2)
+            table = oracles.hle_table(hles)
+            fine = cascades(table, links, lam2)
             def raw(c1, c2):
                 # the oracle reads the raw pairs, not the table under test
                 return pairs.get((c1, c2), pairs.get((c2, c1), 0.0))
 
             assert oracles.partition_of(fine) == oracles.oracle_partition(hles, raw, lam2)
             # lambda-monotone refinement: each fine cascade nests in a coarse one
-            coarse = cascades(hles, links, lam1)
+            coarse = cascades(table, links, lam1)
             for block in oracles.partition_of(fine):
                 assert len({coarse.ids[h] for h in block}) == 1
 

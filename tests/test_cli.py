@@ -164,6 +164,51 @@ def test_a_latin1_log_is_an_error_naming_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}, line 5: invalid UTF-8 byte 0xe9\n"
 
 
+@pytest.mark.parametrize("config", [
+    {"weeks": "x"},
+    {"weeks": [[600, "900"]]},
+    {"patient_fraction": "0.5"},
+    {"seed": "5"},
+], ids=["weeks", "week-bound", "patient_fraction", "seed"])
+def test_a_mistyped_scenario_field_is_a_config_error(tmp_path, capsys, config):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "scenario.csv"
+    assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+    ((field, value),) = config.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario config: field {field!r} must be ")
+    assert err.rstrip().endswith(f"got {json.dumps(value)}")
+    assert not out.exists()
+
+
+def latin1_file(tmp_path, name, text):
+    """A file of ``text`` whose second line has a Latin-1 \u00e9 in it."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+def test_a_latin1_config_is_a_config_error_naming_its_line(log_t_csv, tmp_path, capsys):
+    text = '{\n"input": "%s", "out": "caf\u00e9"}' % log_t_csv
+    path = latin1_file(tmp_path, "config.json", text)
+    assert run(["analyze", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}, line 2: invalid UTF-8 byte 0xe9\n"
+
+
+def test_a_latin1_scenario_config_is_a_config_error_naming_its_line(tmp_path, capsys):
+    path = latin1_file(tmp_path, "scenario.json", '{\n"batching_resource": "Ren\u00e9e"}')
+    assert run(["generate", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}, line 2: invalid UTF-8 byte 0xe9\n"
+
+
+def test_a_latin1_flatten_order_is_a_config_error_naming_its_line(log_t_csv, tmp_path, capsys):
+    path = latin1_file(tmp_path, "order.txt", "exec-a\nexec-caf\u00e9\n")
+    assert run(["analyze", "--input", log_t_csv, "--out", str(tmp_path / "o"),
+                "--window-width", "20s", "--flatten-order", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}, line 2: invalid UTF-8 byte 0xe9\n"
+
+
 def test_unknown_flag_is_a_usage_error(log_t_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "--input", log_t_csv, "--frobnicate"])

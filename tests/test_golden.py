@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import highline.events as events
-from highline.cli import main
+from highline import export_dfg, flatten, read_hlel_csv, summarize
+from highline.cli import RunConfig, main, run_analyze
+from highline.framing import parse_duration
 
 DEMO = Path(__file__).resolve().parent.parent / "demo_output"
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
@@ -69,3 +71,17 @@ def test_a_quoted_crlf_copy_of_the_input_reproduces_them_through_csv_reader(tmp_
     general = count_general_reads(monkeypatch)
     assert_analyze_reproduces_artifacts(quoted_crlf_copy(tmp_path), tmp_path / "out")
     assert len(general) == 1
+
+
+def test_a_read_back_hlel_feeds_the_stages_as_the_analysis_entries_do(tmp_path):
+    config = RunConfig(**json.loads((DEMO / "config.json").read_text(encoding="utf-8")))
+    config.input, config.out = str(DEMO / "scenario.csv"), str(tmp_path / "out")
+    result = run_analyze(config)
+    back = read_hlel_csv(str(tmp_path / "out" / "hlel.csv"))
+    assert back == result.entries
+    assert flatten(back) == result.flattened
+    assert export_dfg(flatten(back)) == export_dfg(result.flattened)
+    period, origin = parse_duration(config.summary_period), result.framing.origin
+    assert summarize(result.log, back, period, origin) == summarize(
+        result.log, result.entries, period, origin
+    )

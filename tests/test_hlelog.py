@@ -3,9 +3,11 @@ import random
 from collections import Counter
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
 from conftest import BASE
+from oracles import high_level_log, hle_table
 
 from highline import (
     CascadeAssignment,
@@ -16,6 +18,7 @@ from highline import (
     FlattenOrder,
     Framing,
     HighLevelEvent,
+    HighLevelLog,
     HighLevelLogEntry,
     ThresholdTable,
     View,
@@ -39,15 +42,19 @@ def thresholds_for(*views):
     return ThresholdTable(percentile=0.5, by_view={v: 1.0 for v in views})
 
 
+def assigned(hles, cases):
+    """The given events, each in the cascade given for it."""
+    return CascadeAssignment(hle_table(hles), np.array(cases, dtype=np.int64))
+
+
 def test_build_hlel_empty():
-    entries = build_hlel([], CascadeAssignment.from_ids({}), F20, thresholds_for())
+    entries = build_hlel(assigned([], []), F20, thresholds_for())
     assert entries == ()
 
 
 def test_build_hlel_maps_attributes():
     hles = [hle("Jane", 4), hle("Jane", 5), hle("Pete", 5)]
-    assignment = CascadeAssignment.from_ids({h: 1 for h in hles})
-    entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
+    entries = build_hlel(assigned(hles, [1, 1, 1]), F20, thresholds_for(View.WL))
     assert len(entries) == 3
     assert {e.case for e in entries} == {1}
     assert [e.timestamp for e in entries] == [
@@ -63,8 +70,8 @@ def test_build_hlel_maps_attributes():
 def test_build_hlel_is_bijective():
     rng = random.Random(3)
     hles = [hle(f"r{i}", rng.randint(0, 9), value=float(i)) for i in range(25)]
-    assignment = CascadeAssignment.from_ids({h: 1 + (i % 4) for i, h in enumerate(hles)})
-    entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
+    assignment = assigned(hles, [1 + (i % 4) for i in range(len(hles))])
+    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
     assert len(entries) == len(hles)
     assert sorted((e.activity, e.window, e.value) for e in entries) == sorted(
         (h.feature.name, h.window, h.value) for h in hles
@@ -73,9 +80,8 @@ def test_build_hlel_is_bijective():
 
 def test_flatten_orders_within_window():
     hles = [hle("Jane", 3), HighLevelEvent(FeatureId(View.ENTER, Component.segment("report", "answer")), 3, 9.0)]
-    assignment = CascadeAssignment.from_ids({h: 1 for h in hles})
     thresholds = ThresholdTable(0.5, {View.WL: 1.0, View.ENTER: 1.0})
-    entries = build_hlel(hles, assignment, F20, thresholds)
+    entries = build_hlel(assigned(hles, [1, 1]), F20, thresholds)
     flat = flatten(entries)
     assert [e.activity for e in flat] == ["enter-(report,answer)", "wl-Jane"]
     custom = flatten(entries, FlattenOrder(["wl-Jane", "enter-(report,answer)"]))
@@ -99,14 +105,13 @@ def test_flatten_order_rejects_duplicates():
 def test_flatten_idempotent_and_stable():
     rng = random.Random(5)
     hles = [hle(f"r{rng.randint(0, 3)}", rng.randint(0, 6), value=float(i)) for i in range(20)]
-    assignment = CascadeAssignment.from_ids({h: 1 + (i % 3) for i, h in enumerate(hles)})
-    entries = build_hlel(hles, assignment, F20, thresholds_for(View.WL))
+    assignment = assigned(hles, [1 + (i % 3) for i in range(len(hles))])
+    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
     once = flatten(entries)
     assert flatten(once) == once
     # an already total case stays put
     single = [hle("solo", w, value=float(w)) for w in range(4)]
-    assignment = CascadeAssignment.from_ids({h: 1 for h in single})
-    entries = build_hlel(single, assignment, F20, thresholds_for(View.WL))
+    entries = build_hlel(assigned(single, [1] * 4), F20, thresholds_for(View.WL))
     assert flatten(entries) == entries
 
 
@@ -127,7 +132,7 @@ def entry(case, window, activity, eid):
 
 def test_export_dfg_counts_adjacencies():
     entries = [entry(1, 0, "X", 1), entry(1, 1, "Y", 2), entry(1, 2, "X", 3)]
-    dot = export_dfg(entries)
+    dot = export_dfg(high_level_log(entries))
     assert '"X" [label="X (2)"];' in dot
     assert '"Y" [label="Y (1)"];' in dot
     assert '"X" -> "Y" [label="1"];' in dot
@@ -135,7 +140,7 @@ def test_export_dfg_counts_adjacencies():
 
 
 def test_export_dfg_empty_is_valid_dot():
-    dot = export_dfg([])
+    dot = export_dfg(high_level_log([]))
     assert dot.startswith("digraph")
     assert dot.rstrip().endswith("}")
 
@@ -150,7 +155,7 @@ def test_dfg_edge_total_matches_case_lengths():
             eid += 1
             entries.append(entry(case, w, f"act{rng.randint(0, 3)}", eid))
             case_lengths[case] += 1
-    flat = flatten(entries)
+    flat = flatten(high_level_log(entries))
     dot = export_dfg(flat)
     edge_total = sum(
         int(line.rsplit('label="', 1)[1].rstrip('"];'))
@@ -165,6 +170,7 @@ def test_hlel_csv_round_trip(tmp_path, log_t):
     path = tmp_path / "hlel.csv"
     write_hlel_csv(result.entries, str(path))
     back = read_hlel_csv(str(path))
+    assert isinstance(back, HighLevelLog)
     assert back == result.entries
 
 

@@ -21,9 +21,9 @@ from highline import (
     build_link_table,
     cascades,
     propagation_edges,
-    proximity,
 )
 import highline.linkage as linkage
+from oracles import edge_events, hle_table
 
 AB = Segment("a", "b")
 BC = Segment("b", "c")
@@ -142,27 +142,39 @@ def hle(view, comp, w, value=1.0):
     return HighLevelEvent(FeatureId(view, comp), w, value)
 
 
+def edges_at(hles, links, lam):
+    """The propagation edges among ``hles`` as a set of event pairs."""
+    table = hle_table(hles)
+    return set(edge_events(table, propagation_edges(table, links, lam)))
+
+
 def test_proximity_rules(log_t):
     table = build_link_table(log_t)
     wl_r1_0 = hle(View.WL, Component.resource("r1"), 0)
     wl_r1_1 = hle(View.WL, Component.resource("r1"), 1)
     exec_a_0 = hle(View.EXEC, Component.activity("a"), 0)
+    exec_c_1 = hle(View.EXEC, Component.activity("c"), 1)
     delay_ab_1 = hle(View.DELAY, Component(ComponentKind.SEGMENT, AB), 1)
+    exec_a_2 = hle(View.EXEC, Component.activity("a"), 2)
+    edges = edges_at([wl_r1_0, wl_r1_1, exec_a_0, exec_c_1, delay_ab_1, exec_a_2], table, 1.0)
     # persistence: same component in adjacent windows
-    assert proximity(wl_r1_0, wl_r1_1, table) == 1.0
+    assert (wl_r1_0, wl_r1_1) in edges
     # different views on linked components
-    assert proximity(exec_a_0, delay_ab_1, table) == 1.0
-    # same window or a gap of two and the reverse direction all yield zero
-    assert proximity(exec_a_0, hle(View.WL, Component.resource("r1"), 0), table) == 0.0
-    assert proximity(exec_a_0, hle(View.EXEC, Component.activity("a"), 2), table) == 0.0
-    assert proximity(wl_r1_1, wl_r1_0, table) == 0.0
+    assert (exec_a_0, delay_ab_1) in edges
+    # and nothing else: not unlinked components (exec-a, exec-c), the same
+    # window, a gap of two windows or the reverse direction
+    assert edges == {
+        (wl_r1_0, wl_r1_1), (wl_r1_0, exec_c_1), (wl_r1_0, delay_ab_1),
+        (exec_a_0, wl_r1_1), (exec_a_0, delay_ab_1),
+        (wl_r1_1, exec_a_2), (delay_ab_1, exec_a_2),
+    }
 
 
 def test_proximity_across_views_same_component(log_t):
     table = build_link_table(log_t)
     enter_ab_0 = hle(View.ENTER, Component(ComponentKind.SEGMENT, AB), 0)
     delay_ab_1 = hle(View.DELAY, Component(ComponentKind.SEGMENT, AB), 1)
-    assert proximity(enter_ab_0, delay_ab_1, table) == 1.0
+    assert edges_at([enter_ab_0, delay_ab_1], table, 1.0) == {(enter_ab_0, delay_ab_1)}
 
 
 # --- cascades ---------------------------------------------------------------------
@@ -179,7 +191,7 @@ def table_of(pairs):
 def test_chain_of_three_shares_one_cascade():
     links = table_of({("A", "B"): 0.8, ("B", "C"): 0.8, ("A", "C"): 0.0})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hles, links, 0.5)
+    assignment = cascades(hle_table(hles), links, 0.5)
     assert len(set(assignment.ids.values())) == 1
 
 
@@ -188,20 +200,20 @@ def test_simultaneous_events_joined_through_shared_successor():
     a0 = hle(View.EXEC, comp("A"), 0)
     b0 = hle(View.EXEC, comp("B"), 0)
     c1 = hle(View.EXEC, comp("C"), 1)
-    assignment = cascades([a0, b0, c1], links, 0.5)
+    assignment = cascades(hle_table([a0, b0, c1]), links, 0.5)
     assert assignment.ids[a0] == assignment.ids[b0] == assignment.ids[c1]
 
 
 def test_lambda_one_with_weak_links_gives_singletons():
     links = table_of({("A", "B"): 0.99, ("B", "C"): 0.99})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hles, links, 1.0)
+    assignment = cascades(hle_table(hles), links, 1.0)
     assert len(set(assignment.ids.values())) == 3
 
 
 def test_persistence_propagates_at_lambda_one():
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("A"), 1)]
-    assignment = cascades(hles, LinkTable({}), 1.0)
+    assignment = cascades(hle_table(hles), LinkTable({}), 1.0)
     assert len(set(assignment.ids.values())) == 1
 
 
@@ -212,7 +224,7 @@ def test_cascade_ids_dense_and_deterministically_numbered():
         hle(View.EXEC, comp("A"), 5),
         hle(View.EXEC, comp("C"), 2),
     ]
-    assignment = cascades(hles, links, 0.5)
+    assignment = cascades(hle_table(hles), links, 0.5)
     # numbering by earliest window, then smallest feature name
     assert assignment.ids[hles[2]] == 1
     assert assignment.ids[hles[1]] == 2
@@ -232,16 +244,16 @@ def test_cascade_ids_invariant_under_input_permutation():
         hle(View.EXEC, comp(rng.choice(names)), rng.randint(0, 5), value=float(i))
         for i in range(30)
     ]
-    baseline = cascades(hles, links, 0.4)
+    baseline = cascades(hle_table(hles), links, 0.4)
     for _ in range(5):
         shuffled = hles[:]
         rng.shuffle(shuffled)
-        assert cascades(shuffled, links, 0.4).ids == baseline.ids
+        assert cascades(hle_table(shuffled), links, 0.4).ids == baseline.ids
 
 
 def test_lambda_out_of_range():
     with pytest.raises(ConfigError):
-        cascades([], LinkTable({}), 1.5)
+        cascades(hle_table([]), LinkTable({}), 1.5)
 
 
 WORLD_VIEWS = {
@@ -294,32 +306,23 @@ def world_lambdas(rng):
 
 
 def test_propagation_edges_span_adjacent_windows_only():
-    from highline import propagation_edges
-
     rng = random.Random(71)
     for _ in range(10):
         hles, links, pairs = random_hle_world(rng)
+        table = hle_table(hles)
         for lam in world_lambdas(rng):
-            edges = propagation_edges(hles, links, lam)
-            for h1, h2 in edges:
-                assert h2.window == h1.window + 1
-                assert proximity(h1, h2, links) >= lam
-            # edge set is exactly the pairs passing the proximity test
-            expected = {
-                (h1, h2)
-                for h1 in hles
-                for h2 in hles
-                if h2.window == h1.window + 1 and proximity(h1, h2, links) >= lam
-            }
-            assert set(edges) == expected
-            # ... and the pairs the oracle passes on the raw links
-            assert set(edges) == {
+            edges = propagation_edges(table, links, lam)
+            rows = list(map(tuple, edges.tolist()))
+            assert rows == sorted(set(rows))  # sorted, no edge twice
+            pairs_of = edge_events(table, edges)
+            assert all(h2.window == h1.window + 1 for h1, h2 in pairs_of)
+            # edge set is exactly the pairs the oracle passes on the raw links
+            assert set(pairs_of) == {
                 (h1, h2)
                 for h1 in hles
                 for h2 in hles
                 if oracles.oracle_propagates(h1, h2, raw_link(pairs), lam)
             }
-            assert len(edges) == len(set(edges))
 
 
 def test_cascades_match_reachability_oracle():
@@ -327,7 +330,7 @@ def test_cascades_match_reachability_oracle():
     for _ in range(20):
         hles, links, pairs = random_hle_world(rng)
         for lam in world_lambdas(rng):
-            assignment = cascades(hles, links, lam)
+            assignment = cascades(hle_table(hles), links, lam)
             got = oracles.partition_of(assignment)
             expected = oracles.oracle_partition(hles, raw_link(pairs), lam)
             assert got == expected
@@ -338,8 +341,9 @@ def test_lambda_refines_cascades():
     for _ in range(10):
         hles, links, _ = random_hle_world(rng)
         lam1, lam2 = sorted((rng.random(), rng.random()))
-        coarse = cascades(hles, links, lam1)
-        fine = cascades(hles, links, lam2)
+        table = hle_table(hles)
+        coarse = cascades(table, links, lam1)
+        fine = cascades(table, links, lam2)
         coarse_of = {h: coarse.ids[h] for h in coarse.ids}
         for block in oracles.partition_of(fine):
             assert len({coarse_of[h] for h in block}) == 1
@@ -375,7 +379,7 @@ def test_a_long_alternating_chain_is_one_cascade():
     prefix, _ = chain(300)
     assignment = cascades(prefix, links, 0.5)
     assert assignment.ids == oracles.oracle_cascade_ids(prefix, links.value, 0.5)
-    assert set(propagation_edges(prefix, links, 0.5)) == {
+    assert set(edge_events(prefix, propagation_edges(prefix, links, 0.5))) == {
         (h1, h2)
         for h1, h2 in itertools.product(prefix, repeat=2)
         if oracles.oracle_propagates(h1, h2, links.value, 0.5)
@@ -390,7 +394,7 @@ def test_joining_takes_at_most_log2_rounds_where_plain_min_hooking_takes_more():
     r = [Component.resource(f"r{i}") for i in range(8)]
     edges = [(0, 5), (1, 6), (2, 7), (3, 7), (4, 7), (3, 5), (4, 6)]
     links = LinkTable({(r[a], r[b]): 1.0 for a, b in edges})
-    hles = [hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)]
+    hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)])
     layers = linkage._layers(hles, links, 0.5)
     assert (layers.nodes, len(layers.tail)) == (8, len(edges))
     root, rounds = linkage._join(layers.nodes, layers.tail, layers.head)

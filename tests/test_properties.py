@@ -7,7 +7,6 @@ single-event cases all occur often.
 """
 
 import csv
-import dataclasses
 import itertools
 import math
 import re
@@ -22,11 +21,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE, read_general
+from oracles import edge_events, high_level_log, hle_table
 
 import highline.events as events
 import highline.linkage as linkage
 
 from highline import (
+    CascadeAssignment,
     Component,
     Event,
     EventLog,
@@ -34,7 +35,6 @@ from highline import (
     FlattenOrder,
     Framing,
     HighLevelEvent,
-    HLETable,
     LinkTable,
     View,
     analyze_log,
@@ -321,7 +321,7 @@ def test_standard_reader_agrees_with_csv_reader_or_defers(tmp_path_factory, file
 def test_summary_periods_follow_python_floor_division(rows, shift, period):
     events = events_of(rows)
     origin = BASE + timedelta(seconds=shift)
-    table = summarize(EventLog(events), (), period, origin)
+    table = summarize(EventLog(events), high_level_log([]), period, origin)
     want = Counter(
         int((e.timestamp - origin).total_seconds() // period) + 1 for e in events
     )
@@ -387,67 +387,51 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     links = build_link_table(log)
     copies = [copy_of(h) for h in table]
     repeats = data.draw(st.lists(st.sampled_from(copies), max_size=5)) if copies else []
-    shuffled = data.draw(st.permutations(copies + [copy_of(h) for h in repeats]))
-    distinct = data.draw(st.permutations(copies))
+    shuffled = hle_table(data.draw(st.permutations(copies + [copy_of(h) for h in repeats])))
+    perm = np.array(data.draw(st.permutations(range(len(table)))), dtype=np.intp)
 
     assignment = cascades(table, links, lam)
-    from_objects = cascades(shuffled, links, lam)
-    assert assignment.ids == from_objects.ids
-    assert assignment.count == from_objects.count
+    from_shuffled = cascades(shuffled, links, lam)
+    assert assignment.ids == from_shuffled.ids
+    assert assignment.count == from_shuffled.count
     if len(table) <= 500:  # the oracle compares every pair of events
         assert oracles.partition_of(assignment) == oracles.oracle_partition(table, links.value, lam)
     edges = propagation_edges(table, links, lam)
-    assert edges == propagation_edges(shuffled, links, lam)
+    # the distinct rows of the shuffled table are the rows of the table
+    assert np.array_equal(edges, propagation_edges(shuffled, links, lam))
     by_window = {}
     for h in table:
         by_window.setdefault(h.window, []).append(h)
-    assert set(edges) == {
+    assert set(edge_events(table, edges)) == {
         (h1, h2)
         for h1 in table
         for h2 in by_window.get(h1.window + 1, ())
         if oracles.oracle_propagates(h1, h2, links.value, lam)
     }
 
-    entries = build_hlel(table, assignment, framing, thresholds)
-    assert entries == build_hlel(distinct, from_objects, framing, thresholds)
-    # object input keeps one entry per given event, repeats included
-    repeated = build_hlel(shuffled, from_objects, framing, thresholds)
-    assert len(repeated) == len(shuffled)
-    assert {dataclasses.replace(e, hle_id=0) for e in repeated} == {
-        dataclasses.replace(e, hle_id=0) for e in entries
-    }
+    entries = build_hlel(assignment, framing, thresholds)
+    assert entries == build_hlel(from_shuffled, framing, thresholds)
+    permuted = CascadeAssignment(hle_table(table[k] for k in perm), assignment.cases[perm])
+    assert entries == build_hlel(permuted, framing, thresholds)
 
     names = sorted({e.activity for e in entries})
     for order in (None, FlattenOrder(data.draw(st.permutations(names))[: len(names) // 2])):
         flat = flatten(entries, order)
-        assert flat == flatten(list(entries), order)
+        assert flat == flatten(high_level_log(entries), order)
         key = (order or FlattenOrder()).key
         assert flat == tuple(sorted(entries, key=lambda e: (e.case, e.window, key(e.activity))))
     flat = flatten(entries)
-    assert export_dfg(flat) == export_dfg(list(flat))
+    assert export_dfg(flat) == export_dfg(high_level_log(flat))
     assert dfg_counts(export_dfg(flat)) == oracles.oracle_dfg_counts(list(flat))
 
     summary = summarize(log, entries, period, framing.origin)
-    assert summary == summarize(log, list(entries), period, framing.origin)
+    assert summary == summarize(log, high_level_log(entries), period, framing.origin)
     freq = Counter(e.activity for e in entries)
     assert list(summary.activities) == sorted(freq, key=lambda a: (-freq[a], a))[:4]
     expected = oracles.oracle_hle_summary(entries, period, framing.origin, summary.activities)
     none = (0, (0,) * len(summary.activities), (None,) * len(summary.activities))
     for row in summary.rows:
         assert (row.hles, row.counts, row.averages) == expected.get(row.period, none)
-
-
-def hle_table(rows):
-    """An ``HLETable`` of (view, component, window, value) rows, built from
-    its columns."""
-    features = sorted({FeatureId(v, c) for v, c, _, _ in rows}, key=lambda f: f.name)
-    code = {f: i for i, f in enumerate(features)}
-    return HLETable(
-        tuple(features),
-        np.array([code[FeatureId(v, c)] for v, c, _, _ in rows], dtype=np.intp),
-        np.array([w for _, _, w, _ in rows], dtype=np.int64),
-        np.array([x for _, _, _, x in rows], dtype=float),
-    )
 
 
 @st.composite
@@ -488,12 +472,12 @@ def propagation_graphs(draw):
             placed += [(start, i) for i in draw(some)] + [(start + 1, draw(st.integers(0, m - 1)))]
             placed += [(start + 2, i) for i in draw(some)]
     views = st.lists(st.sampled_from([View.DO, View.TODO, View.WL]), min_size=1, max_size=2)
-    rows = [
-        (view, resources[i], w, draw(st.sampled_from([0.5, 1.0])))
+    hles = [
+        HighLevelEvent(FeatureId(view, resources[i]), w, draw(st.sampled_from([0.5, 1.0])))
         for w, i in placed
         for view in draw(views)
     ]
-    return hle_table(rows), links, lam
+    return hle_table(hles), links, lam
 
 
 @SETTINGS
@@ -503,10 +487,12 @@ def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
     assignment = cascades(table, links, lam)
     assert assignment.ids == oracles.oracle_cascade_ids(table, links.value, lam)
     edges = propagation_edges(table, links, lam)
-    assert list(edges) == sorted(
-        edges, key=lambda e: tuple((h.window, h.feature.name, h.value) for h in e)
-    )
-    assert set(edges) == {
+    rows = list(map(tuple, edges.tolist()))
+    assert rows == sorted(set(rows))
+    # row order is (window, feature name, value) order
+    keys = [(h.window, h.feature.name, h.value) for h in table.distinct()]
+    assert keys == sorted(set(keys))
+    assert set(edge_events(table, edges)) == {
         (h1, h2)
         for h1, h2 in itertools.product(set(table), repeat=2)
         if oracles.oracle_propagates(h1, h2, links.value, lam)
