@@ -32,6 +32,7 @@ from .framing import Framing, default_origin, parse_duration
 from .generator import ScenarioConfig, generate
 from .hlelog import (
     FlattenOrder,
+    SummaryTable,
     export_dfg,
     summarize,
     text_output,
@@ -261,6 +262,17 @@ def _write_matrix_csv(result: AnalysisResult, path: str) -> None:
             writer.writerow([fid.view.value, fid.component.label, w, repr(value)])
 
 
+def _summary(config: RunConfig, result: AnalysisResult) -> SummaryTable:
+    """The summary table of a run: periods anchored at its window origin."""
+    return summarize(
+        result.log,
+        result.entries,
+        parse_duration(config.summary_period),
+        result.framing.origin,
+        top=config.summary_top,
+    )
+
+
 def run_analyze(config: RunConfig) -> AnalysisResult:
     """The `analyze` subcommand: run the pipeline and write the artifact
     files (hlel.csv, links.csv, summary.csv, dfg.dot, config.json)."""
@@ -274,14 +286,7 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
 
     write_hlel_csv(result.entries, out("hlel.csv"), config.timestamp_format)
     _write_links_csv(result.links, result.log, out("links.csv"), config.include_zero_links)
-    table = summarize(
-        result.log,
-        result.entries,
-        parse_duration(config.summary_period),
-        result.framing.origin,
-        top=config.summary_top,
-    )
-    write_summary_csv(table, out("summary.csv"), config.timestamp_format)
+    write_summary_csv(_summary(config, result), out("summary.csv"), config.timestamp_format)
     with open(out("dfg.dot"), "w", encoding="utf-8") as fh:
         fh.write(export_dfg(result.flattened))
     config.write_json(out("config.json"))
@@ -320,14 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "summary":
             config = _run_config(args)
             result = _run_pipeline(config)
-            table = summarize(
-                result.log,
-                result.entries,
-                parse_duration(config.summary_period),
-                result.framing.origin,
-                top=config.summary_top,
+            write_summary_csv(
+                _summary(config, result), args.out or sys.stdout, config.timestamp_format
             )
-            write_summary_csv(table, args.out or sys.stdout, config.timestamp_format)
         elif args.command == "dfg":
             config = _run_config(args)
             result = _run_pipeline(config)

@@ -363,10 +363,6 @@ class EventLog:
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
-    def time_range(self) -> tuple[datetime, datetime]:
-        """The earliest and the latest timestamp of a non-empty log."""
-        return from_microseconds(int(self.times_us[0])), from_microseconds(int(self.times_us[-1]))
-
     @cached_property
     def _case_order(self) -> np.ndarray:
         # rows are in (timestamp, case, id) order, so a stable sort by case

@@ -258,7 +258,7 @@ class _Grid:
         # (t - origin) / 1e6 is the float that timedelta.total_seconds() gives
         # while |t - origin| < 2**53 microseconds (about 285 years)
         self.seconds = (log.times_us - to_microseconds(framing.origin)) / 1e6
-        self.offsets = np.floor(self.seconds / framing.width).astype(np.intp) - windows.first
+        self.offsets = framing.windows_of(log.times_us) - windows.first
         self.first, self.second = log.step_rows
         self.segment = log.step_segments[0]
 
@@ -309,7 +309,7 @@ class _Grid:
         Sums run in step order, per (segment, window), as a per-segment loop
         over the steps would add them.
         """
-        framing, windows, n = self.framing, self.windows, self.n
+        windows, n = self.windows, self.n
         seg, size, m = self.segment, len(progr), n + 1
         lo, hi = self.offsets[self.first], self.offsets[self.second]
         first_sec, second_sec = self.seconds[self.first], self.seconds[self.second]
@@ -326,11 +326,8 @@ class _Grid:
             minlength=size * m,
         )
         tsum = np.cumsum(tsum.reshape(size, m)[:, :-1], axis=1)
-        # window ends via the datetime path, so the waited-so-far term agrees
-        # with the microsecond-quantized bounds used everywhere else
-        end_sec = np.array(
-            [framing.seconds(framing.window_start(windows.first + off + 1)) for off in range(n)]
-        )
+        ends_us = self.framing.starts_us(np.arange(windows.first + 1, windows.last + 2))
+        end_sec = (ends_us - to_microseconds(self.framing.origin)) / 1e6
         numer = leave_dur + cnt * end_sec - tsum
         with np.errstate(invalid="ignore"):
             return np.where(progr > 0, numer / np.maximum(progr, 1.0), np.nan)

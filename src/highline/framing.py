@@ -7,12 +7,14 @@ origin + (w+1)*width)``; a boundary timestamp belongs to the later window.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
+
+import numpy as np
 
 from .errors import ConfigError, DataError
+from .events import from_microseconds, to_microseconds
 
 
 @dataclass(frozen=True)
@@ -23,19 +25,42 @@ class Framing:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ConfigError(f"window width must be positive, got {self.width}")
+        # below one microsecond, consecutive windows would share a start
+        if not self.width >= 1e-6:
+            raise ConfigError(f"width must be at least 1 µs (0.000001 s), got {self.width}")
 
-    def seconds(self, t: datetime) -> float:
-        """Seconds elapsed from the origin to ``t`` (negative before it)."""
-        return (t - self.origin).total_seconds()
+    def starts_us(self, windows) -> np.ndarray:
+        """The start of each window in microseconds since the epoch, rounded
+        as ``timedelta(seconds=w * width)`` rounds: to the microsecond, ties to even."""
+        seconds = np.asarray(windows, dtype=np.int64) * self.width
+        whole = seconds.astype(np.int64)  # truncated toward zero, as modf splits it
+        fraction_us = np.rint((seconds - whole) * 1e6).astype(np.int64)
+        return to_microseconds(self.origin) + whole * 1_000_000 + fraction_us
+
+    def windows_of(self, times_us) -> np.ndarray:
+        """The window ``w`` of each time ``t`` (microseconds since the epoch):
+        ``starts_us(w) <= t < starts_us(w + 1)``."""
+        t = np.asarray(times_us, dtype=np.int64)
+        if t.size:
+            lo, hi = self._estimates(np.array([t.min(), t.max()])).tolist()
+            if hi - lo + 4 <= t.size:
+                # the times outnumber the windows around them: search their starts
+                return lo - 2 + np.searchsorted(self.starts_us(np.arange(lo - 1, hi + 3)), t, "right")
+        w = self._estimates(t)
+        return w - (self.starts_us(w) > t) + (self.starts_us(w + 1) <= t)
+
+    def _estimates(self, times_us: np.ndarray) -> np.ndarray:
+        # off by at most one window while |t - origin| spans fewer than 2**50
+        # windows, so one exact comparison with each bound settles it
+        elapsed_us = times_us - to_microseconds(self.origin)
+        return np.floor(elapsed_us / (self.width * 1e6)).astype(np.int64)
 
     def window_of(self, t: datetime) -> int:
         """The window index of a timestamp; non-decreasing in ``t``."""
-        return math.floor(self.seconds(t) / self.width)
+        return int(self.windows_of(to_microseconds(t)))
 
     def window_start(self, w: int) -> datetime:
-        return self.origin + timedelta(seconds=w * self.width)
+        return from_microseconds(int(self.starts_us(w)))
 
     def window_bounds(self, w: int) -> tuple[datetime, datetime]:
         """The half-open interval [start, end) covered by window ``w``."""
@@ -73,15 +98,14 @@ def window_set(framing: Framing, log) -> WindowSet:
     """
     if len(log) == 0:
         raise DataError("no events")
-    first, last = log.time_range()
-    return WindowSet(framing.window_of(first), framing.window_of(last))
+    return WindowSet(*framing.windows_of(log.times_us[[0, -1]]).tolist())
 
 
 def default_origin(log) -> datetime:
     """Midnight of the first event's day."""
     if len(log) == 0:
         raise DataError("no events")
-    first, _ = log.time_range()
+    first = from_microseconds(int(log.times_us[0]))
     return datetime(first.year, first.month, first.day)
 
 

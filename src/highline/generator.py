@@ -22,11 +22,13 @@ from __future__ import annotations
 import heapq
 import random
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import ConfigError, check_json_types, read_json_object
-from .events import EventLog, Provenance, to_microseconds
+from .events import EventLog, Provenance, parse_timestamp, to_microseconds
+from .framing import Framing
 
 ACT_REQUEST = "request"
 ACT_REPORT = "report"
@@ -143,12 +145,21 @@ class ScenarioConfig:
         hints = {**typing.get_type_hints(cls), "weeks": list[tuple[int, int] | None], "start": str}
         check_json_types(data, hints, "scenario config")
         merged = {**known, **data}
+        # an offset start is taken to naive UTC, like every timestamp of a log
+        try:
+            start = parse_timestamp(merged["start"])
+        except ValueError:
+            raise ConfigError(f"scenario config: unparseable start {merged['start']!r}") from None
+        except OverflowError:
+            raise ConfigError(
+                f"scenario config: start {merged['start']!r} is out of range in UTC"
+            ) from None
         try:
             return cls(
                 weeks=tuple(
                     WeekSpec(tuple(w) if w is not None else None) for w in merged["weeks"]
                 ),
-                start=datetime.fromisoformat(merged["start"]),
+                start=start,
                 active_hours=tuple(merged["active_hours"]),
                 report_duration=tuple(merged["report_duration"]),
                 answer_duration=tuple(merged["answer_duration"]),
@@ -387,8 +398,5 @@ def _to_log(raw: list[tuple[int, int, str, str, str]], config: ScenarioConfig) -
 
 def weekly_event_counts(log: EventLog, start: datetime) -> dict[int, int]:
     """Events per 1-based week index relative to ``start``."""
-    counts: dict[int, int] = {}
-    for e in log:
-        week = int((e.timestamp - start).total_seconds() // WEEK_SECONDS) + 1
-        counts[week] = counts.get(week, 0) + 1
-    return counts
+    weeks = Framing(start, WEEK_SECONDS).windows_of(log.times_us) + 1
+    return dict(Counter(weeks.tolist()))

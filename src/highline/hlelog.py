@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from functools import cached_property
 from typing import ContextManager, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, not_utf8_error
-from .events import EventLog, format_timestamp, parse_timestamp, to_microseconds
+from .events import EventLog, format_timestamp, from_microseconds, parse_timestamp, to_microseconds
 from .features import ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
@@ -164,7 +164,7 @@ def build_hlel(
         windows,
         table.values[order],
         np.arange(1, len(order) + 1),
-        [framing.window_start(w) for w in starts.tolist()],
+        [from_microseconds(us) for us in framing.starts_us(starts).tolist()],
         stamp_codes,
     )
 
@@ -347,17 +347,12 @@ def summarize(
 ) -> SummaryTable:
     """Aggregate the original log and the high-level log per period.
 
-    Periods are 1-based, anchored at ``origin``, one week by default in the
-    command line. Activities default to the ``top`` most frequent high-level
-    activities; delay averages are reported in hours, everything else in
-    native units.
+    Period ``p`` is window ``p - 1`` of ``Framing(origin, period_seconds)``,
+    one week by default in the command line. Activities default to the
+    ``top`` most frequent high-level activities; delay averages are reported
+    in hours, everything else in native units.
     """
-    if period_seconds <= 0:
-        raise ConfigError(f"summary period must be positive, got {period_seconds}")
-
-    def period_of(t: datetime) -> int:
-        return int((t - origin).total_seconds() // period_seconds) + 1
-
+    periods = Framing(origin, period_seconds)
     names, act = hlel.activity_codes()
     freq = np.bincount(act, minlength=len(names))
     if activities is None:
@@ -367,51 +362,33 @@ def summarize(
     else:
         chosen = list(activities)
 
-    # np.floor_divide rounds like Python's float //, which floor(a / b) does not
-    seconds = (log.times_us - to_microseconds(origin)) / 1e6
-    periods, counts = np.unique(np.floor_divide(seconds, period_seconds), return_counts=True)
-    event_counts = dict(zip((periods.astype(np.int64) + 1).tolist(), counts.tolist()))
+    event_period = periods.windows_of(log.times_us)
     # entries with one timestamp share their period
-    period = np.array([period_of(t) for t in hlel.stamps], dtype=np.int64)[hlel.stamp_codes]
-    periods, counts = np.unique(period, return_counts=True)
-    hle_counts = dict(zip(periods.tolist(), counts.tolist()))
+    hle_period = periods.windows_of([to_microseconds(t) for t in hlel.stamps])[hlel.stamp_codes]
+    both = np.concatenate([event_period, hle_period])
+    first, size = (int(both.min()), int(np.ptp(both)) + 1) if len(both) else (0, 0)
     # per (period, activity): how many entries and the sum of their values,
-    # added in entry order as a loop over the entries would
-    first, n = int(period.min(initial=0)), len(names)
-    cell = (period - first) * n + act
-    scale = np.array(
-        [3600.0 if f.view == View.DELAY.value else 1.0 for f in hlel.features]
-    )[hlel.feature_codes]
-    cell_counts = np.bincount(cell, minlength=1)
-    cell_sums = np.bincount(cell, weights=hlel.values / scale, minlength=1)
-    used = np.flatnonzero(cell_counts)
-    totals = {
-        (first + k // n, names[k % n]): (count, total)
-        for k, count, total in zip(
-            used.tolist(), cell_counts[used].tolist(), cell_sums[used].tolist()
-        )
-    }
-
-    periods = sorted(set(event_counts) | set(hle_counts))
-    rows = []
-    for p in range(periods[0], periods[-1] + 1) if periods else []:
-        counts = []
-        averages: list[float | None] = []
-        for a in chosen:
-            count, total = totals.get((p, a), (0, 0.0))
-            counts.append(count)
-            averages.append(total / count if count else None)
-        rows.append(
-            SummaryRow(
-                period=p,
-                start=origin + timedelta(seconds=(p - 1) * period_seconds),
-                events=event_counts.get(p, 0),
-                hles=hle_counts.get(p, 0),
-                counts=tuple(counts),
-                averages=tuple(averages),
-            )
-        )
-    return SummaryTable(period_seconds, tuple(chosen), tuple(rows))
+    # added in entry order as a loop over the entries would; the last column
+    # stays empty, for chosen names that no entry has
+    n = len(names) + 1
+    cell = (hle_period - first) * n + act
+    scale = np.where([f.view == View.DELAY.value for f in hlel.features], 3600.0, 1.0)
+    columns = [names.index(a) if a in names else len(names) for a in chosen]
+    counts = np.bincount(cell, minlength=size * n).reshape(size, n)[:, columns]
+    sums = np.bincount(cell, hlel.values / scale[hlel.feature_codes], minlength=size * n)
+    sums = sums.reshape(size, n)[:, columns]
+    rows = tuple(
+        SummaryRow(first + k + 1, from_microseconds(start), e, h, tuple(c),
+                   tuple(total / count if count else None for total, count in zip(t, c)))
+        for k, (start, e, h, c, t) in enumerate(zip(
+            periods.starts_us(np.arange(first, first + size)).tolist(),
+            np.bincount(event_period - first, minlength=size).tolist(),
+            np.bincount(hle_period - first, minlength=size).tolist(),
+            counts.tolist(),
+            sums.tolist(),
+        ))
+    )
+    return SummaryTable(period_seconds, tuple(chosen), rows)
 
 
 def write_summary_csv(

@@ -6,6 +6,7 @@ deliberately avoids the library's derived structures, so the two routes
 can be compared against each other.
 """
 
+import math
 from collections import deque
 from datetime import datetime, timedelta
 
@@ -52,6 +53,16 @@ def bounds(origin: datetime, width: float, w: int):
     start = origin + timedelta(seconds=w * width)
     end = origin + timedelta(seconds=(w + 1) * width)
     return start, end
+
+
+def oracle_window(origin: datetime, width: float, t: datetime) -> int:
+    """The window whose bounds hold ``t``, walked to from a float estimate."""
+    w = math.floor((t - origin).total_seconds() / width)
+    while t < bounds(origin, width, w)[0]:
+        w -= 1
+    while t >= bounds(origin, width, w)[1]:
+        w += 1
+    return w
 
 
 def oracle_exec(log, origin, width, a, w):
@@ -293,8 +304,7 @@ def oracle_hle_summary(entries, period_seconds, origin, activities):
     the count and the mean value (delay in hours), summed in entry order."""
     out = {}
     for e in entries:
-        p = int((e.timestamp - origin).total_seconds() // period_seconds) + 1
-        out.setdefault(p, []).append(e)
+        out.setdefault(oracle_window(origin, period_seconds, e.timestamp) + 1, []).append(e)
     summary = {}
     for p, group in out.items():
         counts, averages = [], []

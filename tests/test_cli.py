@@ -182,6 +182,26 @@ def test_a_mistyped_scenario_field_is_a_config_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("analyze", "--window-width"), ("summary", "--window-width"), ("summary", "--summary-period"),
+])
+def test_a_width_under_one_microsecond_is_a_config_error(log_t_csv, tmp_path, capsys, command, flag):
+    args = [command, "--input", log_t_csv, "--out", str(tmp_path / "o"), flag, "0.0000001"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1 µs" in err and err.count("\n") == 1
+
+
+def test_an_out_of_range_scenario_start_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"start": "0001-01-01T00:00:00+05:00"}))
+    out = tmp_path / "scenario.csv"
+    assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scenario config: start '0001-01-01T00:00:00+05:00' is out of range in UTC\n"
+    assert not out.exists()
+
+
 def latin1_file(tmp_path, name, text):
     """A file of ``text`` whose second line has a Latin-1 \u00e9 in it."""
     path = tmp_path / name

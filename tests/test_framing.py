@@ -1,11 +1,16 @@
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import BASE, make_log, random_log
 
 from highline import ConfigError, DataError, Framing, default_origin, parse_duration, window_set
+from highline.events import to_microseconds
 
 
 def seconds(s):
@@ -56,6 +61,55 @@ def test_window_set_empty_log():
 def test_width_must_be_positive():
     with pytest.raises(ConfigError):
         Framing(BASE, 0.0)
+
+
+@pytest.mark.parametrize("width", [-1.0, 1e-7, 9.99e-7, float("nan")])
+def test_a_width_under_one_microsecond_is_a_config_error(width):
+    with pytest.raises(ConfigError, match="at least 1 µs"):
+        Framing(BASE, width)
+
+
+def test_one_microsecond_windows_each_start_one_microsecond_apart():
+    f = Framing(BASE, 1e-6)
+    assert (np.diff(f.starts_us(np.arange(-1000, 1000))) == 1).all()
+    t = BASE + timedelta(microseconds=7)
+    assert f.window_of(t) == 7 and f.window_bounds(7) == (t, t + timedelta(microseconds=1))
+
+
+def test_a_fractional_width_puts_each_window_start_in_its_own_window():
+    # 30 * 1.1 is 33.0, so window 30 starts at BASE + 33 s, but 33 / 1.1 is
+    # 29.999999999999996, whose floor is 29
+    f = Framing(BASE, 1.1)
+    t = seconds(33)
+    assert f.window_of(t) == 30
+    assert f.window_bounds(29)[1] == t == f.window_start(30)
+    log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 33, "r1")])
+    assert window_set(f, log).last == 30
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.1, 0.3, 1 / 3, 1.1, 7.3, 13.0]),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**7, 10**7),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_a_time_at_or_beside_a_window_start_lies_in_its_window(width, shift_us, w, step_us):
+    origin = BASE + timedelta(microseconds=shift_us)
+    f = Framing(origin, width)
+    start = oracles.bounds(origin, width, w)[0]
+    assert int(f.starts_us(w)) == to_microseconds(start)
+    assert f.window_start(w) == start
+    t = start + timedelta(microseconds=step_us)
+    got = f.window_of(t)
+    assert got == (w - 1 if step_us < 0 else w)
+    lo, hi = f.window_bounds(got)
+    assert lo <= t < hi
+    # an array with more times than windows is searched in a table of starts
+    # instead; both ways agree
+    near = [oracles.bounds(origin, width, w + k)[0] + timedelta(microseconds=d)
+            for k in range(-2, 3) for d in (-1, 0, 1)]
+    assert f.windows_of([to_microseconds(u) for u in near]).tolist() == [f.window_of(u) for u in near]
 
 
 def test_window_of_is_monotone():

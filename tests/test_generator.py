@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -139,3 +140,16 @@ def test_config_rejects_bad_ranges():
         ScenarioConfig(weeks=()).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"frequency": 5})
+
+
+def test_an_offset_start_is_taken_to_utc():
+    def log_from(start):
+        return generate(ScenarioConfig.from_dict({"start": start, "weeks": [[600, 900]]}))
+
+    assert fields(log_from("2023-01-02T00:00:00+05:00")) == fields(log_from("2023-01-01T19:00:00"))
+
+
+@pytest.mark.parametrize("start", ["0001-01-01T00:00:00+05:00", "Monday"])
+def test_a_start_out_of_range_or_unparseable_is_a_config_error(start):
+    with pytest.raises(ConfigError, match=re.escape(f"start {start!r}")):
+        ScenarioConfig.from_dict({"start": start})

@@ -259,3 +259,18 @@ def test_summary_selects_most_frequent_activities(log_t):
     best = min(table.activities, key=lambda a: (-freq[a], a))
     assert len(table.activities) == 2
     assert freq[best] == max(freq.values())
+
+
+def test_summary_keeps_a_column_for_a_chosen_activity_without_entries(log_t):
+    result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
+    chosen = ["no-such-activity", "delay-(a,b)", "no-such-activity"]
+    row = summarize(log_t, result.entries, 3600.0, BASE, activities=chosen).rows[0]
+    assert row.counts[0] == row.counts[2] == 0
+    assert row.averages[0] is None and row.averages[2] is None
+    assert row.counts[1] == sum(1 for e in result.entries if e.activity == "delay-(a,b)") > 0
+
+
+def test_a_summary_period_under_one_microsecond_is_a_config_error(log_t):
+    result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
+    with pytest.raises(ConfigError, match="at least 1 µs"):
+        summarize(log_t, result.entries, 1e-7, BASE)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -69,7 +69,7 @@ UNIT = st.floats(0.0, 1.0)
 FRAMINGS = st.builds(
     lambda shift, width: Framing(BASE + timedelta(seconds=shift), width),
     st.integers(-20, 20),
-    st.sampled_from([1.0, 4.5, 7.0, 13.0, 60.0]),
+    st.sampled_from([1.0, 1.1, 4.5, 7.0, 13.0, 60.0]),
 )
 
 
@@ -317,17 +317,24 @@ def test_standard_reader_agrees_with_csv_reader_or_defers(tmp_path_factory, file
 
 
 @SETTINGS
-@given(ROWS, st.integers(-30, 30), st.sampled_from([0.1, 3.0, 7.3, 10.0, 86400.0]))
-def test_summary_periods_follow_python_floor_division(rows, shift, period):
+@given(ROWS, st.integers(-30, 30), st.sampled_from([0.1, 1 / 3, 3.0, 7.3, 10.0, 86400.0]))
+@example(rows=[("c1", "a", 3, "r1")], shift=0, period=0.1)
+def test_every_event_lies_in_the_period_of_its_summary_row(rows, shift, period):
     events = events_of(rows)
     origin = BASE + timedelta(seconds=shift)
     table = summarize(EventLog(events), high_level_log([]), period, origin)
-    want = Counter(
-        int((e.timestamp - origin).total_seconds() // period) + 1 for e in events
-    )
-    got = {row.period: row.events for row in table.rows if row.events}
-    assert got == want
-
+    # the rows run from the first event's period to the last one's
+    assert table.rows[0].events and table.rows[-1].events
+    first = table.rows[0].period
+    assert [row.period for row in table.rows] == list(range(first, first + len(table.rows)))
+    assert [row.start for row in table.rows] == [
+        oracles.bounds(origin, period, row.period - 1)[0] for row in table.rows
+    ]
+    ends = [row.start for row in table.rows[1:]]
+    ends.append(oracles.bounds(origin, period, table.rows[-1].period)[0])
+    for row, end in zip(table.rows, ends):
+        assert row.events == sum(1 for e in events if row.start <= e.timestamp < end)
+    assert sum(row.events for row in table.rows) == len(events)
 
 
 @SETTINGS
