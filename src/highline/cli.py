@@ -15,24 +15,28 @@ import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields
+from datetime import datetime
+
+import numpy as np
 
 from .errors import ConfigError, DataError, check_json_types, read_json_object
 from .events import (
     ColumnMapping,
-    Component,
-    ComponentKind,
     EventLog,
     Segment,
     ingest_csv,
     parse_timestamp,
+    to_microseconds,
     write_event_csv,
 )
 from .features import View
 from .framing import Framing, default_origin, parse_duration
 from .generator import ScenarioConfig, generate
 from .hlelog import (
+    WRITE_ROWS,
     FlattenOrder,
     SummaryTable,
+    csv_fields,
     export_dfg,
     summarize,
     text_output,
@@ -76,8 +80,8 @@ class RunConfig:
             raise ConfigError(f"--percentile must lie in [0, 1], got {self.percentile}")
         if not 0 <= self.lam <= 1:
             raise ConfigError(f"--lambda must lie in [0, 1], got {self.lam}")
-        parse_duration(self.window_width)
-        parse_duration(self.summary_period)
+        for duration in (self.window_width, self.summary_period):
+            Framing(datetime.min, parse_duration(duration))  # a width under 1 µs fails
         if self.views is not None:
             valid = {v.value for v in View}
             for name in self.views:
@@ -212,6 +216,12 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
         except OverflowError:
             raise ConfigError(f"--origin value {config.origin!r} is out of range in UTC") from None
     framing = Framing(origin=origin, width=parse_duration(config.window_width))
+    # the earliest stamp of a run starts the summary period (a window of the
+    # period) that holds the first window's start
+    periods = Framing(origin, parse_duration(config.summary_period))
+    start = framing.starts_us(framing.windows_of(log.times_us[:1]))
+    if (periods.starts_us(periods.windows_of(start)) < to_microseconds(datetime.min)).any():
+        raise ConfigError(f"--origin value {config.origin!r} puts a window before 0001-01-01")
     order = (
         FlattenOrder.from_file(config.flatten_order_file)
         if config.flatten_order_file
@@ -231,27 +241,23 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
     )
 
 
-def _write_links_csv(links: LinkTable, log: EventLog, path_or_fh, include_zeros: bool) -> None:
-    def rows():
-        if not include_zeros:
-            for c1, c2, value in links.pairs():
-                yield c1, c2, value
-            return
-        components = sorted(
-            [Component.activity(a) for a in log.activities]
-            + [Component.resource(r) for r in log.resources]
-            + [Component(ComponentKind.SEGMENT, s) for s in log.segments],
-            key=Component.sort_key,
-        )
-        for i, c1 in enumerate(components):
-            for c2 in components[i + 1 :]:
-                yield c1, c2, links.value(c1, c2)
-
+def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
+    """The link table as CSV, pairs in code order: components by (kind,
+    label), two segments of one label by (source, target)."""
+    first, second, values = links.first, links.second, links.values
+    if include_zeros:
+        # every pair i < j, row-major; pair (i, j) is row i*n - i(i+1)/2 + j-i-1
+        n = len(links.components)
+        dense = np.zeros(n * (n - 1) // 2)
+        dense[first * n - first * (first + 1) // 2 + second - first - 1] = values
+        (first, second), values = np.triu_indices(n, 1), dense
+    names = [csv_fields(c.kind.value, c.label) for c in links.components]
     with text_output(path_or_fh) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind1", "component1", "kind2", "component2", "link"])
-        for c1, c2, value in rows():
-            writer.writerow([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(value)])
+        fh.write("kind1,component1,kind2,component2,link\n")
+        for start in range(0, len(values), WRITE_ROWS):
+            part = slice(start, start + WRITE_ROWS)
+            rows = zip(first[part].tolist(), second[part].tolist(), values[part].tolist())
+            fh.writelines(f"{names[i]},{names[j]},{v!r}\n" for i, j, v in rows)
 
 
 def _write_matrix_csv(result: AnalysisResult, path: str) -> None:
@@ -285,7 +291,7 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
         return os.path.join(config.out, name)
 
     write_hlel_csv(result.entries, out("hlel.csv"), config.timestamp_format)
-    _write_links_csv(result.links, result.log, out("links.csv"), config.include_zero_links)
+    _write_links_csv(result.links, out("links.csv"), config.include_zero_links)
     write_summary_csv(_summary(config, result), out("summary.csv"), config.timestamp_format)
     with open(out("dfg.dot"), "w", encoding="utf-8") as fh:
         fh.write(export_dfg(result.flattened))
@@ -319,9 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "links":
             config = _run_config(args)
             log = _ingest(config)
-            _write_links_csv(
-                build_link_table(log), log, args.out or sys.stdout, config.include_zero_links
-            )
+            _write_links_csv(build_link_table(log), args.out or sys.stdout, config.include_zero_links)
         elif args.command == "summary":
             config = _run_config(args)
             result = _run_pipeline(config)

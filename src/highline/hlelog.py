@@ -233,37 +233,7 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_WRITE_ROWS = 1 << 12
-
-
-def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
-    row = csv.writer(_Echo, lineterminator="\n").writerow
-
-    def fields(*values: str) -> str:
-        # the values as the csv module quotes them inside a row; the extra
-        # empty field keeps a lone empty value unquoted, as inside a row
-        return row((*values, ""))[:-2]
-
-    stamps = [fields(format_timestamp(t, timestamp_format)) for t in hlel.stamps]
-    features = [
-        (fields(f.activity), fields(f.view, f.component_kind, f.component), fields(repr(f.threshold)))
-        for f in hlel.features
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(row(HLEL_COLUMNS))
-        # a slice of rows at a time, so that only its Python values are alive;
-        # ids, windows and float reprs never need quoting
-        for start in range(0, len(hlel.hle_ids), _WRITE_ROWS):
-            part = slice(start, start + _WRITE_ROWS)
-            fh.writelines(
-                f"{i},{c},{f[0]},{t},{w},{f[1]},{v!r},{f[2]}\n"
-                for i, c, f, t, w, v in zip(
-                    hlel.hle_ids[part].tolist(), hlel.cases[part].tolist(),
-                    map(features.__getitem__, hlel.feature_codes[part].tolist()),
-                    map(stamps.__getitem__, hlel.stamp_codes[part].tolist()),
-                    hlel.windows[part].tolist(), hlel.values[part].tolist(),
-                )
-            )
+WRITE_ROWS = 1 << 12
 
 
 class _Echo:
@@ -273,6 +243,39 @@ class _Echo:
     @staticmethod
     def write(line: str) -> str:
         return line
+
+
+_row = csv.writer(_Echo, lineterminator="\n").writerow
+
+
+def csv_fields(*values: str) -> str:
+    """The values as the csv module writes them inside a row, with no line
+    end; the extra empty field keeps a lone empty value unquoted."""
+    return _row((*values, ""))[:-2]
+
+
+def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
+    stamps = [csv_fields(format_timestamp(t, timestamp_format)) for t in hlel.stamps]
+    features = [
+        (csv_fields(f.activity), csv_fields(f.view, f.component_kind, f.component),
+         csv_fields(repr(f.threshold)))
+        for f in hlel.features
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_row(HLEL_COLUMNS))
+        # a slice of rows at a time, so that only its Python values are alive;
+        # ids, windows and float reprs never need quoting
+        for start in range(0, len(hlel.hle_ids), WRITE_ROWS):
+            part = slice(start, start + WRITE_ROWS)
+            fh.writelines(
+                f"{i},{c},{f[0]},{t},{w},{f[1]},{v!r},{f[2]}\n"
+                for i, c, f, t, w, v in zip(
+                    hlel.hle_ids[part].tolist(), hlel.cases[part].tolist(),
+                    map(features.__getitem__, hlel.feature_codes[part].tolist()),
+                    map(stamps.__getitem__, hlel.stamp_codes[part].tolist()),
+                    hlel.windows[part].tolist(), hlel.values[part].tolist(),
+                )
+            )
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:

@@ -17,8 +17,7 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,79 +26,65 @@ from .events import Component, ComponentKind, EventLog
 from .features import HighLevelEvent, HLETable
 
 
-def _pair(c1: Component, c2: Component) -> tuple[Component, Component]:
-    return tuple(sorted((c1, c2), key=Component.sort_key))  # type: ignore[return-value]
-
-
 class LinkTable:
-    """Symmetric map from unordered component pairs to link values.
+    """Link values of unordered component pairs, as columns over one code
+    space.
 
-    Only nonzero entries are stored; lookups of unseen pairs yield 0 and a
-    component is linked to itself with 1. The components of the stored
-    pairs are interned to dense ids once, and the values are held as a
-    symmetric matrix over those ids whose diagonal is 1, so a lookup is two
-    dict reads and an array read.
+    ``components`` is the code space: components ranked by (kind, label),
+    two segments of one label by (source, target). Pair k links
+    ``components[first[k]]`` to ``components[second[k]]`` with ``values[k]``
+    in (0, 1], where ``first[k] < second[k]``, in (first, second) order.
+    Unstored pairs have value 0, and a component is linked to itself with 1.
+    The constructor takes code pairs in either orientation, repeated or not:
+    each keeps its largest value, and values <= 0 are dropped.
     """
 
-    def __init__(self, links: Mapping[tuple[Component, Component], float]):
-        canonical: dict[tuple[Component, Component], float] = {}
-        for (c1, c2), v in links.items():
-            if v > 0:
-                key = _pair(c1, c2)
-                canonical[key] = max(canonical.get(key, 0.0), v)
-        self._links = dict(sorted(canonical.items(), key=_pair_sort))
-        self._ids: dict[Component, int] = {}
-        for pair in self._links:
-            for c in pair:
-                self._ids.setdefault(c, len(self._ids))
-        self._matrix = np.zeros((len(self._ids), len(self._ids)))
-        for (c1, c2), v in self._links.items():
-            i, j = self._ids[c1], self._ids[c2]
-            self._matrix[i, j] = self._matrix[j, i] = v
-        np.fill_diagonal(self._matrix, 1.0)
+    def __init__(self, components: Sequence[Component], first, second, values):
+        self.components = tuple(components)
+        n = len(self.components)
+        keep = (values > 0) & (first != second)
+        low, high = np.minimum(first, second), np.maximum(first, second)
+        keys, pair = np.unique((low * n + high)[keep], return_inverse=True)
+        self.values = np.zeros(len(keys))
+        np.maximum.at(self.values, pair, values[keep])
+        self.first, self.second = np.divmod(keys, n)
+        self._keys = keys
+        self._codes = {c: i for i, c in enumerate(self.components)}
 
     def value(self, c1: Component, c2: Component) -> float:
-        i, j = self._ids.get(c1), self._ids.get(c2)
-        if i is None or j is None:
+        i, j = self._codes.get(c1), self._codes.get(c2)
+        if i is None or j is None or i == j:
             return 1.0 if c1 == c2 else 0.0
-        return float(self._matrix[i, j])
-
-    def matrix(self, components: Sequence[Component]) -> np.ndarray:
-        """Link values among distinct ``components``, 1 on the diagonal.
-
-        Components outside the table are linked to nothing but themselves.
-        """
-        ids = np.array([self._ids.get(c, -1) for c in components], dtype=np.intp)
-        known = np.flatnonzero(ids >= 0)
-        m = np.eye(len(ids))
-        m[np.ix_(known, known)] = self._matrix[np.ix_(ids[known], ids[known])]
-        return m
+        key = min(i, j) * len(self.components) + max(i, j)
+        k = int(np.searchsorted(self._keys, key))
+        return float(self.values[k]) if k < len(self._keys) and self._keys[k] == key else 0.0
 
     def pairs(self) -> Iterator[tuple[Component, Component, float]]:
-        """Nonzero entries in deterministic order."""
-        for (c1, c2), v in self._links.items():
-            yield c1, c2, v
+        """Nonzero entries in (first, second) order."""
+        for i, j, v in zip(self.first.tolist(), self.second.tolist(), self.values.tolist()):
+            yield self.components[i], self.components[j], v
 
     def __len__(self) -> int:
-        return len(self._links)
-
-
-def _pair_sort(item):
-    (c1, c2), _ = item
-    return (c1.sort_key(), c2.sort_key())
+        return len(self.values)
 
 
 def build_link_table(log: EventLog) -> LinkTable:
-    """The full link table of a log, all component kinds combined.
+    """The full link table of a log over its components.
 
     Every count is a ``bincount`` over the log's codes: events per activity
     or resource, steps per segment, resource handovers, (activity, resource)
     co-executions, (segment, resource) touches and chained step pairs.
     """
     n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
-    acts = [Component.activity(a) for a in log.activity_names]
-    ress = [Component.resource(r) for r in log.resource_names]
-    segs = [Component(ComponentKind.SEGMENT, s) for s in log.segment_names]
+    # activity and resource codes already follow their names; segments are
+    # ranked by label, and by segment code, so (source, target), within one
+    by_label = sorted(range(n_seg), key=lambda s: (log.segment_names[s].label, s))
+    seg_code = n_act + n_res + np.argsort(by_label)
+    components = (
+        [Component.activity(a) for a in log.activity_names]
+        + [Component.resource(r) for r in log.resource_names]
+        + [Component(ComponentKind.SEGMENT, log.segment_names[s]) for s in by_label]
+    )
     act, res = log.activity_codes, log.resource_codes
     first, second = log.step_rows
     seg, ends = log.step_segments
@@ -108,15 +93,11 @@ def build_link_table(log: EventLog) -> LinkTable:
     seg_n = np.bincount(seg, minlength=n_seg)
     r1, r2 = res[first], res[second]
     source, target = ends[:, 0], ends[:, 1]
+    links = []
 
-    links: dict[tuple[Component, Component], float] = {}
-
-    def put(left, right, i, j, values) -> None:
-        """Link left[i[k]] and right[j[k]] with values[k], where positive."""
-        keep = values > 0
-        for a, b, value in zip(i[keep].tolist(), j[keep].tolist(), values[keep].tolist()):
-            key = _pair(left[a], right[b])
-            links[key] = max(links.get(key, 0.0), min(1.0, value))
+    def put(i, j, values) -> None:
+        """Link component codes i[k] and j[k] with values[k]."""
+        links.append((i, j, values))
 
     def pair_counts(x, n_x, y, n_y):
         """The (x, y) code pairs that occur, as (x, y, count) arrays."""
@@ -125,32 +106,33 @@ def build_link_table(log: EventLog) -> LinkTable:
         return nonzero // n_y, nonzero % n_y, counts[nonzero]
 
     loop = source == target
-    put(acts, acts, source[~loop], target[~loop], seg_n[~loop] / act_n[source[~loop]])
+    put(source[~loop], target[~loop], seg_n[~loop] / act_n[source[~loop]])
     h1, h2, count = pair_counts(r1, n_res, r2, n_res)
     handover = h1 != h2
-    put(ress, ress, h1[handover], h2[handover], count[handover] / res_n[h1[handover]])
+    put(n_act + h1[handover], n_act + h2[handover], count[handover] / res_n[h1[handover]])
     a, r, count = pair_counts(act, n_act, res, n_res)
-    put(acts, ress, a, r, np.maximum(count / act_n[a], count / res_n[r]))
-    # steps moving a case over the segment in either direction
-    reverse = dict(zip((source * n_act + target).tolist(), seg_n.tolist()))
-    back = np.array([reverse.get(k, 0) for k in (target * n_act + source).tolist()], dtype=np.int64)
-    moved = np.maximum(seg_n, back)
-    codes = np.arange(n_seg)
-    put(acts, segs, source, codes, moved / act_n[source])
-    put(acts, segs, target[~loop], codes[~loop], moved[~loop] / act_n[target[~loop]])
+    put(a, n_act + r, np.maximum(count / act_n[a], count / res_n[r]))
+    # steps moving a case over the segment in either direction; segment
+    # codes follow (source, target), so their keys are sorted
+    keys, back = source * n_act + target, target * n_act + source
+    at = np.minimum(np.searchsorted(keys, back), n_seg - 1)
+    moved = np.maximum(seg_n, np.where(keys[at] == back, seg_n[at], 0))
+    put(source, seg_code, moved / act_n[source])
+    put(target[~loop], seg_code[~loop], moved[~loop] / act_n[target[~loop]])
     # a step touches a resource once, even where both its events share it
     other = r1 != r2
     s, r, count = pair_counts(
         np.concatenate([seg, seg[other]]), n_seg, np.concatenate([r1, r2[other]]), n_res
     )
-    put(segs, ress, s, r, np.maximum(count / res_n[r], count / seg_n[s]))
+    put(seg_code[s], n_act + r, np.maximum(count / res_n[r], count / seg_n[s]))
     # consecutive steps of one case share an event: chained segment pairs
     chained = second[:-1] == first[1:]
     s1, s2, count = pair_counts(seg[:-1][chained], n_seg, seg[1:][chained], n_seg)
     distinct = s1 != s2
     s1, s2, count = s1[distinct], s2[distinct], count[distinct]
-    put(segs, segs, s1, s2, np.maximum(count / seg_n[s1], count / seg_n[s2]))
-    return LinkTable(links)
+    put(seg_code[s1], seg_code[s2], np.maximum(count / seg_n[s1], count / seg_n[s2]))
+    i, j, values = (np.concatenate(column) for column in zip(*links))
+    return LinkTable(components, i, j, np.minimum(values, 1.0))
 
 
 # --- proximity and cascades ----------------------------------------------------
@@ -182,6 +164,22 @@ def _offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
 
 
+def _near(links: LinkTable, components: list[Component], lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (i, j) positions in ``components`` whose link reaches ``lam``, i == j too."""
+    n = len(components)
+    if lam <= 0:  # unlinked pairs too
+        return np.divmod(np.arange(n * n), n)
+    codes = np.array([links._codes.get(c, -1) for c in components], dtype=np.int64)
+    known = np.flatnonzero(codes >= 0)
+    position = np.full(len(links.components), -1)
+    position[codes[known]] = known
+    strong = links.values >= lam
+    i, j = position[links.first[strong]], position[links.second[strong]]
+    both = (i >= 0) & (j >= 0)
+    i, j, own = i[both], j[both], np.arange(n)
+    return np.divmod(np.sort(np.concatenate([i * n + j, j * n + i, own * n + own])), n)
+
+
 def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     if not 0 <= lam <= 1:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
@@ -205,7 +203,7 @@ def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     # successors: each one's candidate heads are its component's neighbours
     adjacent = np.append(np.diff(w[new]) == 1, False)
     source = np.flatnonzero(adjacent[rank])
-    near_rows, near = np.nonzero(links.matrix(list(components)) >= lam)
+    near_rows, near = _near(links, list(components), lam)
     near_start = np.searchsorted(near_rows, np.arange(n_c + 1))
     degree = np.diff(near_start)[component[source]]
     tail = np.repeat(source, degree)
@@ -242,18 +240,11 @@ def propagation_edges(hles: HLETable, links: LinkTable, lam: float) -> np.ndarra
 
 class CascadeAssignment:
     """Dense cascade ids (1..k) of distinct high-level events: ``cases[k]``
-    is the cascade of row k of ``hles``.
-
-    ``ids`` maps each event to its cascade; it is built on first read.
-    """
+    is the cascade of row k of ``hles``."""
 
     def __init__(self, hles: HLETable, cases: np.ndarray):
         self.hles = hles
         self.cases = cases
-
-    @cached_property
-    def ids(self) -> Mapping[HighLevelEvent, int]:
-        return dict(zip(self.hles, self.cases.tolist()))
 
     @property
     def count(self) -> int:

@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from highline import HLETable, HighLevelLog
+from highline import Component, ComponentKind, HLETable, HighLevelLog, LinkTable
 from highline.hlelog import HLELFeature
 
 
@@ -149,8 +149,6 @@ def oracle_delay(steps, origin, width, seg, w):
 
 def oracle_link(log, steps, comp1, comp2):
     """The link value of two distinct components, by literal counting."""
-    from highline import ComponentKind
-
     k1, k2 = comp1.kind, comp2.kind
     if k1 == k2 == ComponentKind.ACTIVITY:
         a1, a2 = comp1.key, comp2.key
@@ -204,6 +202,80 @@ def oracle_link(log, steps, comp1, comp2):
     touching = sum(1 for e1, e2 in seg_steps if r in (e1.resource, e2.resource))
     n_r = sum(1 for e in log if e.resource == r)
     return min(1.0, max(touching / n_r, touching / len(seg_steps)))
+
+
+def component_order(c):
+    """The order of a link table's components: (kind, label), and two
+    segments of one label by (source, target)."""
+    return (c.sort_key(), c.key)
+
+
+def oracle_link_table(log):
+    """The nonzero link values of a log as a dict from component pairs, each
+    pair and the dict in ``component_order``, filled one pair at a time from
+    the log's counts; a pair linked more than once keeps its largest value."""
+    n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
+    acts = [Component.activity(a) for a in log.activity_names]
+    ress = [Component.resource(r) for r in log.resource_names]
+    segs = [Component(ComponentKind.SEGMENT, s) for s in log.segment_names]
+    act, res = log.activity_codes, log.resource_codes
+    first, second = log.step_rows
+    seg, ends = log.step_segments
+    act_n = np.bincount(act, minlength=n_act)
+    res_n = np.bincount(res, minlength=n_res)
+    seg_n = np.bincount(seg, minlength=n_seg)
+    r1, r2 = res[first], res[second]
+    source, target = ends[:, 0], ends[:, 1]
+    links = {}
+
+    def put(left, right, i, j, values):
+        keep = values > 0
+        for a, b, value in zip(i[keep].tolist(), j[keep].tolist(), values[keep].tolist()):
+            key = tuple(sorted((left[a], right[b]), key=component_order))
+            links[key] = max(links.get(key, 0.0), min(1.0, value))
+
+    def pair_counts(x, n_x, y, n_y):
+        counts = np.bincount(x * n_y + y, minlength=n_x * n_y)
+        nonzero = np.flatnonzero(counts)
+        return nonzero // n_y, nonzero % n_y, counts[nonzero]
+
+    loop = source == target
+    put(acts, acts, source[~loop], target[~loop], seg_n[~loop] / act_n[source[~loop]])
+    h1, h2, count = pair_counts(r1, n_res, r2, n_res)
+    handover = h1 != h2
+    put(ress, ress, h1[handover], h2[handover], count[handover] / res_n[h1[handover]])
+    a, r, count = pair_counts(act, n_act, res, n_res)
+    put(acts, ress, a, r, np.maximum(count / act_n[a], count / res_n[r]))
+    reverse = dict(zip((source * n_act + target).tolist(), seg_n.tolist()))
+    back = np.array([reverse.get(k, 0) for k in (target * n_act + source).tolist()], dtype=np.int64)
+    moved = np.maximum(seg_n, back)
+    codes = np.arange(n_seg)
+    put(acts, segs, source, codes, moved / act_n[source])
+    put(acts, segs, target[~loop], codes[~loop], moved[~loop] / act_n[target[~loop]])
+    other = r1 != r2
+    s, r, count = pair_counts(
+        np.concatenate([seg, seg[other]]), n_seg, np.concatenate([r1, r2[other]]), n_res
+    )
+    put(segs, ress, s, r, np.maximum(count / res_n[r], count / seg_n[s]))
+    chained = second[:-1] == first[1:]
+    s1, s2, count = pair_counts(seg[:-1][chained], n_seg, seg[1:][chained], n_seg)
+    distinct = s1 != s2
+    s1, s2, count = s1[distinct], s2[distinct], count[distinct]
+    put(segs, segs, s1, s2, np.maximum(count / seg_n[s1], count / seg_n[s2]))
+    return dict(sorted(links.items(), key=lambda item: tuple(map(component_order, item[0]))))
+
+
+def link_table(pairs):
+    """A ``LinkTable`` of a dict from component pairs to link values, over
+    the pairs' components in ``component_order``."""
+    components = sorted({c for pair in pairs for c in pair}, key=component_order)
+    code = {c: i for i, c in enumerate(components)}
+    return LinkTable(
+        components,
+        np.array([code[c1] for c1, _ in pairs], dtype=np.int64),
+        np.array([code[c2] for _, c2 in pairs], dtype=np.int64),
+        np.array(list(pairs.values()), dtype=float),
+    )
 
 
 # --- cascades ------------------------------------------------------------------
@@ -275,10 +347,15 @@ def oracle_cascade_ids(hles, link_value, lam):
     return {h: ids[block] for h, block in block_of.items()}
 
 
+def cascade_ids(assignment):
+    """The cascade of every distinct event of a cascade assignment."""
+    return dict(zip(assignment.hles, assignment.cases.tolist()))
+
+
 def partition_of(assignment):
     """Turn a cascade assignment into a partition for comparison."""
     groups = {}
-    for h, cid in assignment.ids.items():
+    for h, cid in cascade_ids(assignment).items():
         groups.setdefault(cid, set()).add(h)
     return {frozenset(g) for g in groups.values()}
 

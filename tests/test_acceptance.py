@@ -20,7 +20,6 @@ from highline import (
     Component,
     ComponentKind,
     Framing,
-    LinkTable,
     ScenarioConfig,
     View,
     analyze_log,
@@ -231,7 +230,7 @@ def test_cascade_correctness():
             for i, c1 in enumerate(comps):
                 for c2 in comps[i + 1 :]:
                     pairs[(c1, c2)] = rng.random() if rng.random() < 0.6 else 0.0
-            links = LinkTable(pairs)
+            links = oracles.link_table(pairs)
             seen = set()
             hles = []
             while len(hles) < rng.randint(10, 200):
@@ -253,9 +252,9 @@ def test_cascade_correctness():
 
             assert oracles.partition_of(fine) == oracles.oracle_partition(hles, raw, lam2)
             # lambda-monotone refinement: each fine cascade nests in a coarse one
-            coarse = cascades(table, links, lam1)
+            coarse = oracles.cascade_ids(cascades(table, links, lam1))
             for block in oracles.partition_of(fine):
-                assert len({coarse.ids[h] for h in block}) == 1
+                assert len({coarse[h] for h in block}) == 1
 
 
 def test_hle_monotonicity_in_percentile(scenario_analysis):
@@ -288,8 +287,8 @@ def test_table_one_qualitative_reproduction(scenario, scenario_analysis, tmp_pat
         for name, weeks_fired in fired_weeks.items():
             assert BUSY_WEEKS <= weeks_fired, (name, weeks_fired)
         by_cascade = {}
-        for h in result.hles:
-            by_cascade.setdefault(result.assignment.ids[h], set()).add(h.feature.name)
+        for h, cascade in oracles.cascade_ids(result.assignment).items():
+            by_cascade.setdefault(cascade, set()).add(h.feature.name)
         assert any(
             set(TARGET_ACTIVITIES) <= names for names in by_cascade.values()
         ), "no cascade contains all four features"
@@ -360,9 +359,10 @@ def test_hlel_bijection(scenario_analysis, log_t):
             assert len(result.entries) == len(result.hles)
             by_key = {(h.feature.name, h.window): h for h in result.hles}
             assert len(by_key) == len(result.hles)
+            ids = oracles.cascade_ids(result.assignment)
             for entry in result.entries:
                 h = by_key[(entry.activity, entry.window)]
                 assert entry.activity == h.feature.name
-                assert entry.case == result.assignment.ids[h]
+                assert entry.case == ids[h]
                 assert entry.timestamp == result.framing.window_start(h.window)
                 assert entry.value == h.value

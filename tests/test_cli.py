@@ -184,12 +184,37 @@ def test_a_mistyped_scenario_field_is_a_config_error(tmp_path, capsys, config):
 
 @pytest.mark.parametrize("command,flag", [
     ("analyze", "--window-width"), ("summary", "--window-width"), ("summary", "--summary-period"),
+    ("analyze", "--summary-period"),
 ])
 def test_a_width_under_one_microsecond_is_a_config_error(log_t_csv, tmp_path, capsys, command, flag):
     args = [command, "--input", log_t_csv, "--out", str(tmp_path / "o"), flag, "0.0000001"]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "at least 1 µs" in err and err.count("\n") == 1
+    # checked with the config, before any artifact is written
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("origin,width", [
+    ("0001-01-01T12:00:00", "1d"),  # the first window starts on day 0
+    ("0001-01-01T01:00:00", "1h"),  # the first window fits, its summary week does not
+])
+def test_an_origin_that_puts_a_window_before_year_one_is_a_config_error(
+    tmp_path, capsys, origin, width
+):
+    path = tmp_path / "early.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,a,0001-01-01T00:00:00,r1\nc1,b,0001-01-01T03:00:00,r2\n"
+    )
+    out = tmp_path / "o"
+    args = ["analyze", "--input", str(path), "--out", str(out), "--origin", origin]
+    assert run(args + ["--window-width", width]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --origin value {origin!r} puts a window before 0001-01-01\n"
+    assert not out.exists()
+    # the first event's own window and week start there
+    assert run(args[:-1] + ["0001-01-01T00:00:00", "--window-width", width]) == 0
 
 
 def test_an_out_of_range_scenario_start_is_a_config_error(tmp_path, capsys):
@@ -282,6 +307,23 @@ def test_links_subcommand(log_t_csv, tmp_path, capsys):
                 "--out", str(tmp_path / "full")]) == 0
     capsys.readouterr()
     assert (tmp_path / "full" / "links.csv").read_text() == out
+
+
+def test_segments_of_one_label_share_one_row_in_label_then_segment_order(tmp_path, capsys):
+    # ("a,a", "a") and ("a", "a,a") are both labelled (a,a,a); chained once
+    # one way round and twice the other, each way is worth 1/3 and 2/3
+    path = tmp_path / "commas.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        '1,"a,a",2024-01-01T00:00:00,r\n1,a,2024-01-01T00:01:00,r\n1,"a,a",2024-01-01T00:02:00,r\n'
+        '2,a,2024-01-01T00:00:00,r\n2,"a,a",2024-01-01T00:01:00,r\n2,a,2024-01-01T00:02:00,r\n'
+        '3,a,2024-01-01T00:00:00,r\n3,"a,a",2024-01-01T00:01:00,r\n3,a,2024-01-01T00:02:00,r\n'
+    )
+    assert run(["links", "--input", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith("segment,")] == [
+        'segment,"(a,a,a)",segment,"(a,a,a)",0.6666666666666666'
+    ]
 
 
 def test_summary_subcommand(log_t_csv, tmp_path):

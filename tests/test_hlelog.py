@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE
-from oracles import high_level_log, hle_table
+from oracles import cascade_ids, high_level_log, hle_table
 
 from highline import (
     CascadeAssignment,
@@ -219,8 +219,9 @@ def test_read_hlel_latin1_byte_names_its_line(tmp_path, log_t):
 
 def test_case_ids_are_cascade_ids(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
+    ids = cascade_ids(result.assignment)
     for e in result.entries:
-        by_hand = {h for h in result.hles if result.assignment.ids[h] == e.case}
+        by_hand = {h for h in result.hles if ids[h] == e.case}
         assert e.activity in {h.feature.name for h in by_hand}
 
 

@@ -15,7 +15,6 @@ from highline import (
     FeatureId,
     HighLevelEvent,
     HLETable,
-    LinkTable,
     Segment,
     View,
     build_link_table,
@@ -23,7 +22,7 @@ from highline import (
     propagation_edges,
 )
 import highline.linkage as linkage
-from oracles import edge_events, hle_table
+from oracles import cascade_ids, edge_events, hle_table, link_table
 
 AB = Segment("a", "b")
 BC = Segment("b", "c")
@@ -116,6 +115,25 @@ def test_self_loop_segment_resource_link_is_clamped():
     assert value == 1.0
 
 
+def test_segments_of_one_label_keep_their_larger_value_once():
+    # ("a,a", "a") and ("a", "a,a") are both labelled (a,a,a); chained once
+    # one way round and twice the other, each way is worth 1/3 and 2/3
+    log = make_log(
+        [
+            ("c1", "a,a", 0, "r"), ("c1", "a", 10, "r"), ("c1", "a,a", 20, "r"),
+            ("c2", "a", 0, "r"), ("c2", "a,a", 10, "r"), ("c2", "a", 20, "r"),
+            ("c3", "a", 0, "r"), ("c3", "a,a", 10, "r"), ("c3", "a", 20, "r"),
+        ]
+    )
+    table = build_link_table(log)
+    x, y = Component.segment("a,a", "a"), Component.segment("a", "a,a")
+    assert table.value(x, y) == table.value(y, x) == 2 / 3
+    # a tie in (kind, label) goes by (source, target)
+    segment_pairs = [p for p in table.pairs() if p[0].kind is p[1].kind is ComponentKind.SEGMENT]
+    assert segment_pairs == [(y, x, 2 / 3)]
+    assert list(table.pairs()) == [(c1, c2, v) for (c1, c2), v in oracles.oracle_link_table(log).items()]
+
+
 def test_table_matches_oracle():
     rng = random.Random(53)
     for _ in range(10):
@@ -185,14 +203,14 @@ def comp(name):
 
 
 def table_of(pairs):
-    return LinkTable({(comp(a), comp(b)): v for (a, b), v in pairs.items()})
+    return link_table({(comp(a), comp(b)): v for (a, b), v in pairs.items()})
 
 
 def test_chain_of_three_shares_one_cascade():
     links = table_of({("A", "B"): 0.8, ("B", "C"): 0.8, ("A", "C"): 0.0})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
     assignment = cascades(hle_table(hles), links, 0.5)
-    assert len(set(assignment.ids.values())) == 1
+    assert len(set(cascade_ids(assignment).values())) == 1
 
 
 def test_simultaneous_events_joined_through_shared_successor():
@@ -201,20 +219,21 @@ def test_simultaneous_events_joined_through_shared_successor():
     b0 = hle(View.EXEC, comp("B"), 0)
     c1 = hle(View.EXEC, comp("C"), 1)
     assignment = cascades(hle_table([a0, b0, c1]), links, 0.5)
-    assert assignment.ids[a0] == assignment.ids[b0] == assignment.ids[c1]
+    ids = cascade_ids(assignment)
+    assert ids[a0] == ids[b0] == ids[c1]
 
 
 def test_lambda_one_with_weak_links_gives_singletons():
     links = table_of({("A", "B"): 0.99, ("B", "C"): 0.99})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
     assignment = cascades(hle_table(hles), links, 1.0)
-    assert len(set(assignment.ids.values())) == 3
+    assert len(set(cascade_ids(assignment).values())) == 3
 
 
 def test_persistence_propagates_at_lambda_one():
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("A"), 1)]
-    assignment = cascades(hle_table(hles), LinkTable({}), 1.0)
-    assert len(set(assignment.ids.values())) == 1
+    assignment = cascades(hle_table(hles), link_table({}), 1.0)
+    assert len(set(cascade_ids(assignment).values())) == 1
 
 
 def test_cascade_ids_dense_and_deterministically_numbered():
@@ -226,10 +245,11 @@ def test_cascade_ids_dense_and_deterministically_numbered():
     ]
     assignment = cascades(hle_table(hles), links, 0.5)
     # numbering by earliest window, then smallest feature name
-    assert assignment.ids[hles[2]] == 1
-    assert assignment.ids[hles[1]] == 2
-    assert assignment.ids[hles[0]] == 3
-    assert sorted(set(assignment.ids.values())) == [1, 2, 3]
+    ids = cascade_ids(assignment)
+    assert ids[hles[2]] == 1
+    assert ids[hles[1]] == 2
+    assert ids[hles[0]] == 3
+    assert sorted(set(ids.values())) == [1, 2, 3]
 
 
 def test_cascade_ids_invariant_under_input_permutation():
@@ -248,12 +268,12 @@ def test_cascade_ids_invariant_under_input_permutation():
     for _ in range(5):
         shuffled = hles[:]
         rng.shuffle(shuffled)
-        assert cascades(hle_table(shuffled), links, 0.4).ids == baseline.ids
+        assert cascade_ids(cascades(hle_table(shuffled), links, 0.4)) == cascade_ids(baseline)
 
 
 def test_lambda_out_of_range():
     with pytest.raises(ConfigError):
-        cascades(hle_table([]), LinkTable({}), 1.5)
+        cascades(hle_table([]), link_table({}), 1.5)
 
 
 WORLD_VIEWS = {
@@ -293,7 +313,7 @@ def random_hle_world(rng, n_hles=60, n_windows=8):
         hles.append(hle(*key, value=rng.random()))
     for h in rng.sample(hles, min(5, len(hles))):
         hles.append(hle(h.feature.view, h.feature.component, h.window, h.value))
-    return hles, LinkTable(pairs), pairs
+    return hles, link_table(pairs), pairs
 
 
 def raw_link(pairs):
@@ -344,7 +364,7 @@ def test_lambda_refines_cascades():
         table = hle_table(hles)
         coarse = cascades(table, links, lam1)
         fine = cascades(table, links, lam2)
-        coarse_of = {h: coarse.ids[h] for h in coarse.ids}
+        coarse_of = cascade_ids(coarse)
         for block in oracles.partition_of(fine):
             assert len({coarse_of[h] for h in block}) == 1
 
@@ -365,7 +385,7 @@ def chain(windows):
         np.concatenate([odd, even, even]).astype(np.int64),
         np.ones(len(codes)),
     )
-    return table, LinkTable({(r0, r1): 0.5})
+    return table, link_table({(r0, r1): 0.5})
 
 
 def test_a_long_alternating_chain_is_one_cascade():
@@ -378,7 +398,7 @@ def test_a_long_alternating_chain_is_one_cascade():
 
     prefix, _ = chain(300)
     assignment = cascades(prefix, links, 0.5)
-    assert assignment.ids == oracles.oracle_cascade_ids(prefix, links.value, 0.5)
+    assert cascade_ids(assignment) == oracles.oracle_cascade_ids(prefix, links.value, 0.5)
     assert set(edge_events(prefix, propagation_edges(prefix, links, 0.5))) == {
         (h1, h2)
         for h1, h2 in itertools.product(prefix, repeat=2)
@@ -393,7 +413,7 @@ def test_joining_takes_at_most_log2_rounds_where_plain_min_hooking_takes_more():
     # log2 of the 8 super-nodes
     r = [Component.resource(f"r{i}") for i in range(8)]
     edges = [(0, 5), (1, 6), (2, 7), (3, 7), (4, 7), (3, 5), (4, 6)]
-    links = LinkTable({(r[a], r[b]): 1.0 for a, b in edges})
+    links = link_table({(r[a], r[b]): 1.0 for a, b in edges})
     hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)])
     layers = linkage._layers(hles, links, 0.5)
     assert (layers.nodes, len(layers.tail)) == (8, len(edges))
