@@ -9,7 +9,6 @@ Subcommands: ``analyze`` (full pipeline, writes all artifacts),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .events import (
     to_microseconds,
     write_event_csv,
 )
-from .features import View
+from .features import EvaluationMatrix, View
 from .framing import Framing, default_origin, parse_duration
 from .generator import ScenarioConfig, generate
 from .hlelog import (
@@ -244,28 +243,53 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
 def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
     """The link table as CSV, pairs in code order: components by (kind,
     label), two segments of one label by (source, target)."""
-    first, second, values = links.first, links.second, links.values
-    if include_zeros:
-        # every pair i < j, row-major; pair (i, j) is row i*n - i(i+1)/2 + j-i-1
-        n = len(links.components)
-        dense = np.zeros(n * (n - 1) // 2)
-        dense[first * n - first * (first + 1) // 2 + second - first - 1] = values
-        (first, second), values = np.triu_indices(n, 1), dense
     names = [csv_fields(c.kind.value, c.label) for c in links.components]
     with text_output(path_or_fh) as fh:
         fh.write("kind1,component1,kind2,component2,link\n")
-        for start in range(0, len(values), WRITE_ROWS):
-            part = slice(start, start + WRITE_ROWS)
-            rows = zip(first[part].tolist(), second[part].tolist(), values[part].tolist())
+        for first, second, values in _link_blocks(links, include_zeros):
+            rows = zip(first.tolist(), second.tolist(), values.tolist())
             fh.writelines(f"{names[i]},{names[j]},{v!r}\n" for i, j, v in rows)
 
 
-def _write_matrix_csv(result: AnalysisResult, path: str) -> None:
+def _link_blocks(links: LinkTable, include_zeros: bool):
+    """The table's pairs as (first, second, values) blocks of at most
+    WRITE_ROWS pairs, or of one row of the triangle where that is longer:
+    the nonzero pairs, or with ``include_zeros`` every pair i < j, row-major."""
+    first, second, values = links.first, links.second, links.values
+    if not include_zeros:
+        for start in range(0, len(values), WRITE_ROWS):
+            part = slice(start, start + WRITE_ROWS)
+            yield first[part], second[part], values[part]
+        return
+    n = len(links.components)
+
+    def row_start(i):  # pair (i, j) is pair row_start(i) + j - i - 1 of the triangle
+        return i * n - i * (i + 1) // 2
+
+    lo = 0
+    while lo < n:
+        hi = min(lo + max(1, WRITE_ROWS // (n - lo)), n)  # row lo holds n - lo - 1 pairs
+        rows, columns = np.triu_indices(hi - lo, lo + 1, n)
+        dense = np.zeros(len(rows))
+        a, b = np.searchsorted(first, [lo, hi])
+        i, j = first[a:b], second[a:b]
+        dense[row_start(i) - row_start(lo) + j - i - 1] = values[a:b]
+        yield rows + lo, columns, dense
+        lo = hi
+
+
+def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
+    """The defined cells, by (feature name, window), about WRITE_ROWS cells at a time."""
+    names = [csv_fields(f.view.value, f.component.label) for f in matrix.features]
+    step = max(1, WRITE_ROWS // len(matrix.windows))  # features per block
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["view", "component", "window", "value"])
-        for fid, w, value in result.matrix.defined():
-            writer.writerow([fid.view.value, fid.component.label, w, repr(value)])
+        fh.write("view,component,window,value\n")
+        for start in range(0, len(names), step):
+            rows, offsets = np.nonzero(~np.isnan(matrix.values[start:start + step]))
+            rows += start
+            cells = zip(rows.tolist(), (matrix.windows.first + offsets).tolist(),
+                        matrix.values[rows, offsets].tolist())
+            fh.writelines(f"{names[k]},{w},{v!r}\n" for k, w, v in cells)
 
 
 def _summary(config: RunConfig, result: AnalysisResult) -> SummaryTable:
@@ -297,7 +321,7 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
         fh.write(export_dfg(result.flattened))
     config.write_json(out("config.json"))
     if config.dump_matrix:
-        _write_matrix_csv(result, out("matrix.csv"))
+        _write_matrix_csv(result.matrix, out("matrix.csv"))
     return result
 
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -144,18 +146,28 @@ class HLETable(Sequence[HighLevelEvent]):
 
 
 class EvaluationMatrix:
-    """Feature values per (feature, window); NaN marks undefined cells."""
+    """Feature values as one (feature, window) array; NaN marks undefined cells.
+    Row k of ``values`` is ``features[k]``. Rows run in feature name order, so
+    each view's features are one row range, ``blocks[view]``."""
 
-    def __init__(self, windows: WindowSet, arrays: dict[FeatureId, np.ndarray]):
-        self.windows = windows
-        self._arrays = dict(sorted(arrays.items(), key=lambda kv: kv[0].name))
+    def __init__(self, windows: WindowSet, features: Sequence[FeatureId], values: np.ndarray):
+        self.windows, self.features, self.values = windows, tuple(features), values
+        self._names = [f.name for f in self.features]
+        if self._names != sorted(self._names):
+            raise ValueError("the features of an evaluation matrix must be in name order")
+        self.blocks: dict[View, slice] = {}
+        for k, f in enumerate(self.features):  # extend the view's block to row k
+            self.blocks[f.view] = slice(self.blocks.get(f.view, slice(k, k)).start, k + 1)
 
-    @property
-    def features(self) -> tuple[FeatureId, ...]:
-        return tuple(self._arrays)
+    def _row(self, feature: FeatureId) -> int:
+        # from the first row of the feature's name: segments of one label share it
+        for k in range(bisect_left(self._names, feature.name), len(self._names)):
+            if self.features[k] == feature:
+                return k
+        raise KeyError(feature)
 
     def array(self, feature: FeatureId) -> np.ndarray:
-        return self._arrays[feature]
+        return self.values[self._row(feature)]
 
     def value(self, feature: FeatureId, w: int) -> float | None:
         """The evaluated value, or None where the feature is undefined.
@@ -167,29 +179,13 @@ class EvaluationMatrix:
             raise IndexError(
                 f"window {w} outside the evaluated windows {windows.first}..{windows.last}"
             )
-        v = self._arrays[feature][windows.offset(w)]
+        v = self.values[self._row(feature), windows.offset(w)]
         return None if math.isnan(v) else float(v)
-
-    def defined(self) -> Iterator[tuple[FeatureId, int, float]]:
-        """All defined cells, ordered by (feature name, window)."""
-        for fid, arr in self._arrays.items():
-            offsets = np.flatnonzero(~np.isnan(arr))
-            for off, v in zip(offsets.tolist(), arr[offsets].tolist()):
-                yield fid, self.windows.first + off, v
-
-    def views_present(self) -> tuple[View, ...]:
-        return tuple(sorted({f.view for f in self._arrays}, key=lambda v: v.value))
 
     def pooled(self, view: View, exclude_zeros: bool = False) -> np.ndarray:
         """All defined values of a view across components and windows."""
-        chunks = [a for f, a in self._arrays.items() if f.view is view]
-        if not chunks:
-            return np.empty(0)
-        values = np.concatenate(chunks)
-        values = values[~np.isnan(values)]
-        if exclude_zeros:
-            values = values[values != 0]
-        return values
+        values = self.values[self.blocks.get(view, slice(0, 0))]
+        return values[~np.isnan(values) & ((values != 0) if exclude_zeros else True)]
 
 
 # --- whole-matrix evaluation -------------------------------------------------
@@ -209,38 +205,37 @@ def evaluate(
     explicit selection raise KeyError.
     """
     windows = window_set(framing, log)
-    selected = tuple(views) if views is not None else ALL_VIEWS
     chosen = {
-        ComponentKind.ACTIVITY: _selection(log.activities, activities, "activity"),
-        ComponentKind.RESOURCE: _selection(log.resources, resources, "resource"),
-        ComponentKind.SEGMENT: _selection(log.segments, segments, "segment"),
+        ComponentKind.ACTIVITY: _selection(log.activity_names, activities, ComponentKind.ACTIVITY),
+        ComponentKind.RESOURCE: _selection(log.resource_names, resources, ComponentKind.RESOURCE),
+        ComponentKind.SEGMENT: _selection(log.segment_names, segments, ComponentKind.SEGMENT),
     }
-    names = {
-        ComponentKind.ACTIVITY: log.activity_names,
-        ComponentKind.RESOURCE: log.resource_names,
-        ComponentKind.SEGMENT: log.segment_names,
-    }
-    grid = _Grid(log, framing, windows)
-    arrays: dict[FeatureId, np.ndarray] = {}
+    # name order is (view, label) order: no view name is a prefix of another
+    selected = sorted(set(views if views is not None else ALL_VIEWS), key=lambda v: v.value)
+    features = [FeatureId(v, c) for v in selected for c in chosen[VIEW_KIND[v]][0]]
+    values = np.empty((len(features), len(windows)))
+    grid, start = _Grid(log, framing, windows), 0
     for view in selected:
-        kind = VIEW_KIND[view]
-        table = grid.view(view)
-        code = {name: i for i, name in enumerate(names[kind])}
-        for key in chosen[kind]:
-            key = Segment(*key) if kind is ComponentKind.SEGMENT else key
-            arrays[FeatureId(view, Component(kind, key))] = table[code[key]]
-    return EvaluationMatrix(windows, arrays)
+        codes = chosen[VIEW_KIND[view]][1]
+        # the codes are in range; "clip" lets take write into out unbuffered
+        np.take(grid.view(view), codes, axis=0, out=values[start:start + len(codes)], mode="clip")
+        start += len(codes)
+    return EvaluationMatrix(windows, features, values)
 
 
-def _selection(available, requested, kind):
-    if requested is None:
-        return sorted(available)
-    requested = list(requested)
+def _selection(names, requested, kind: ComponentKind) -> tuple[list[Component], np.ndarray]:
+    """The selected components of one kind, once each, in label order (two
+    segments of one label in selection order), and their codes in ``names``."""
+    code = {name: i for i, name in enumerate(names)}
+    requested = names if requested is None else list(requested)
     for item in requested:
-        if item not in available:
+        if item not in code:
             label = item.label if isinstance(item, Segment) else repr(item)
-            raise KeyError(f"unknown {kind}: {label}")
-    return requested
+            raise KeyError(f"unknown {kind.value}: {label}")
+    # the log's own name for each item: a segment given as a plain pair is a Segment
+    components = [Component(kind, names[code[item]]) for item in dict.fromkeys(requested)]
+    components.sort(key=attrgetter("label"))
+    return components, np.array([code[c.key] for c in components], dtype=np.int64)
 
 
 class _Grid:
@@ -373,7 +368,7 @@ def compute_thresholds(
     if not 0 <= p <= 1:
         raise ConfigError(f"percentile must lie in [0, 1], got {p}")
     by_view: dict[View, float] = {}
-    for view in matrix.views_present():
+    for view in matrix.blocks:
         pool = matrix.pooled(view, exclude_zeros=exclude_zeros)
         if len(pool) == 0:
             log_.warning("view %s has no defined values; no threshold derived", view.value)
@@ -394,10 +389,9 @@ def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> HLETa
     Ordered by (window, feature name).
     """
     features = tuple(f for f in matrix.features if f.view in thresholds.by_view)
-    values = np.array([matrix.array(f) for f in features])
-    values = values.reshape(len(features), len(matrix.windows))
-    limits = np.array([thresholds.by_view[f.view] for f in features])
-    # NaN compares false, so undefined cells never qualify; nonzero of the
-    # transposed mask runs window by window, features in name order
-    offsets, codes = np.nonzero((values >= limits[:, None]).T)
-    return HLETable(features, codes, matrix.windows.first + offsets, values[codes, offsets])
+    limits = np.array([thresholds.by_view.get(f.view, np.nan) for f in matrix.features])
+    # NaN compares false, so undefined cells and views without a threshold never
+    # qualify; nonzero of the transposed mask runs by window, then feature name
+    offsets, rows = np.nonzero((matrix.values >= limits[:, None]).T)
+    codes = np.cumsum(~np.isnan(limits))[rows] - 1  # the rank among thresholded rows
+    return HLETable(features, codes, matrix.windows.first + offsets, matrix.values[rows, offsets])

@@ -95,10 +95,17 @@ def window_set(framing: Framing, log) -> WindowSet:
     """The window range from the earliest to the latest event of the log.
 
     Intermediate windows are included even when no event falls into them.
+    The first window must start in 0001-01-01 or later, where a timestamp can.
     """
     if len(log) == 0:
         raise DataError("no events")
-    return WindowSet(*framing.windows_of(log.times_us[[0, -1]]).tolist())
+    first, last = framing.windows_of(log.times_us[[0, -1]]).tolist()
+    if framing.starts_us(first) < to_microseconds(datetime.min):
+        raise ConfigError(
+            f"origin {framing.origin.isoformat()} and width {framing.width} s "
+            f"put window {first} before 0001-01-01"
+        )
+    return WindowSet(first, last)
 
 
 def default_origin(log) -> datetime:

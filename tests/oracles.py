@@ -6,13 +6,15 @@ deliberately avoids the library's derived structures, so the two routes
 can be compared against each other.
 """
 
+import csv
+import io
 import math
 from collections import deque
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from highline import Component, ComponentKind, HLETable, HighLevelLog, LinkTable
+from highline import Component, ComponentKind, HighLevelEvent, HLETable, HighLevelLog, LinkTable
 from highline.hlelog import HLELFeature
 
 
@@ -142,6 +144,36 @@ def oracle_delay(steps, origin, width, seg, w):
         else:
             total += (end - e1.timestamp).total_seconds()
     return total / len(crossing)
+
+
+# --- high-level events and the matrix dump -------------------------------------
+
+
+def oracle_hles(matrix, thresholds):
+    """The cells that reach their view's threshold, window by window and
+    features in name order, each read from the matrix one at a time."""
+    by_view = thresholds.by_view
+    features = sorted((f for f in matrix.features if f.view in by_view), key=lambda f: f.name)
+    return [
+        HighLevelEvent(f, w, v)
+        for w in matrix.windows
+        for f in features
+        if (v := matrix.value(f, w)) is not None and v >= by_view[f.view]
+    ]
+
+
+def oracle_matrix_csv(matrix):
+    """The text of ``matrix.csv``: one ``csv.writer`` row per defined cell,
+    by (feature name, window)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["view", "component", "window", "value"])
+    for f in sorted(matrix.features, key=lambda f: f.name):
+        for w in matrix.windows:
+            v = matrix.value(f, w)
+            if v is not None:
+                writer.writerow([f.view.value, f.component.label, w, repr(v)])
+    return out.getvalue()
 
 
 # --- links ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ from highline import (
     Component,
     ComponentKind,
     ConfigError,
+    EvaluationMatrix,
     FeatureId,
     Framing,
     Segment,
@@ -105,6 +106,18 @@ def test_value_outside_the_windows_raises(log_t):
 # --- matrix --------------------------------------------------------------------
 
 
+def test_matrix_rows_are_features_in_name_order(log_t):
+    matrix = evaluate(log_t, F20, views=(View.EXEC, View.DO), activities=["c", "a"])
+    assert [f.name for f in matrix.features] == ["do-r1", "do-r2", "exec-a", "exec-c"]
+    assert matrix.blocks == {View.DO: slice(0, 2), View.EXEC: slice(2, 4)}
+    row = matrix.array(FeatureId(View.EXEC, Component.activity("c")))
+    assert row.tolist() == [0, 1, 1] and np.shares_memory(row, matrix.values)
+    with pytest.raises(KeyError):
+        matrix.array(FeatureId(View.EXEC, Component.activity("b")))
+    with pytest.raises(ValueError, match="must be in name order"):
+        EvaluationMatrix(matrix.windows, matrix.features[::-1], matrix.values[::-1])
+
+
 def test_matrix_agrees_with_single_cell(log_t):
     matrix = evaluate(log_t, F20)
     steps = oracles.oracle_step_events(log_t)
@@ -122,9 +135,10 @@ def test_matrix_counts_are_nonnegative_integers():
     rng = random.Random(23)
     log = random_log(rng, max_events=120)
     matrix = evaluate(log, Framing(BASE, 60.0))
-    for fid, _, value in matrix.defined():
-        if fid.view is not View.DELAY:
-            assert value >= 0 and float(value).is_integer()
+    for view, block in matrix.blocks.items():
+        if view is not View.DELAY:
+            for value in matrix.values[block].ravel().tolist():
+                assert value >= 0 and float(value).is_integer()
 
 
 def test_view_component_pairing_enforced():
@@ -208,7 +222,7 @@ def test_delay_bounds():
     framing = Framing(BASE, 77.0)
     max_duration = max((s.duration_seconds for s in log.steps), default=0.0)
     matrix = evaluate(log, framing, views=(View.DELAY,))
-    for _, _, value in matrix.defined():
+    for value in matrix.values[~np.isnan(matrix.values)].tolist():
         assert 0 < value <= max_duration + framing.width
 
 
@@ -269,7 +283,7 @@ def test_threshold_at_the_pool_minimum_warns_once_per_view(caplog):
     with caplog.at_level(logging.WARNING, logger="highline.features"):
         compute_thresholds(matrix, 0.0)
     assert sorted(r.getMessage().split(":")[0] for r in caplog.records) == [
-        f"view {v.value}" for v in matrix.views_present()
+        f"view {v.value}" for v in matrix.blocks
     ]
 
 
@@ -277,7 +291,7 @@ def test_generate_hles_p0_fires_every_defined_cell(log_t):
     matrix = evaluate(log_t, F20)
     table = compute_thresholds(matrix, 0.0)
     hles = generate_hles(matrix, table)
-    assert len(hles) == sum(1 for _ in matrix.defined())
+    assert len(hles) == np.count_nonzero(~np.isnan(matrix.values))
     for h in hles:
         assert h.value >= table.for_feature(h.feature)
 
@@ -298,7 +312,7 @@ def test_high_p_limits_delay_hles():
     rng = random.Random(47)
     log = random_log(rng, max_events=300, span=4000, tie_rate=0.0)
     matrix = evaluate(log, Framing(BASE, 150.0), views=(View.DELAY,))
-    defined = [v for _, _, v in matrix.defined()]
+    defined = matrix.values[~np.isnan(matrix.values)].tolist()
     table = compute_thresholds(matrix, 0.9)
     hles = generate_hles(matrix, table)
     threshold = table.by_view[View.DELAY]

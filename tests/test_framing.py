@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import BASE, make_log, random_log
 
-from highline import ConfigError, DataError, Framing, default_origin, parse_duration, window_set
+from highline import (
+    ConfigError,
+    DataError,
+    Framing,
+    analyze_log,
+    default_origin,
+    parse_duration,
+    window_set,
+)
 from highline.events import to_microseconds
 
 
@@ -167,3 +175,15 @@ def test_parse_duration(text, expected):
 def test_parse_duration_rejects_junk(text):
     with pytest.raises(ConfigError):
         parse_duration(text)
+
+
+def test_a_framing_that_puts_a_window_before_year_one_is_a_config_error():
+    log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 3 * 3600, "r2")], base=datetime(1, 1, 1))
+    # the first event lies in window -1, which would start on day 0
+    with pytest.raises(ConfigError, match=(
+        r"^origin 0001-01-01T12:00:00 and width 86400.0 s put window -1 before 0001-01-01$"
+    )):
+        analyze_log(log, Framing(datetime(1, 1, 1, 12), 86400.0), 0.9, 0.5)
+    # the first event's own window starts there
+    result = analyze_log(log, Framing(datetime(1, 1, 1), 86400.0), 0.9, 0.5)
+    assert (result.windows.first, result.windows.last) == (0, 0)

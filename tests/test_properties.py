@@ -31,12 +31,14 @@ import highline.linkage as linkage
 from highline import (
     CascadeAssignment,
     Component,
+    ComponentKind,
     Event,
     EventLog,
     FeatureId,
     FlattenOrder,
     Framing,
     HighLevelEvent,
+    Segment,
     View,
     analyze_log,
     build_hlel,
@@ -54,6 +56,7 @@ from highline import (
     write_hlel_csv,
 )
 from highline.events import parse_timestamp, to_microseconds
+from highline.features import VIEW_KIND
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -193,6 +196,82 @@ def test_link_table_columns_equal_the_dict_oracle(rows):
             value = expected.get((c1, c2), 0.0)
             writer.writerow([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(value)])
         assert got.getvalue() == want.getvalue()
+
+
+@SETTINGS
+@given(COMMA_ROWS)
+def test_links_csv_in_blocks_of_one_row_equals_one_block(rows):
+    table = build_link_table(EventLog(events_of(rows)))
+    for include_zeros in (False, True):
+        whole, small = io.StringIO(), io.StringIO()
+        cli._write_links_csv(table, whole, include_zeros)
+        with mock.patch.object(cli, "WRITE_ROWS", 1), \
+                mock.patch.object(np, "triu_indices", wraps=np.triu_indices) as triangle:
+            cli._write_links_csv(table, small, include_zeros)
+        assert small.getvalue() == whole.getvalue()
+        # with zeros, one row of the triangle per block
+        assert triangle.call_count == (len(table.components) if include_zeros else 0)
+
+
+@st.composite
+def selections(draw):
+    """COMMA_ROWS and a selection of views and of their log's components,
+    with repeats; None selects everything, and an empty list nothing."""
+    rows = draw(COMMA_ROWS)
+    log = EventLog(events_of(rows))
+
+    def pick(names):
+        chosen = st.lists(st.sampled_from(names), max_size=6) if names else st.just([])
+        return draw(st.none() | chosen)
+
+    return (rows, pick(list(View)), pick(log.activity_names), pick(log.resource_names),
+            pick(log.segment_names))
+
+
+def selected_features(log, views, activities, resources, segments):
+    """The features of a selection in name order, each once; two segments
+    of one label in their order in the selection, by default (source, target)."""
+    rank = {}
+    for kind, names, chosen in (
+        (ComponentKind.ACTIVITY, log.activity_names, activities),
+        (ComponentKind.RESOURCE, log.resource_names, resources),
+        (ComponentKind.SEGMENT, sorted(log.segments), segments),
+    ):
+        for key in (names if chosen is None else chosen):
+            rank.setdefault(Component(kind, key), len(rank))
+    views = View if views is None else views
+    features = {FeatureId(v, c) for v in views for c in rank if c.kind is VIEW_KIND[v]}
+    return sorted(features, key=lambda f: (f.name, rank[f.component]))
+
+
+# two segments of one label, (a,a,a), selected against (source, target)
+# order, with repeats, no activity, and a view twice
+TWO_OF_ONE_LABEL = [("c1", "a,a", 0, "r1"), ("c1", "a", 1, "r1"), ("c1", "a,a", 2, "r1")]
+REVERSED = [Segment("a,a", "a"), Segment("a", "a,a"), Segment("a,a", "a")]
+
+
+@SETTINGS
+@given(selections(), FRAMINGS, UNIT, st.booleans())
+# a step of duration 0: delay pools to {0} and has no threshold without zeros
+@example(([("c1", "a", 0, "r1"), ("c1", "a,a", 0, "r1")], None, None, None, None),
+         Framing(BASE, 4.5), 0.5, True)
+@example((TWO_OF_ONE_LABEL, [View.PROGR, View.EXEC, View.PROGR], [], None, REVERSED),
+         Framing(BASE, 1.0), 0.0, False)
+def test_hles_and_matrix_csv_equal_the_oracles(tmp_path_factory, selection, framing, p,
+                                               exclude_zeros):
+    rows, views, activities, resources, segments = selection
+    log = EventLog(events_of(rows))
+    matrix = evaluate(log, framing, views, activities, resources, segments)
+    assert list(matrix.features) == selected_features(log, *selection[1:])
+    thresholds = compute_thresholds(matrix, p, exclude_zeros=exclude_zeros)
+    hles = generate_hles(matrix, thresholds)
+    assert list(hles) == oracles.oracle_hles(matrix, thresholds)
+    assert hles.features == tuple(f for f in matrix.features if f.view in thresholds.by_view)
+    path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+    for write_rows in (cli.WRITE_ROWS, 1):
+        with mock.patch.object(cli, "WRITE_ROWS", write_rows):
+            cli._write_matrix_csv(matrix, str(path))
+        assert path.read_bytes().decode("utf-8") == oracles.oracle_matrix_csv(matrix)
 
 
 def write_csv(path, rows):
