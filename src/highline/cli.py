@@ -36,6 +36,7 @@ from .hlelog import (
     FlattenOrder,
     SummaryTable,
     csv_fields,
+    csv_lines,
     export_dfg,
     summarize,
     text_output,
@@ -247,8 +248,7 @@ def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
     with text_output(path_or_fh) as fh:
         fh.write("kind1,component1,kind2,component2,link\n")
         for first, second, values in _link_blocks(links, include_zeros):
-            rows = zip(first.tolist(), second.tolist(), values.tolist())
-            fh.writelines(f"{names[i]},{names[j]},{v!r}\n" for i, j, v in rows)
+            fh.write(csv_lines((names, first), (names, second), values))
 
 
 def _link_blocks(links: LinkTable, include_zeros: bool):
@@ -287,9 +287,8 @@ def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
         for start in range(0, len(names), step):
             rows, offsets = np.nonzero(~np.isnan(matrix.values[start:start + step]))
             rows += start
-            cells = zip(rows.tolist(), (matrix.windows.first + offsets).tolist(),
-                        matrix.values[rows, offsets].tolist())
-            fh.writelines(f"{names[k]},{w},{v!r}\n" for k, w, v in cells)
+            fh.write(csv_lines((names, rows), matrix.windows.first + offsets,
+                               matrix.values[rows, offsets]))
 
 
 def _summary(config: RunConfig, result: AnalysisResult) -> SummaryTable:

@@ -259,44 +259,55 @@ class _Grid:
 
     def _count(self, codes: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
         n = self.n
-        return np.bincount(codes * n + offsets, minlength=size * n).reshape(size, n)
+        # unit weights count in float, exactly, with no int64 grid to convert
+        return _sums(codes * n + offsets, np.ones(len(codes)), size * n).reshape(size, n)
 
-    def _cover(self, codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-        """Per code, how many of the inclusive offset intervals [lo, hi]
-        cover each window."""
+    def _cover(self, codes, lo, end, size: int, weights=None) -> np.ndarray:
+        """Per code and window, the sum of the weights (1 by default) of the
+        half-open offset intervals [lo, end) that cover the window, added in
+        interval order."""
         m = self.n + 1
-        starts = np.bincount(codes * m + lo, minlength=size * m)
-        ends = np.bincount(codes * m + hi + 1, minlength=size * m)
-        return np.cumsum((starts - ends).reshape(size, m), axis=1)[:, :-1]
+        weights = np.ones(len(codes)) if weights is None else weights
+        sums = _sums(
+            np.concatenate([codes * m + lo, codes * m + end]),
+            np.concatenate([weights, -weights]),
+            size * m,
+        ).reshape(size, m)
+        return np.cumsum(sums, axis=1, out=sums)[:, :-1]
+
+    @cached_property
+    def _progr(self) -> np.ndarray:
+        """The progr view, which the delay view divides by."""
+        lo, hi = self.offsets[self.first], self.offsets[self.second]
+        return self._cover(self.segment, lo, hi + 1, len(self.log.segment_names))
 
     def view(self, view: View) -> np.ndarray:
+        """The view's float grid; a count is exact as a float."""
         log, off, first, second = self.log, self.offsets, self.first, self.second
         n_res, n_seg = len(log.resource_names), len(log.segment_names)
         if view is View.EXEC:
-            return self._count(log.activity_codes, off, len(log.activity_names)).astype(float)
+            return self._count(log.activity_codes, off, len(log.activity_names))
         if view is View.DO:
-            return self._count(log.resource_codes, off, n_res).astype(float)
+            return self._count(log.resource_codes, off, n_res)
         if view is View.TODO:
-            return self._count(log.resource_codes[second], off[first], n_res).astype(float)
+            return self._count(log.resource_codes[second], off[first], n_res)
         if view is View.WL:
             # A triggered event counts in every window from its trigger's
             # window through its own; an untriggered event only in its own.
             untriggered = np.ones(len(log), dtype=bool)
             untriggered[second] = False
-            waiting = self._cover(log.resource_codes[second], off[first], off[second], n_res)
-            own = self._count(log.resource_codes[untriggered], off[untriggered], n_res)
-            return (waiting + own).astype(float)
-        seg, lo, hi = self.segment, off[first], off[second]
+            waiting = self._cover(log.resource_codes[second], off[first], off[second] + 1, n_res)
+            waiting += self._count(log.resource_codes[untriggered], off[untriggered], n_res)
+            return waiting
         if view is View.ENTER:
-            return self._count(seg, lo, n_seg).astype(float)
+            return self._count(self.segment, off[first], n_seg)
         if view is View.EXIT:
-            return self._count(seg, hi, n_seg).astype(float)
-        progr = self._cover(seg, lo, hi, n_seg)
+            return self._count(self.segment, off[second], n_seg)
         if view is View.PROGR:
-            return progr.astype(float)
-        return self._delay(progr)
+            return self._progr
+        return self._delay()
 
-    def _delay(self, progr: np.ndarray) -> np.ndarray:
+    def _delay(self) -> np.ndarray:
         """(sum of full durations of steps leaving in w
             + sum of (end(w) - trigger time) over steps crossing but not
               leaving w) / number of steps crossing w.
@@ -304,28 +315,29 @@ class _Grid:
         Sums run in step order, per (segment, window), as a per-segment loop
         over the steps would add them.
         """
-        windows, n = self.windows, self.n
-        seg, size, m = self.segment, len(progr), n + 1
+        windows, n, progr = self.windows, self.n, self._progr
+        seg, size = self.segment, len(progr)
         lo, hi = self.offsets[self.first], self.offsets[self.second]
         first_sec, second_sec = self.seconds[self.first], self.seconds[self.second]
-        leave_dur = np.bincount(
-            seg * n + hi, weights=second_sec - first_sec, minlength=size * n
-        ).reshape(size, n)
-        # crossing-not-leaving means windows [lo, hi - 1]
-        starts, ends = seg * m + lo, seg * m + hi
-        cnt = np.bincount(starts, minlength=size * m) - np.bincount(ends, minlength=size * m)
-        cnt = np.cumsum(cnt.reshape(size, m)[:, :-1], axis=1)
-        tsum = np.bincount(
-            np.concatenate([starts, ends]),
-            weights=np.concatenate([first_sec, -first_sec]),
-            minlength=size * m,
-        )
-        tsum = np.cumsum(tsum.reshape(size, m)[:, :-1], axis=1)
         ends_us = self.framing.starts_us(np.arange(windows.first + 1, windows.last + 2))
         end_sec = (ends_us - to_microseconds(self.framing.origin)) / 1e6
-        numer = leave_dur + cnt * end_sec - tsum
-        with np.errstate(invalid="ignore"):
-            return np.where(progr > 0, numer / np.maximum(progr, 1.0), np.nan)
+        # leave_dur + cnt * end_sec - tsum, in place: float addition commutes
+        # and float counts are exact, so the bits are those of that expression;
+        # crossing-not-leaving means windows [lo, hi - 1]
+        numer = self._cover(seg, lo, hi, size) * end_sec
+        numer += _sums(seg * n + hi, second_sec - first_sec, size * n).reshape(size, n)
+        numer -= self._cover(seg, lo, hi, size, first_sec)
+        # a crossing count is 0 or at least 1, so it divides where it is positive
+        crossed = progr > 0
+        np.divide(numer, progr, out=numer, where=crossed)
+        numer[~crossed] = np.nan
+        return numer
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The weights summed per index in ``range(size)``, in index order, as
+    floats: ``bincount`` of no index gives int64 zeros, whatever the weights."""
+    return np.bincount(index, weights, minlength=size).astype(float, copy=False)
 
 
 # --- thresholds and high-level events ----------------------------------------

@@ -69,9 +69,10 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
 
     Row k is entry ``hle_ids[k]`` of case ``cases[k]``, for the feature
     ``features[feature_codes[k]]`` in window ``windows[k]`` with value
-    ``values[k]``, timestamped ``stamps[stamp_codes[k]]``. As a sequence it
-    yields ``HighLevelLogEntry`` objects, built once on first use, and it
-    equals any sequence of equal entries; the writers read the columns.
+    ``values[k]``, timestamped ``stamps_us[stamp_codes[k]]`` (microseconds
+    since the epoch, naive UTC). As a sequence it yields ``HighLevelLogEntry``
+    objects, built once on first use, and it equals any sequence of equal
+    entries; the writers read the columns.
     """
 
     def __init__(
@@ -82,7 +83,7 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
         windows: np.ndarray,
         values: np.ndarray,
         hle_ids: np.ndarray,
-        stamps: Sequence[datetime],
+        stamps_us: np.ndarray,
         stamp_codes: np.ndarray,
     ):
         self.features = tuple(features)
@@ -91,14 +92,14 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
         self.windows = windows
         self.values = values
         self.hle_ids = hle_ids
-        self.stamps = tuple(stamps)
+        self.stamps_us = np.asarray(stamps_us, dtype=np.int64)
         self.stamp_codes = stamp_codes
 
     def take(self, rows: np.ndarray) -> "HighLevelLog":
         """The log of the given rows, in that order."""
         return HighLevelLog(
             self.features, self.feature_codes[rows], self.cases[rows], self.windows[rows],
-            self.values[rows], self.hle_ids[rows], self.stamps, self.stamp_codes[rows],
+            self.values[rows], self.hle_ids[rows], self.stamps_us, self.stamp_codes[rows],
         )
 
     def activity_codes(self) -> tuple[list[str], np.ndarray]:
@@ -111,7 +112,8 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
 
     @cached_property
     def _objects(self) -> tuple[HighLevelLogEntry, ...]:
-        features, stamps = self.features, self.stamps
+        features = self.features
+        stamps = [from_microseconds(us) for us in self.stamps_us.tolist()]
         return tuple(
             HighLevelLogEntry(i, c, f.activity, stamps[s], w, f.view, f.component_kind,
                               f.component, v, f.threshold)
@@ -164,7 +166,7 @@ def build_hlel(
         windows,
         table.values[order],
         np.arange(1, len(order) + 1),
-        [from_microseconds(us) for us in framing.starts_us(starts).tolist()],
+        framing.starts_us(starts),
         stamp_codes,
     )
 
@@ -254,28 +256,51 @@ def csv_fields(*values: str) -> str:
     return _row((*values, ""))[:-2]
 
 
-def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
-    stamps = [csv_fields(format_timestamp(t, timestamp_format)) for t in hlel.stamps]
-    features = [
-        (csv_fields(f.activity), csv_fields(f.view, f.component_kind, f.component),
-         csv_fields(repr(f.threshold)))
-        for f in hlel.features
+def csv_lines(*columns) -> str:
+    """Lines of comma-separated fields, line k holding item k of each column.
+
+    A column is an int or float array, or a ``(texts, codes)`` pair whose
+    texts are already csv fields. One ``%`` format makes all lines; ``%s``
+    writes a float as its ``repr``.
+    """
+    fields = [
+        list(map(column[0].__getitem__, column[1].tolist())) if isinstance(column, tuple)
+        else column.tolist()
+        for column in columns
     ]
+    rows, width = len(fields[0]), len(fields)
+    flat = [None] * (rows * width)
+    for k, field in enumerate(fields):
+        flat[k::width] = field
+    return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
+
+
+def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
+    """Write the log as CSV, one row per entry in log order, the timestamps
+    in ISO 8601 or in ``timestamp_format``."""
+    if timestamp_format is None:
+        # as isoformat writes them, which never need quoting: no fraction for
+        # a whole second
+        iso = np.datetime_as_string(hlel.stamps_us.astype("datetime64[us]"), unit="us")
+        stamps = [t[:-7] if t.endswith(".000000") else t for t in iso.tolist()]
+    else:
+        stamps = [csv_fields(format_timestamp(from_microseconds(us), timestamp_format))
+                  for us in hlel.stamps_us.tolist()]
+    activities = [csv_fields(f.activity) for f in hlel.features]
+    middles = [csv_fields(f.view, f.component_kind, f.component) for f in hlel.features]
+    thresholds = [csv_fields(repr(f.threshold)) for f in hlel.features]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_row(HLEL_COLUMNS))
         # a slice of rows at a time, so that only its Python values are alive;
         # ids, windows and float reprs never need quoting
         for start in range(0, len(hlel.hle_ids), WRITE_ROWS):
             part = slice(start, start + WRITE_ROWS)
-            fh.writelines(
-                f"{i},{c},{f[0]},{t},{w},{f[1]},{v!r},{f[2]}\n"
-                for i, c, f, t, w, v in zip(
-                    hlel.hle_ids[part].tolist(), hlel.cases[part].tolist(),
-                    map(features.__getitem__, hlel.feature_codes[part].tolist()),
-                    map(stamps.__getitem__, hlel.stamp_codes[part].tolist()),
-                    hlel.windows[part].tolist(), hlel.values[part].tolist(),
-                )
-            )
+            codes = hlel.feature_codes[part]
+            fh.write(csv_lines(
+                hlel.hle_ids[part], hlel.cases[part], (activities, codes),
+                (stamps, hlel.stamp_codes[part]), hlel.windows[part], (middles, codes),
+                hlel.values[part], (thresholds, codes),
+            ))
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:
@@ -284,7 +309,7 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLo
     its line, and so does a byte that is not UTF-8."""
     features: dict[HLELFeature, int] = {}
     stamp_code: dict[str, int] = {}
-    stamps: list[datetime] = []
+    stamps_us: list[int] = []
     rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
     values: list[float] = []
     try:
@@ -302,7 +327,7 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLo
                     value, threshold = float(row[8]), float(row[9])
                     feature = HLELFeature(row[2], row[5], row[6], row[7], threshold)
                     if row[3] not in stamp_code:
-                        stamps.append(parse_timestamp(row[3], timestamp_format))
+                        stamps_us.append(to_microseconds(parse_timestamp(row[3], timestamp_format)))
                         stamp_code[row[3]] = len(stamp_code)
                 except ValueError as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
@@ -313,7 +338,7 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLo
         raise not_utf8_error(path) from None
     ids, cases, windows, codes, stamp_codes = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return HighLevelLog(
-        list(features), codes, cases, windows, np.array(values), ids, stamps, stamp_codes
+        list(features), codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
     )
 
 
@@ -367,7 +392,7 @@ def summarize(
 
     event_period = periods.windows_of(log.times_us)
     # entries with one timestamp share their period
-    hle_period = periods.windows_of([to_microseconds(t) for t in hlel.stamps])[hlel.stamp_codes]
+    hle_period = periods.windows_of(hlel.stamps_us)[hlel.stamp_codes]
     both = np.concatenate([event_period, hle_period])
     first, size = (int(both.min()), int(np.ptp(both)) + 1) if len(both) else (0, 0)
     # per (period, activity): how many entries and the sum of their values,

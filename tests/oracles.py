@@ -15,6 +15,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from highline import Component, ComponentKind, HighLevelEvent, HLETable, HighLevelLog, LinkTable
+from highline.events import to_microseconds
 from highline.hlelog import HLELFeature
 
 
@@ -429,6 +430,21 @@ def oracle_hle_summary(entries, period_seconds, origin, activities):
     return summary
 
 
+def oracle_hlel_csv(hlel, timestamp_format=None):
+    """The text of ``hlel.csv``: one ``csv.writer`` row per entry, its
+    timestamp through ``isoformat`` or ``strftime``, its floats through ``repr``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["hle_id", "case", "activity", "timestamp", "window", "view",
+                     "component_kind", "component", "value", "threshold"])
+    for e in hlel:
+        t = e.timestamp
+        stamp = t.isoformat() if timestamp_format is None else t.strftime(timestamp_format)
+        writer.writerow([e.hle_id, e.case, e.activity, stamp, e.window, e.view,
+                         e.component_kind, e.component, repr(e.value), repr(e.threshold)])
+    return out.getvalue()
+
+
 # --- columns of hand-made objects --------------------------------------------------
 
 
@@ -474,6 +490,6 @@ def high_level_log(entries):
         column((e.window for e in entries), np.int64),
         column((e.value for e in entries), float),
         column((e.hle_id for e in entries), np.int64),
-        list(stamp_code),
+        column(map(to_microseconds, stamp_code), np.int64),
         column((stamp_code[e.timestamp] for e in entries), np.intp),
     )

@@ -38,6 +38,7 @@ from highline import (
     FlattenOrder,
     Framing,
     HighLevelEvent,
+    HighLevelLog,
     Segment,
     View,
     analyze_log,
@@ -57,6 +58,7 @@ from highline import (
 )
 from highline.events import parse_timestamp, to_microseconds
 from highline.features import VIEW_KIND
+from highline.hlelog import HLELFeature
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -486,6 +488,76 @@ def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
     write_hlel_csv(entries, str(path))
     assert read_hlel_csv(str(path)) == entries
+
+
+# floats whose repr takes each of its forms: signed zero, the least subnormal,
+# the switch to exponent notation at 1e16, and a large exponent
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, 9999999999999998.0, 0.1, 1e-05]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+# names that csv quotes (a comma, a quote, a line break, a leading space),
+# and a % that a format string would take for a conversion
+NAMES = st.text(alphabet='ab ,"\n\'-%', max_size=5)
+STAMPS = st.one_of(
+    st.sampled_from([datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 0, 1),
+                     datetime(9999, 12, 31, 23, 59, 59), datetime(9999, 12, 31, 23, 59, 59, 999999)]),
+    st.datetimes(),
+    st.datetimes().map(lambda t: t.replace(microsecond=0)),
+)
+# None writes isoformat; a format with a comma makes every stamp need quotes
+STAMP_FORMATS = st.sampled_from([None, "%Y-%m-%d %H:%M:%S.%f", "%d %b %Y, %H:%M:%S.%f"])
+
+
+@st.composite
+def high_level_logs(draw):
+    """A ``HighLevelLog`` built from drawn columns: any stamps from year 1 to
+    9999, with and without microseconds, negative windows as an origin after
+    the first event gives them, and any value but NaN."""
+    features = draw(st.lists(
+        st.builds(HLELFeature, NAMES, NAMES, NAMES, NAMES, FLOATS), min_size=1, max_size=4
+    ))
+    stamps = draw(st.lists(STAMPS, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 30))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    return HighLevelLog(
+        features,
+        column(st.integers(0, len(features) - 1), np.intp),
+        column(st.integers(1, 10**6), np.int64),
+        column(st.integers(-(10**6), 10**6), np.int64),
+        column(FLOATS, float),
+        column(st.integers(1, 10**6), np.int64),
+        np.array([to_microseconds(t) for t in stamps], dtype=np.int64),
+        column(st.integers(0, len(stamps) - 1), np.intp),
+    )
+
+
+EDGE_LOG = HighLevelLog(
+    [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', -0.0), HLELFeature("x\ny", "", " ", "%s", 1e22)],
+    np.array([0, 1, 0, 1, 0, 1], dtype=np.intp),
+    np.array([1, 1, 2, 2, 3, 3]),
+    np.array([-3, -2, 0, 0, 7, 7]),
+    np.array([-0.0, 0.0, 5e-324, 1e16, 1e22, 0.5]),
+    np.array([1, 2, 3, 4, 5, 6]),
+    np.array([to_microseconds(t) for t in (
+        datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 1, 500), datetime(9999, 12, 31, 23, 59, 59, 999999),
+    )]),
+    np.array([0, 1, 2, 2, 0, 1], dtype=np.intp),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(high_level_logs(), STAMP_FORMATS)
+@example(EDGE_LOG, None)
+@example(EDGE_LOG, "%d %b %Y, %H:%M:%S.%f")
+def test_hlel_csv_equals_the_per_row_oracle(tmp_path_factory, hlel, timestamp_format):
+    path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
+    write_hlel_csv(hlel, str(path), timestamp_format)
+    assert path.read_bytes() == oracles.oracle_hlel_csv(hlel, timestamp_format).encode()
+    # strptime reads a %Y of four digits only
+    if timestamp_format is None or all(e.timestamp.year >= 1000 for e in hlel):
+        assert read_hlel_csv(str(path), timestamp_format) == hlel
 
 
 def copy_of(h):
