@@ -13,16 +13,19 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime
 
 import numpy as np
 
 from .errors import ConfigError, DataError, check_json_types, read_json_object
 from .events import (
+    WRITE_ROWS,
     ColumnMapping,
     EventLog,
     Segment,
+    csv_fields,
+    csv_lines,
     ingest_csv,
     parse_timestamp,
     to_microseconds,
@@ -32,11 +35,8 @@ from .features import EvaluationMatrix, View
 from .framing import Framing, default_origin, parse_duration
 from .generator import ScenarioConfig, generate
 from .hlelog import (
-    WRITE_ROWS,
     FlattenOrder,
     SummaryTable,
-    csv_fields,
-    csv_lines,
     export_dfg,
     summarize,
     text_output,
@@ -336,12 +336,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cascades: {result.cascade_count}")
             print(f"artifacts written to {config.out}")
         elif args.command == "generate":
-            if args.config:
-                scenario = ScenarioConfig.from_json(args.config)
-            else:
-                scenario = ScenarioConfig()
+            scenario = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
             if args.seed is not None:
-                scenario = ScenarioConfig.from_dict({**scenario.to_dict(), "seed": args.seed})
+                scenario = replace(scenario, seed=args.seed)
             log = generate(scenario)
             write_event_csv(log, args.out)
             print(f"generated {len(log)} events over {len(log.case_names)} cases -> {args.out}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -483,10 +484,6 @@ def parse_timestamp(text: str, timestamp_format: str | None = None) -> datetime:
     return _naive_utc(_parser(timestamp_format)(text))
 
 
-def format_timestamp(t: datetime, timestamp_format: str | None = None) -> str:
-    return t.isoformat() if timestamp_format is None else t.strftime(timestamp_format)
-
-
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
 # the general reader takes rows this many at a time, and the standard-layout
 # reader bytes this many at a time (cut at the last newline), so that only
@@ -770,6 +767,67 @@ def _row_error(path: str, index: dict[str, int], timestamp_format: str | None) -
     return DataError(f"{path}: changed while being read")
 
 
+# --- text output -----------------------------------------------------------------
+
+WRITE_ROWS = 1 << 12
+
+
+class _Echo:
+    """A file whose ``write`` returns what it is given, so that
+    ``csv.writer(_Echo).writerow(values)`` returns the line."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+# csv quotes a field that holds a character of the line end and, in Python
+# 3.11, no other line break: "\r\n" makes it quote "\r" as well as "\n"
+_row = csv.writer(_Echo, lineterminator="\r\n").writerow
+
+
+def csv_fields(*values: str) -> str:
+    """The values as the csv module writes them inside a row, with no line
+    end; the extra empty field keeps a lone empty value unquoted."""
+    return _row((*values, ""))[:-3]
+
+
+def csv_lines(*columns) -> str:
+    """Lines of comma-separated fields, line k holding item k of each column.
+
+    A column is an int or float array, or a ``(texts, codes)`` pair whose
+    texts are already csv fields. One ``%`` format makes all lines; ``%s``
+    writes a float as its ``repr``.
+    """
+    fields = [
+        list(map(column[0].__getitem__, column[1].tolist())) if isinstance(column, tuple)
+        else column.tolist()
+        for column in columns
+    ]
+    rows, width = len(fields[0]), len(fields)
+    flat = [None] * (rows * width)
+    for k, field in enumerate(fields):
+        flat[k::width] = field
+    return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
+
+
+def format_stamps(stamps_us: np.ndarray, timestamp_format: str | None = None) -> list[str]:
+    """Stamps in microseconds since the epoch (naive UTC) as csv fields: ISO
+    8601 as ``isoformat`` writes it, or ``strftime(timestamp_format)`` with
+    ``%Y`` as four digits, so that ``strptime`` reads every year back."""
+    if timestamp_format is None:
+        # ISO stamps never need quoting; no fraction for a whole second
+        iso = np.datetime_as_string(stamps_us.astype("datetime64[us]"), unit="us")
+        return [t[:-7] if t.endswith(".000000") else t for t in iso.tolist()]
+    # glibc writes a year before 1000 with fewer digits; "%%" is a literal "%"
+    return [
+        csv_fields(t.strftime(timestamp_format if t.year >= 1000 else re.sub(
+            "%[%Y]", lambda m: "%%" if m[0] == "%%" else f"{t.year:04d}", timestamp_format
+        )))
+        for t in _datetimes(stamps_us)
+    ]
+
+
 def write_event_csv(
     log: EventLog,
     path: str,
@@ -778,16 +836,15 @@ def write_event_csv(
 ) -> None:
     """Write a log back to CSV in the standard four-column layout."""
     mapping = mapping or ColumnMapping()
-    cases, acts, ress = log.case_names, log.activity_names, log.resource_names
+    names = (log.case_names, log.activity_names, log.resource_names)
+    cases, acts, ress = ([csv_fields(name) for name in column] for column in names)
+    stamps_us, stamp_codes = np.unique(log.times_us, return_inverse=True)
+    stamps = format_stamps(stamps_us, timestamp_format)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([mapping.case, mapping.activity, mapping.timestamp, mapping.resource])
-        writer.writerows(
-            [cases[c], acts[a], format_timestamp(t, timestamp_format), ress[r]]
-            for c, a, t, r in zip(
-                log.case_codes.tolist(),
-                log.activity_codes.tolist(),
-                _datetimes(log.times_us),
-                log.resource_codes.tolist(),
-            )
-        )
+        fh.write(csv_fields(mapping.case, mapping.activity, mapping.timestamp, mapping.resource) + "\n")
+        for start in range(0, len(stamp_codes), WRITE_ROWS):
+            part = slice(start, start + WRITE_ROWS)
+            fh.write(csv_lines(
+                (cases, log.case_codes[part]), (acts, log.activity_codes[part]),
+                (stamps, stamp_codes[part]), (ress, log.resource_codes[part]),
+            ))

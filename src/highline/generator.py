@@ -23,7 +23,7 @@ import heapq
 import random
 import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from .errors import ConfigError, check_json_types, read_json_object
@@ -114,70 +114,36 @@ class ScenarioConfig:
             raise ConfigError("max_follows must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "weeks": [list(w.interarrival) if w.interarrival else None for w in self.weeks],
-            "start": self.start.isoformat(),
-            "active_hours": list(self.active_hours),
-            "report_duration": list(self.report_duration),
-            "answer_duration": list(self.answer_duration),
-            "follow_extra": list(self.follow_extra),
-            "impatient_patience": list(self.impatient_patience),
-            "patient_patience": list(self.patient_patience),
-            "patient_fraction": self.patient_fraction,
-            "batching_resource": self.batching_resource,
-            "coworkers": list(self.coworkers),
-            "batching_weight": self.batching_weight,
-            "batch_threshold": self.batch_threshold,
-            "batching_enabled": self.batching_enabled,
-            "max_follows": self.max_follows,
-            "intake_resource": self.intake_resource,
-            "seed": self.seed,
-        }
+        """The config as JSON values, in field order: the start in ISO 8601,
+        each week as its inter-arrival range or ``null``, tuples as lists."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["weeks"] = [list(w.interarrival) if w.interarrival else None for w in self.weeks]
+        data["start"] = self.start.isoformat()
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        config = cls()
-        known = config.to_dict()
-        unknown = set(data) - set(known)
+        """The config of ``to_dict``'s JSON values, defaults for the rest."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown scenario config fields: {sorted(unknown)}")
         # the JSON forms of the fields that to_dict converts
         hints = {**typing.get_type_hints(cls), "weeks": list[tuple[int, int] | None], "start": str}
         check_json_types(data, hints, "scenario config")
-        merged = {**known, **data}
-        # an offset start is taken to naive UTC, like every timestamp of a log
-        try:
-            start = parse_timestamp(merged["start"])
-        except ValueError:
-            raise ConfigError(f"scenario config: unparseable start {merged['start']!r}") from None
-        except OverflowError:
-            raise ConfigError(
-                f"scenario config: start {merged['start']!r} is out of range in UTC"
-            ) from None
-        try:
-            return cls(
-                weeks=tuple(
-                    WeekSpec(tuple(w) if w is not None else None) for w in merged["weeks"]
-                ),
-                start=start,
-                active_hours=tuple(merged["active_hours"]),
-                report_duration=tuple(merged["report_duration"]),
-                answer_duration=tuple(merged["answer_duration"]),
-                follow_extra=tuple(merged["follow_extra"]),
-                impatient_patience=tuple(merged["impatient_patience"]),
-                patient_patience=tuple(merged["patient_patience"]),
-                patient_fraction=merged["patient_fraction"],
-                batching_resource=merged["batching_resource"],
-                coworkers=tuple(merged["coworkers"]),
-                batching_weight=merged["batching_weight"],
-                batch_threshold=merged["batch_threshold"],
-                batching_enabled=merged["batching_enabled"],
-                max_follows=merged["max_follows"],
-                intake_resource=merged["intake_resource"],
-                seed=merged["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"malformed scenario config: {exc}") from None
+        merged = {name: tuple(v) if isinstance(v, list) else v for name, v in data.items()}
+        if "weeks" in data:
+            merged["weeks"] = tuple(WeekSpec(None if w is None else tuple(w)) for w in data["weeks"])
+        if "start" in data:
+            # an offset start is taken to naive UTC, like every timestamp of a log
+            try:
+                merged["start"] = parse_timestamp(data["start"])
+            except ValueError:
+                raise ConfigError(f"scenario config: unparseable start {data['start']!r}") from None
+            except OverflowError:
+                raise ConfigError(
+                    f"scenario config: start {data['start']!r} is out of range in UTC"
+                ) from None
+        return cls(**merged)
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":

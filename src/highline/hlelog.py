@@ -19,7 +19,10 @@ from typing import ContextManager, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, not_utf8_error
-from .events import EventLog, format_timestamp, from_microseconds, parse_timestamp, to_microseconds
+from .events import (
+    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, from_microseconds, parse_timestamp,
+    to_microseconds,
+)
 from .features import ThresholdTable, View
 from .framing import Framing
 from .linkage import CascadeAssignment
@@ -235,62 +238,15 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-WRITE_ROWS = 1 << 12
-
-
-class _Echo:
-    """A file whose ``write`` returns what it is given, so that
-    ``csv.writer(_Echo).writerow(values)`` returns the line."""
-
-    @staticmethod
-    def write(line: str) -> str:
-        return line
-
-
-_row = csv.writer(_Echo, lineterminator="\n").writerow
-
-
-def csv_fields(*values: str) -> str:
-    """The values as the csv module writes them inside a row, with no line
-    end; the extra empty field keeps a lone empty value unquoted."""
-    return _row((*values, ""))[:-2]
-
-
-def csv_lines(*columns) -> str:
-    """Lines of comma-separated fields, line k holding item k of each column.
-
-    A column is an int or float array, or a ``(texts, codes)`` pair whose
-    texts are already csv fields. One ``%`` format makes all lines; ``%s``
-    writes a float as its ``repr``.
-    """
-    fields = [
-        list(map(column[0].__getitem__, column[1].tolist())) if isinstance(column, tuple)
-        else column.tolist()
-        for column in columns
-    ]
-    rows, width = len(fields[0]), len(fields)
-    flat = [None] * (rows * width)
-    for k, field in enumerate(fields):
-        flat[k::width] = field
-    return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
-
-
 def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
     """Write the log as CSV, one row per entry in log order, the timestamps
     in ISO 8601 or in ``timestamp_format``."""
-    if timestamp_format is None:
-        # as isoformat writes them, which never need quoting: no fraction for
-        # a whole second
-        iso = np.datetime_as_string(hlel.stamps_us.astype("datetime64[us]"), unit="us")
-        stamps = [t[:-7] if t.endswith(".000000") else t for t in iso.tolist()]
-    else:
-        stamps = [csv_fields(format_timestamp(from_microseconds(us), timestamp_format))
-                  for us in hlel.stamps_us.tolist()]
+    stamps = format_stamps(hlel.stamps_us, timestamp_format)
     activities = [csv_fields(f.activity) for f in hlel.features]
     middles = [csv_fields(f.view, f.component_kind, f.component) for f in hlel.features]
     thresholds = [csv_fields(repr(f.threshold)) for f in hlel.features]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_row(HLEL_COLUMNS))
+        fh.write(csv_fields(*HLEL_COLUMNS) + "\n")
         # a slice of rows at a time, so that only its Python values are alive;
         # ids, windows and float reprs never need quoting
         for start in range(0, len(hlel.hle_ids), WRITE_ROWS):
@@ -426,15 +382,14 @@ def write_summary_csv(
     header = ["period", "start", "events", "hles"]
     for a in table.activities:
         header.extend([f"count:{a}", f"avg:{a}"])
+    starts_us = np.array([to_microseconds(row.start) for row in table.rows], dtype=np.int64)
     with text_output(path_or_fh) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in table.rows:
-            record = [row.period, format_timestamp(row.start, timestamp_format), row.events, row.hles]
+        fh.write(csv_fields(*header) + "\n")
+        for row, start in zip(table.rows, format_stamps(starts_us, timestamp_format)):
+            record = [row.period, start, row.events, row.hles]
             for count, avg in zip(row.counts, row.averages):
-                record.append(count)
-                record.append("" if avg is None else f"{avg:.6g}")
-            writer.writerow(record)
+                record += [count, "" if avg is None else f"{avg:.6g}"]
+            fh.write(",".join(map(str, record)) + "\n")
 
 
 def text_output(path_or_fh: str | TextIO) -> ContextManager[TextIO]:

@@ -7,14 +7,15 @@ can be compared against each other.
 """
 
 import csv
-import io
 import math
+import re
+import types
 from collections import deque
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from highline import Component, ComponentKind, HighLevelEvent, HLETable, HighLevelLog, LinkTable
+from highline import ColumnMapping, Component, ComponentKind, HighLevelEvent, HLETable, HighLevelLog, LinkTable
 from highline.events import to_microseconds
 from highline.hlelog import HLELFeature
 
@@ -163,18 +164,27 @@ def oracle_hles(matrix, thresholds):
     ]
 
 
+def csv_text(rows):
+    """Rows as CSV lines ending in ``"\\n"``, one ``csv.writer`` row each. The
+    writer ends rows with ``"\\r\\n"``, so that it quotes a field holding
+    either character, and each row's end is then cut to ``"\\n"``."""
+    lines = []
+    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
 def oracle_matrix_csv(matrix):
-    """The text of ``matrix.csv``: one ``csv.writer`` row per defined cell,
-    by (feature name, window)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["view", "component", "window", "value"])
-    for f in sorted(matrix.features, key=lambda f: f.name):
-        for w in matrix.windows:
-            v = matrix.value(f, w)
-            if v is not None:
-                writer.writerow([f.view.value, f.component.label, w, repr(v)])
-    return out.getvalue()
+    """The text of ``matrix.csv``: one row per defined cell, by (feature
+    name, window)."""
+    return csv_text([
+        ["view", "component", "window", "value"],
+        *(
+            [f.view.value, f.component.label, w, repr(v)]
+            for f in sorted(matrix.features, key=lambda f: f.name)
+            for w in matrix.windows
+            if (v := matrix.value(f, w)) is not None
+        ),
+    ])
 
 
 # --- links ---------------------------------------------------------------------
@@ -430,19 +440,38 @@ def oracle_hle_summary(entries, period_seconds, origin, activities):
     return summary
 
 
+def oracle_stamp(t, timestamp_format=None):
+    """A timestamp as the CSV writers write it: through ``isoformat``, or
+    through ``strftime`` with each ``%Y`` directive (not a literal ``%%Y``)
+    spelled out as the four-digit year, which ``strptime`` reads back."""
+    if timestamp_format is None:
+        return t.isoformat()
+    return t.strftime(re.sub("%(.)", lambda m: f"{t.year:04d}" if m[1] == "Y" else m[0],
+                             timestamp_format))
+
+
 def oracle_hlel_csv(hlel, timestamp_format=None):
-    """The text of ``hlel.csv``: one ``csv.writer`` row per entry, its
-    timestamp through ``isoformat`` or ``strftime``, its floats through ``repr``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["hle_id", "case", "activity", "timestamp", "window", "view",
-                     "component_kind", "component", "value", "threshold"])
-    for e in hlel:
-        t = e.timestamp
-        stamp = t.isoformat() if timestamp_format is None else t.strftime(timestamp_format)
-        writer.writerow([e.hle_id, e.case, e.activity, stamp, e.window, e.view,
-                         e.component_kind, e.component, repr(e.value), repr(e.threshold)])
-    return out.getvalue()
+    """The text of ``hlel.csv``: one row per entry, its timestamp through
+    ``oracle_stamp``, its floats through ``repr``."""
+    return csv_text([
+        ["hle_id", "case", "activity", "timestamp", "window", "view",
+         "component_kind", "component", "value", "threshold"],
+        *(
+            [e.hle_id, e.case, e.activity, oracle_stamp(e.timestamp, timestamp_format), e.window,
+             e.view, e.component_kind, e.component, repr(e.value), repr(e.threshold)]
+            for e in hlel
+        ),
+    ])
+
+
+def oracle_event_csv(log, mapping=None, timestamp_format=None):
+    """The text of ``write_event_csv``: one row per event in row order, its
+    timestamp through ``oracle_stamp``."""
+    mapping = mapping or ColumnMapping()
+    return csv_text([
+        [mapping.case, mapping.activity, mapping.timestamp, mapping.resource],
+        *([e.case, e.activity, oracle_stamp(e.timestamp, timestamp_format), e.resource] for e in log),
+    ])
 
 
 # --- columns of hand-made objects --------------------------------------------------

@@ -232,6 +232,22 @@ def test_event_csv_round_trip(tmp_path, log_t):
     ]
 
 
+def test_year_one_round_trips_under_a_timestamp_format(tmp_path):
+    # %Y writes four digits, as strptime reads them; %%Y stays literal
+    fmt = "%%Y %Y-%m-%d %H:%M:%S.%f"
+    log = EventLog([
+        Event(1, "c1", "a", datetime(1, 1, 1), "r1"),
+        Event(2, "c1", "b", datetime(999, 12, 31, 23, 59, 59, 5), "r1"),
+    ])
+    path = tmp_path / "early.csv"
+    write_event_csv(log, str(path), timestamp_format=fmt)
+    assert path.read_text().splitlines()[1:] == [
+        "c1,a,%Y 0001-01-01 00:00:00.000000,r1",
+        "c1,b,%Y 0999-12-31 23:59:59.000005,r1",
+    ]
+    assert columns(ingest_csv(str(path), timestamp_format=fmt)) == columns(log)
+
+
 @pytest.mark.parametrize("chunk_rows", [2, 4096])
 def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_rows):
     monkeypatch.setattr(events_module, "_CHUNK_ROWS", chunk_rows)

@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from datetime import datetime
 
 import pytest
 
@@ -129,6 +130,56 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     loaded = ScenarioConfig.from_json(str(path))
     assert loaded == cfg
+
+
+# the JSON of the default config, the schema the README points users to
+DEFAULT_SCENARIO_JSON = (
+    '{"weeks": [[600, 900], [180, 300], [180, 300], [600, 900], [600, 900], [180, 300], '
+    '[600, 900]], "start": "2023-01-02T00:00:00", "active_hours": [8, 20], '
+    '"report_duration": [120, 300], "answer_duration": [120, 300], "follow_extra": [60, 180], '
+    '"impatient_patience": [1800, 3600], "patient_patience": [10800, 18000], '
+    '"patient_fraction": 0.5, "batching_resource": "Jane", "coworkers": ["Pete", "Sara"], '
+    '"batching_weight": 3, "batch_threshold": 5, "batching_enabled": true, "max_follows": 3, '
+    '"intake_resource": "system", "seed": 42}'
+)
+
+
+def test_the_default_config_json_is_pinned():
+    assert json.dumps(ScenarioConfig().to_dict()) == DEFAULT_SCENARIO_JSON
+    assert ScenarioConfig.from_dict(json.loads(DEFAULT_SCENARIO_JSON)) == ScenarioConfig()
+
+
+def test_a_config_with_an_empty_week_and_other_tuples_round_trips():
+    cfg = ScenarioConfig(
+        weeks=(WeekSpec(None), WeekSpec((5, 9))),
+        start=datetime(2020, 2, 29, 1, 2, 3, 4),
+        active_hours=(0, 24),
+        coworkers=("Ann", "Bob", "Cy"),
+        patient_patience=(7, 8),
+        batching_enabled=False,
+    )
+    data = cfg.to_dict()
+    assert data["weeks"] == [None, [5, 9]]
+    assert data["start"] == "2020-02-29T01:02:03.000004"
+    assert data["coworkers"] == ["Ann", "Bob", "Cy"]
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(data))) == cfg
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"frequency": 5, "seed": 1}, "unknown scenario config fields: ['frequency']"),
+    ({"seed": "5"}, 'scenario config: field \'seed\' must be int, got "5"'),
+    ({"weeks": [None, [1, 2.5]]},
+     "scenario config: field 'weeks' must be list[tuple[int, int] | None], got [null, [1, 2.5]]"),
+    ({"start": 5}, "scenario config: field 'start' must be str, got 5"),
+    ({"coworkers": "Pete"}, 'scenario config: field \'coworkers\' must be tuple[str, ...], got "Pete"'),
+    ({"patient_fraction": True}, "scenario config: field 'patient_fraction' must be float, got true"),
+    ({"active_hours": [8, 20, 1]},
+     "scenario config: field 'active_hours' must be tuple[int, int], got [8, 20, 1]"),
+])
+def test_unknown_and_mistyped_fields_are_config_errors(data, message):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_config_rejects_bad_ranges():

@@ -30,6 +30,7 @@ import highline.linkage as linkage
 
 from highline import (
     CascadeAssignment,
+    ColumnMapping,
     Component,
     ComponentKind,
     Event,
@@ -54,6 +55,7 @@ from highline import (
     propagation_edges,
     read_hlel_csv,
     summarize,
+    write_event_csv,
     write_hlel_csv,
 )
 from highline.events import parse_timestamp, to_microseconds
@@ -494,17 +496,20 @@ def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
 # the switch to exponent notation at 1e16, and a large exponent
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, 9999999999999998.0, 0.1, 1e-05]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
-# names that csv quotes (a comma, a quote, a line break, a leading space),
+# names that csv quotes (a comma, a quote, a line break, a carriage return),
 # and a % that a format string would take for a conversion
-NAMES = st.text(alphabet='ab ,"\n\'-%', max_size=5)
+NAMES = st.text(alphabet='ab ,"\n\r\'-%', max_size=5)
 STAMPS = st.one_of(
     st.sampled_from([datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 0, 1),
                      datetime(9999, 12, 31, 23, 59, 59), datetime(9999, 12, 31, 23, 59, 59, 999999)]),
     st.datetimes(),
     st.datetimes().map(lambda t: t.replace(microsecond=0)),
 )
-# None writes isoformat; a format with a comma makes every stamp need quotes
-STAMP_FORMATS = st.sampled_from([None, "%Y-%m-%d %H:%M:%S.%f", "%d %b %Y, %H:%M:%S.%f"])
+# None writes isoformat; a format with a comma makes every stamp need quotes;
+# %%Y is a literal "%Y", not the year
+STAMP_FORMATS = st.sampled_from(
+    [None, "%Y-%m-%d %H:%M:%S.%f", "%d %b %Y, %H:%M:%S.%f", "%%Y=%Y %m %d %H:%M:%S.%f"]
+)
 
 
 @st.composite
@@ -555,9 +560,39 @@ def test_hlel_csv_equals_the_per_row_oracle(tmp_path_factory, hlel, timestamp_fo
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
     write_hlel_csv(hlel, str(path), timestamp_format)
     assert path.read_bytes() == oracles.oracle_hlel_csv(hlel, timestamp_format).encode()
-    # strptime reads a %Y of four digits only
-    if timestamp_format is None or all(e.timestamp.year >= 1000 for e in hlel):
-        assert read_hlel_csv(str(path), timestamp_format) == hlel
+    assert read_hlel_csv(str(path), timestamp_format) == hlel
+
+
+# names that csv quotes (a comma, a quote, a line break, a carriage return)
+# and non-ASCII ones; ingest strips names, so none starts or ends in a space
+EVENT_NAMES = st.text(alphabet='ab ,"\n\ré日', min_size=1, max_size=5).filter(
+    lambda name: name == name.strip()
+)
+EVENT_ROWS = st.lists(st.tuples(EVENT_NAMES, EVENT_NAMES, STAMPS, EVENT_NAMES), min_size=1, max_size=12)
+MAPPINGS = st.sampled_from([None, ColumnMapping('case "id"', "act,ivity", "time\nstamp", "rés")])
+EDGE_EVENT_ROWS = [
+    ("c,1", 'say "a"', datetime(1, 1, 1), "two\nlines"),
+    ("c,1", "car\rriage", datetime(1, 1, 1, 0, 0, 0, 1), "é"),
+    ("日", 'say "a"', datetime(9999, 12, 31, 23, 59, 59), "two\nlines"),
+    ("日", "b", datetime(9999, 12, 31, 23, 59, 59, 999999), "r"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(EVENT_ROWS, MAPPINGS, STAMP_FORMATS)
+@example(EDGE_EVENT_ROWS, None, None)
+@example(EDGE_EVENT_ROWS, None, "%Y-%m-%d %H:%M:%S.%f")
+@example(EDGE_EVENT_ROWS, None, "%%Y=%Y %m %d %H:%M:%S.%f")
+def test_event_csv_equals_the_per_row_oracle(tmp_path_factory, rows, mapping, timestamp_format):
+    log = EventLog(Event(i + 1, c, a, t, r) for i, (c, a, t, r) in enumerate(rows))
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    with mock.patch.object(events, "WRITE_ROWS", 3):
+        write_event_csv(log, str(path), mapping, timestamp_format)
+    assert path.read_bytes() == oracles.oracle_event_csv(log, mapping, timestamp_format).encode()
+    back = ingest_csv(str(path), mapping, timestamp_format)
+    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == [
+        (e.case, e.activity, e.timestamp, e.resource) for e in log
+    ]
 
 
 def copy_of(h):
