@@ -34,7 +34,6 @@ from .features import (
     nearest_rank,
 )
 from .framing import Framing, WindowSet, default_origin, parse_duration, window_set
-from .generator import ScenarioConfig, WeekSpec, generate, weekly_event_counts
 from .hlelog import (
     FlattenOrder,
     HighLevelLog,
@@ -58,6 +57,18 @@ from .linkage import (
 from .pipeline import AnalysisResult, analyze_log
 
 __version__ = "0.1.0"
+
+# the simulator loads on first use, so that analysing a log never imports it
+_GENERATOR_NAMES = ("ScenarioConfig", "WeekSpec", "generate", "weekly_event_counts")
+
+
+def __getattr__(name: str):
+    if name in _GENERATOR_NAMES:
+        from . import generator
+
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisResult",

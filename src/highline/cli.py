@@ -33,7 +33,6 @@ from .events import (
 )
 from .features import EvaluationMatrix, View
 from .framing import Framing, default_origin, parse_duration
-from .generator import ScenarioConfig, generate
 from .hlelog import (
     FlattenOrder,
     SummaryTable,
@@ -336,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cascades: {result.cascade_count}")
             print(f"artifacts written to {config.out}")
         elif args.command == "generate":
+            from .generator import ScenarioConfig, generate
+
             scenario = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
             if args.seed is not None:
                 scenario = replace(scenario, seed=args.seed)

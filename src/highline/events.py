@@ -266,6 +266,21 @@ def _decoded(keys: np.ndarray) -> list[str]:
     return lines[lines != 0].tobytes().decode("utf-8").split("\n")[:-1]
 
 
+def lexsort_order(keys: Sequence[np.ndarray]) -> np.ndarray | None:
+    """``np.lexsort(keys)``, or None when the rows already are in that order,
+    the last key primary: one pass over adjacent rows. A NaN key is never
+    in order."""
+    tied = True  # adjacent rows equal on every key looked at so far
+    for key in reversed(keys):
+        before, after = key[:-1], key[1:]
+        if (tied & ~(after >= before)).any():
+            return np.lexsort(keys)
+        tied = tied & (after == before)
+        if not tied.any():
+            break
+    return None
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -323,22 +338,24 @@ class EventLog:
     def _set_columns(
         self, columns: _Columns | _Keys, ids: Sequence[int] | None, provenance: Provenance | None
     ) -> None:
-        """Rank the codes by name and sort the rows; ids default to 1..n in
-        the order the rows were added."""
+        """Rank the codes by name and sort the rows, unless they already are
+        in order; ids default to 1..n in the order the rows were added."""
         (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
             columns.ranked()
         )
         times = np.frombuffer(columns.times_us, dtype=np.int64)
         default_ids = ids is None
-        ids = np.arange(1, len(case) + 1) if default_ids else np.asarray(ids, dtype=np.int64)
+        # a copy, so that freezing the column leaves the caller's ids writable
+        ids = np.arange(1, len(case) + 1) if default_ids else np.array(ids, dtype=np.int64)
         if not len(case) == len(activity) == len(times) == len(resource) == len(ids):
             raise DataError("event columns differ in length")
-        order = np.lexsort((ids, case, times))
-        self.case_codes = _frozen(case[order])
-        self.activity_codes = _frozen(activity[order])
-        self.resource_codes = _frozen(resource[order])
-        self.times_us = _frozen(times[order])
-        self.ids = _frozen(ids[order])
+        arrays = (case, activity, resource, times, ids)
+        order = lexsort_order((ids, case, times))
+        if order is not None:
+            arrays = tuple(a[order] for a in arrays)
+        self.case_codes, self.activity_codes, self.resource_codes, self.times_us, self.ids = map(
+            _frozen, arrays
+        )
         self.provenance = provenance
         self._validate(default_ids)
 
@@ -796,19 +813,22 @@ def csv_lines(*columns) -> str:
     """Lines of comma-separated fields, line k holding item k of each column.
 
     A column is an int or float array, or a ``(texts, codes)`` pair whose
-    texts are already csv fields. One ``%`` format makes all lines; ``%s``
+    texts are already csv fields, as a list or, faster where many blocks
+    share them, an object array. One ``%`` format makes all lines; ``%s``
     writes a float as its ``repr``.
     """
-    fields = [
-        list(map(column[0].__getitem__, column[1].tolist())) if isinstance(column, tuple)
-        else column.tolist()
-        for column in columns
-    ]
+    fields = [_texts(*column) if isinstance(column, tuple) else column.tolist() for column in columns]
     rows, width = len(fields[0]), len(fields)
     flat = [None] * (rows * width)
     for k, field in enumerate(fields):
         flat[k::width] = field
     return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
+
+
+def _texts(texts: Sequence[str] | np.ndarray, codes: np.ndarray) -> list[str]:
+    if isinstance(texts, np.ndarray):  # one gather
+        return texts[codes].tolist()
+    return list(map(texts.__getitem__, codes.tolist()))
 
 
 def format_stamps(stamps_us: np.ndarray, timestamp_format: str | None = None) -> list[str]:
@@ -837,9 +857,9 @@ def write_event_csv(
     """Write a log back to CSV in the standard four-column layout."""
     mapping = mapping or ColumnMapping()
     names = (log.case_names, log.activity_names, log.resource_names)
-    cases, acts, ress = ([csv_fields(name) for name in column] for column in names)
+    cases, acts, ress = (np.array([csv_fields(name) for name in column], dtype=object) for column in names)
     stamps_us, stamp_codes = np.unique(log.times_us, return_inverse=True)
-    stamps = format_stamps(stamps_us, timestamp_format)
+    stamps = np.array(format_stamps(stamps_us, timestamp_format), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_fields(mapping.case, mapping.activity, mapping.timestamp, mapping.resource) + "\n")
         for start in range(0, len(stamp_codes), WRITE_ROWS):

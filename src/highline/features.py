@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .events import Component, ComponentKind, EventLog, Segment, to_microseconds
+from .events import Component, ComponentKind, EventLog, Segment, lexsort_order, to_microseconds
 from .framing import Framing, WindowSet, window_set
 
 log_ = logging.getLogger(__name__)
@@ -118,11 +118,13 @@ class HLETable(Sequence[HighLevelEvent]):
     def distinct(self) -> "HLETable":
         """The distinct events ordered by (window, feature name, value);
         the table itself when it already is."""
-        order = np.lexsort((self.values, self.codes, self.windows))
-        w, c, v = self.windows[order], self.codes[order], self.values[order]
-        repeat = np.zeros(len(order), dtype=bool)
+        order = lexsort_order((self.values, self.codes, self.windows))
+        w, c, v = self.windows, self.codes, self.values
+        if order is not None:
+            w, c, v = w[order], c[order], v[order]
+        repeat = np.zeros(len(w), dtype=bool)
         repeat[1:] = (w[1:] == w[:-1]) & (c[1:] == c[:-1]) & (v[1:] == v[:-1])
-        if not repeat.any() and (order == np.arange(len(order))).all():
+        if not repeat.any() and order is None:
             return self
         keep = ~repeat
         return HLETable(self.features, c[keep], w[keep], v[keep])

@@ -14,14 +14,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import ContextManager, Iterator, NamedTuple, Sequence, TextIO
+from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, not_utf8_error
 from .events import (
-    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, from_microseconds, parse_timestamp,
-    to_microseconds,
+    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, from_microseconds, lexsort_order,
+    parse_timestamp, to_microseconds,
 )
 from .features import ThresholdTable, View
 from .framing import Framing
@@ -152,10 +152,12 @@ def build_hlel(
     order.
     """
     table, cases = assignment.hles, assignment.cases
+    codes, windows, values = table.codes, table.windows, table.values
     # table codes follow the feature names; lexsort is stable, like sorting
     # by the (case, window, name) key
-    order = np.lexsort((table.codes, table.windows, cases))
-    windows = table.windows[order]
+    order = lexsort_order((codes, windows, cases))
+    if order is not None:
+        codes, windows, cases, values = codes[order], windows[order], cases[order], values[order]
     starts, stamp_codes = np.unique(windows, return_inverse=True)
     features = [
         HLELFeature(f.name, f.view.value, f.component.kind.value, f.component.label,
@@ -164,11 +166,11 @@ def build_hlel(
     ]
     return HighLevelLog(
         features,
-        table.codes[order],
-        cases[order],
+        codes,
+        cases,
         windows,
-        table.values[order],
-        np.arange(1, len(order) + 1),
+        values,
+        np.arange(1, len(codes) + 1),
         framing.starts_us(starts),
         stamp_codes,
     )
@@ -204,12 +206,14 @@ class FlattenOrder:
 
 def flatten(hlel: HighLevelLog, order: FlattenOrder | None = None) -> HighLevelLog:
     """Totally order the log: by case, then window, then the fixed
-    activity order within each window. Idempotent."""
+    activity order within each window. Idempotent: a log already in that
+    order, as ``build_hlel`` makes it for name order, is returned itself."""
     order = order or FlattenOrder()
     keys = [order.key(f.activity) for f in hlel.features]
     rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
     rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
-    return hlel.take(np.lexsort((rank[hlel.feature_codes], hlel.windows, hlel.cases)))
+    rows = lexsort_order((rank[hlel.feature_codes], hlel.windows, hlel.cases))
+    return hlel if rows is None else hlel.take(rows)
 
 
 def export_dfg(hlel: HighLevelLog) -> str:
@@ -240,30 +244,66 @@ def _quote(text: str) -> str:
 
 def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None = None) -> None:
     """Write the log as CSV, one row per entry in log order, the timestamps
-    in ISO 8601 or in ``timestamp_format``."""
+    in ISO 8601 or in ``timestamp_format``.
+
+    Columns that repeat together are written as one text per distinct
+    group: ``case,activity`` per (case, feature) and ``timestamp,window``
+    per (stamp, window); ``view,component_kind,component`` and
+    ``threshold`` are one text per feature. A row is then its id, its value
+    and four texts.
+    """
     stamps = format_stamps(hlel.stamps_us, timestamp_format)
     activities = [csv_fields(f.activity) for f in hlel.features]
-    middles = [csv_fields(f.view, f.component_kind, f.component) for f in hlel.features]
-    thresholds = [csv_fields(repr(f.threshold)) for f in hlel.features]
+    codes = hlel.feature_codes
+    cases, case_codes, by_case = _pairs(hlel.cases, codes)
+    windows, stamp_codes, by_window = _pairs(hlel.windows, hlel.stamp_codes)
+    # texts as object arrays, so that each block's lookup is one gather; ids,
+    # cases, windows and float reprs never need quoting
+    columns = [
+        hlel.hle_ids,
+        (_objects(f"{c},{activities[a]}" for c, a in zip(cases.tolist(), case_codes.tolist())), by_case),
+        (_objects(f"{stamps[s]},{w}" for w, s in zip(windows.tolist(), stamp_codes.tolist())), by_window),
+        (_objects(csv_fields(f.view, f.component_kind, f.component) for f in hlel.features), codes),
+        hlel.values,
+        (_objects(repr(f.threshold) for f in hlel.features), codes),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_fields(*HLEL_COLUMNS) + "\n")
-        # a slice of rows at a time, so that only its Python values are alive;
-        # ids, windows and float reprs never need quoting
-        for start in range(0, len(hlel.hle_ids), WRITE_ROWS):
+        # a slice of rows at a time, so that only its Python values are alive
+        for start in range(0, len(codes), WRITE_ROWS):
             part = slice(start, start + WRITE_ROWS)
-            codes = hlel.feature_codes[part]
-            fh.write(csv_lines(
-                hlel.hle_ids[part], hlel.cases[part], (activities, codes),
-                (stamps, hlel.stamp_codes[part]), hlel.windows[part], (middles, codes),
-                hlel.values[part], (thresholds, codes),
-            ))
+            fh.write(csv_lines(*(
+                (column[0], column[1][part]) if isinstance(column, tuple) else column[part]
+                for column in columns
+            )))
+
+
+def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (major, minor) pairs of two int columns, ``minor`` holding
+    codes from 0, in ascending order, and each row's index among them: one
+    ``np.unique`` over the pair packed into an int64 key. A major column too
+    wide to pack, such as windows near both ends of the int64 range, is
+    ranked first, so that the key cannot overflow."""
+    bound = int(minor.max(initial=0)) + 1
+    low = int(major.min(initial=0))
+    if (int(major.max(initial=0)) - low + 1) * bound <= 2**63:
+        majors, ranks = None, major - low
+    else:
+        majors, ranks = np.unique(major, return_inverse=True)
+    keys, groups = np.unique(ranks * bound + minor, return_inverse=True)
+    top = keys // bound
+    return top + low if majors is None else majors[top], keys % bound, groups
+
+
+def _objects(texts: Iterable[str]) -> np.ndarray:
+    return np.array(list(texts), dtype=object)
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:
     """Read a ``write_hlel_csv`` export back, interning the feature columns
     and the timestamps. A malformed row raises DataError naming the path and
     its line, and so does a byte that is not UTF-8."""
-    features: dict[HLELFeature, int] = {}
+    features: dict[tuple[HLELFeature, str], int] = {}
     stamp_code: dict[str, int] = {}
     stamps_us: list[int] = []
     rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
@@ -287,14 +327,15 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLo
                         stamp_code[row[3]] = len(stamp_code)
                 except ValueError as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-                code = features.setdefault(feature, len(features))
+                # keyed by the threshold's text too, so that -0.0 and 0.0 stay apart
+                code = features.setdefault((feature, row[9]), len(features))
                 rows.append((hle_id, case, window, code, stamp_code[row[3]]))
                 values.append(value)
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
     ids, cases, windows, codes, stamp_codes = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return HighLevelLog(
-        list(features), codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
+        [f for f, _ in features], codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
     )
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +30,23 @@ def read_artifacts(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             contents[name] = fh.read()
     return contents
+
+
+def test_analyze_never_imports_the_simulator(log_t_csv, tmp_path):
+    # a fresh interpreter: this one has imported the simulator already
+    script = f"""
+import sys
+from highline.cli import main
+assert main(["analyze", "--input", {log_t_csv!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+assert "highline.generator" not in sys.modules, "analyze imported the simulator"
+from highline import ScenarioConfig, generate
+import highline
+assert highline.generator.generate is generate and ScenarioConfig().seed == 42
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_analyze_writes_artifacts(log_t_csv, tmp_path, capsys):

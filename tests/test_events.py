@@ -223,6 +223,33 @@ def test_ingest_deterministic_under_ties(tmp_path):
     assert step_ids(first) == {(1, 2)}
 
 
+def test_a_file_in_row_order_is_ingested_without_a_sort(tmp_path, monkeypatch):
+    # write_event_csv writes rows in (timestamp, case, id) order, ties included
+    log = random_log(random.Random(11), tie_rate=0.5)
+    path = tmp_path / "ordered.csv"
+    write_event_csv(log, str(path))
+    expected = [(e.case, e.activity, e.timestamp, e.resource) for e in log]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows already in order were sorted")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    back = ingest_csv(str(path))
+    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == expected
+    assert back.ids.tolist() == list(range(1, len(log) + 1))
+    for column in (back.case_codes, back.activity_codes, back.resource_codes, back.times_us, back.ids):
+        assert not column.flags.writeable
+
+
+def test_from_columns_leaves_the_callers_ids_writable():
+    ids = np.array([7, 3], dtype=np.int64)
+    log = EventLog.from_columns(["c", "c"], ["a", "b"], [0, 1], ["r", "r"], ids)
+    assert log.ids.tolist() == [7, 3]
+    assert not log.ids.flags.writeable
+    ids[0] = 8
+    assert log.ids.tolist() == [7, 3]
+
+
 def test_event_csv_round_trip(tmp_path, log_t):
     path = tmp_path / "out.csv"
     write_event_csv(log_t, str(path))

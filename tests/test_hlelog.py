@@ -30,6 +30,7 @@ from highline import (
     summarize,
     write_hlel_csv,
 )
+from highline.hlelog import HLELFeature
 
 F20 = Framing(BASE, 20.0)
 
@@ -115,6 +116,35 @@ def test_flatten_idempotent_and_stable():
     assert flatten(entries) == entries
 
 
+def test_a_log_in_key_order_is_built_and_flattened_without_a_sort(monkeypatch):
+    # distinct events by (window, name, value) in one cascade are already in
+    # (case, window, name) order
+    hles = [hle(name, w, value=float(w)) for w in range(5) for name in ("Ann", "Bob")]
+    table = hle_table(hles)
+    assignment = CascadeAssignment(table, np.ones(len(hles), dtype=np.int64))
+    expected = build_hlel(assigned(hles[::-1], [1] * len(hles)), F20, thresholds_for(View.WL))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows already in order were sorted")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert table.distinct() is table
+    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
+    assert entries == expected
+    assert flatten(entries) is entries
+
+
+def test_a_custom_order_against_name_order_still_reorders():
+    hles = [hle("Ann", 0), hle("Bob", 0), hle("Ann", 1), hle("Bob", 1)]
+    entries = build_hlel(assigned(hles, [1] * 4), F20, thresholds_for(View.WL))
+    custom = flatten(entries, FlattenOrder(["wl-Bob"]))
+    assert custom is not entries
+    assert [(e.window, e.activity) for e in custom] == [
+        (0, "wl-Bob"), (0, "wl-Ann"), (1, "wl-Bob"), (1, "wl-Ann"),
+    ]
+    assert flatten(custom, FlattenOrder(["wl-Bob"])) is custom
+
+
 def entry(case, window, activity, eid):
     return HighLevelLogEntry(
         hle_id=eid,
@@ -185,6 +215,20 @@ def _corrupt_hlel(tmp_path, log_t, edit):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     return str(path)
+
+
+def test_features_that_differ_only_in_the_sign_of_a_zero_threshold_read_back_apart(tmp_path):
+    hlel = HighLevelLog(
+        [HLELFeature("wl-a", "wl", "resource", "a", 0.0), HLELFeature("wl-a", "wl", "resource", "a", -0.0)],
+        np.array([0, 1]), np.array([1, 1]), np.array([0, 0]), np.array([1.0, 1.0]), np.array([1, 2]),
+        np.array([0]), np.array([0, 0]),
+    )
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_hlel_csv(hlel, str(first))
+    write_hlel_csv(read_hlel_csv(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text().splitlines()[1:] == ["1,1,wl-a,1970-01-01T00:00:00,0,wl,resource,a,1.0,0.0",
+                                                  "2,1,wl-a,1970-01-01T00:00:00,0,wl,resource,a,1.0,-0.0"]
 
 
 def test_read_hlel_short_row_names_its_line(tmp_path, log_t):

@@ -12,6 +12,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -496,6 +497,12 @@ def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
 # the switch to exponent notation at 1e16, and a large exponent
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, 9999999999999998.0, 0.1, 1e-05]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+def entries_by_repr(hlel):
+    """The entries with value and threshold as their repr, so that entries
+    holding a NaN compare equal, and -0.0 unequal to 0.0."""
+    return [replace(e, value=repr(e.value), threshold=repr(e.threshold)) for e in hlel]
+
+
 # names that csv quotes (a comma, a quote, a line break, a carriage return),
 # and a % that a format string would take for a conversion
 NAMES = st.text(alphabet='ab ,"\n\r\'-%', max_size=5)
@@ -512,16 +519,85 @@ STAMP_FORMATS = st.sampled_from(
 )
 
 
+# rows with many ties of timestamp, case, activity and resource
+TIED_ROWS = st.lists(
+    st.tuples(st.sampled_from("abc"), st.sampled_from("xy"), st.integers(0, 3), st.sampled_from("rs")),
+    max_size=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TIED_ROWS, st.randoms(use_true_random=False))
+def test_any_shuffle_of_a_log_ingests_to_its_sorted_columns(tmp_path_factory, rows, rnd):
+    events_in_order = [Event(i + 1, c, a, BASE + timedelta(seconds=t), r) for i, (c, a, t, r) in enumerate(rows)]
+    shuffled = events_in_order[:]
+    rnd.shuffle(shuffled)
+    assert columns_of(EventLog(shuffled)) == columns_of(EventLog(events_in_order))
+    # a file of the shuffled rows, ids by line: rows by (timestamp, case, line)
+    path = tmp_path_factory.mktemp("shuffled") / "events.csv"
+    path.write_text("case,activity,timestamp,resource\n" + "".join(
+        f"{e.case},{e.activity},{e.timestamp.isoformat()},{e.resource}\n" for e in shuffled
+    ), encoding="utf-8")
+    log = ingest_csv(str(path))
+    order = sorted(range(len(shuffled)), key=lambda i: (shuffled[i].timestamp, shuffled[i].case, i))
+    assert [(e.id, e.case, e.activity, e.timestamp, e.resource) for e in log] == [
+        (i + 1, shuffled[i].case, shuffled[i].activity, shuffled[i].timestamp, shuffled[i].resource)
+        for i in order
+    ]
+
+
+def columns_of(log):
+    return (
+        log.case_names, log.activity_names, log.resource_names,
+        *(a.tolist() for a in (log.case_codes, log.activity_codes, log.resource_codes, log.times_us, log.ids)),
+    )
+
+
+# int key columns with ties, and at the ends of the int64 range
+INT_KEYS = st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), st.integers(-(2**63), 2**63 - 1)), min_size=n, max_size=n),
+    min_size=1, max_size=3,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_KEYS, st.booleans())
+def test_lexsort_order_is_none_exactly_for_rows_in_key_order(keys, presorted):
+    keys = [np.array(key, dtype=np.int64) for key in keys]
+    if presorted:
+        keys = [key[np.lexsort(keys)] for key in keys]
+    order, expected = events.lexsort_order(keys), np.lexsort(keys)
+    if (expected == np.arange(len(expected))).all():
+        assert order is None
+    else:
+        assert order.tolist() == expected.tolist()
+
+
+def test_lexsort_order_sorts_a_nan_key():
+    assert events.lexsort_order([np.array([math.nan, 1.0])]).tolist() == [1, 0]
+    assert events.lexsort_order([np.array([1.0, math.nan])]).tolist() == [0, 1]
+    assert events.lexsort_order([np.array([-0.0, 0.0, -0.0])]) is None
+
+
+# values with both zeros, and NaNs of either sign and any payload, each
+# written as its repr
+VALUES = st.one_of(FLOATS, st.sampled_from([math.nan, -math.nan]), st.floats())
+# windows as an origin after the first event gives them, and beyond 2**31
+WINDOW_RANGES = st.sampled_from([(-(10**6), 10**6), (2**31 - 2, 2**31 + 2), (-(2**62), 2**62)])
+
+
 @st.composite
 def high_level_logs(draw):
     """A ``HighLevelLog`` built from drawn columns: any stamps from year 1 to
-    9999, with and without microseconds, negative windows as an origin after
-    the first event gives them, and any value but NaN."""
+    9999, with and without microseconds, each shared by any windows, as in a
+    log read back; negative and huge windows; and values drawn from a few
+    that repeat, or from any float."""
     features = draw(st.lists(
         st.builds(HLELFeature, NAMES, NAMES, NAMES, NAMES, FLOATS), min_size=1, max_size=4
     ))
     stamps = draw(st.lists(STAMPS, min_size=1, max_size=5, unique=True))
     n = draw(st.integers(0, 30))
+    values = draw(st.one_of(st.just(VALUES), st.lists(VALUES, min_size=1, max_size=3).map(st.sampled_from)))
 
     def column(elements, dtype):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
@@ -530,37 +606,61 @@ def high_level_logs(draw):
         features,
         column(st.integers(0, len(features) - 1), np.intp),
         column(st.integers(1, 10**6), np.int64),
-        column(st.integers(-(10**6), 10**6), np.int64),
-        column(FLOATS, float),
+        column(st.integers(*draw(WINDOW_RANGES)), np.int64),
+        column(values, float),
         column(st.integers(1, 10**6), np.int64),
         np.array([to_microseconds(t) for t in stamps], dtype=np.int64),
         column(st.integers(0, len(stamps) - 1), np.intp),
     )
 
 
-EDGE_LOG = HighLevelLog(
-    [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', -0.0), HLELFeature("x\ny", "", " ", "%s", 1e22)],
-    np.array([0, 1, 0, 1, 0, 1], dtype=np.intp),
-    np.array([1, 1, 2, 2, 3, 3]),
-    np.array([-3, -2, 0, 0, 7, 7]),
-    np.array([-0.0, 0.0, 5e-324, 1e16, 1e22, 0.5]),
-    np.array([1, 2, 3, 4, 5, 6]),
-    np.array([to_microseconds(t) for t in (
-        datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 1, 500), datetime(9999, 12, 31, 23, 59, 59, 999999),
-    )]),
-    np.array([0, 1, 2, 2, 0, 1], dtype=np.intp),
-)
+def edge_log(windows, values, stamp_codes):
+    """A log of two features with quoted names, one zero threshold negative,
+    three stamps (year 1, with microseconds, year 9999), and the given
+    columns; cases and features alternate."""
+    n = len(windows)
+    return HighLevelLog(
+        [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', -0.0), HLELFeature("x\ny", "", " ", "%s", 1e22)],
+        np.arange(n, dtype=np.intp) % 2,
+        np.arange(n) // 2 + 1,
+        np.array(windows, dtype=np.int64),
+        np.array(values, dtype=float),
+        np.arange(1, n + 1),
+        np.array([to_microseconds(t) for t in (
+            datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 1, 500), datetime(9999, 12, 31, 23, 59, 59, 999999),
+        )]),
+        np.array(stamp_codes, dtype=np.intp),
+    )
+
+
+# stamp 0 with windows -3 and 7, stamp 1 with -2 and 7, as a read-back log
+# may pair them; all values distinct
+EDGE_LOG = edge_log([-3, -2, 0, 0, 7, 7], [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.5], [0, 1, 2, 2, 0, 1])
+# both zeros and both NaNs, each twice
+NAN_LOG = edge_log([-3, -2, 0, 0, 7, 7], [-0.0, 0.0, math.nan, -0.0, 0.0, -math.nan], [0, 1, 2, 2, 0, 1])
+HUGE_WINDOWS_LOG = edge_log([2**31, 2**31, 2**62, -(2**62), 2**31 - 1, 2**31], [1.5] * 6, [0, 0, 1, 2, 1, 0])
+EMPTY_LOG = edge_log([], [], [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(high_level_logs(), STAMP_FORMATS)
 @example(EDGE_LOG, None)
 @example(EDGE_LOG, "%d %b %Y, %H:%M:%S.%f")
+@example(NAN_LOG, None)
+@example(NAN_LOG, "%%Y=%Y %m %d %H:%M:%S.%f")
+@example(HUGE_WINDOWS_LOG, None)
+@example(HUGE_WINDOWS_LOG, "%Y-%m-%d %H:%M:%S.%f")
+@example(EMPTY_LOG, None)
+@example(EMPTY_LOG, "%Y-%m-%d %H:%M:%S.%f")
 def test_hlel_csv_equals_the_per_row_oracle(tmp_path_factory, hlel, timestamp_format):
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
     write_hlel_csv(hlel, str(path), timestamp_format)
     assert path.read_bytes() == oracles.oracle_hlel_csv(hlel, timestamp_format).encode()
-    assert read_hlel_csv(str(path), timestamp_format) == hlel
+    back = read_hlel_csv(str(path), timestamp_format)
+    assert entries_by_repr(back) == entries_by_repr(hlel)
+    again = path.with_name("again.csv")
+    write_hlel_csv(back, str(again), timestamp_format)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # names that csv quotes (a comma, a quote, a line break, a carriage return)
