@@ -1,14 +1,16 @@
 """Ingest a tiny event log and inspect its derived structure.
 
 Shows CSV ingestion with a column mapping, the directly-follows steps,
-the three component sets (activities, resources, segments), and event
-restrictions per component.
+the three component sets (activities, resources, segments), and the
+events and steps of one component, all read from the log's code columns.
 """
 
 import tempfile
 from pathlib import Path
 
-from highline import Component, ingest_csv, restrict
+import numpy as np
+
+from highline import Segment, ingest_csv
 
 CSV = """\
 case,activity,timestamp,resource
@@ -29,23 +31,28 @@ def main():
         log = ingest_csv(str(path))
 
     print(f"ingested {len(log)} events from {log.provenance.source}")
+    case = [log.case_names[c] for c in log.case_codes.tolist()]
+    activity = [log.activity_names[a] for a in log.activity_codes.tolist()]
+    times = log.times_us.astype("datetime64[us]").tolist()
+    first, second = (rows.tolist() for rows in log.step_rows)
 
     print("\nsteps (directly-follows pairs per case):")
-    for step in log.steps:
-        print(f"  {step.first.case}: {step.first.activity} -> {step.second.activity}"
-              f"  (waited {step.duration_seconds:.0f}s)")
+    for i, j in zip(first, second):
+        print(f"  {case[i]}: {activity[i]} -> {activity[j]}"
+              f"  (waited {(times[j] - times[i]).total_seconds():.0f}s)")
 
-    print(f"\nactivities: {sorted(log.activities)}")
-    print(f"resources:  {sorted(log.resources)}")
-    print(f"segments:   {sorted(s.label for s in log.segments)}")
+    print(f"\nactivities: {list(log.activity_names)}")
+    print(f"resources:  {list(log.resource_names)}")
+    print(f"segments:   {sorted(s.label for s in log.segment_names)}")
 
     print("\nJane's events:")
-    for e in restrict(log, Component.resource("Jane")):
-        print(f"  {e.timestamp.time()}  {e.case}  {e.activity}")
+    for row in np.flatnonzero(log.resource_codes == log.resource_names.index("Jane")).tolist():
+        print(f"  {times[row].time()}  {case[row]}  {activity[row]}")
 
     print("\nsteps over the (report,answer) segment:")
-    for step in restrict(log, Component.segment("report", "answer")):
-        print(f"  {step.first.case}: {step.first.timestamp.time()} -> {step.second.timestamp.time()}")
+    segment = log.segment_names.index(Segment("report", "answer"))
+    for k in np.flatnonzero(log.step_segments[0] == segment).tolist():
+        print(f"  {case[first[k]]}: {times[first[k]].time()} -> {times[second[k]].time()}")
     print("\nnote: c2 is missing here, its follow-up broke the direct step")
 
 

@@ -5,16 +5,17 @@ Builds a one-morning log with a visible congestion bump, splits it into
 percentile choice decides which measurements become high-level events.
 """
 
+import math
 from datetime import datetime, timedelta
 
 from highline import (
-    Event,
     EventLog,
     Framing,
     compute_thresholds,
     evaluate,
     generate_hles,
 )
+from highline.events import to_microseconds
 
 START = datetime(2024, 1, 1, 9, 0)
 
@@ -30,11 +31,9 @@ def build_log():
     for case in range(1, 7):
         rows.append((f"burst{case}", "submit", 45 + case, "ann"))
         rows.append((f"burst{case}", "check", 58 + 3 * case, "bob"))
-    events = [
-        Event(i + 1, case, act, START + timedelta(minutes=m), res)
-        for i, (case, act, m, res) in enumerate(rows)
-    ]
-    return EventLog(events)
+    cases, activities, minutes, resources = zip(*rows)
+    times_us = [to_microseconds(START + timedelta(minutes=m)) for m in minutes]
+    return EventLog.from_columns(cases, activities, times_us, resources)
 
 
 def main():
@@ -43,20 +42,18 @@ def main():
     matrix = evaluate(log, framing)
 
     print("feature matrix (rows: features, columns: 15-minute windows):")
-    for fid in matrix.features:
-        cells = []
-        for w in matrix.windows:
-            v = matrix.value(fid, w)
-            cells.append("   -" if v is None else f"{v:4.0f}")
+    for fid, row in zip(matrix.features, matrix.values.tolist()):
+        cells = ["   -" if math.isnan(v) else f"{v:4.0f}" for v in row]
         print(f"  {fid.name:<22}" + " ".join(cells))
 
     for p in (0.5, 0.8, 1.0):
         thresholds = compute_thresholds(matrix, p)
         hles = generate_hles(matrix, thresholds)
         print(f"\npercentile p={p}: {len(hles)} high-level events")
-        for h in hles:
-            if h.feature.view.value in ("wl", "delay"):
-                print(f"  window {h.window}: {h.feature.name} = {h.value:.0f}")
+        for c, w, v in zip(hles.codes.tolist(), hles.windows.tolist(), hles.values.tolist()):
+            feature = hles.features[c]
+            if feature.view.value in ("wl", "delay"):
+                print(f"  window {w}: {feature.name} = {v:.0f}")
 
 
 if __name__ == "__main__":

@@ -7,13 +7,15 @@ splits or merges the detected high-level events into cascades.
 
 from datetime import datetime, timedelta
 
+import numpy as np
+
 from highline import (
-    Event,
     EventLog,
     Framing,
     analyze_log,
     build_link_table,
 )
+from highline.events import to_microseconds
 
 START = datetime(2024, 1, 1, 9, 0)
 
@@ -28,18 +30,17 @@ def build_log():
     for case in range(1, 7):
         rows.append((f"burst{case}", "submit", 45 + case, "ann"))
         rows.append((f"burst{case}", "check", 58 + 3 * case, "bob"))
-    events = [
-        Event(i + 1, case, act, START + timedelta(minutes=m), res)
-        for i, (case, act, m, res) in enumerate(rows)
-    ]
-    return EventLog(events)
+    cases, activities, minutes, resources = zip(*rows)
+    times_us = [to_microseconds(START + timedelta(minutes=m)) for m in minutes]
+    return EventLog.from_columns(cases, activities, times_us, resources)
 
 
 def main():
     log = build_log()
     links = build_link_table(log)
     print("nonzero component links (closeness in [0,1]):")
-    for c1, c2, value in links.pairs():
+    for i, j, value in zip(links.first.tolist(), links.second.tolist(), links.values.tolist()):
+        c1, c2 = links.components[i], links.components[j]
         print(f"  {c1.kind.value:<8} {c1.label:<16} {c2.kind.value:<8} {c2.label:<16} {value:.2f}")
 
     framing = Framing(origin=START, width=15 * 60)
@@ -49,9 +50,10 @@ def main():
         result = analyze_log(log, framing, percentile=0.75, lam=lam, exclude_zeros=True)
         print(f"\nlambda={lam}: {len(result.hles)} high-level events "
               f"in {result.cascade_count} cascades")
+        hles, cases = result.assignment.hles, result.assignment.cases
         for cid in range(1, result.cascade_count + 1):
-            members = result.assignment.members(cid)
-            names = ", ".join(f"{h.feature.name}@w{h.window}" for h in members)
+            rows = np.flatnonzero(cases == cid).tolist()
+            names = ", ".join(f"{hles.features[hles.codes[k]].name}@w{hles.windows[k]}" for k in rows)
             print(f"  cascade {cid}: {names}")
     print("\nthis toy process is fully linked (every value 1.0), so lambda does")
     print("not split anything here; the empty window between the calm phase and")

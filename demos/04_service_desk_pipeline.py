@@ -6,7 +6,7 @@ event log, link table, summary, directly-follows graph) to
 demo_output/.
 """
 
-from collections import Counter
+import numpy as np
 
 from highline import (
     Framing,
@@ -30,8 +30,11 @@ def main():
         seed=2024,
     )
     log = generate(config)
-    print(f"generated {len(log)} events, {len({e.case for e in log})} cases")
-    print("activity mix:", dict(Counter(e.activity for e in log)))
+    print(f"generated {len(log)} events, {len(log.case_names)} cases")
+    # activities in the order of their first event
+    codes, first, counts = np.unique(log.activity_codes, return_index=True, return_counts=True)
+    mix = {log.activity_names[codes[k]]: int(counts[k]) for k in np.argsort(first).tolist()}
+    print("activity mix:", mix)
 
     framing = Framing(default_origin(log), width=3600.0)
     result = analyze_log(log, framing, percentile=0.9, lam=0.5)
@@ -42,10 +45,11 @@ def main():
     for a in table.activities:
         header += f"  {a:>24}"
     print("\n" + header)
-    for row in table.rows:
-        line = f"{row.period:>4} {row.events:>7} {row.hles:>6}"
-        for count, avg in zip(row.counts, row.averages):
-            cell = "-" if avg is None else f"{count} (avg {avg:.2f})"
+    columns = (table.events.tolist(), table.hles.tolist(), table.counts.tolist(), table.sums.tolist())
+    for k, (events, hles, counts, sums) in enumerate(zip(*columns)):
+        line = f"{table.first_period + k:>4} {events:>7} {hles:>6}"
+        for count, total in zip(counts, sums):
+            cell = f"{count} (avg {total / count:.2f})" if count else "-"
             line += f"  {cell:>24}"
         print(line)
 

@@ -18,7 +18,6 @@ from .events import (
     Segment,
     Step,
     ingest_csv,
-    restrict,
     write_event_csv,
 )
 from .features import (
@@ -37,7 +36,6 @@ from .framing import Framing, WindowSet, default_origin, parse_duration, window_
 from .hlelog import (
     FlattenOrder,
     HighLevelLog,
-    HighLevelLogEntry,
     SummaryTable,
     build_hlel,
     export_dfg,
@@ -87,7 +85,6 @@ __all__ = [
     "HLETable",
     "HighLevelEvent",
     "HighLevelLog",
-    "HighLevelLogEntry",
     "HighlineError",
     "LinkTable",
     "Provenance",
@@ -115,7 +112,6 @@ __all__ = [
     "parse_duration",
     "propagation_edges",
     "read_hlel_csv",
-    "restrict",
     "summarize",
     "weekly_event_counts",
     "window_set",

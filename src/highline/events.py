@@ -1,15 +1,12 @@
-"""Event log model: ingestion, directly-follows steps, component sets.
+"""Event log model: ingestion, directly-follows steps, component names,
+and the CSV text writers.
 
-An event log is an immutable collection of events, each carrying a case,
-an activity, a timestamp and a resource. From the log we derive *steps*
-(directly-follows event pairs within one case) and the three component
-sets: activities, resources and segments (activity pairs realized by at
-least one step).
-
-The log is held as columns: integer codes for case, activity and resource,
-timestamps as microseconds since the epoch, and the event ids. Steps are
-two arrays of row positions. ``Event`` and ``Step`` objects are views built
-from the columns on demand; the analysis itself never needs them.
+An event log holds events, each carrying a case, an activity, a timestamp
+and a resource, as columns: integer codes for case, activity and resource,
+timestamps as microseconds since the epoch, and the event ids. From the
+log we derive *steps* (directly-follows event pairs within one case), two
+arrays of row positions, and the three component name sets: activities,
+resources and segments (activity pairs realized by at least one step).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,10 +45,6 @@ class Event:
     timestamp: datetime
     resource: str
 
-    def order_key(self) -> tuple[datetime, int]:
-        """Total order of events within one case: (timestamp, id)."""
-        return (self.timestamp, self.id)
-
 
 class Segment(NamedTuple):
     """An activity pair realized by at least one step of the log."""
@@ -74,14 +67,6 @@ class Step(NamedTuple):
 
     first: Event
     second: Event
-
-    @property
-    def segment(self) -> Segment:
-        return Segment(self.first.activity, self.second.activity)
-
-    @property
-    def duration_seconds(self) -> float:
-        return (self.second.timestamp - self.first.timestamp).total_seconds()
 
 
 class ComponentKind(str, Enum):
@@ -296,48 +281,18 @@ class EventLog:
     since the epoch (naive UTC) and ``ids`` the event ids. Steps are two
     arrays of row positions (``step_rows``).
 
-    Everything derived is computed once, on first use, and is read-only, so
-    a log can be shared freely across workers. That includes the object
-    views (``events``, ``steps``, ``case_sequences``): they are built from
-    the columns only when asked for.
+    Build a log with ``from_columns`` or ``ingest_csv``. Everything derived
+    is computed once, on first use, and is read-only, so a log can be
+    shared freely across workers. ``events`` and ``steps`` give the rows and
+    steps as objects; the analysis never builds them.
     """
 
-    def __init__(self, events: Iterable[Event] = (), provenance: Provenance | None = None):
-        events = list(events)
-        columns = _Columns()
-        columns.add(
-            ([e.case for e in events], [e.activity for e in events], [e.resource for e in events]),
-            [to_microseconds(e.timestamp) for e in events],
-        )
-        self._set_columns(columns, [e.id for e in events], provenance)
-
-    @classmethod
-    def from_columns(
-        cls,
-        cases: Sequence[str],
-        activities: Sequence[str],
-        times_us: Sequence[int],
-        resources: Sequence[str],
+    def __init__(
+        self,
+        columns: _Columns | _Keys,
         ids: Sequence[int] | None = None,
         provenance: Provenance | None = None,
-    ) -> "EventLog":
-        """A log from parallel columns: names, microseconds since the epoch
-        and event ids (1..n in input order when omitted)."""
-        columns = _Columns()
-        columns.add((cases, activities, resources), times_us)
-        return cls._of(columns, ids, provenance)
-
-    @classmethod
-    def _of(
-        cls, columns: _Columns | _Keys, ids: Sequence[int] | None, provenance: Provenance | None
-    ) -> "EventLog":
-        log = cls.__new__(cls)
-        log._set_columns(columns, ids, provenance)
-        return log
-
-    def _set_columns(
-        self, columns: _Columns | _Keys, ids: Sequence[int] | None, provenance: Provenance | None
-    ) -> None:
+    ):
         """Rank the codes by name and sort the rows, unless they already are
         in order; ids default to 1..n in the order the rows were added."""
         (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
@@ -359,6 +314,22 @@ class EventLog:
         self.provenance = provenance
         self._validate(default_ids)
 
+    @classmethod
+    def from_columns(
+        cls,
+        cases: Sequence[str],
+        activities: Sequence[str],
+        times_us: Sequence[int],
+        resources: Sequence[str],
+        ids: Sequence[int] | None = None,
+        provenance: Provenance | None = None,
+    ) -> "EventLog":
+        """A log from parallel columns: names, microseconds since the epoch
+        and event ids (1..n in input order when omitted)."""
+        columns = _Columns()
+        columns.add((cases, activities, resources), times_us)
+        return cls(columns, ids, provenance)
+
     def _validate(self, default_ids: bool) -> None:
         names = (self.case_names, self.activity_names, self.resource_names)
         # names are sorted, so an empty name comes first
@@ -378,20 +349,13 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    @cached_property
-    def _case_order(self) -> np.ndarray:
-        # rows are in (timestamp, case, id) order, so a stable sort by case
-        # leaves the rows of each case in (timestamp, id) order
-        return np.argsort(self.case_codes, kind="stable")
-
     @cached_property
     def step_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row positions of the first and of the second event of each step,
         steps in (case, timestamp, id) order of their first event."""
-        order = self._case_order
+        # rows are in (timestamp, case, id) order, so a stable sort by case
+        # leaves the rows of each case in (timestamp, id) order
+        order = np.argsort(self.case_codes, kind="stable")
         same = self.case_codes[order[1:]] == self.case_codes[order[:-1]]
         return _frozen(order[:-1][same]), _frozen(order[1:][same])
 
@@ -413,20 +377,6 @@ class EventLog:
         return tuple(Segment(names[s], names[t]) for s, t in self.step_segments[1].tolist())
 
     @cached_property
-    def activities(self) -> frozenset[str]:
-        return frozenset(self.activity_names)
-
-    @cached_property
-    def resources(self) -> frozenset[str]:
-        return frozenset(self.resource_names)
-
-    @cached_property
-    def segments(self) -> frozenset[Segment]:
-        return frozenset(self.segment_names)
-
-    # --- object views, built on first use ------------------------------------
-
-    @cached_property
     def events(self) -> tuple[Event, ...]:
         """The rows as ``Event`` objects."""
         cases, acts, ress = self.case_names, self.activity_names, self.resource_names
@@ -442,15 +392,6 @@ class EventLog:
         )
 
     @cached_property
-    def case_sequences(self) -> dict[str, tuple[Event, ...]]:
-        """Per-case event sequences in (timestamp, id) order, cases sorted."""
-        events = self.events
-        groups: dict[str, list[Event]] = {case: [] for case in self.case_names}
-        for row in self._case_order.tolist():
-            groups[events[row].case].append(events[row])
-        return {case: tuple(seq) for case, seq in groups.items()}
-
-    @cached_property
     def steps(self) -> tuple[Step, ...]:
         """All directly-follows pairs as ``Step`` objects, in ``step_rows``
         order. A case with k events has k-1 steps; equal timestamps within a
@@ -458,26 +399,6 @@ class EventLog:
         events = self.events
         first, second = self.step_rows
         return tuple(Step(events[i], events[j]) for i, j in zip(first.tolist(), second.tolist()))
-
-
-def restrict(log: EventLog, component: Component) -> tuple[Event, ...] | tuple[Step, ...]:
-    """The a-events or r-events of the log in row order, or its s-steps in
-    step order, selected by a mask over the code column.
-
-    Raises KeyError when the component does not occur in the log.
-    """
-    if component.kind is ComponentKind.SEGMENT:
-        names, codes, label = log.segment_names, log.step_segments[0], component.label
-    elif component.kind is ComponentKind.ACTIVITY:
-        names, codes, label = log.activity_names, log.activity_codes, repr(component.key)
-    else:
-        names, codes, label = log.resource_names, log.resource_codes, repr(component.key)
-    try:
-        code = names.index(component.key)
-    except ValueError:
-        raise KeyError(f"unknown {component.kind.value}: {label}") from None
-    items = log.steps if component.kind is ComponentKind.SEGMENT else log.events
-    return tuple(items[i] for i in np.flatnonzero(codes == code).tolist())
 
 
 def _parser(timestamp_format: str | None) -> Callable[[str], datetime]:
@@ -544,7 +465,7 @@ def ingest_csv(
             _read_general(path, mapping, timestamp_format, columns)
         except UnicodeDecodeError:
             raise not_utf8_error(path) from None
-    return EventLog._of(columns, None, provenance)
+    return EventLog(columns, None, provenance)
 
 
 class _NotStandard(Exception):
@@ -858,8 +779,11 @@ def write_event_csv(
     mapping = mapping or ColumnMapping()
     names = (log.case_names, log.activity_names, log.resource_names)
     cases, acts, ress = (np.array([csv_fields(name) for name in column], dtype=object) for column in names)
-    stamps_us, stamp_codes = np.unique(log.times_us, return_inverse=True)
-    stamps = np.array(format_stamps(stamps_us, timestamp_format), dtype=object)
+    # rows are in timestamp order: a new stamp starts wherever the time changes
+    new = np.ones(len(log), dtype=bool)
+    new[1:] = log.times_us[1:] != log.times_us[:-1]
+    stamp_codes = np.cumsum(new) - 1
+    stamps = np.array(format_stamps(log.times_us[new], timestamp_format), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_fields(mapping.case, mapping.activity, mapping.timestamp, mapping.resource) + "\n")
         for start in range(0, len(stamp_codes), WRITE_ROWS):

@@ -171,19 +171,6 @@ class EvaluationMatrix:
     def array(self, feature: FeatureId) -> np.ndarray:
         return self.values[self._row(feature)]
 
-    def value(self, feature: FeatureId, w: int) -> float | None:
-        """The evaluated value, or None where the feature is undefined.
-
-        Raises IndexError for a window outside ``windows``.
-        """
-        windows = self.windows
-        if w not in windows:
-            raise IndexError(
-                f"window {w} outside the evaluated windows {windows.first}..{windows.last}"
-            )
-        v = self.values[self._row(feature), windows.offset(w)]
-        return None if math.isnan(v) else float(v)
-
     def pooled(self, view: View, exclude_zeros: bool = False) -> np.ndarray:
         """All defined values of a view across components and windows."""
         values = self.values[self.blocks.get(view, slice(0, 0))]

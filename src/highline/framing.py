@@ -55,17 +55,6 @@ class Framing:
         elapsed_us = times_us - to_microseconds(self.origin)
         return np.floor(elapsed_us / (self.width * 1e6)).astype(np.int64)
 
-    def window_of(self, t: datetime) -> int:
-        """The window index of a timestamp; non-decreasing in ``t``."""
-        return int(self.windows_of(to_microseconds(t)))
-
-    def window_start(self, w: int) -> datetime:
-        return from_microseconds(int(self.starts_us(w)))
-
-    def window_bounds(self, w: int) -> tuple[datetime, datetime]:
-        """The half-open interval [start, end) covered by window ``w``."""
-        return (self.window_start(w), self.window_start(w + 1))
-
 
 @dataclass(frozen=True)
 class WindowSet:
@@ -80,15 +69,6 @@ class WindowSet:
 
     def __len__(self) -> int:
         return self.last - self.first + 1
-
-    def __iter__(self):
-        return iter(range(self.first, self.last + 1))
-
-    def __contains__(self, w: int) -> bool:
-        return self.first <= w <= self.last
-
-    def offset(self, w: int) -> int:
-        return w - self.first
 
 
 def window_set(framing: Framing, log) -> WindowSet:

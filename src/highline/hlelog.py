@@ -13,15 +13,14 @@ import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
-from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import ContextManager, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, not_utf8_error
 from .events import (
-    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, from_microseconds, lexsort_order,
-    parse_timestamp, to_microseconds,
+    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, lexsort_order, parse_timestamp,
+    to_microseconds,
 )
 from .features import ThresholdTable, View
 from .framing import Framing
@@ -41,22 +40,6 @@ HLEL_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class HighLevelLogEntry:
-    """One row of the high-level event log."""
-
-    hle_id: int
-    case: int
-    activity: str
-    timestamp: datetime
-    window: int
-    view: str
-    component_kind: str
-    component: str
-    value: float
-    threshold: float
-
-
 class HLELFeature(NamedTuple):
     """The columns an entry takes from its feature."""
 
@@ -67,15 +50,13 @@ class HLELFeature(NamedTuple):
     threshold: float
 
 
-class HighLevelLog(Sequence[HighLevelLogEntry]):
+class HighLevelLog:
     """The high-level event log as columns.
 
     Row k is entry ``hle_ids[k]`` of case ``cases[k]``, for the feature
     ``features[feature_codes[k]]`` in window ``windows[k]`` with value
     ``values[k]``, timestamped ``stamps_us[stamp_codes[k]]`` (microseconds
-    since the epoch, naive UTC). As a sequence it yields ``HighLevelLogEntry``
-    objects, built once on first use, and it equals any sequence of equal
-    entries; the writers read the columns.
+    since the epoch, naive UTC). ``len`` is the number of entries.
     """
 
     def __init__(
@@ -113,33 +94,8 @@ class HighLevelLog(Sequence[HighLevelLogEntry]):
         of_feature = np.array([rank[f.activity] for f in self.features], dtype=np.intp)
         return names, of_feature[self.feature_codes]
 
-    @cached_property
-    def _objects(self) -> tuple[HighLevelLogEntry, ...]:
-        features = self.features
-        stamps = [from_microseconds(us) for us in self.stamps_us.tolist()]
-        return tuple(
-            HighLevelLogEntry(i, c, f.activity, stamps[s], w, f.view, f.component_kind,
-                              f.component, v, f.threshold)
-            for i, c, f, s, w, v in zip(
-                self.hle_ids.tolist(), self.cases.tolist(),
-                map(features.__getitem__, self.feature_codes.tolist()),
-                self.stamp_codes.tolist(), self.windows.tolist(), self.values.tolist(),
-            )
-        )
-
     def __len__(self) -> int:
         return len(self.cases)
-
-    def __getitem__(self, k):
-        return self._objects[k]
-
-    def __iter__(self) -> Iterator[HighLevelLogEntry]:
-        return iter(self._objects)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return tuple(self) == tuple(other)
 
 
 def build_hlel(
@@ -342,24 +298,25 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLo
 # --- summary -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    period: int
-    start: datetime
-    events: int
-    hles: int
-    counts: tuple[int, ...]
-    averages: tuple[float | None, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SummaryTable:
-    """Per-period counts and average values of the busiest high-level
-    activities, next to the original event volume."""
+    """Per-period counts and value sums of the busiest high-level
+    activities, next to the original event volume, as columns.
+
+    Row k is period ``first_period + k``, which starts at ``starts_us[k]``
+    (microseconds since the epoch) and holds ``events[k]`` events and
+    ``hles[k]`` entries; ``counts[k, j]`` entries of ``activities[j]`` have
+    values summing to ``sums[k, j]`` (delay in hours).
+    """
 
     period_seconds: float
     activities: tuple[str, ...]
-    rows: tuple[SummaryRow, ...]
+    first_period: int
+    starts_us: np.ndarray
+    events: np.ndarray
+    hles: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
 
 
 def summarize(
@@ -374,7 +331,7 @@ def summarize(
 
     Period ``p`` is window ``p - 1`` of ``Framing(origin, period_seconds)``,
     one week by default in the command line. Activities default to the
-    ``top`` most frequent high-level activities; delay averages are reported
+    ``top`` most frequent high-level activities; delay values are summed
     in hours, everything else in native units.
     """
     periods = Framing(origin, period_seconds)
@@ -401,36 +358,50 @@ def summarize(
     columns = [names.index(a) if a in names else len(names) for a in chosen]
     counts = np.bincount(cell, minlength=size * n).reshape(size, n)[:, columns]
     sums = np.bincount(cell, hlel.values / scale[hlel.feature_codes], minlength=size * n)
-    sums = sums.reshape(size, n)[:, columns]
-    rows = tuple(
-        SummaryRow(first + k + 1, from_microseconds(start), e, h, tuple(c),
-                   tuple(total / count if count else None for total, count in zip(t, c)))
-        for k, (start, e, h, c, t) in enumerate(zip(
-            periods.starts_us(np.arange(first, first + size)).tolist(),
-            np.bincount(event_period - first, minlength=size).tolist(),
-            np.bincount(hle_period - first, minlength=size).tolist(),
-            counts.tolist(),
-            sums.tolist(),
-        ))
+    return SummaryTable(
+        period_seconds,
+        tuple(chosen),
+        first + 1,
+        periods.starts_us(np.arange(first, first + size)),
+        np.bincount(event_period - first, minlength=size),
+        np.bincount(hle_period - first, minlength=size),
+        counts,
+        sums.reshape(size, n)[:, columns],
     )
-    return SummaryTable(period_seconds, tuple(chosen), rows)
 
 
 def write_summary_csv(
     table: SummaryTable, path_or_fh: str | TextIO, timestamp_format: str | None = None
 ) -> None:
-    """Write the summary table as CSV to a path or an open text handle."""
+    """Write the summary table as CSV to a path or an open text handle, each
+    average as ``%.6g`` text, empty where the count is 0."""
     header = ["period", "start", "events", "hles"]
     for a in table.activities:
         header.extend([f"count:{a}", f"avg:{a}"])
-    starts_us = np.array([to_microseconds(row.start) for row in table.rows], dtype=np.int64)
+    stamps = np.array(format_stamps(table.starts_us, timestamp_format), dtype=object)
+    periods = table.first_period + np.arange(len(stamps))
+    averages = [_averages(count, total) for count, total in zip(table.counts.T, table.sums.T)]
     with text_output(path_or_fh) as fh:
         fh.write(csv_fields(*header) + "\n")
-        for row, start in zip(table.rows, format_stamps(starts_us, timestamp_format)):
-            record = [row.period, start, row.events, row.hles]
-            for count, avg in zip(row.counts, row.averages):
-                record += [count, "" if avg is None else f"{avg:.6g}"]
-            fh.write(",".join(map(str, record)) + "\n")
+        for start in range(0, len(periods), WRITE_ROWS):
+            part = slice(start, start + WRITE_ROWS)
+            columns = [periods[part], stamps[part], table.events[part], table.hles[part]]
+            for j, (texts, codes) in enumerate(averages):
+                columns += [table.counts[part, j], (texts, codes[part])]
+            fh.write(csv_lines(*columns))
+
+
+def _averages(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.6g`` texts of the distinct averages of one activity's column
+    (first an empty text, for a count of 0), and each period's index among
+    them; distinct by bits, so that -0.0 and 0.0 stay apart."""
+    filled = counts > 0
+    averages = np.divide(sums, counts, out=np.zeros(len(counts)), where=filled)
+    bits, codes = np.unique(averages[filled].view(np.int64), return_inverse=True)
+    texts = ["", *("%.6g" % a for a in bits.view(float).tolist())]
+    index = np.zeros(len(counts), dtype=np.intp)
+    index[filled] = codes.reshape(-1) + 1
+    return np.array(texts, dtype=object), index
 
 
 def text_output(path_or_fh: str | TextIO) -> ContextManager[TextIO]:

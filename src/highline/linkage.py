@@ -17,13 +17,13 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .events import Component, ComponentKind, EventLog
-from .features import HighLevelEvent, HLETable
+from .features import HLETable
 
 
 class LinkTable:
@@ -48,21 +48,7 @@ class LinkTable:
         self.values = np.zeros(len(keys))
         np.maximum.at(self.values, pair, values[keep])
         self.first, self.second = np.divmod(keys, n)
-        self._keys = keys
         self._codes = {c: i for i, c in enumerate(self.components)}
-
-    def value(self, c1: Component, c2: Component) -> float:
-        i, j = self._codes.get(c1), self._codes.get(c2)
-        if i is None or j is None or i == j:
-            return 1.0 if c1 == c2 else 0.0
-        key = min(i, j) * len(self.components) + max(i, j)
-        k = int(np.searchsorted(self._keys, key))
-        return float(self.values[k]) if k < len(self._keys) and self._keys[k] == key else 0.0
-
-    def pairs(self) -> Iterator[tuple[Component, Component, float]]:
-        """Nonzero entries in (first, second) order."""
-        for i, j, v in zip(self.first.tolist(), self.second.tolist(), self.values.tolist()):
-            yield self.components[i], self.components[j], v
 
     def __len__(self) -> int:
         return len(self.values)
@@ -225,16 +211,16 @@ def propagation_edges(hles: HLETable, links: LinkTable, lam: float) -> np.ndarra
     """
     layers = _layers(hles, links, lam)
     # each super-node edge stands for every pair of a tail row and a head row
-    members = np.argsort(layers.node, kind="stable")
+    by_node = np.argsort(layers.node, kind="stable")
     size = np.bincount(layers.node, minlength=layers.nodes)
     start = np.cumsum(size) - size
     width = size[layers.head]
     count = size[layers.tail] * width
     edge = np.repeat(np.arange(len(count)), count)
     i, j = np.divmod(_offsets(count), width[edge])
-    first = members[start[layers.tail][edge] + i]
-    second = members[start[layers.head][edge] + j]
-    order = np.argsort(first * len(members) + second)
+    first = by_node[start[layers.tail][edge] + i]
+    second = by_node[start[layers.head][edge] + j]
+    order = np.argsort(first * len(by_node) + second)
     return np.column_stack((first[order], second[order]))
 
 
@@ -249,10 +235,6 @@ class CascadeAssignment:
     @property
     def count(self) -> int:
         return int(self.cases.max(initial=0))
-
-    def members(self, cascade_id: int) -> tuple[HighLevelEvent, ...]:
-        hles = self.hles
-        return tuple(hles[k] for k in np.flatnonzero(self.cases == cascade_id).tolist())
 
 
 def _join(nodes: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:

@@ -5,7 +5,8 @@ from unittest import mock
 import pytest
 
 import highline.events
-from highline import Event, EventLog, ingest_csv
+from highline import Event, ingest_csv
+from oracles import event_log
 
 BASE = datetime(2024, 1, 1)
 
@@ -16,7 +17,7 @@ def make_log(rows, base=BASE):
         Event(id=i + 1, case=c, activity=a, timestamp=base + timedelta(seconds=s), resource=r)
         for i, (c, a, s, r) in enumerate(rows)
     ]
-    return EventLog(events)
+    return event_log(events)
 
 
 LOG_T_ROWS = [

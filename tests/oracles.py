@@ -10,24 +10,111 @@ import csv
 import math
 import re
 import types
-from collections import deque
+from collections import Counter, deque
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
-from highline import ColumnMapping, Component, ComponentKind, HighLevelEvent, HLETable, HighLevelLog, LinkTable
-from highline.events import to_microseconds
+from highline import (
+    ColumnMapping, Component, ComponentKind, EventLog, HighLevelEvent, HLETable, HighLevelLog, LinkTable,
+)
+from highline.events import from_microseconds, to_microseconds
 from highline.hlelog import HLELFeature
+
+
+# --- per-row views of the columns ------------------------------------------------
+
+
+def event_log(events):
+    """An ``EventLog`` of ``Event`` objects, built from their columns."""
+    events = list(events)
+    return EventLog.from_columns(
+        [e.case for e in events],
+        [e.activity for e in events],
+        [to_microseconds(e.timestamp) for e in events],
+        [e.resource for e in events],
+        ids=[e.id for e in events],
+    )
+
+
+def _events(log):
+    """The events of a log, or the given events themselves."""
+    return log.events if isinstance(log, EventLog) else log
 
 
 def order_key(e):
     return (e.timestamp, e.id)
 
 
+def cell(matrix, feature, w):
+    """The value of one feature in window ``w`` of an evaluation matrix, or
+    None where it is undefined."""
+    v = float(matrix.array(feature)[w - matrix.windows.first])
+    return None if math.isnan(v) else v
+
+
+def windows_of(matrix):
+    """The window numbers of an evaluation matrix, in order."""
+    return range(matrix.windows.first, matrix.windows.last + 1)
+
+
+def link_pairs(table):
+    """The nonzero entries of a ``LinkTable`` as (component, component,
+    value), in (first, second) order."""
+    c = table.components
+    pairs = zip(table.first.tolist(), table.second.tolist(), table.values.tolist())
+    return [(c[i], c[j], v) for i, j, v in pairs]
+
+
+def link_value(table):
+    """The link value of any two components under a ``LinkTable``: 1 for one
+    component, the stored value of the pair in either order, else 0."""
+    stored = {}
+    for c1, c2, v in link_pairs(table):
+        stored[c1, c2] = stored[c2, c1] = v
+    return lambda c1, c2: 1.0 if c1 == c2 else stored.get((c1, c2), 0.0)
+
+
+class Entry(NamedTuple):
+    """One row of the high-level event log."""
+
+    hle_id: int
+    case: int
+    activity: str
+    timestamp: datetime
+    window: int
+    view: str
+    component_kind: str
+    component: str
+    value: float
+    threshold: float
+
+
+def entries(hlel):
+    """The rows of a ``HighLevelLog`` as ``Entry`` tuples, read from its columns."""
+    stamps = [from_microseconds(us) for us in hlel.stamps_us.tolist()]
+    features = [hlel.features[k] for k in hlel.feature_codes.tolist()]
+    return [
+        Entry(i, c, f.activity, stamps[s], w, f.view, f.component_kind, f.component, v, f.threshold)
+        for i, c, f, s, w, v in zip(hlel.hle_ids.tolist(), hlel.cases.tolist(), features,
+                                    hlel.stamp_codes.tolist(), hlel.windows.tolist(), hlel.values.tolist())
+    ]
+
+
+def entry_reprs(hlel):
+    """The entries with value and threshold as their repr, so that entries
+    holding a NaN compare equal, and -0.0 unequal to 0.0."""
+    return [e._replace(value=repr(e.value), threshold=repr(e.threshold)) for e in entries(hlel)]
+
+
+# --- steps and features -----------------------------------------------------------
+
+
 def oracle_steps(log):
     """Directly-follows pairs by checking each event pair against the
     defining predicate under the (timestamp, id) total order."""
-    events = list(log)
+    events = list(_events(log))
     by_case = {}
     for e in events:
         by_case.setdefault(e.case, []).append(e)
@@ -48,7 +135,7 @@ def oracle_steps(log):
 
 def oracle_step_events(log):
     """The oracle steps as (first event, second event) pairs."""
-    by_id = {e.id: e for e in log}
+    by_id = {e.id: e for e in _events(log)}
     return [(by_id[i], by_id[j]) for i, j in sorted(oracle_steps(log))]
 
 
@@ -71,12 +158,12 @@ def oracle_window(origin: datetime, width: float, t: datetime) -> int:
 
 def oracle_exec(log, origin, width, a, w):
     start, end = bounds(origin, width, w)
-    return sum(1 for e in log if e.activity == a and start <= e.timestamp < end)
+    return sum(1 for e in _events(log) if e.activity == a and start <= e.timestamp < end)
 
 
 def oracle_do(log, origin, width, r, w):
     start, end = bounds(origin, width, w)
-    return sum(1 for e in log if e.resource == r and start <= e.timestamp < end)
+    return sum(1 for e in _events(log) if e.resource == r and start <= e.timestamp < end)
 
 
 def oracle_todo(steps, origin, width, r, w):
@@ -96,7 +183,7 @@ def oracle_wl(log, steps, origin, width, r, w, triggers=None):
     if triggers is None:
         triggers = trigger_map(steps)
     count = 0
-    for e2 in log:
+    for e2 in _events(log):
         if e2.resource != r:
             continue
         occurs = start <= e2.timestamp < end
@@ -158,9 +245,9 @@ def oracle_hles(matrix, thresholds):
     features = sorted((f for f in matrix.features if f.view in by_view), key=lambda f: f.name)
     return [
         HighLevelEvent(f, w, v)
-        for w in matrix.windows
+        for w in windows_of(matrix)
         for f in features
-        if (v := matrix.value(f, w)) is not None and v >= by_view[f.view]
+        if (v := cell(matrix, f, w)) is not None and v >= by_view[f.view]
     ]
 
 
@@ -181,8 +268,8 @@ def oracle_matrix_csv(matrix):
         *(
             [f.view.value, f.component.label, w, repr(v)]
             for f in sorted(matrix.features, key=lambda f: f.name)
-            for w in matrix.windows
-            if (v := matrix.value(f, w)) is not None
+            for w in windows_of(matrix)
+            if (v := cell(matrix, f, w)) is not None
         ),
     ])
 
@@ -192,6 +279,7 @@ def oracle_matrix_csv(matrix):
 
 def oracle_link(log, steps, comp1, comp2):
     """The link value of two distinct components, by literal counting."""
+    log = _events(log)
     k1, k2 = comp1.kind, comp2.kind
     if k1 == k2 == ComponentKind.ACTIVITY:
         a1, a2 = comp1.key, comp2.key
@@ -406,24 +494,25 @@ def partition_of(assignment):
 # --- high-level event log --------------------------------------------------------
 
 
-def oracle_dfg_counts(entries):
+def oracle_dfg_counts(hlel):
     """Activity frequencies and within-case adjacencies of a flattened log,
     counted entry by entry."""
+    rows = entries(hlel)
     nodes, edges = {}, {}
-    for e in entries:
+    for e in rows:
         nodes[e.activity] = nodes.get(e.activity, 0) + 1
-    for prev, cur in zip(entries, entries[1:]):
+    for prev, cur in zip(rows, rows[1:]):
         if prev.case == cur.case:
             key = (prev.activity, cur.activity)
             edges[key] = edges.get(key, 0) + 1
     return nodes, edges
 
 
-def oracle_hle_summary(entries, period_seconds, origin, activities):
+def oracle_hle_summary(hlel, period_seconds, origin, activities):
     """Per 1-based period with entries: the entry count, and per activity
     the count and the mean value (delay in hours), summed in entry order."""
     out = {}
-    for e in entries:
+    for e in entries(hlel):
         out.setdefault(oracle_window(origin, period_seconds, e.timestamp) + 1, []).append(e)
     summary = {}
     for p, group in out.items():
@@ -438,6 +527,29 @@ def oracle_hle_summary(entries, period_seconds, origin, activities):
             averages.append(total / len(values) if values else None)
         summary[p] = (len(group), tuple(counts), tuple(averages))
     return summary
+
+
+def oracle_summary_csv(log, hlel, period_seconds, origin, activities=None, top=4, timestamp_format=None):
+    """The text of ``summary.csv``: one row per period from the first period
+    holding an event or entry to the last, its start through
+    ``oracle_stamp``, each average as ``%.6g`` text or empty. Activities
+    default to the ``top`` most frequent ones, ties in name order."""
+    if activities is None:
+        freq = Counter(e.activity for e in entries(hlel))
+        activities = sorted(freq, key=lambda a: (-freq[a], a))[:top]
+    events = Counter(oracle_window(origin, period_seconds, e.timestamp) + 1 for e in log.events)
+    summary = oracle_hle_summary(hlel, period_seconds, origin, activities)
+    periods = [*events, *summary]
+    none = (0, (0,) * len(activities), (None,) * len(activities))
+    rows = [["period", "start", "events", "hles", *(f"{k}:{a}" for a in activities for k in ("count", "avg"))]]
+    first, last = (min(periods), max(periods)) if periods else (1, 0)
+    for p in range(first, last + 1):
+        hles, counts, averages = summary.get(p, none)
+        start = oracle_stamp(bounds(origin, period_seconds, p - 1)[0], timestamp_format)
+        rows.append([p, start, events[p], hles, *(
+            x for c, avg in zip(counts, averages) for x in (c, "" if avg is None else f"{avg:.6g}")
+        )])
+    return csv_text(rows)
 
 
 def oracle_stamp(t, timestamp_format=None):
@@ -459,7 +571,7 @@ def oracle_hlel_csv(hlel, timestamp_format=None):
         *(
             [e.hle_id, e.case, e.activity, oracle_stamp(e.timestamp, timestamp_format), e.window,
              e.view, e.component_kind, e.component, repr(e.value), repr(e.threshold)]
-            for e in hlel
+            for e in entries(hlel)
         ),
     ])
 
@@ -470,7 +582,7 @@ def oracle_event_csv(log, mapping=None, timestamp_format=None):
     mapping = mapping or ColumnMapping()
     return csv_text([
         [mapping.case, mapping.activity, mapping.timestamp, mapping.resource],
-        *([e.case, e.activity, oracle_stamp(e.timestamp, timestamp_format), e.resource] for e in log),
+        *([e.case, e.activity, oracle_stamp(e.timestamp, timestamp_format), e.resource] for e in log.events),
     ])
 
 
@@ -498,16 +610,16 @@ def edge_events(hles, edges):
     return [(events[i], events[j]) for i, j in edges.tolist()]
 
 
-def high_level_log(entries):
-    """A ``HighLevelLog`` of the given entries, in the given order, built
-    from its columns."""
-    entries = list(entries)
+def high_level_log(rows):
+    """A ``HighLevelLog`` of the given ``Entry`` rows, in the given order,
+    built from its columns."""
+    rows = list(rows)
     features = [
         HLELFeature(e.activity, e.view, e.component_kind, e.component, e.threshold)
-        for e in entries
+        for e in rows
     ]
     feature_code = {f: i for i, f in enumerate(dict.fromkeys(features))}
-    stamp_code = {t: i for i, t in enumerate(dict.fromkeys(e.timestamp for e in entries))}
+    stamp_code = {t: i for i, t in enumerate(dict.fromkeys(e.timestamp for e in rows))}
 
     def column(values, dtype):
         return np.array(list(values), dtype=dtype)
@@ -515,10 +627,10 @@ def high_level_log(entries):
     return HighLevelLog(
         list(feature_code),
         column(map(feature_code.__getitem__, features), np.intp),
-        column((e.case for e in entries), np.int64),
-        column((e.window for e in entries), np.int64),
-        column((e.value for e in entries), float),
-        column((e.hle_id for e in entries), np.int64),
+        column((e.case for e in rows), np.int64),
+        column((e.window for e in rows), np.int64),
+        column((e.value for e in rows), float),
+        column((e.hle_id for e in rows), np.int64),
         column(map(to_microseconds, stamp_code), np.int64),
-        column((stamp_code[e.timestamp] for e in entries), np.intp),
+        column((stamp_code[e.timestamp] for e in rows), np.intp),
     )

@@ -29,7 +29,6 @@ from highline import (
     evaluate,
     generate,
     generate_hles,
-    restrict,
     write_event_csv,
 )
 from highline.cli import main as cli_main
@@ -86,7 +85,7 @@ def scenario_analysis(scenario):
 
 
 def week_of_window(result, config, window):
-    start = result.framing.window_start(window)
+    start = oracles.bounds(result.framing.origin, result.framing.width, window)[0]
     return int((start - config.start).total_seconds() // WEEK_SECONDS) + 1
 
 
@@ -115,7 +114,7 @@ def test_features_oracle_equivalence():
             width = rng.uniform(span / 40, span / 3)
             framing = Framing(BASE, width)
             matrix = evaluate(log, framing)
-            windows = list(matrix.windows)
+            windows = oracles.windows_of(matrix)
 
             steps = oracles.oracle_step_events(log)
             triggers = oracles.trigger_map(steps)
@@ -132,22 +131,15 @@ def test_features_oracle_equivalence():
                 for off, w in enumerate(windows):
                     got = arr[off]
                     if fid.view is View.EXEC:
-                        want = oracles.oracle_exec(
-                            restrict(log, fid.component), BASE, width, comp, w
-                        )
+                        want = oracles.oracle_exec(log, BASE, width, comp, w)
                     elif fid.view is View.DO:
-                        want = oracles.oracle_do(
-                            restrict(log, fid.component), BASE, width, comp, w
-                        )
+                        want = oracles.oracle_do(log, BASE, width, comp, w)
                     elif fid.view is View.TODO:
                         want = oracles.oracle_todo(
                             steps_by_res.get(comp, []), BASE, width, comp, w
                         )
                     elif fid.view is View.WL:
-                        want = oracles.oracle_wl(
-                            restrict(log, fid.component), steps, BASE, width, comp, w,
-                            triggers=triggers,
-                        )
+                        want = oracles.oracle_wl(log, steps, BASE, width, comp, w, triggers=triggers)
                     elif fid.view is View.ENTER:
                         want = oracles.oracle_enter(
                             steps_by_seg[tuple(comp)], BASE, width, comp, w
@@ -172,15 +164,15 @@ def test_features_oracle_equivalence():
                         assert got == want, (fid.name, w)
 
             # conservation
-            for s in log.segments:
+            for s in log.segment_names:
                 enter_fid = FeatureId(View.ENTER, Component(ComponentKind.SEGMENT, s))
                 exit_fid = FeatureId(View.EXIT, Component(ComponentKind.SEGMENT, s))
-                total = len(restrict(log, Component(ComponentKind.SEGMENT, s)))
+                total = len(steps_by_seg[s])
                 assert matrix.array(enter_fid).sum() == total
                 assert matrix.array(exit_fid).sum() == total
-            for a in log.activities:
+            for a in log.activity_names:
                 fid = FeatureId(View.EXEC, Component.activity(a))
-                assert matrix.array(fid).sum() == len(restrict(log, fid.component))
+                assert matrix.array(fid).sum() == sum(e.activity == a for e in log.events)
 
 
 def test_link_bounds_and_log_t_table(log_t):
@@ -201,23 +193,18 @@ def test_link_bounds_and_log_t_table(log_t):
             (r1, ab): 1.0, (r2, ab): 1.0, (r1, bc): 1.0, (r2, bc): 1.0,
             (ab, bc): 1.0,
         }
+        link = oracles.link_value(table)
         for (c1, c2), want in expected.items():
-            assert table.value(c1, c2) == pytest.approx(want), (c1.label, c2.label)
+            assert link(c1, c2) == pytest.approx(want), (c1.label, c2.label)
 
         rng = random.Random(107)
         for _ in range(30):
             log = random_log(rng, max_events=120, max_cases=10)
             table = build_link_table(log)
-            components = sorted(
-                [Component.activity(x) for x in log.activities]
-                + [Component.resource(x) for x in log.resources]
-                + [Component(ComponentKind.SEGMENT, s) for s in log.segments],
-                key=Component.sort_key,
-            )
-            for c1, c2 in itertools.combinations(components, 2):
-                v = table.value(c1, c2)
-                assert 0.0 <= v <= 1.0, (c1.label, c2.label)
-                assert v == table.value(c2, c1)
+            # each pair is stored once, as (first, second) with first < second
+            assert (table.first < table.second).all()
+            assert len(set(zip(table.first.tolist(), table.second.tolist()))) == len(table)
+            assert ((0.0 < table.values) & (table.values <= 1.0)).all()
 
 
 def test_cascade_correctness():
@@ -360,9 +347,10 @@ def test_hlel_bijection(scenario_analysis, log_t):
             by_key = {(h.feature.name, h.window): h for h in result.hles}
             assert len(by_key) == len(result.hles)
             ids = oracles.cascade_ids(result.assignment)
-            for entry in result.entries:
+            framing = result.framing
+            for entry in oracles.entries(result.entries):
                 h = by_key[(entry.activity, entry.window)]
                 assert entry.activity == h.feature.name
                 assert entry.case == ids[h]
-                assert entry.timestamp == result.framing.window_start(h.window)
+                assert entry.timestamp == oracles.bounds(framing.origin, framing.width, h.window)[0]
                 assert entry.value == h.value

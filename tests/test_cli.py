@@ -7,7 +7,7 @@ import pytest
 
 from conftest import log_t_csv_text
 
-from highline import HighLevelEvent, HighLevelLogEntry
+from highline import HighLevelEvent
 from highline.cli import main
 
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
@@ -67,10 +67,9 @@ def test_analyze_writes_artifacts(log_t_csv, tmp_path, capsys):
 
 def test_analyze_of_a_sparse_log_builds_no_event_or_entry_object(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("a HighLevelEvent or HighLevelLogEntry was built")
+        raise AssertionError("a HighLevelEvent was built")
 
     monkeypatch.setattr(HighLevelEvent, "__init__", refuse)
-    monkeypatch.setattr(HighLevelLogEntry, "__init__", refuse)
     # two cases a day apart: 1,440 one-minute windows, nearly all of them
     # full of high-level events once the thresholds collapse
     path = tmp_path / "sparse.csv"

@@ -3,6 +3,7 @@ import csv
 import logging
 import random
 import tracemalloc
+from collections import Counter
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -10,11 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import BASE, log_t_csv_text, make_log, random_log, read_general
-from oracles import oracle_steps
+from oracles import event_log, oracle_steps, order_key
 
 from highline import (
     ColumnMapping,
-    Component,
     ConfigError,
     DataError,
     Event,
@@ -27,7 +27,6 @@ from highline import (
     default_origin,
     generate,
     ingest_csv,
-    restrict,
     summarize,
     write_event_csv,
 )
@@ -70,53 +69,19 @@ def test_equal_timestamps_break_ties_by_id():
 
 
 def test_component_sets(log_t):
-    assert log_t.activities == {"a", "b", "c"}
-    assert log_t.resources == {"r1", "r2"}
-    assert {tuple(s) for s in log_t.segments} == {("a", "b"), ("b", "c")}
+    assert log_t.activity_names == ("a", "b", "c")
+    assert log_t.resource_names == ("r1", "r2")
+    assert log_t.segment_names == (("a", "b"), ("b", "c"))
 
 
 def test_component_sets_no_steps():
     log = make_log([("c1", "a", 0, "r1")])
-    assert log.segments == frozenset()
+    assert log.segment_names == ()
 
 
 def test_self_loop_segment_allowed():
     log = make_log([("c1", "a", 0, "r1"), ("c1", "a", 5, "r1"), ("c2", "a", 0, "r1"), ("c2", "a", 9, "r1")])
-    assert {tuple(s) for s in log.segments} == {("a", "a")}
-
-
-def test_restrict(log_t):
-    r1_events = restrict(log_t, Component.resource("r1"))
-    assert {e.id for e in r1_events} == {1, 3, 4, 6}
-    ab_steps = restrict(log_t, Component.segment("a", "b"))
-    assert {(s.first.id, s.second.id) for s in ab_steps} == {(1, 2), (4, 5)}
-    with pytest.raises(KeyError, match="unknown activity: 'z'"):
-        restrict(log_t, Component.activity("z"))
-    with pytest.raises(KeyError, match="unknown resource: 'a'"):
-        restrict(log_t, Component.resource("a"))
-    with pytest.raises(KeyError, match=r"unknown segment: \(c,a\)"):
-        restrict(log_t, Component.segment("c", "a"))
-
-
-def test_restrict_partitions(log_t):
-    by_activity = sum(len(restrict(log_t, Component.activity(a))) for a in log_t.activities)
-    by_resource = sum(len(restrict(log_t, Component.resource(r))) for r in log_t.resources)
-    assert by_activity == by_resource == len(log_t)
-
-
-def test_restrict_reads_rows_and_steps_in_order():
-    rng = random.Random(13)
-    for _ in range(10):
-        log = random_log(rng, max_events=80, max_cases=8)
-        for a in log.activities:
-            want = tuple(e for e in log.events if e.activity == a)
-            assert restrict(log, Component.activity(a)) == want
-        for r in log.resources:
-            want = tuple(e for e in log.events if e.resource == r)
-            assert restrict(log, Component.resource(r)) == want
-        for s in log.segments:
-            want = tuple(st for st in log.steps if st.segment == s)
-            assert restrict(log, Component.segment(*s)) == want
+    assert log.segment_names == (("a", "a"),)
 
 
 def test_steps_match_oracle_on_random_logs():
@@ -129,7 +94,7 @@ def test_steps_match_oracle_on_random_logs():
 def test_step_count_with_strict_timestamps():
     rng = random.Random(11)
     log = random_log(rng, max_events=120, max_cases=10, tie_rate=0.0)
-    expected = sum(len(seq) - 1 for seq in log.case_sequences.values())
+    expected = sum(n - 1 for n in Counter(e.case for e in log.events).values())
     assert len(log.steps) == expected
 
 
@@ -137,9 +102,9 @@ def test_no_event_strictly_between_step_endpoints():
     rng = random.Random(13)
     log = random_log(rng, max_events=100, max_cases=6)
     for s in log.steps:
-        for e in log:
+        for e in log.events:
             if e.case == s.first.case and e.id not in (s.first.id, s.second.id):
-                assert not (s.first.order_key() < e.order_key() < s.second.order_key())
+                assert not (order_key(s.first) < order_key(e) < order_key(s.second))
 
 
 def test_steps_independent_of_input_order():
@@ -147,7 +112,7 @@ def test_steps_independent_of_input_order():
     log = random_log(rng, max_events=60, max_cases=6)
     shuffled = list(log.events)
     rng.shuffle(shuffled)
-    relog = type(log)(shuffled)
+    relog = event_log(shuffled)
     assert step_ids(relog) == step_ids(log)
 
 
@@ -159,7 +124,7 @@ def test_ingest_csv_row_count(tmp_path):
     path.write_text(log_t_csv_text())
     log = ingest_csv(str(path))
     assert len(log) == 6
-    assert [e.id for e in log] == [1, 4, 2, 3, 5, 6]  # sorted by (time, case, id)
+    assert log.ids.tolist() == [1, 4, 2, 3, 5, 6]  # sorted by (time, case, id)
 
 
 def test_ingest_missing_column(tmp_path):
@@ -219,7 +184,7 @@ def test_ingest_deterministic_under_ties(tmp_path):
     path.write_text(text)
     first = ingest_csv(str(path))
     second = ingest_csv(str(path))
-    assert [(e.id, e.activity) for e in first] == [(e.id, e.activity) for e in second]
+    assert [(e.id, e.activity) for e in first.events] == [(e.id, e.activity) for e in second.events]
     assert step_ids(first) == {(1, 2)}
 
 
@@ -228,14 +193,14 @@ def test_a_file_in_row_order_is_ingested_without_a_sort(tmp_path, monkeypatch):
     log = random_log(random.Random(11), tie_rate=0.5)
     path = tmp_path / "ordered.csv"
     write_event_csv(log, str(path))
-    expected = [(e.case, e.activity, e.timestamp, e.resource) for e in log]
+    expected = [(e.case, e.activity, e.timestamp, e.resource) for e in log.events]
 
     def refuse(*args, **kwargs):
         raise AssertionError("rows already in order were sorted")
 
     monkeypatch.setattr(np, "lexsort", refuse)
     back = ingest_csv(str(path))
-    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == expected
+    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back.events] == expected
     assert back.ids.tolist() == list(range(1, len(log) + 1))
     for column in (back.case_codes, back.activity_codes, back.resource_codes, back.times_us, back.ids):
         assert not column.flags.writeable
@@ -254,15 +219,15 @@ def test_event_csv_round_trip(tmp_path, log_t):
     path = tmp_path / "out.csv"
     write_event_csv(log_t, str(path))
     back = ingest_csv(str(path))
-    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == [
-        (e.case, e.activity, e.timestamp, e.resource) for e in log_t
+    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back.events] == [
+        (e.case, e.activity, e.timestamp, e.resource) for e in log_t.events
     ]
 
 
 def test_year_one_round_trips_under_a_timestamp_format(tmp_path):
     # %Y writes four digits, as strptime reads them; %%Y stays literal
     fmt = "%%Y %Y-%m-%d %H:%M:%S.%f"
-    log = EventLog([
+    log = event_log([
         Event(1, "c1", "a", datetime(1, 1, 1), "r1"),
         Event(2, "c1", "b", datetime(999, 12, 31, 23, 59, 59, 5), "r1"),
     ])
@@ -297,7 +262,7 @@ def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_r
     assert "1 timestamps carry a UTC offset and 2 do not" in message
     assert "first offset-aware timestamp on line 3" in message
     # the offset-aware timestamp is folded to naive UTC, as before
-    assert [e.timestamp for e in log] == [
+    assert [e.timestamp for e in log.events] == [
         datetime(2024, 1, 1, 10), datetime(2024, 1, 1, 10, 30), datetime(2024, 1, 1, 11)
     ]
 
@@ -430,7 +395,7 @@ def test_ingest_columns_are_coded_in_name_order(tmp_path):
     log = ingest_csv(str(path))
     assert log.activity_names == ("a", "b", "c")
     assert log.resource_names == ("r1", "r2")
-    assert [log.case_names[c] for c in log.case_codes.tolist()] == [e.case for e in log]
+    assert [log.case_names[c] for c in log.case_codes.tolist()] == [e.case for e in log.events]
     assert log.times_us.dtype == np.int64
     assert log.times_us.tolist() == sorted(log.times_us.tolist())
     first, second = log.step_rows
@@ -453,13 +418,13 @@ def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypat
     result = analyze_log(log, framing, percentile=0.5, lam=0.5)
     summarize(log, result.entries, 60.0, framing.origin)
     assert result.hles
-    assert not {"events", "steps", "case_sequences"} & set(vars(log))
+    assert not {"events", "steps"} & set(vars(log))
     with pytest.raises(AssertionError, match="was built"):
         log.events
 
 
 def test_from_columns_matches_event_objects(log_t):
-    events = list(log_t)
+    events = log_t.events
     log = EventLog.from_columns(
         [e.case for e in events],
         [e.activity for e in events],
@@ -467,7 +432,7 @@ def test_from_columns_matches_event_objects(log_t):
         [e.resource for e in events],
         ids=[e.id for e in events],
     )
-    assert list(log) == events
+    assert log.events == events
     with pytest.raises(DataError, match="differ in length"):
         EventLog.from_columns(["c1"], ["a"], [0, 1], ["r1"])
 
@@ -475,6 +440,6 @@ def test_from_columns_matches_event_objects(log_t):
 def test_log_rejects_duplicate_ids_and_empty_values():
     t = datetime(2024, 1, 1)
     with pytest.raises(DataError, match="duplicate event id: 1"):
-        EventLog([Event(1, "c1", "a", t, "r1"), Event(1, "c2", "b", t, "r1")])
+        event_log([Event(1, "c1", "a", t, "r1"), Event(1, "c2", "b", t, "r1")])
     with pytest.raises(DataError, match="event 2: empty attribute value"):
-        EventLog([Event(1, "c1", "a", t, "r1"), Event(2, "c1", "", t, "r1")])
+        event_log([Event(1, "c1", "a", t, "r1"), Event(2, "c1", "", t, "r1")])

@@ -25,27 +25,28 @@ def seconds(s):
     return BASE + timedelta(seconds=s)
 
 
+def us(s):
+    """Microseconds since the epoch of ``s`` seconds after BASE."""
+    return to_microseconds(seconds(s))
+
+
 def test_window_of_boundaries():
     f = Framing(BASE, 20.0)
-    assert f.window_of(seconds(0)) == 0
-    assert f.window_of(seconds(19.999)) == 0
-    assert f.window_of(seconds(20)) == 1
-    assert f.window_of(seconds(45)) == 2
+    assert f.windows_of([us(0), us(19.999), us(20), us(45)]).tolist() == [0, 0, 1, 2]
 
 
 def test_window_bounds():
     f = Framing(BASE, 20.0)
-    assert f.window_bounds(0) == (seconds(0), seconds(20))
-    assert f.window_bounds(2) == (seconds(40), seconds(60))
+    assert f.starts_us([0, 1, 2, 3]).tolist() == [us(0), us(20), us(40), us(60)]
     # the shared boundary point belongs to the later window
-    assert f.window_of(f.window_bounds(0)[1]) == 1
+    assert f.windows_of(f.starts_us([1])).tolist() == [1]
 
 
 def test_window_set_log_t(log_t):
     f = Framing(BASE, 20.0)
     ws = window_set(f, log_t)
     assert (ws.first, ws.last) == (0, 2)
-    assert list(ws) == [0, 1, 2]
+    assert len(ws) == 3
 
 
 def test_window_set_single_event():
@@ -60,10 +61,8 @@ def test_window_set_includes_empty_windows(log_t):
 
 
 def test_window_set_empty_log():
-    from highline import EventLog
-
     with pytest.raises(DataError, match="no events"):
-        window_set(Framing(BASE, 20.0), EventLog([]))
+        window_set(Framing(BASE, 20.0), make_log([]))
 
 
 def test_width_must_be_positive():
@@ -80,17 +79,17 @@ def test_a_width_under_one_microsecond_is_a_config_error(width):
 def test_one_microsecond_windows_each_start_one_microsecond_apart():
     f = Framing(BASE, 1e-6)
     assert (np.diff(f.starts_us(np.arange(-1000, 1000))) == 1).all()
-    t = BASE + timedelta(microseconds=7)
-    assert f.window_of(t) == 7 and f.window_bounds(7) == (t, t + timedelta(microseconds=1))
+    t = to_microseconds(BASE) + 7
+    assert f.windows_of([t]).tolist() == [7] and f.starts_us([7, 8]).tolist() == [t, t + 1]
 
 
 def test_a_fractional_width_puts_each_window_start_in_its_own_window():
     # 30 * 1.1 is 33.0, so window 30 starts at BASE + 33 s, but 33 / 1.1 is
     # 29.999999999999996, whose floor is 29
     f = Framing(BASE, 1.1)
-    t = seconds(33)
-    assert f.window_of(t) == 30
-    assert f.window_bounds(29)[1] == t == f.window_start(30)
+    t = us(33)
+    assert f.windows_of([t]).tolist() == [30]
+    assert f.starts_us([30]).tolist() == [t]
     log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 33, "r1")])
     assert window_set(f, log).last == 30
 
@@ -105,26 +104,25 @@ def test_a_fractional_width_puts_each_window_start_in_its_own_window():
 def test_a_time_at_or_beside_a_window_start_lies_in_its_window(width, shift_us, w, step_us):
     origin = BASE + timedelta(microseconds=shift_us)
     f = Framing(origin, width)
-    start = oracles.bounds(origin, width, w)[0]
-    assert int(f.starts_us(w)) == to_microseconds(start)
-    assert f.window_start(w) == start
-    t = start + timedelta(microseconds=step_us)
-    got = f.window_of(t)
+    start = to_microseconds(oracles.bounds(origin, width, w)[0])
+    assert int(f.starts_us(w)) == start
+    t = start + step_us
+    got = int(f.windows_of(t))
     assert got == (w - 1 if step_us < 0 else w)
-    lo, hi = f.window_bounds(got)
+    lo, hi = f.starts_us([got, got + 1]).tolist()
     assert lo <= t < hi
     # an array with more times than windows is searched in a table of starts
-    # instead; both ways agree
-    near = [oracles.bounds(origin, width, w + k)[0] + timedelta(microseconds=d)
+    # instead of estimated time by time; both ways agree
+    near = [to_microseconds(oracles.bounds(origin, width, w + k)[0]) + d
             for k in range(-2, 3) for d in (-1, 0, 1)]
-    assert f.windows_of([to_microseconds(u) for u in near]).tolist() == [f.window_of(u) for u in near]
+    assert f.windows_of(near).tolist() == [int(f.windows_of(u)) for u in near]
 
 
 def test_window_of_is_monotone():
     rng = random.Random(3)
     f = Framing(BASE, 7.5)
     points = sorted(rng.uniform(-1000, 1000) for _ in range(200))
-    indices = [f.window_of(seconds(p)) for p in points]
+    indices = [int(f.windows_of(us(p))) for p in points]
     assert indices == sorted(indices)
 
 
@@ -133,11 +131,9 @@ def test_every_event_in_exactly_one_window():
     log = random_log(rng, max_events=60)
     f = Framing(BASE, 13.0)
     ws = window_set(f, log)
-    for e in log:
-        w = f.window_of(e.timestamp)
-        assert w in ws
-        start, end = f.window_bounds(w)
-        assert start <= e.timestamp < end
+    w, t = f.windows_of(log.times_us), log.times_us
+    assert ((ws.first <= w) & (w <= ws.last)).all()
+    assert ((f.starts_us(w) <= t) & (t < f.starts_us(w + 1))).all()
 
 
 def test_doubling_width_never_increases_window_count():
@@ -153,7 +149,7 @@ def test_doubling_width_never_increases_window_count():
 def test_window_of_round_trips_through_bounds():
     f = Framing(BASE, 37.0)
     for w in range(-3, 50):
-        assert f.window_of(f.window_bounds(w)[0]) == w
+        assert int(f.windows_of(f.starts_us(w))) == w
 
 
 def test_default_origin_is_midnight(log_t):

@@ -20,7 +20,7 @@ def small_config(**overrides):
 
 
 def fields(log):
-    return [(e.case, e.activity, e.timestamp, e.resource) for e in log]
+    return [(e.case, e.activity, e.timestamp, e.resource) for e in log.events]
 
 
 def test_same_seed_gives_identical_logs():
@@ -33,7 +33,10 @@ def test_different_seed_differs():
 
 def test_cases_are_well_formed():
     log = generate(small_config())
-    for case, seq in log.case_sequences.items():
+    cases = {}  # rows run in timestamp order, so each case's events do too
+    for e in log.events:
+        cases.setdefault(e.case, []).append(e)
+    for case, seq in cases.items():
         acts = [e.activity for e in seq]
         assert acts[0] == "request", case
         assert "report" in acts and "answer" in acts
@@ -49,7 +52,7 @@ def test_cases_are_well_formed():
 def test_follow_cap_respected():
     cfg = small_config(max_follows=2)
     log = generate(cfg)
-    per_case = Counter(e.case for e in log if e.activity == "follow")
+    per_case = Counter(e.case for e in log.events if e.activity == "follow")
     assert per_case and max(per_case.values()) <= 2
 
 
@@ -77,9 +80,9 @@ def test_batching_disabled_reduces_follows_under_identical_arrivals():
     calm = small_config(weeks=(WeekSpec(BUSY_ARRIVALS),) * 2, batching_enabled=False)
     with_batching = generate(busy)
     without = generate(calm)
-    requests = lambda log: [e.timestamp for e in log if e.activity == "request"]
+    requests = lambda log: [e.timestamp for e in log.events if e.activity == "request"]
     assert requests(with_batching) == requests(without)
-    follows = lambda log: sum(1 for e in log if e.activity == "follow")
+    follows = lambda log: sum(1 for e in log.events if e.activity == "follow")
     assert follows(without) < follows(with_batching)
 
 
@@ -88,7 +91,7 @@ def test_mean_interarrival_near_range_midpoint(interarrival):
     weeks = (WeekSpec(interarrival),) * (2 if interarrival == QUIET_ARRIVALS else 1)
     cfg = ScenarioConfig(weeks=weeks, active_hours=(0, 24), seed=13)
     log = generate(cfg)
-    arrivals = sorted(e.timestamp for e in log if e.activity == "request")
+    arrivals = sorted(e.timestamp for e in log.events if e.activity == "request")
     assert len(arrivals) >= 1000
     gaps = [(b - a).total_seconds() for a, b in zip(arrivals, arrivals[1:])]
     mean = sum(gaps) / len(gaps)
@@ -100,7 +103,7 @@ def test_arrivals_respect_active_hours():
     cfg = small_config()
     log = generate(cfg)
     lo, hi = cfg.active_hours
-    for e in log:
+    for e in log.events:
         if e.activity == "request":
             assert lo <= e.timestamp.hour < hi
 
@@ -108,10 +111,10 @@ def test_arrivals_respect_active_hours():
 def test_follow_resource_is_the_case_handler():
     log = generate(small_config())
     handler = {}
-    for e in log:
+    for e in log.events:
         if e.activity in ("report", "answer"):
             handler[e.case] = e.resource
-    for e in log:
+    for e in log.events:
         if e.activity == "follow":
             assert e.resource == handler[e.case]
 

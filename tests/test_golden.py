@@ -8,13 +8,15 @@ files under version control, not only as a disagreement between two runs.
 """
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 import highline.events as events
-from highline import export_dfg, flatten, read_hlel_csv, summarize
+from highline import export_dfg, flatten, read_hlel_csv, summarize, write_summary_csv
+from oracles import entry_reprs
 from highline.cli import RunConfig, main, run_analyze
 from highline.framing import parse_duration
 
@@ -78,10 +80,12 @@ def test_a_read_back_hlel_feeds_the_stages_as_the_analysis_entries_do(tmp_path):
     config.input, config.out = str(DEMO / "scenario.csv"), str(tmp_path / "out")
     result = run_analyze(config)
     back = read_hlel_csv(str(tmp_path / "out" / "hlel.csv"))
-    assert back == result.entries
-    assert flatten(back) == result.flattened
+    assert entry_reprs(back) == entry_reprs(result.entries)
+    assert entry_reprs(flatten(back)) == entry_reprs(result.flattened)
     assert export_dfg(flatten(back)) == export_dfg(result.flattened)
     period, origin = parse_duration(config.summary_period), result.framing.origin
-    assert summarize(result.log, back, period, origin) == summarize(
-        result.log, result.entries, period, origin
-    )
+    texts = []
+    for hlel in (back, result.entries):
+        texts.append(io.StringIO())
+        write_summary_csv(summarize(result.log, hlel, period, origin), texts[-1])
+    assert texts[0].getvalue() == texts[1].getvalue() == (DEMO / "summary.csv").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import csv
+import io
 import random
 from collections import Counter
 from datetime import timedelta
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE
-from oracles import cascade_ids, high_level_log, hle_table
+from oracles import Entry, cascade_ids, entries, entry_reprs, high_level_log, hle_table
 
 from highline import (
     CascadeAssignment,
@@ -19,7 +20,6 @@ from highline import (
     Framing,
     HighLevelEvent,
     HighLevelLog,
-    HighLevelLogEntry,
     ThresholdTable,
     View,
     analyze_log,
@@ -29,6 +29,7 @@ from highline import (
     read_hlel_csv,
     summarize,
     write_hlel_csv,
+    write_summary_csv,
 )
 from highline.hlelog import HLELFeature
 
@@ -49,32 +50,32 @@ def assigned(hles, cases):
 
 
 def test_build_hlel_empty():
-    entries = build_hlel(assigned([], []), F20, thresholds_for())
-    assert entries == ()
+    hlel = build_hlel(assigned([], []), F20, thresholds_for())
+    assert len(hlel) == 0 and entries(hlel) == []
 
 
 def test_build_hlel_maps_attributes():
     hles = [hle("Jane", 4), hle("Jane", 5), hle("Pete", 5)]
-    entries = build_hlel(assigned(hles, [1, 1, 1]), F20, thresholds_for(View.WL))
-    assert len(entries) == 3
-    assert {e.case for e in entries} == {1}
-    assert [e.timestamp for e in entries] == [
+    rows = entries(build_hlel(assigned(hles, [1, 1, 1]), F20, thresholds_for(View.WL)))
+    assert len(rows) == 3
+    assert {e.case for e in rows} == {1}
+    assert [e.timestamp for e in rows] == [
         BASE + timedelta(seconds=80),
         BASE + timedelta(seconds=100),
         BASE + timedelta(seconds=100),
     ]
-    assert [e.activity for e in entries] == ["wl-Jane", "wl-Jane", "wl-Pete"]
-    assert all(e.threshold == 1.0 for e in entries)
-    assert [e.hle_id for e in entries] == [1, 2, 3]
+    assert [e.activity for e in rows] == ["wl-Jane", "wl-Jane", "wl-Pete"]
+    assert all(e.threshold == 1.0 for e in rows)
+    assert [e.hle_id for e in rows] == [1, 2, 3]
 
 
 def test_build_hlel_is_bijective():
     rng = random.Random(3)
     hles = [hle(f"r{i}", rng.randint(0, 9), value=float(i)) for i in range(25)]
     assignment = assigned(hles, [1 + (i % 4) for i in range(len(hles))])
-    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
-    assert len(entries) == len(hles)
-    assert sorted((e.activity, e.window, e.value) for e in entries) == sorted(
+    rows = entries(build_hlel(assignment, F20, thresholds_for(View.WL)))
+    assert len(rows) == len(hles)
+    assert sorted((e.activity, e.window, e.value) for e in rows) == sorted(
         (h.feature.name, h.window, h.value) for h in hles
     )
 
@@ -82,11 +83,11 @@ def test_build_hlel_is_bijective():
 def test_flatten_orders_within_window():
     hles = [hle("Jane", 3), HighLevelEvent(FeatureId(View.ENTER, Component.segment("report", "answer")), 3, 9.0)]
     thresholds = ThresholdTable(0.5, {View.WL: 1.0, View.ENTER: 1.0})
-    entries = build_hlel(assigned(hles, [1, 1]), F20, thresholds)
-    flat = flatten(entries)
-    assert [e.activity for e in flat] == ["enter-(report,answer)", "wl-Jane"]
-    custom = flatten(entries, FlattenOrder(["wl-Jane", "enter-(report,answer)"]))
-    assert [e.activity for e in custom] == ["wl-Jane", "enter-(report,answer)"]
+    hlel = build_hlel(assigned(hles, [1, 1]), F20, thresholds)
+    flat = flatten(hlel)
+    assert [e.activity for e in entries(flat)] == ["enter-(report,answer)", "wl-Jane"]
+    custom = flatten(hlel, FlattenOrder(["wl-Jane", "enter-(report,answer)"]))
+    assert [e.activity for e in entries(custom)] == ["wl-Jane", "enter-(report,answer)"]
 
 
 def test_flatten_order_from_file(tmp_path):
@@ -107,13 +108,12 @@ def test_flatten_idempotent_and_stable():
     rng = random.Random(5)
     hles = [hle(f"r{rng.randint(0, 3)}", rng.randint(0, 6), value=float(i)) for i in range(20)]
     assignment = assigned(hles, [1 + (i % 3) for i in range(len(hles))])
-    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
-    once = flatten(entries)
-    assert flatten(once) == once
+    once = flatten(build_hlel(assignment, F20, thresholds_for(View.WL)))
+    assert entry_reprs(flatten(once)) == entry_reprs(once)
     # an already total case stays put
     single = [hle("solo", w, value=float(w)) for w in range(4)]
-    entries = build_hlel(assigned(single, [1] * 4), F20, thresholds_for(View.WL))
-    assert flatten(entries) == entries
+    hlel = build_hlel(assigned(single, [1] * 4), F20, thresholds_for(View.WL))
+    assert entry_reprs(flatten(hlel)) == entry_reprs(hlel)
 
 
 def test_a_log_in_key_order_is_built_and_flattened_without_a_sort(monkeypatch):
@@ -129,24 +129,24 @@ def test_a_log_in_key_order_is_built_and_flattened_without_a_sort(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", refuse)
     assert table.distinct() is table
-    entries = build_hlel(assignment, F20, thresholds_for(View.WL))
-    assert entries == expected
-    assert flatten(entries) is entries
+    hlel = build_hlel(assignment, F20, thresholds_for(View.WL))
+    assert entry_reprs(hlel) == entry_reprs(expected)
+    assert flatten(hlel) is hlel
 
 
 def test_a_custom_order_against_name_order_still_reorders():
     hles = [hle("Ann", 0), hle("Bob", 0), hle("Ann", 1), hle("Bob", 1)]
-    entries = build_hlel(assigned(hles, [1] * 4), F20, thresholds_for(View.WL))
-    custom = flatten(entries, FlattenOrder(["wl-Bob"]))
-    assert custom is not entries
-    assert [(e.window, e.activity) for e in custom] == [
+    hlel = build_hlel(assigned(hles, [1] * 4), F20, thresholds_for(View.WL))
+    custom = flatten(hlel, FlattenOrder(["wl-Bob"]))
+    assert custom is not hlel
+    assert [(e.window, e.activity) for e in entries(custom)] == [
         (0, "wl-Bob"), (0, "wl-Ann"), (1, "wl-Bob"), (1, "wl-Ann"),
     ]
     assert flatten(custom, FlattenOrder(["wl-Bob"])) is custom
 
 
 def entry(case, window, activity, eid):
-    return HighLevelLogEntry(
+    return Entry(
         hle_id=eid,
         case=case,
         activity=activity,
@@ -161,8 +161,8 @@ def entry(case, window, activity, eid):
 
 
 def test_export_dfg_counts_adjacencies():
-    entries = [entry(1, 0, "X", 1), entry(1, 1, "Y", 2), entry(1, 2, "X", 3)]
-    dot = export_dfg(high_level_log(entries))
+    rows = [entry(1, 0, "X", 1), entry(1, 1, "Y", 2), entry(1, 2, "X", 3)]
+    dot = export_dfg(high_level_log(rows))
     assert '"X" [label="X (2)"];' in dot
     assert '"Y" [label="Y (1)"];' in dot
     assert '"X" -> "Y" [label="1"];' in dot
@@ -177,15 +177,15 @@ def test_export_dfg_empty_is_valid_dot():
 
 def test_dfg_edge_total_matches_case_lengths():
     rng = random.Random(7)
-    entries = []
+    rows = []
     eid = 0
     case_lengths = Counter()
     for case in range(1, 6):
         for w in range(rng.randint(1, 6)):
             eid += 1
-            entries.append(entry(case, w, f"act{rng.randint(0, 3)}", eid))
+            rows.append(entry(case, w, f"act{rng.randint(0, 3)}", eid))
             case_lengths[case] += 1
-    flat = flatten(high_level_log(entries))
+    flat = flatten(high_level_log(rows))
     dot = export_dfg(flat)
     edge_total = sum(
         int(line.rsplit('label="', 1)[1].rstrip('"];'))
@@ -201,7 +201,7 @@ def test_hlel_csv_round_trip(tmp_path, log_t):
     write_hlel_csv(result.entries, str(path))
     back = read_hlel_csv(str(path))
     assert isinstance(back, HighLevelLog)
-    assert back == result.entries
+    assert entry_reprs(back) == entry_reprs(result.entries)
 
 
 def _corrupt_hlel(tmp_path, log_t, edit):
@@ -264,7 +264,7 @@ def test_read_hlel_latin1_byte_names_its_line(tmp_path, log_t):
 def test_case_ids_are_cascade_ids(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     ids = cascade_ids(result.assignment)
-    for e in result.entries:
+    for e in entries(result.entries):
         by_hand = {h for h in result.hles if ids[h] == e.case}
         assert e.activity in {h.feature.name for h in by_hand}
 
@@ -275,32 +275,31 @@ def test_case_ids_are_cascade_ids(log_t):
 def test_summary_single_row_when_period_covers_log(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     table = summarize(log_t, result.entries, 3600.0, BASE)
-    assert len(table.rows) == 1
-    assert table.rows[0].events == 6
-    assert table.rows[0].hles == len(result.entries)
+    assert table.first_period == 1
+    assert table.events.tolist() == [6]
+    assert table.hles.tolist() == [len(result.entries)]
 
 
 def test_summary_partitions_hles(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     table = summarize(log_t, result.entries, 20.0, BASE)
-    assert sum(r.hles for r in table.rows) == len(result.entries)
-    assert sum(r.events for r in table.rows) == len(log_t)
+    assert table.hles.sum() == len(result.entries)
+    assert table.events.sum() == len(log_t)
 
 
 def test_summary_average_recomputes(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     table = summarize(log_t, result.entries, 3600.0, BASE, activities=["delay-(a,b)"])
-    row = table.rows[0]
-    values = [e.value for e in result.entries if e.activity == "delay-(a,b)"]
-    assert row.counts[0] == len(values)
-    # delay averages are reported in hours
-    assert row.averages[0] == pytest.approx(sum(values) / len(values) / 3600.0)
+    values = [e.value for e in entries(result.entries) if e.activity == "delay-(a,b)"]
+    assert table.counts.tolist() == [[len(values)]]
+    # delay values are summed in hours
+    assert table.sums[0, 0] / table.counts[0, 0] == pytest.approx(sum(values) / len(values) / 3600.0)
 
 
 def test_summary_selects_most_frequent_activities(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     table = summarize(log_t, result.entries, 3600.0, BASE, top=2)
-    freq = Counter(e.activity for e in result.entries)
+    freq = Counter(e.activity for e in entries(result.entries))
     best = min(table.activities, key=lambda a: (-freq[a], a))
     assert len(table.activities) == 2
     assert freq[best] == max(freq.values())
@@ -309,10 +308,15 @@ def test_summary_selects_most_frequent_activities(log_t):
 def test_summary_keeps_a_column_for_a_chosen_activity_without_entries(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     chosen = ["no-such-activity", "delay-(a,b)", "no-such-activity"]
-    row = summarize(log_t, result.entries, 3600.0, BASE, activities=chosen).rows[0]
-    assert row.counts[0] == row.counts[2] == 0
-    assert row.averages[0] is None and row.averages[2] is None
-    assert row.counts[1] == sum(1 for e in result.entries if e.activity == "delay-(a,b)") > 0
+    table = summarize(log_t, result.entries, 3600.0, BASE, activities=chosen)
+    counts = table.counts[0].tolist()
+    assert counts[0] == counts[2] == 0
+    assert counts[1] == sum(1 for e in entries(result.entries) if e.activity == "delay-(a,b)") > 0
+    # a count of 0 has an empty average
+    text = io.StringIO()
+    write_summary_csv(table, text)
+    fields = text.getvalue().splitlines()[1].split(",")
+    assert fields[4:] == ["0", "", str(counts[1]), fields[7], "0", ""] and fields[7]
 
 
 def test_a_summary_period_under_one_microsecond_is_a_config_error(log_t):

@@ -12,7 +12,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -23,10 +22,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE, read_general
-from oracles import edge_events, high_level_log, hle_table
+from oracles import edge_events, entries, entry_reprs, event_log, high_level_log, hle_table
 
 import highline.cli as cli
 import highline.events as events
+import highline.hlelog as hlelog
 import highline.linkage as linkage
 
 from highline import (
@@ -35,7 +35,6 @@ from highline import (
     Component,
     ComponentKind,
     Event,
-    EventLog,
     FeatureId,
     FlattenOrder,
     Framing,
@@ -58,8 +57,9 @@ from highline import (
     summarize,
     write_event_csv,
     write_hlel_csv,
+    write_summary_csv,
 )
-from highline.events import parse_timestamp, to_microseconds
+from highline.events import from_microseconds, parse_timestamp, to_microseconds
 from highline.features import VIEW_KIND
 from highline.hlelog import HLELFeature
 
@@ -102,7 +102,7 @@ def components_of(events):
 @given(ROWS)
 def test_columnar_steps_equal_oracle(rows):
     events = events_of(rows)
-    log = EventLog(events)
+    log = event_log(events)
     first, second = log.step_rows
     pairs = list(zip(log.ids[first].tolist(), log.ids[second].tolist()))
     assert set(pairs) == oracles.oracle_steps(events)
@@ -139,13 +139,13 @@ def oracle_value(view, events, steps, framing, key, w):
 def test_evaluate_equals_oracles_for_every_view(rows, framing):
     events = events_of(rows)
     steps = oracles.oracle_step_events(events)
-    matrix = evaluate(EventLog(events), framing)
+    matrix = evaluate(event_log(events), framing)
     assert {f.view for f in matrix.features} == (
         set(View) if steps else {View.EXEC, View.DO, View.TODO, View.WL}
     )
     for fid in matrix.features:
-        for w in matrix.windows:
-            got = matrix.value(fid, w)
+        for w in oracles.windows_of(matrix):
+            got = oracles.cell(matrix, fid, w)
             want = oracle_value(fid.view, events, steps, framing, fid.component.key, w)
             if want is None or fid.view is not View.DELAY:
                 assert got == want, (fid.name, w)
@@ -158,9 +158,9 @@ def test_evaluate_equals_oracles_for_every_view(rows, framing):
 def test_link_table_equals_oracle(rows):
     events = events_of(rows)
     steps = oracles.oracle_step_events(events)
-    table = build_link_table(EventLog(events))
+    link = oracles.link_value(build_link_table(event_log(events)))
     for c1, c2 in itertools.combinations(components_of(events), 2):
-        assert table.value(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
+        assert link(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
 
 
 # names with commas give distinct segments one label: ("a,a", "a") and
@@ -182,15 +182,12 @@ COMMA_ROWS = st.lists(
 @example([("c1", "a,a", 0, "r1"), ("c1", "a", 1, "r1"), ("c1", "a,a", 2, "r1")]
          + [(c, a, s, "r1") for c in ("c2", "c3") for a, s in (("a", 0), ("a,a", 1), ("a", 2))])
 def test_link_table_columns_equal_the_dict_oracle(rows):
-    log = EventLog(events_of(rows))
+    log = event_log(events_of(rows))
     table = build_link_table(log)
     expected = oracles.oracle_link_table(log)
-    assert list(table.pairs()) == [(c1, c2, v) for (c1, c2), v in expected.items()]
+    assert oracles.link_pairs(table) == [(c1, c2, v) for (c1, c2), v in expected.items()]
     components = sorted(components_of(events_of(rows)), key=oracles.component_order)
     assert list(table.components) == components
-    for c1, c2 in itertools.product(components, repeat=2):
-        want = expected.get((c1, c2), expected.get((c2, c1), 0.0))
-        assert table.value(c1, c2) == (1.0 if c1 == c2 else want), (c1, c2)
     for include_zeros in (False, True):
         got, want = io.StringIO(), io.StringIO()
         cli._write_links_csv(table, got, include_zeros)
@@ -206,7 +203,7 @@ def test_link_table_columns_equal_the_dict_oracle(rows):
 @SETTINGS
 @given(COMMA_ROWS)
 def test_links_csv_in_blocks_of_one_row_equals_one_block(rows):
-    table = build_link_table(EventLog(events_of(rows)))
+    table = build_link_table(event_log(events_of(rows)))
     for include_zeros in (False, True):
         whole, small = io.StringIO(), io.StringIO()
         cli._write_links_csv(table, whole, include_zeros)
@@ -223,7 +220,7 @@ def selections(draw):
     """COMMA_ROWS and a selection of views and of their log's components,
     with repeats; None selects everything, and an empty list nothing."""
     rows = draw(COMMA_ROWS)
-    log = EventLog(events_of(rows))
+    log = event_log(events_of(rows))
 
     def pick(names):
         chosen = st.lists(st.sampled_from(names), max_size=6) if names else st.just([])
@@ -240,7 +237,7 @@ def selected_features(log, views, activities, resources, segments):
     for kind, names, chosen in (
         (ComponentKind.ACTIVITY, log.activity_names, activities),
         (ComponentKind.RESOURCE, log.resource_names, resources),
-        (ComponentKind.SEGMENT, sorted(log.segments), segments),
+        (ComponentKind.SEGMENT, log.segment_names, segments),
     ):
         for key in (names if chosen is None else chosen):
             rank.setdefault(Component(kind, key), len(rank))
@@ -265,7 +262,7 @@ REVERSED = [Segment("a,a", "a"), Segment("a", "a,a"), Segment("a,a", "a")]
 def test_hles_and_matrix_csv_equal_the_oracles(tmp_path_factory, selection, framing, p,
                                                exclude_zeros):
     rows, views, activities, resources, segments = selection
-    log = EventLog(events_of(rows))
+    log = event_log(events_of(rows))
     matrix = evaluate(log, framing, views, activities, resources, segments)
     assert list(matrix.features) == selected_features(log, *selection[1:])
     thresholds = compute_thresholds(matrix, p, exclude_zeros=exclude_zeros)
@@ -300,7 +297,7 @@ def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, d
     for fid in m1.features:
         assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid.name
     t1, t2 = (build_link_table(log) for log in logs)
-    assert list(t1.pairs()) == list(t2.pairs())
+    assert oracles.link_pairs(t1) == oracles.link_pairs(t2)
 
 
 # --- ingest: the standard-layout reader agrees with csv.reader -----------------
@@ -447,26 +444,22 @@ def test_standard_reader_agrees_with_csv_reader_or_defers(tmp_path_factory, file
 def test_every_event_lies_in_the_period_of_its_summary_row(rows, shift, period):
     events = events_of(rows)
     origin = BASE + timedelta(seconds=shift)
-    table = summarize(EventLog(events), high_level_log([]), period, origin)
+    table = summarize(event_log(events), high_level_log([]), period, origin)
     # the rows run from the first event's period to the last one's
-    assert table.rows[0].events and table.rows[-1].events
-    first = table.rows[0].period
-    assert [row.period for row in table.rows] == list(range(first, first + len(table.rows)))
-    assert [row.start for row in table.rows] == [
-        oracles.bounds(origin, period, row.period - 1)[0] for row in table.rows
-    ]
-    ends = [row.start for row in table.rows[1:]]
-    ends.append(oracles.bounds(origin, period, table.rows[-1].period)[0])
-    for row, end in zip(table.rows, ends):
-        assert row.events == sum(1 for e in events if row.start <= e.timestamp < end)
-    assert sum(row.events for row in table.rows) == len(events)
+    assert table.events[0] and table.events[-1]
+    periods = range(table.first_period, table.first_period + len(table.events))
+    starts = [oracles.bounds(origin, period, p - 1)[0] for p in [*periods, periods[-1] + 1]]
+    assert list(map(from_microseconds, table.starts_us.tolist())) == starts[:-1]
+    for count, start, end in zip(table.events.tolist(), starts, starts[1:]):
+        assert count == sum(1 for e in events if start <= e.timestamp < end)
+    assert table.events.sum() == len(events)
 
 
 @SETTINGS
 @given(ROWS, FRAMINGS, UNIT, UNIT)
 def test_raising_the_percentile_keeps_a_subset_of_the_hles(rows, framing, p1, p2):
     p1, p2 = sorted((p1, p2))
-    matrix = evaluate(EventLog(events_of(rows)), framing)
+    matrix = evaluate(event_log(events_of(rows)), framing)
     low, high = (set(generate_hles(matrix, compute_thresholds(matrix, p))) for p in (p1, p2))
     assert high <= low
 
@@ -475,7 +468,7 @@ def test_raising_the_percentile_keeps_a_subset_of_the_hles(rows, framing, p1, p2
 @given(ROWS, FRAMINGS, UNIT, UNIT, UNIT)
 def test_raising_lambda_refines_the_cascades(rows, framing, p, lam1, lam2):
     lam1, lam2 = sorted((lam1, lam2))
-    log = EventLog(events_of(rows))
+    log = event_log(events_of(rows))
     matrix = evaluate(log, framing)
     hles = generate_hles(matrix, compute_thresholds(matrix, p))
     links = build_link_table(log)
@@ -487,20 +480,16 @@ def test_raising_lambda_refines_the_cascades(rows, framing, p, lam1, lam2):
 @SETTINGS
 @given(ROWS, FRAMINGS, UNIT, UNIT)
 def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
-    entries = analyze_log(EventLog(events_of(rows)), framing, p, lam).entries
+    hlel = analyze_log(event_log(events_of(rows)), framing, p, lam).entries
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
-    write_hlel_csv(entries, str(path))
-    assert read_hlel_csv(str(path)) == entries
+    write_hlel_csv(hlel, str(path))
+    assert entry_reprs(read_hlel_csv(str(path))) == entry_reprs(hlel)
 
 
 # floats whose repr takes each of its forms: signed zero, the least subnormal,
 # the switch to exponent notation at 1e16, and a large exponent
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, 9999999999999998.0, 0.1, 1e-05]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
-def entries_by_repr(hlel):
-    """The entries with value and threshold as their repr, so that entries
-    holding a NaN compare equal, and -0.0 unequal to 0.0."""
-    return [replace(e, value=repr(e.value), threshold=repr(e.threshold)) for e in hlel]
 
 
 # names that csv quotes (a comma, a quote, a line break, a carriage return),
@@ -532,7 +521,7 @@ def test_any_shuffle_of_a_log_ingests_to_its_sorted_columns(tmp_path_factory, ro
     events_in_order = [Event(i + 1, c, a, BASE + timedelta(seconds=t), r) for i, (c, a, t, r) in enumerate(rows)]
     shuffled = events_in_order[:]
     rnd.shuffle(shuffled)
-    assert columns_of(EventLog(shuffled)) == columns_of(EventLog(events_in_order))
+    assert columns_of(event_log(shuffled)) == columns_of(event_log(events_in_order))
     # a file of the shuffled rows, ids by line: rows by (timestamp, case, line)
     path = tmp_path_factory.mktemp("shuffled") / "events.csv"
     path.write_text("case,activity,timestamp,resource\n" + "".join(
@@ -540,7 +529,7 @@ def test_any_shuffle_of_a_log_ingests_to_its_sorted_columns(tmp_path_factory, ro
     ), encoding="utf-8")
     log = ingest_csv(str(path))
     order = sorted(range(len(shuffled)), key=lambda i: (shuffled[i].timestamp, shuffled[i].case, i))
-    assert [(e.id, e.case, e.activity, e.timestamp, e.resource) for e in log] == [
+    assert [(e.id, e.case, e.activity, e.timestamp, e.resource) for e in log.events] == [
         (i + 1, shuffled[i].case, shuffled[i].activity, shuffled[i].timestamp, shuffled[i].resource)
         for i in order
     ]
@@ -657,7 +646,7 @@ def test_hlel_csv_equals_the_per_row_oracle(tmp_path_factory, hlel, timestamp_fo
     write_hlel_csv(hlel, str(path), timestamp_format)
     assert path.read_bytes() == oracles.oracle_hlel_csv(hlel, timestamp_format).encode()
     back = read_hlel_csv(str(path), timestamp_format)
-    assert entries_by_repr(back) == entries_by_repr(hlel)
+    assert entry_reprs(back) == entry_reprs(hlel)
     again = path.with_name("again.csv")
     write_hlel_csv(back, str(again), timestamp_format)
     assert again.read_bytes() == path.read_bytes()
@@ -684,15 +673,78 @@ EDGE_EVENT_ROWS = [
 @example(EDGE_EVENT_ROWS, None, "%Y-%m-%d %H:%M:%S.%f")
 @example(EDGE_EVENT_ROWS, None, "%%Y=%Y %m %d %H:%M:%S.%f")
 def test_event_csv_equals_the_per_row_oracle(tmp_path_factory, rows, mapping, timestamp_format):
-    log = EventLog(Event(i + 1, c, a, t, r) for i, (c, a, t, r) in enumerate(rows))
+    log = event_log(Event(i + 1, c, a, t, r) for i, (c, a, t, r) in enumerate(rows))
     path = tmp_path_factory.mktemp("events") / "events.csv"
     with mock.patch.object(events, "WRITE_ROWS", 3):
         write_event_csv(log, str(path), mapping, timestamp_format)
     assert path.read_bytes() == oracles.oracle_event_csv(log, mapping, timestamp_format).encode()
     back = ingest_csv(str(path), mapping, timestamp_format)
-    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back] == [
-        (e.case, e.activity, e.timestamp, e.resource) for e in log
+    assert [(e.case, e.activity, e.timestamp, e.resource) for e in back.events] == [
+        (e.case, e.activity, e.timestamp, e.resource) for e in log.events
     ]
+
+
+# summary activities that csv quotes, some of the delay view, whose values
+# are averaged in hours
+SUMMARY_FEATURES = st.builds(HLELFeature, NAMES, st.sampled_from(["delay", "wl"]), NAMES, NAMES, FLOATS)
+SUMMARY_PERIODS = st.sampled_from([0.7, 1 / 3, 7.3, 60.0, 86400.0])
+
+
+@st.composite
+def summary_cases(draw):
+    """Event rows, a ``HighLevelLog`` stamped within a minute of BASE, a
+    period, an origin shift (after every stamp at times, so that periods
+    run at or below 0) and the chosen activities: the top ones, or a list
+    that may name an activity without entries."""
+    features = draw(st.lists(SUMMARY_FEATURES, min_size=1, max_size=4))
+    stamps = draw(st.lists(st.integers(-5 * 10**6, 60 * 10**6), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 20))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    hlel = HighLevelLog(
+        features,
+        column(st.integers(0, len(features) - 1), np.intp),
+        column(st.integers(1, 5), np.int64),
+        column(st.integers(-100, 100), np.int64),
+        column(st.one_of(FLOATS, st.sampled_from([0.5, 1.0, 3.0])), float),
+        np.arange(1, n + 1),
+        to_microseconds(BASE) + np.array(stamps, dtype=np.int64),
+        column(st.integers(0, len(stamps) - 1), np.intp),
+    )
+    names = [f.activity for f in features] + ["no entries"]
+    activities = draw(st.none() | st.lists(st.sampled_from(names), max_size=5))
+    return draw(ROWS), hlel, draw(SUMMARY_PERIODS), draw(st.integers(-30, 120)), activities
+
+
+def summary_case(values, shift, activities):
+    """Two quoted activities, one of the delay view, on two stamps a second
+    apart, with the given values, and two events."""
+    n = len(values)
+    hlel = HighLevelLog(
+        [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', 1.0), HLELFeature("x\ny", "delay", "segment", "z", 2.0)],
+        np.arange(n, dtype=np.intp) % 2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+        np.array(values, dtype=float), np.arange(1, n + 1),
+        to_microseconds(BASE) + np.array([0, 10**6]), np.arange(n, dtype=np.intp) % 2,
+    )
+    return [("c1", "a", 0, "r1"), ("c1", "b", 3, "r1")], hlel, 1.0, shift, activities
+
+
+@settings(max_examples=100, deadline=None)
+@given(summary_cases(), STAMP_FORMATS)
+@example(summary_case([1.5, 7200.0, 2.5, -0.0], 0, None), None)
+@example(summary_case([1.5, 7200.0], 0, ["no entries", 'wl-a,"b"', "x\ny"]), "%d %b %Y, %H:%M:%S.%f")
+@example(summary_case([1.5, 7200.0], 120, ["x\ny", "no entries"]), "%%Y=%Y %m %d %H:%M:%S.%f")
+def test_summary_csv_equals_the_per_row_oracle(case, timestamp_format):
+    rows, hlel, period, shift, activities = case
+    log = event_log(events_of(rows))
+    origin = BASE + timedelta(seconds=shift)
+    text = io.StringIO()
+    with mock.patch.object(hlelog, "WRITE_ROWS", 3):
+        write_summary_csv(summarize(log, hlel, period, origin, activities), text, timestamp_format)
+    expected = oracles.oracle_summary_csv(log, hlel, period, origin, activities, timestamp_format=timestamp_format)
+    assert text.getvalue() == expected
 
 
 def copy_of(h):
@@ -714,7 +766,7 @@ def dfg_counts(dot):
 @SETTINGS
 @given(ROWS, FRAMINGS, UNIT, UNIT, st.sampled_from([1.0, 7.0, 60.0, 86400.0]), st.data())
 def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, data):
-    log = EventLog(events_of(rows))
+    log = event_log(events_of(rows))
     matrix = evaluate(log, framing)
     thresholds = compute_thresholds(matrix, p)
     table = generate_hles(matrix, thresholds)
@@ -728,8 +780,9 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     from_shuffled = cascades(shuffled, links, lam)
     assert oracles.cascade_ids(assignment) == oracles.cascade_ids(from_shuffled)
     assert assignment.count == from_shuffled.count
+    link = oracles.link_value(links)
     if len(table) <= 500:  # the oracle compares every pair of events
-        assert oracles.partition_of(assignment) == oracles.oracle_partition(table, links.value, lam)
+        assert oracles.partition_of(assignment) == oracles.oracle_partition(table, link, lam)
     edges = propagation_edges(table, links, lam)
     # the distinct rows of the shuffled table are the rows of the table
     assert np.array_equal(edges, propagation_edges(shuffled, links, lam))
@@ -740,32 +793,34 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
         (h1, h2)
         for h1 in table
         for h2 in by_window.get(h1.window + 1, ())
-        if oracles.oracle_propagates(h1, h2, links.value, lam)
+        if oracles.oracle_propagates(h1, h2, link, lam)
     }
 
-    entries = build_hlel(assignment, framing, thresholds)
-    assert entries == build_hlel(from_shuffled, framing, thresholds)
+    hlel = build_hlel(assignment, framing, thresholds)
+    rows = entry_reprs(hlel)
+    assert rows == entry_reprs(build_hlel(from_shuffled, framing, thresholds))
     permuted = CascadeAssignment(hle_table(table[k] for k in perm), assignment.cases[perm])
-    assert entries == build_hlel(permuted, framing, thresholds)
+    assert rows == entry_reprs(build_hlel(permuted, framing, thresholds))
 
-    names = sorted({e.activity for e in entries})
+    names = sorted({e.activity for e in rows})
     for order in (None, FlattenOrder(data.draw(st.permutations(names))[: len(names) // 2])):
-        flat = flatten(entries, order)
-        assert flat == flatten(high_level_log(entries), order)
+        flat = entry_reprs(flatten(hlel, order))
+        assert flat == entry_reprs(flatten(high_level_log(entries(hlel)), order))
         key = (order or FlattenOrder()).key
-        assert flat == tuple(sorted(entries, key=lambda e: (e.case, e.window, key(e.activity))))
-    flat = flatten(entries)
-    assert export_dfg(flat) == export_dfg(high_level_log(flat))
-    assert dfg_counts(export_dfg(flat)) == oracles.oracle_dfg_counts(list(flat))
+        assert flat == sorted(rows, key=lambda e: (e.case, e.window, key(e.activity)))
+    flat = flatten(hlel)
+    assert export_dfg(flat) == export_dfg(high_level_log(entries(flat)))
+    assert dfg_counts(export_dfg(flat)) == oracles.oracle_dfg_counts(flat)
 
-    summary = summarize(log, entries, period, framing.origin)
-    assert summary == summarize(log, high_level_log(entries), period, framing.origin)
-    freq = Counter(e.activity for e in entries)
+    summary = summarize(log, hlel, period, framing.origin)
+    freq = Counter(e.activity for e in rows)
     assert list(summary.activities) == sorted(freq, key=lambda a: (-freq[a], a))[:4]
-    expected = oracles.oracle_hle_summary(entries, period, framing.origin, summary.activities)
-    none = (0, (0,) * len(summary.activities), (None,) * len(summary.activities))
-    for row in summary.rows:
-        assert (row.hles, row.counts, row.averages) == expected.get(row.period, none)
+    texts = [io.StringIO(), io.StringIO()]
+    write_summary_csv(summary, texts[0])
+    write_summary_csv(summarize(log, high_level_log(entries(hlel)), period, framing.origin), texts[1])
+    assert texts[0].getvalue() == texts[1].getvalue() == oracles.oracle_summary_csv(
+        log, hlel, period, framing.origin
+    )
 
 
 @st.composite
@@ -819,7 +874,8 @@ def propagation_graphs(draw):
 def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
     table, links, lam = graph
     assignment = cascades(table, links, lam)
-    assert oracles.cascade_ids(assignment) == oracles.oracle_cascade_ids(table, links.value, lam)
+    link = oracles.link_value(links)
+    assert oracles.cascade_ids(assignment) == oracles.oracle_cascade_ids(table, link, lam)
     edges = propagation_edges(table, links, lam)
     rows = list(map(tuple, edges.tolist()))
     assert rows == sorted(set(rows))
@@ -829,7 +885,7 @@ def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
     assert set(edge_events(table, edges)) == {
         (h1, h2)
         for h1, h2 in itertools.product(set(table), repeat=2)
-        if oracles.oracle_propagates(h1, h2, links.value, lam)
+        if oracles.oracle_propagates(h1, h2, link, lam)
     }
     # every round at least halves the sets of each connected part
     layers = linkage._layers(table, links, lam)
