@@ -18,17 +18,19 @@ from datetime import datetime
 
 import numpy as np
 
+from . import events
 from .errors import ConfigError, DataError, check_json_types, read_json_object
 from .events import (
-    WRITE_ROWS,
     ColumnMapping,
     EventLog,
     Segment,
     csv_fields,
-    csv_lines,
     ingest_csv,
     parse_timestamp,
+    row_blocks,
+    text_output,
     to_microseconds,
+    write_csv,
     write_event_csv,
 )
 from .features import EvaluationMatrix, View
@@ -38,7 +40,6 @@ from .hlelog import (
     SummaryTable,
     export_dfg,
     summarize,
-    text_output,
     write_hlel_csv,
     write_summary_csv,
 )
@@ -118,7 +119,7 @@ class RunConfig:
         return cls(**data)
 
     def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with text_output(path) as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -243,22 +244,19 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
 def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
     """The link table as CSV, pairs in code order: components by (kind,
     label), two segments of one label by (source, target)."""
-    names = [csv_fields(c.kind.value, c.label) for c in links.components]
-    with text_output(path_or_fh) as fh:
-        fh.write("kind1,component1,kind2,component2,link\n")
-        for first, second, values in _link_blocks(links, include_zeros):
-            fh.write(csv_lines((names, first), (names, second), values))
+    names = np.array([csv_fields(c.kind.value, c.label) for c in links.components], dtype=object)
+    header = ("kind1", "component1", "kind2", "component2", "link")
+    write_csv(path_or_fh, header, _link_blocks(links, names, include_zeros))
 
 
-def _link_blocks(links: LinkTable, include_zeros: bool):
-    """The table's pairs as (first, second, values) blocks of at most
-    WRITE_ROWS pairs, or of one row of the triangle where that is longer:
-    the nonzero pairs, or with ``include_zeros`` every pair i < j, row-major."""
+def _link_blocks(links: LinkTable, names: np.ndarray, include_zeros: bool):
+    """The table's pairs as ``csv_lines`` blocks of first and second
+    component (texts from ``names``) and value, of at most WRITE_ROWS pairs,
+    or of one row of the triangle where that is longer: the nonzero pairs,
+    or with ``include_zeros`` every pair i < j, row-major."""
     first, second, values = links.first, links.second, links.values
     if not include_zeros:
-        for start in range(0, len(values), WRITE_ROWS):
-            part = slice(start, start + WRITE_ROWS)
-            yield first[part], second[part], values[part]
+        yield from row_blocks((names, first), (names, second), values)
         return
     n = len(links.components)
 
@@ -267,27 +265,28 @@ def _link_blocks(links: LinkTable, include_zeros: bool):
 
     lo = 0
     while lo < n:
-        hi = min(lo + max(1, WRITE_ROWS // (n - lo)), n)  # row lo holds n - lo - 1 pairs
+        hi = min(lo + max(1, events.WRITE_ROWS // (n - lo)), n)  # row lo holds n - lo - 1 pairs
         rows, columns = np.triu_indices(hi - lo, lo + 1, n)
         dense = np.zeros(len(rows))
         a, b = np.searchsorted(first, [lo, hi])
         i, j = first[a:b], second[a:b]
         dense[row_start(i) - row_start(lo) + j - i - 1] = values[a:b]
-        yield rows + lo, columns, dense
+        yield (names, rows + lo), (names, columns), dense
         lo = hi
 
 
 def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
     """The defined cells, by (feature name, window), about WRITE_ROWS cells at a time."""
-    names = [csv_fields(f.view.value, f.component.label) for f in matrix.features]
-    step = max(1, WRITE_ROWS // len(matrix.windows))  # features per block
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("view,component,window,value\n")
+    names = np.array([csv_fields(f.view.value, f.component.label) for f in matrix.features], dtype=object)
+    step = max(1, events.WRITE_ROWS // len(matrix.windows))  # features per block
+
+    def blocks():
         for start in range(0, len(names), step):
             rows, offsets = np.nonzero(~np.isnan(matrix.values[start:start + step]))
             rows += start
-            fh.write(csv_lines((names, rows), matrix.windows.first + offsets,
-                               matrix.values[rows, offsets]))
+            yield (names, rows), matrix.windows.first + offsets, matrix.values[rows, offsets]
+
+    write_csv(path, ("view", "component", "window", "value"), blocks())
 
 
 def _summary(config: RunConfig, result: AnalysisResult) -> SummaryTable:
@@ -315,7 +314,7 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
     write_hlel_csv(result.entries, out("hlel.csv"), config.timestamp_format)
     _write_links_csv(result.links, out("links.csv"), config.include_zero_links)
     write_summary_csv(_summary(config, result), out("summary.csv"), config.timestamp_format)
-    with open(out("dfg.dot"), "w", encoding="utf-8") as fh:
+    with text_output(out("dfg.dot")) as fh:
         fh.write(export_dfg(result.flattened))
     config.write_json(out("config.json"))
     if config.dump_matrix:
@@ -356,12 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "dfg":
             config = _run_config(args)
             result = _run_pipeline(config)
-            text = export_dfg(result.flattened)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            with text_output(args.out or sys.stdout) as fh:
+                fh.write(export_dfg(result.flattened))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import logging
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,9 +98,6 @@ class Component:
     @property
     def label(self) -> str:
         return self.key.label if isinstance(self.key, Segment) else self.key
-
-    def sort_key(self) -> tuple[str, str]:
-        return (self.kind.value, self.label)
 
 
 @dataclass(frozen=True)
@@ -733,12 +731,12 @@ def csv_fields(*values: str) -> str:
 def csv_lines(*columns) -> str:
     """Lines of comma-separated fields, line k holding item k of each column.
 
-    A column is an int or float array, or a ``(texts, codes)`` pair whose
-    texts are already csv fields, as a list or, faster where many blocks
-    share them, an object array. One ``%`` format makes all lines; ``%s``
-    writes a float as its ``repr``.
+    A column is an array, or a ``(texts, codes)`` pair of an object array of
+    csv fields and the index of each line's field, so that one gather looks
+    them up. One ``%`` format makes all lines; ``%s`` writes a float as its
+    ``repr``.
     """
-    fields = [_texts(*column) if isinstance(column, tuple) else column.tolist() for column in columns]
+    fields = [c[0][c[1]].tolist() if isinstance(c, tuple) else c.tolist() for c in columns]
     rows, width = len(fields[0]), len(fields)
     flat = [None] * (rows * width)
     for k, field in enumerate(fields):
@@ -746,10 +744,32 @@ def csv_lines(*columns) -> str:
     return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
 
 
-def _texts(texts: Sequence[str] | np.ndarray, codes: np.ndarray) -> list[str]:
-    if isinstance(texts, np.ndarray):  # one gather
-        return texts[codes].tolist()
-    return list(map(texts.__getitem__, codes.tolist()))
+def row_blocks(*columns) -> Iterator[list]:
+    """The columns, as ``csv_lines`` takes them, in blocks of ``WRITE_ROWS``
+    rows, so that only one block's Python values are alive at a time; a
+    ``(texts, codes)`` column is sliced on its codes."""
+    first = columns[0]
+    rows = len(first[1] if isinstance(first, tuple) else first)
+    for start in range(0, rows, WRITE_ROWS):
+        part = slice(start, start + WRITE_ROWS)
+        yield [(c[0], c[1][part]) if isinstance(c, tuple) else c[part] for c in columns]
+
+
+def write_csv(path_or_fh: str | TextIO, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write a CSV to a path or an open text handle: the header's fields,
+    then the ``csv_lines`` of each block of columns."""
+    with text_output(path_or_fh) as fh:
+        fh.write(csv_fields(*header) + "\n")
+        for block in blocks:
+            fh.write(csv_lines(*block))
+
+
+def text_output(path_or_fh: str | TextIO) -> ContextManager[TextIO]:
+    """A new UTF-8 file for a path, written as given (no newline
+    translation) and closed on exit; an open handle as it is, left open."""
+    if isinstance(path_or_fh, str):
+        return open(path_or_fh, "w", newline="", encoding="utf-8")
+    return nullcontext(path_or_fh)
 
 
 def format_stamps(stamps_us: np.ndarray, timestamp_format: str | None = None) -> list[str]:
@@ -784,11 +804,6 @@ def write_event_csv(
     new[1:] = log.times_us[1:] != log.times_us[:-1]
     stamp_codes = np.cumsum(new) - 1
     stamps = np.array(format_stamps(log.times_us[new], timestamp_format), dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_fields(mapping.case, mapping.activity, mapping.timestamp, mapping.resource) + "\n")
-        for start in range(0, len(stamp_codes), WRITE_ROWS):
-            part = slice(start, start + WRITE_ROWS)
-            fh.write(csv_lines(
-                (cases, log.case_codes[part]), (acts, log.activity_codes[part]),
-                (stamps, stamp_codes[part]), (ress, log.resource_codes[part]),
-            ))
+    write_csv(path, (mapping.case, mapping.activity, mapping.timestamp, mapping.resource), row_blocks(
+        (cases, log.case_codes), (acts, log.activity_codes), (stamps, stamp_codes), (ress, log.resource_codes),
+    ))

@@ -10,17 +10,16 @@ them into a classical log for directly-follows analysis.
 from __future__ import annotations
 
 import csv
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
-from typing import ContextManager, Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, not_utf8_error
 from .events import (
-    WRITE_ROWS, EventLog, csv_fields, csv_lines, format_stamps, lexsort_order, parse_timestamp,
-    to_microseconds,
+    EventLog, csv_fields, format_stamps, lexsort_order, parse_timestamp, row_blocks, to_microseconds,
+    write_csv,
 )
 from .features import ThresholdTable, View
 from .framing import Framing
@@ -215,23 +214,16 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
     windows, stamp_codes, by_window = _pairs(hlel.windows, hlel.stamp_codes)
     # texts as object arrays, so that each block's lookup is one gather; ids,
     # cases, windows and float reprs never need quoting
-    columns = [
-        hlel.hle_ids,
-        (_objects(f"{c},{activities[a]}" for c, a in zip(cases.tolist(), case_codes.tolist())), by_case),
-        (_objects(f"{stamps[s]},{w}" for w, s in zip(windows.tolist(), stamp_codes.tolist())), by_window),
-        (_objects(csv_fields(f.view, f.component_kind, f.component) for f in hlel.features), codes),
-        hlel.values,
-        (_objects(repr(f.threshold) for f in hlel.features), codes),
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_fields(*HLEL_COLUMNS) + "\n")
-        # a slice of rows at a time, so that only its Python values are alive
-        for start in range(0, len(codes), WRITE_ROWS):
-            part = slice(start, start + WRITE_ROWS)
-            fh.write(csv_lines(*(
-                (column[0], column[1][part]) if isinstance(column, tuple) else column[part]
-                for column in columns
-            )))
+    texts = [np.array(column, dtype=object) for column in (
+        [f"{c},{activities[a]}" for c, a in zip(cases.tolist(), case_codes.tolist())],
+        [f"{stamps[s]},{w}" for w, s in zip(windows.tolist(), stamp_codes.tolist())],
+        [csv_fields(f.view, f.component_kind, f.component) for f in hlel.features],
+        [repr(f.threshold) for f in hlel.features],
+    )]
+    write_csv(path, HLEL_COLUMNS, row_blocks(
+        hlel.hle_ids, (texts[0], by_case), (texts[1], by_window), (texts[2], codes), hlel.values,
+        (texts[3], codes),
+    ))
 
 
 def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,10 +241,6 @@ def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray
     keys, groups = np.unique(ranks * bound + minor, return_inverse=True)
     top = keys // bound
     return top + low if majors is None else majors[top], keys % bound, groups
-
-
-def _objects(texts: Iterable[str]) -> np.ndarray:
-    return np.array(list(texts), dtype=object)
 
 
 def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:
@@ -349,13 +337,14 @@ def summarize(
     hle_period = periods.windows_of(hlel.stamps_us)[hlel.stamp_codes]
     both = np.concatenate([event_period, hle_period])
     first, size = (int(both.min()), int(np.ptp(both)) + 1) if len(both) else (0, 0)
-    # per (period, activity): how many entries and the sum of their values,
-    # added in entry order as a loop over the entries would; the last column
-    # stays empty, for chosen names that no entry has
-    n = len(names) + 1
-    cell = (hle_period - first) * n + act
+    # per (period, distinct chosen name): how many entries and the sum of
+    # their values, added in entry order as a loop over the entries would;
+    # entries of other names go to one last column, which is dropped
+    column = {name: j for j, name in enumerate(dict.fromkeys(chosen))}
+    n = len(column) + 1
+    cell = (hle_period - first) * n + np.array([column.get(a, n - 1) for a in names], dtype=np.intp)[act]
     scale = np.where([f.view == View.DELAY.value for f in hlel.features], 3600.0, 1.0)
-    columns = [names.index(a) if a in names else len(names) for a in chosen]
+    columns = [column[a] for a in chosen]
     counts = np.bincount(cell, minlength=size * n).reshape(size, n)[:, columns]
     sums = np.bincount(cell, hlel.values / scale[hlel.feature_codes], minlength=size * n)
     return SummaryTable(
@@ -376,19 +365,12 @@ def write_summary_csv(
     """Write the summary table as CSV to a path or an open text handle, each
     average as ``%.6g`` text, empty where the count is 0."""
     header = ["period", "start", "events", "hles"]
-    for a in table.activities:
-        header.extend([f"count:{a}", f"avg:{a}"])
     stamps = np.array(format_stamps(table.starts_us, timestamp_format), dtype=object)
-    periods = table.first_period + np.arange(len(stamps))
-    averages = [_averages(count, total) for count, total in zip(table.counts.T, table.sums.T)]
-    with text_output(path_or_fh) as fh:
-        fh.write(csv_fields(*header) + "\n")
-        for start in range(0, len(periods), WRITE_ROWS):
-            part = slice(start, start + WRITE_ROWS)
-            columns = [periods[part], stamps[part], table.events[part], table.hles[part]]
-            for j, (texts, codes) in enumerate(averages):
-                columns += [table.counts[part, j], (texts, codes[part])]
-            fh.write(csv_lines(*columns))
+    columns = [table.first_period + np.arange(len(stamps)), stamps, table.events, table.hles]
+    for a, counts, sums in zip(table.activities, table.counts.T, table.sums.T):
+        header += [f"count:{a}", f"avg:{a}"]
+        columns += [counts, _averages(counts, sums)]
+    write_csv(path_or_fh, header, row_blocks(*columns))
 
 
 def _averages(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,9 +385,3 @@ def _averages(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndar
     index[filled] = codes.reshape(-1) + 1
     return np.array(texts, dtype=object), index
 
-
-def text_output(path_or_fh: str | TextIO) -> ContextManager[TextIO]:
-    """A new file for a path, closed on exit; an open handle as it is, left open."""
-    if isinstance(path_or_fh, str):
-        return open(path_or_fh, "w", newline="", encoding="utf-8")
-    return nullcontext(path_or_fh)

@@ -7,6 +7,7 @@ can be compared against each other.
 """
 
 import csv
+import itertools
 import math
 import re
 import types
@@ -335,10 +336,15 @@ def oracle_link(log, steps, comp1, comp2):
     return min(1.0, max(touching / n_r, touching / len(seg_steps)))
 
 
+def sort_key(c):
+    """A component's (kind, label)."""
+    return (c.kind.value, c.label)
+
+
 def component_order(c):
     """The order of a link table's components: (kind, label), and two
     segments of one label by (source, target)."""
-    return (c.sort_key(), c.key)
+    return (sort_key(c), c.key)
 
 
 def oracle_link_table(log):
@@ -394,6 +400,25 @@ def oracle_link_table(log):
     s1, s2, count = s1[distinct], s2[distinct], count[distinct]
     put(segs, segs, s1, s2, np.maximum(count / seg_n[s1], count / seg_n[s2]))
     return dict(sorted(links.items(), key=lambda item: tuple(map(component_order, item[0]))))
+
+
+def oracle_links_csv(log, include_zeros=False):
+    """The text of ``links.csv``: one row per pair of ``oracle_link_table``,
+    or with ``include_zeros`` per pair of the log's components, 0.0 where
+    they are not linked; pairs and rows in ``component_order``."""
+    links = oracle_link_table(log)
+    events = _events(log)
+    components = sorted(
+        {Component.activity(e.activity) for e in events}
+        | {Component.resource(e.resource) for e in events}
+        | {Component.segment(e1.activity, e2.activity) for e1, e2 in oracle_step_events(log)},
+        key=component_order,
+    )
+    pairs = itertools.combinations(components, 2) if include_zeros else links
+    return csv_text([
+        ["kind1", "component1", "kind2", "component2", "link"],
+        *([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(links.get((c1, c2), 0.0))] for c1, c2 in pairs),
+    ])
 
 
 def link_table(pairs):

@@ -375,12 +375,23 @@ def test_summary_stdout_matches_out_file_under_custom_format(tmp_path, capsys):
 
 
 def test_dfg_subcommand(log_t_csv, tmp_path, capsys):
-    assert run(["dfg", "--input", log_t_csv, "--window-width", "20s", "--percentile", "0"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("digraph")
+    options = ["--input", log_t_csv, "--window-width", "20s", "--percentile", "0"]
+    assert run(["dfg", *options]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("digraph") and "->" in printed
     path = tmp_path / "g.dot"
-    assert run(["dfg", "--input", log_t_csv, "--window-width", "20s", "--out", str(path)]) == 0
-    assert path.read_text().startswith("digraph")
+    assert run(["dfg", *options, "--out", str(path)]) == 0
+    assert run(["analyze", *options, "--out", str(tmp_path / "out")]) == 0
+    assert printed.encode() == path.read_bytes() == (tmp_path / "out" / "dfg.dot").read_bytes()
+
+
+def test_summary_on_stdout_equals_the_analyze_artifact(log_t_csv, tmp_path, capsys):
+    options = ["--input", log_t_csv, "--window-width", "20s", "--percentile", "0", "--summary-period", "30s"]
+    assert run(["summary", *options]) == 0
+    printed = capsys.readouterr().out
+    assert len(printed.splitlines()) > 2
+    assert run(["analyze", *options, "--out", str(tmp_path / "out")]) == 0
+    assert printed.encode() == (tmp_path / "out" / "summary.csv").read_bytes()
 
 
 def test_generate_and_analyze_end_to_end(tmp_path, capsys):

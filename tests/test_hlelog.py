@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import tracemalloc
 from collections import Counter
 from datetime import timedelta
 
@@ -31,6 +32,7 @@ from highline import (
     write_hlel_csv,
     write_summary_csv,
 )
+from highline.events import to_microseconds
 from highline.hlelog import HLELFeature
 
 F20 = Framing(BASE, 20.0)
@@ -317,6 +319,29 @@ def test_summary_keeps_a_column_for_a_chosen_activity_without_entries(log_t):
     write_summary_csv(table, text)
     fields = text.getvalue().splitlines()[1].split(",")
     assert fields[4:] == ["0", "", str(counts[1]), fields[7], "0", ""] and fields[7]
+
+
+def test_summary_memory_follows_the_chosen_activities_not_every_name(log_t):
+    # 10,000 activity names and 100,000 entries over 1,440 hourly periods: a
+    # count per (period, name) cell would take 115 MB for a result of 92 KB
+    rng = np.random.default_rng(0)
+    n, hours = 100_000, 1440
+    features = [HLELFeature(f"wl-r{i}", "wl", "resource", f"r{i}", 1.0) for i in range(10_000)]
+    hlel = HighLevelLog(
+        features, rng.integers(0, len(features), n), np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64), rng.random(n), np.arange(1, n + 1),
+        to_microseconds(BASE) + np.arange(hours, dtype=np.int64) * 3600 * 10**6, rng.integers(0, hours, n),
+    )
+    tracemalloc.start()
+    try:
+        table = summarize(log_t, hlel, 3600.0, BASE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.shape == (hours, 4)
+    freq = np.bincount(hlel.feature_codes, minlength=len(features))
+    assert table.counts.sum(axis=0).tolist() == [freq[int(a[len("wl-r"):])] for a in table.activities]
+    assert peak < 10 * 2**20
 
 
 def test_a_summary_period_under_one_microsecond_is_a_config_error(log_t):

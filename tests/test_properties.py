@@ -26,7 +26,6 @@ from oracles import edge_events, entries, entry_reprs, event_log, high_level_log
 
 import highline.cli as cli
 import highline.events as events
-import highline.hlelog as hlelog
 import highline.linkage as linkage
 
 from highline import (
@@ -94,7 +93,7 @@ def components_of(events):
         {Component.activity(e.activity) for e in events}
         | {Component.resource(e.resource) for e in events}
         | {Component.segment(e1.activity, e2.activity) for e1, e2 in steps},
-        key=Component.sort_key,
+        key=oracles.sort_key,
     )
 
 
@@ -189,15 +188,9 @@ def test_link_table_columns_equal_the_dict_oracle(rows):
     components = sorted(components_of(events_of(rows)), key=oracles.component_order)
     assert list(table.components) == components
     for include_zeros in (False, True):
-        got, want = io.StringIO(), io.StringIO()
+        got = io.StringIO()
         cli._write_links_csv(table, got, include_zeros)
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(["kind1", "component1", "kind2", "component2", "link"])
-        pairs = itertools.combinations(components, 2) if include_zeros else expected
-        for c1, c2 in pairs:
-            value = expected.get((c1, c2), 0.0)
-            writer.writerow([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(value)])
-        assert got.getvalue() == want.getvalue()
+        assert got.getvalue() == oracles.oracle_links_csv(log, include_zeros)
 
 
 @SETTINGS
@@ -207,7 +200,7 @@ def test_links_csv_in_blocks_of_one_row_equals_one_block(rows):
     for include_zeros in (False, True):
         whole, small = io.StringIO(), io.StringIO()
         cli._write_links_csv(table, whole, include_zeros)
-        with mock.patch.object(cli, "WRITE_ROWS", 1), \
+        with mock.patch.object(events, "WRITE_ROWS", 1), \
                 mock.patch.object(np, "triu_indices", wraps=np.triu_indices) as triangle:
             cli._write_links_csv(table, small, include_zeros)
         assert small.getvalue() == whole.getvalue()
@@ -270,8 +263,8 @@ def test_hles_and_matrix_csv_equal_the_oracles(tmp_path_factory, selection, fram
     assert list(hles) == oracles.oracle_hles(matrix, thresholds)
     assert hles.features == tuple(f for f in matrix.features if f.view in thresholds.by_view)
     path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
-    for write_rows in (cli.WRITE_ROWS, 1):
-        with mock.patch.object(cli, "WRITE_ROWS", write_rows):
+    for write_rows in (events.WRITE_ROWS, 1):
+        with mock.patch.object(events, "WRITE_ROWS", write_rows):
             cli._write_matrix_csv(matrix, str(path))
         assert path.read_bytes().decode("utf-8") == oracles.oracle_matrix_csv(matrix)
 
@@ -741,7 +734,7 @@ def test_summary_csv_equals_the_per_row_oracle(case, timestamp_format):
     log = event_log(events_of(rows))
     origin = BASE + timedelta(seconds=shift)
     text = io.StringIO()
-    with mock.patch.object(hlelog, "WRITE_ROWS", 3):
+    with mock.patch.object(events, "WRITE_ROWS", 3):
         write_summary_csv(summarize(log, hlel, period, origin, activities), text, timestamp_format)
     expected = oracles.oracle_summary_csv(log, hlel, period, origin, activities, timestamp_format=timestamp_format)
     assert text.getvalue() == expected
