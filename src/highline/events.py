@@ -354,7 +354,8 @@ class EventLog:
         # rows are in (timestamp, case, id) order, so a stable sort by case
         # leaves the rows of each case in (timestamp, id) order
         order = np.argsort(self.case_codes, kind="stable")
-        same = self.case_codes[order[1:]] == self.case_codes[order[:-1]]
+        cases = self.case_codes[order]
+        same = cases[1:] == cases[:-1]
         return _frozen(order[:-1][same]), _frozen(order[1:][same])
 
     @cached_property
@@ -365,7 +366,12 @@ class EventLog:
         first, second = self.step_rows
         n = len(self.activity_names)
         pairs = self.activity_codes[first] * n + self.activity_codes[second]
-        distinct, codes = np.unique(pairs, return_inverse=True)
+        if n * n <= len(pairs):
+            # few possible pairs: mark those that occur and rank them, no sort
+            occurs = np.bincount(pairs, minlength=n * n) > 0
+            distinct, codes = np.flatnonzero(occurs), (np.cumsum(occurs) - 1)[pairs]
+        else:
+            distinct, codes = np.unique(pairs, return_inverse=True)
         return _frozen(codes.reshape(-1)), _frozen(np.stack([distinct // n, distinct % n], axis=1))
 
     @cached_property

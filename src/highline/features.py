@@ -206,8 +206,12 @@ def evaluate(
     grid, start = _Grid(log, framing, windows), 0
     for view in selected:
         codes = chosen[VIEW_KIND[view]][1]
-        # the codes are in range; "clip" lets take write into out unbuffered
-        np.take(grid.view(view), codes, axis=0, out=values[start:start + len(codes)], mode="clip")
+        block, rows = values[start:start + len(codes)], grid.view(view)
+        # one cast copy of an int grid into the float block
+        if np.array_equal(codes, np.arange(len(rows))):
+            np.copyto(block, rows)
+        else:
+            block[...] = rows[codes]
         start += len(codes)
     return EvaluationMatrix(windows, features, values)
 
@@ -233,65 +237,63 @@ class _Grid:
     Each view is a count or a sum grouped by the component code of an event
     or step and the window offset of one or both of its timestamps, so it is
     one ``bincount`` over ``code * windows + offset``, or the running sum of
-    such a count where a step covers a range of windows.
+    such a count where a step covers a range of windows. Counts are int64;
+    only the delay view is a float grid.
     """
 
     def __init__(self, log: EventLog, framing: Framing, windows: WindowSet):
         self.log, self.framing, self.windows = log, framing, windows
         self.n = len(windows)
-        # (t - origin) / 1e6 is the float that timedelta.total_seconds() gives
-        # while |t - origin| < 2**53 microseconds (about 285 years)
-        self.seconds = (log.times_us - to_microseconds(framing.origin)) / 1e6
         self.offsets = framing.windows_of(log.times_us) - windows.first
         self.first, self.second = log.step_rows
+        # the window offsets of each step's first and second event
+        self.lo, self.hi = self.offsets[self.first], self.offsets[self.second]
         self.segment = log.step_segments[0]
 
     def _count(self, codes: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
         n = self.n
-        # unit weights count in float, exactly, with no int64 grid to convert
-        return _sums(codes * n + offsets, np.ones(len(codes)), size * n).reshape(size, n)
+        return np.bincount(codes * n + offsets, minlength=size * n).reshape(size, n)
 
     def _cover(self, codes, lo, end, size: int, weights=None) -> np.ndarray:
-        """Per code and window, the sum of the weights (1 by default) of the
-        half-open offset intervals [lo, end) that cover the window, added in
-        interval order."""
+        """Per code and window, the number of the half-open offset intervals
+        [lo, end) that cover the window, in int64, or the sum of their
+        weights: each weight added at its start, in interval order, and then
+        taken away at its end, in interval order."""
         m = self.n + 1
-        weights = np.ones(len(codes)) if weights is None else weights
-        sums = _sums(
-            np.concatenate([codes * m + lo, codes * m + end]),
-            np.concatenate([weights, -weights]),
-            size * m,
-        ).reshape(size, m)
+        if weights is None:
+            sums, weights = np.bincount(codes * m + lo, minlength=size * m), 1
+        else:
+            sums = np.zeros(size * m)
+            np.add.at(sums, codes * m + lo, weights)
+        np.subtract.at(sums, codes * m + end, weights)
+        sums = sums.reshape(size, m)
         return np.cumsum(sums, axis=1, out=sums)[:, :-1]
 
     @cached_property
     def _progr(self) -> np.ndarray:
         """The progr view, which the delay view divides by."""
-        lo, hi = self.offsets[self.first], self.offsets[self.second]
-        return self._cover(self.segment, lo, hi + 1, len(self.log.segment_names))
+        return self._cover(self.segment, self.lo, self.hi + 1, len(self.log.segment_names))
 
     def view(self, view: View) -> np.ndarray:
-        """The view's float grid; a count is exact as a float."""
-        log, off, first, second = self.log, self.offsets, self.first, self.second
+        """The view's grid: int64 for a count, float for delay."""
+        log, lo, hi, second = self.log, self.lo, self.hi, self.second
         n_res, n_seg = len(log.resource_names), len(log.segment_names)
         if view is View.EXEC:
-            return self._count(log.activity_codes, off, len(log.activity_names))
+            return self._count(log.activity_codes, self.offsets, len(log.activity_names))
         if view is View.DO:
-            return self._count(log.resource_codes, off, n_res)
+            return self._count(log.resource_codes, self.offsets, n_res)
         if view is View.TODO:
-            return self._count(log.resource_codes[second], off[first], n_res)
+            return self._count(log.resource_codes[second], lo, n_res)
         if view is View.WL:
-            # A triggered event counts in every window from its trigger's
-            # window through its own; an untriggered event only in its own.
-            untriggered = np.ones(len(log), dtype=bool)
-            untriggered[second] = False
-            waiting = self._cover(log.resource_codes[second], off[first], off[second] + 1, n_res)
-            waiting += self._count(log.resource_codes[untriggered], off[untriggered], n_res)
+            # Every event counts in its own window, and a triggered event
+            # also in each window from its trigger's up to its own.
+            waiting = self._cover(log.resource_codes[second], lo, hi, n_res)
+            waiting += self._count(log.resource_codes, self.offsets, n_res)
             return waiting
         if view is View.ENTER:
-            return self._count(self.segment, off[first], n_seg)
+            return self._count(self.segment, lo, n_seg)
         if view is View.EXIT:
-            return self._count(self.segment, off[second], n_seg)
+            return self._count(self.segment, hi, n_seg)
         if view is View.PROGR:
             return self._progr
         return self._delay()
@@ -305,14 +307,17 @@ class _Grid:
         over the steps would add them.
         """
         windows, n, progr = self.windows, self.n, self._progr
-        seg, size = self.segment, len(progr)
-        lo, hi = self.offsets[self.first], self.offsets[self.second]
-        first_sec, second_sec = self.seconds[self.first], self.seconds[self.second]
+        seg, size, lo, hi = self.segment, len(progr), self.lo, self.hi
+        # (t - origin) / 1e6 is the float that timedelta.total_seconds() gives
+        # while |t - origin| < 2**53 microseconds (about 285 years)
+        origin_us = to_microseconds(self.framing.origin)
+        first_sec = (self.log.times_us[self.first] - origin_us) / 1e6
+        second_sec = (self.log.times_us[self.second] - origin_us) / 1e6
         ends_us = self.framing.starts_us(np.arange(windows.first + 1, windows.last + 2))
-        end_sec = (ends_us - to_microseconds(self.framing.origin)) / 1e6
+        end_sec = (ends_us - origin_us) / 1e6
         # leave_dur + cnt * end_sec - tsum, in place: float addition commutes
-        # and float counts are exact, so the bits are those of that expression;
-        # crossing-not-leaving means windows [lo, hi - 1]
+        # and counts are exact as floats, so the bits are those of that
+        # expression; crossing-not-leaving means windows [lo, hi - 1]
         numer = self._cover(seg, lo, hi, size) * end_sec
         numer += _sums(seg * n + hi, second_sec - first_sec, size * n).reshape(size, n)
         numer -= self._cover(seg, lo, hi, size, first_sec)

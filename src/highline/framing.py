@@ -17,6 +17,10 @@ from .errors import ConfigError, DataError
 from .events import from_microseconds, to_microseconds
 
 
+# the span of datetime, 0001-01-01 to 9999-12-31 (3,652,059 days, as a float)
+MAX_WIDTH = (datetime.max - datetime.min).total_seconds()
+
+
 @dataclass(frozen=True)
 class Framing:
     """Fixed-width windows anchored at ``origin``; ``width`` in seconds."""
@@ -28,6 +32,12 @@ class Framing:
         # below one microsecond, consecutive windows would share a start
         if not self.width >= 1e-6:
             raise ConfigError(f"width must be at least 1 µs (0.000001 s), got {self.width}")
+        # above the span of datetime, the starts of the windows around a time
+        # leave its range and can overflow int64 microseconds
+        if self.width > MAX_WIDTH:
+            raise ConfigError(
+                f"width must be at most {MAX_WIDTH:.0f} s (0001-01-01 to 9999-12-31), got {self.width} s"
+            )
 
     def starts_us(self, windows) -> np.ndarray:
         """The start of each window in microseconds since the epoch, rounded

@@ -213,6 +213,21 @@ def test_a_width_under_one_microsecond_is_a_config_error(log_t_csv, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag,width", [
+    ("--window-width", "15000000w"), ("--window-width", "99999999999w"),
+    ("--window-width", "9999999999999999999999d"), ("--summary-period", "99999999999w"),
+])
+def test_a_width_beyond_the_span_of_datetime_is_a_config_error(log_t_csv, tmp_path, capsys, flag, width):
+    # 15000000w wrapped the window starts past 2**63 µs into a traceback; the
+    # others blamed the origin or printed numpy's cast warnings first
+    args = ["analyze", "--input", log_t_csv, "--out", str(tmp_path / "o"), flag, width]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: width must be at most 315537897600 s") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("origin,width", [
     ("0001-01-01T12:00:00", "1d"),  # the first window starts on day 0
     ("0001-01-01T01:00:00", "1h"),  # the first window fits, its summary week does not

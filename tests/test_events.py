@@ -405,6 +405,26 @@ def test_ingest_columns_are_coded_in_name_order(tmp_path):
     assert log.segment_names == (("a", "b"), ("b", "c"))
 
 
+@pytest.mark.parametrize("n_act,sorts", [(3, False), (20, True)])
+def test_step_segments_rank_the_activity_pairs_that_occur(n_act, sorts):
+    # 3 activities have 9 possible pairs, fewer than the steps: they are
+    # counted, not sorted; 20 have 400, more than the steps: np.unique
+    rng = random.Random(n_act)
+    acts = [i % n_act for i in range(60)]
+    rng.shuffle(acts)
+    rows = [(f"c{rng.randrange(8)}", f"a{a}", i, "r") for i, a in enumerate(acts)]
+    log = make_log(rows)
+    assert len(log.activity_names) == n_act
+    first, second = log.step_rows
+    pairs = log.activity_codes[first] * n_act + log.activity_codes[second]
+    distinct, codes = np.unique(pairs, return_inverse=True)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        seg, ends = log.step_segments
+    assert unique.called == sorts
+    assert seg.tolist() == codes.tolist()
+    assert ends.tolist() == [[p // n_act, p % n_act] for p in distinct.tolist()]
+
+
 def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an Event or Step object was built")

@@ -1,6 +1,9 @@
+import hashlib
 import logging
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +15,24 @@ from highline import (
     Component,
     ComponentKind,
     ConfigError,
+    EventLog,
     EvaluationMatrix,
     FeatureId,
     Framing,
     Segment,
     View,
     compute_thresholds,
+    default_origin,
     evaluate,
     generate_hles,
+    ingest_csv,
     nearest_rank,
+    parse_duration,
 )
+from highline.events import to_microseconds
 from highline.features import VIEW_KIND
+
+DEMO_SCENARIO = Path(__file__).resolve().parent.parent / "demo_output" / "scenario.csv"
 
 F20 = Framing(BASE, 20.0)
 
@@ -129,6 +139,69 @@ def test_matrix_counts_are_nonnegative_integers():
         if view is not View.DELAY:
             for value in matrix.values[block].ravel().tolist():
                 assert value >= 0 and float(value).is_integer()
+
+
+def with_microseconds(log):
+    """The log with each stamp moved by a fraction of a second, so that its
+    seconds since the origin are inexact floats and their sums depend on
+    the order they are added in."""
+    def names(table, codes):
+        return [table[c] for c in codes.tolist()]
+
+    return EventLog.from_columns(
+        names(log.case_names, log.case_codes),
+        names(log.activity_names, log.activity_codes),
+        log.times_us + log.ids * 7_919 % 1_000_000,
+        names(log.resource_names, log.resource_codes),
+        log.ids,
+    )
+
+
+@pytest.mark.parametrize("width,shift,digest", [
+    ("1h", False, "27b03095aa69bfa384e485e8855de020019aa36066401ccf3e6ef940e1e9d80b"),
+    ("1d", False, "a446b91daeb484b8efb5792c955532b860281ab0b019b460d50d90ba21945b4a"),
+    ("1h", True, "014ef5f053e65e6b9d711c65a85720db30cbf100ec116acb2ec7a075c75a83e9"),
+    ("1d", True, "5adfbe362a258dc955c21522143b11d47142d28f4d03e07ce0b0f018693e3d6f"),
+])
+def test_the_demo_scenario_evaluates_to_pinned_bits(width, shift, digest):
+    # every value, NaNs included: the golden artifacts hold only values at or
+    # above a threshold, and the oracles compare delay within rel=1e-9. The
+    # scenario's stamps are whole seconds, whose sums are exact in any order,
+    # so only the shifted copy shows a float sum added in another order
+    log = ingest_csv(str(DEMO_SCENARIO))
+    log = with_microseconds(log) if shift else log
+    matrix = evaluate(log, Framing(default_origin(log), parse_duration(width)))
+    assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == digest
+
+
+def test_evaluate_memory_stays_near_the_matrix():
+    # 10,000 events over 292 segments in 1,832 one-minute windows: the delay
+    # view's grids peak at about 0.75 of the 17.7 MB matrix on top of it; one
+    # more grid-sized copy, as an int-to-float conversion of a count, adds 0.2
+    rng = np.random.default_rng(0)
+    cases, length, n_act = 1_000, 10, 40
+    successors = rng.integers(0, n_act, size=(n_act, 8))
+    acts = np.empty((cases, length), dtype=np.int64)
+    acts[:, 0] = rng.integers(0, n_act, cases)
+    for j in range(1, length):
+        acts[:, j] = successors[acts[:, j - 1], rng.integers(0, 8, cases)]
+    gaps = np.cumsum(rng.integers(60, 3600, (cases, length)), axis=1)
+    seconds = rng.integers(0, 86400, cases)[:, None] + gaps
+    log = EventLog.from_columns(
+        [f"c{c}" for c in np.repeat(np.arange(cases), length).tolist()],
+        [f"a{a}" for a in acts.ravel().tolist()],
+        to_microseconds(BASE) + seconds.ravel() * 10**6,
+        [f"r{r}" for r in rng.integers(0, 20, cases * length).tolist()],
+    )
+    framing = Framing(BASE, 60.0)
+    tracemalloc.start()
+    try:
+        matrix = evaluate(log, framing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.values.shape == (40 + 3 * 20 + 4 * 292, 1832)
+    assert peak < 1.85 * matrix.values.nbytes
 
 
 def test_view_component_pairing_enforced():

@@ -19,6 +19,7 @@ from highline import (
     window_set,
 )
 from highline.events import to_microseconds
+from highline.framing import MAX_WIDTH
 
 
 def seconds(s):
@@ -74,6 +75,24 @@ def test_width_must_be_positive():
 def test_a_width_under_one_microsecond_is_a_config_error(width):
     with pytest.raises(ConfigError, match="at least 1 µs"):
         Framing(BASE, width)
+
+
+@pytest.mark.parametrize("width", [MAX_WIDTH + 86400.0, 15_000_000 * 604800.0, 8.64e26, float("inf")])
+def test_a_width_beyond_the_span_of_datetime_is_a_config_error(width):
+    with pytest.raises(ConfigError, match=r"^width must be at most 315537897600 s \(0001-01-01 to 9999-12-31\)"):
+        Framing(BASE, width)
+
+
+def test_the_widest_windows_start_in_int64_microseconds():
+    # years 1 and 9999 in window 0; the search table of windows_of holds the
+    # starts of windows -1 to 2, which wrap past 2**63 µs at 15,000,000 weeks
+    span = (datetime(9999, 12, 31) - datetime(1, 1, 1)).total_seconds()
+    log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 1, "r1"), ("c2", "a", span - 1, "r1"),
+                    ("c2", "b", span, "r1")], base=datetime(1, 1, 1))
+    f = Framing(datetime(1, 1, 1), MAX_WIDTH)
+    assert f.windows_of(log.times_us).tolist() == [0, 0, 0, 0]
+    assert (np.diff(f.starts_us(np.arange(-1, 3))) > 0).all()
+    assert (window_set(f, log).first, window_set(f, log).last) == (0, 0)
 
 
 def test_one_microsecond_windows_each_start_one_microsecond_apart():
