@@ -352,9 +352,12 @@ class EventLog:
         """Row positions of the first and of the second event of each step,
         steps in (case, timestamp, id) order of their first event."""
         # rows are in (timestamp, case, id) order, so a stable sort by case
-        # leaves the rows of each case in (timestamp, id) order
-        order = np.argsort(self.case_codes, kind="stable")
-        cases = self.case_codes[order]
+        # leaves the rows of each case in (timestamp, id) order; on codes
+        # of 8 or 16 bits (under 65,536 cases) numpy's stable sort is a
+        # radix sort
+        codes = self.case_codes.astype(np.min_scalar_type(max(len(self.case_names) - 1, 0)))
+        order = np.argsort(codes, kind="stable")
+        cases = codes[order]
         same = cases[1:] == cases[:-1]
         return _frozen(order[:-1][same]), _frozen(order[1:][same])
 

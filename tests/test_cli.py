@@ -11,6 +11,8 @@ from highline import HighLevelEvent
 from highline.cli import main
 
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src")
 
 
 @pytest.fixture
@@ -32,21 +34,97 @@ def read_artifacts(out_dir):
     return contents
 
 
+def fresh(script, **env):
+    """Run a script in a fresh interpreter with src on the path. A keyword
+    sets an environment variable; None unsets it."""
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for key, value in env.items():
+        if value is None:
+            environ.pop(key, None)
+        else:
+            environ[key] = value
+    return subprocess.run([sys.executable, "-c", script], env=environ, capture_output=True, text=True)
+
+
 def test_analyze_never_imports_the_simulator(log_t_csv, tmp_path):
     # a fresh interpreter: this one has imported the simulator already
-    script = f"""
+    done = fresh(f"""
 import sys
 from highline.cli import main
 assert main(["analyze", "--input", {log_t_csv!r}, "--out", {str(tmp_path / "out")!r}]) == 0
 assert "highline.generator" not in sys.modules, "analyze imported the simulator"
-from highline import ScenarioConfig, generate
-import highline
-assert highline.generator.generate is generate and ScenarioConfig().seed == 42
-"""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+""")
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_nothing_until_a_name_is_used():
+    done = fresh("""
+import sys
+import highline
+loaded = [m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "highline."))]
+assert not loaded, loaded
+for name in highline.__all__:
+    value = getattr(highline, name)
+    assert value.__module__.startswith("highline."), (name, value.__module__)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+star = {}
+exec("from highline import *", star)
+assert all(star[name] is getattr(highline, name) for name in highline.__all__)
+try:
+    highline.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""")
+    assert done.returncode == 0, done.stderr
+
+
+# a watcher on the import system reports the variable as numpy loads
+WATCH_NUMPY = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy", os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, value, expected",
+    [
+        ("import highline.__main__", None, "numpy 1\n1\n"),
+        ("import highline.__main__", "3", "numpy 3\n3\n"),
+        ("import highline", None, "None\n"),
+        ("import highline.cli", None, "numpy None\nNone\n"),
+    ],
+    ids=["command", "command-user-value", "package", "cli"],
+)
+def test_only_the_command_defaults_openblas_to_one_thread(statement, value, expected):
+    # importing the command's module sets the default before numpy loads,
+    # and runs no main: its stdout is the watcher's line and the value alone
+    done = fresh(f"{WATCH_NUMPY}{statement}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))", OPENBLAS_NUM_THREADS=value)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+
+
+def test_the_installed_command_runs_the_entry_point():
+    done = fresh(f"""
+import os, sys, tomllib
+from importlib import import_module
+with open({os.path.join(ROOT, "pyproject.toml")!r}, "rb") as fh:
+    target = tomllib.load(fh)["project"]["scripts"]["highline"]
+module, _, name = target.partition(":")
+main = getattr(import_module(module), name)
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+sys.argv = ["highline", "--help"]
+sys.exit(main())
+""", OPENBLAS_NUM_THREADS=None)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: highline")
 
 
 def test_analyze_writes_artifacts(log_t_csv, tmp_path, capsys):
