@@ -30,7 +30,7 @@ def main():
         path.write_text(CSV)
         log = ingest_csv(str(path))
 
-    print(f"ingested {len(log)} events from {log.provenance.source}")
+    print(f"ingested {len(log)} events from {path}")
     case = [log.case_names[c] for c in log.case_codes.tolist()]
     activity = [log.activity_names[a] for a in log.activity_codes.tolist()]
     times = log.times_us.astype("datetime64[us]").tolist()

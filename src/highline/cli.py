@@ -26,10 +26,9 @@ from .events import (
     Segment,
     csv_fields,
     ingest_csv,
-    parse_timestamp,
+    parse_config_timestamp,
     row_blocks,
     text_output,
-    to_microseconds,
     write_csv,
     write_event_csv,
 )
@@ -209,19 +208,8 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
     if config.origin == "auto":
         origin = default_origin(log)
     else:
-        try:
-            origin = parse_timestamp(config.origin, config.timestamp_format)
-        except ValueError:
-            raise ConfigError(f"unparseable --origin value {config.origin!r}") from None
-        except OverflowError:
-            raise ConfigError(f"--origin value {config.origin!r} is out of range in UTC") from None
+        origin = parse_config_timestamp(config.origin, "--origin value", config.timestamp_format)
     framing = Framing(origin=origin, width=parse_duration(config.window_width))
-    # the earliest stamp of a run starts the summary period (a window of the
-    # period) that holds the first window's start
-    periods = Framing(origin, parse_duration(config.summary_period))
-    start = framing.starts_us(framing.windows_of(log.times_us[:1]))
-    if (periods.starts_us(periods.windows_of(start)) < to_microseconds(datetime.min)).any():
-        raise ConfigError(f"--origin value {config.origin!r} puts a window before 0001-01-01")
     order = (
         FlattenOrder.from_file(config.flatten_order_file)
         if config.flatten_order_file
@@ -306,6 +294,8 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
     if not config.out:
         raise ConfigError("--out directory is required")
     result = _run_pipeline(config)
+    # a rule that summarize checks fires before the directory is made
+    summary, dfg = _summary(config, result), export_dfg(result.flattened)
     os.makedirs(config.out, exist_ok=True)
 
     def out(name: str) -> str:
@@ -313,9 +303,9 @@ def run_analyze(config: RunConfig) -> AnalysisResult:
 
     write_hlel_csv(result.entries, out("hlel.csv"), config.timestamp_format)
     _write_links_csv(result.links, out("links.csv"), config.include_zero_links)
-    write_summary_csv(_summary(config, result), out("summary.csv"), config.timestamp_format)
+    write_summary_csv(summary, out("summary.csv"), config.timestamp_format)
     with text_output(out("dfg.dot")) as fh:
-        fh.write(export_dfg(result.flattened))
+        fh.write(dfg)
     config.write_json(out("config.json"))
     if config.dump_matrix:
         _write_matrix_csv(result.matrix, out("matrix.csv"))
@@ -359,10 +349,6 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(export_dfg(result.flattened))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # unknown component in a selection
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

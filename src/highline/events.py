@@ -110,13 +110,6 @@ class ColumnMapping:
     resource: str = "resource"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-    mapping: ColumnMapping | None = None
-    timestamp_format: str | None = None
-
-
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -289,7 +282,6 @@ class EventLog:
         self,
         columns: _Columns | _Keys,
         ids: Sequence[int] | None = None,
-        provenance: Provenance | None = None,
     ):
         """Rank the codes by name and sort the rows, unless they already are
         in order; ids default to 1..n in the order the rows were added."""
@@ -309,7 +301,6 @@ class EventLog:
         self.case_codes, self.activity_codes, self.resource_codes, self.times_us, self.ids = map(
             _frozen, arrays
         )
-        self.provenance = provenance
         self._validate(default_ids)
 
     @classmethod
@@ -320,13 +311,12 @@ class EventLog:
         times_us: Sequence[int],
         resources: Sequence[str],
         ids: Sequence[int] | None = None,
-        provenance: Provenance | None = None,
     ) -> "EventLog":
         """A log from parallel columns: names, microseconds since the epoch
         and event ids (1..n in input order when omitted)."""
         columns = _Columns()
         columns.add((cases, activities, resources), times_us)
-        return cls(columns, ids, provenance)
+        return cls(columns, ids)
 
     def _validate(self, default_ids: bool) -> None:
         names = (self.case_names, self.activity_names, self.resource_names)
@@ -429,6 +419,17 @@ def parse_timestamp(text: str, timestamp_format: str | None = None) -> datetime:
     return _naive_utc(_parser(timestamp_format)(text))
 
 
+def parse_config_timestamp(text: str, name: str, timestamp_format: str | None = None) -> datetime:
+    """``parse_timestamp`` of a configured value, which ``name`` names in the
+    ConfigError for a text that does not parse or is out of range in UTC."""
+    try:
+        return parse_timestamp(text, timestamp_format)
+    except ValueError:
+        raise ConfigError(f"unparseable {name} {text!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{name} {text!r} is out of range in UTC") from None
+
+
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
 # the general reader takes rows this many at a time, and the standard-layout
 # reader bytes this many at a time (cut at the last newline), so that only
@@ -459,7 +460,6 @@ def ingest_csv(
     ``csv.reader`` from its first line. Both give the same log.
     """
     mapping = mapping or ColumnMapping()
-    provenance = Provenance(source=path, mapping=mapping, timestamp_format=timestamp_format)
     columns: _Keys | _Columns | None = None
     if timestamp_format is None:
         try:
@@ -472,7 +472,7 @@ def ingest_csv(
             _read_general(path, mapping, timestamp_format, columns)
         except UnicodeDecodeError:
             raise not_utf8_error(path) from None
-    return EventLog(columns, None, provenance)
+    return EventLog(columns)
 
 
 class _NotStandard(Exception):

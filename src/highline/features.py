@@ -191,7 +191,7 @@ def evaluate(
     """Evaluate the selected features over every window of the log.
 
     Defaults to all views over all components. Unknown components in an
-    explicit selection raise KeyError.
+    explicit selection raise ConfigError.
     """
     windows = window_set(framing, log)
     chosen = {
@@ -224,7 +224,7 @@ def _selection(names, requested, kind: ComponentKind) -> tuple[list[Component], 
     for item in requested:
         if item not in code:
             label = item.label if isinstance(item, Segment) else repr(item)
-            raise KeyError(f"unknown {kind.value}: {label}")
+            raise ConfigError(f"unknown {kind.value}: {label}")
     # the log's own name for each item: a segment given as a plain pair is a Segment
     components = [Component(kind, names[code[item]]) for item in dict.fromkeys(requested)]
     components.sort(key=attrgetter("label"))

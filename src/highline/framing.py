@@ -90,12 +90,18 @@ def window_set(framing: Framing, log) -> WindowSet:
     if len(log) == 0:
         raise DataError("no events")
     first, last = framing.windows_of(log.times_us[[0, -1]]).tolist()
-    if framing.starts_us(first) < to_microseconds(datetime.min):
+    check_year_one(framing, first, f"window {first}")
+    return WindowSet(first, last)
+
+
+def check_year_one(framing: Framing, window: int, name: str) -> None:
+    """ConfigError, naming the window as ``name``, if window ``window`` of
+    the framing starts before 0001-01-01, where no timestamp can."""
+    if framing.starts_us(window) < to_microseconds(datetime.min):
         raise ConfigError(
             f"origin {framing.origin.isoformat()} and width {framing.width} s "
-            f"put window {first} before 0001-01-01"
+            f"put {name} before 0001-01-01"
         )
-    return WindowSet(first, last)
 
 
 def default_origin(log) -> datetime:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from .errors import ConfigError, check_json_types, read_json_object
-from .events import EventLog, Provenance, parse_timestamp, to_microseconds
+from .events import EventLog, parse_config_timestamp, to_microseconds
 from .framing import Framing
 
 ACT_REQUEST = "request"
@@ -135,14 +135,7 @@ class ScenarioConfig:
             merged["weeks"] = tuple(WeekSpec(None if w is None else tuple(w)) for w in data["weeks"])
         if "start" in data:
             # an offset start is taken to naive UTC, like every timestamp of a log
-            try:
-                merged["start"] = parse_timestamp(data["start"])
-            except ValueError:
-                raise ConfigError(f"scenario config: unparseable start {data['start']!r}") from None
-            except OverflowError:
-                raise ConfigError(
-                    f"scenario config: start {data['start']!r} is out of range in UTC"
-                ) from None
+            merged["start"] = parse_config_timestamp(data["start"], "scenario config: start")
         return cls(**merged)
 
     @classmethod
@@ -358,7 +351,6 @@ def _to_log(raw: list[tuple[int, int, str, str, str]], config: ScenarioConfig) -
         [activity for _, _, activity, _ in adjusted],
         [start_us + t * 1_000_000 for t, _, _, _ in adjusted],
         [resource for _, _, _, resource in adjusted],
-        provenance=Provenance(source=f"generated(seed={config.seed})"),
     )
 
 

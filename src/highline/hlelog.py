@@ -22,7 +22,7 @@ from .events import (
     write_csv,
 )
 from .features import ThresholdTable, View
-from .framing import Framing
+from .framing import Framing, check_year_one
 from .linkage import CascadeAssignment
 
 HLEL_COLUMNS = (
@@ -320,7 +320,8 @@ def summarize(
     Period ``p`` is window ``p - 1`` of ``Framing(origin, period_seconds)``,
     one week by default in the command line. Activities default to the
     ``top`` most frequent high-level activities; delay values are summed
-    in hours, everything else in native units.
+    in hours, everything else in native units. A first period that would
+    start before 0001-01-01 raises ConfigError.
     """
     periods = Framing(origin, period_seconds)
     names, act = hlel.activity_codes()
@@ -337,6 +338,7 @@ def summarize(
     hle_period = periods.windows_of(hlel.stamps_us)[hlel.stamp_codes]
     both = np.concatenate([event_period, hle_period])
     first, size = (int(both.min()), int(np.ptp(both)) + 1) if len(both) else (0, 0)
+    check_year_one(periods, first, f"period {first + 1}")
     # per (period, distinct chosen name): how many entries and the sum of
     # their values, added in entry order as a loop over the entries would;
     # entries of other names go to one last column, which is dropped

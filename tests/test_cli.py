@@ -306,6 +306,20 @@ def test_a_width_beyond_the_span_of_datetime_is_a_config_error(log_t_csv, tmp_pa
     assert not (tmp_path / "o").exists()
 
 
+def early_csv(tmp_path):
+    """A two-event log of 0001-01-01, the first day a timestamp can have."""
+    path = tmp_path / "early.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,a,0001-01-01T00:00:00,r1\nc1,b,0001-01-01T03:00:00,r2\n"
+    )
+    return str(path)
+
+
+# the window or summary period that starts before 0001-01-01, per width
+EARLY = {"1d": "width 86400.0 s put window -1", "1h": "width 604800.0 s put period 0"}
+
+
 @pytest.mark.parametrize("origin,width", [
     ("0001-01-01T12:00:00", "1d"),  # the first window starts on day 0
     ("0001-01-01T01:00:00", "1h"),  # the first window fits, its summary week does not
@@ -313,19 +327,21 @@ def test_a_width_beyond_the_span_of_datetime_is_a_config_error(log_t_csv, tmp_pa
 def test_an_origin_that_puts_a_window_before_year_one_is_a_config_error(
     tmp_path, capsys, origin, width
 ):
-    path = tmp_path / "early.csv"
-    path.write_text(
-        "case,activity,timestamp,resource\n"
-        "c1,a,0001-01-01T00:00:00,r1\nc1,b,0001-01-01T03:00:00,r2\n"
-    )
     out = tmp_path / "o"
-    args = ["analyze", "--input", str(path), "--out", str(out), "--origin", origin]
+    args = ["analyze", "--input", early_csv(tmp_path), "--out", str(out), "--origin", origin]
     assert run(args + ["--window-width", width]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --origin value {origin!r} puts a window before 0001-01-01\n"
+    assert err == f"error: origin {origin} and {EARLY[width]} before 0001-01-01\n"
     assert not out.exists()
     # the first event's own window and week start there
     assert run(args[:-1] + ["0001-01-01T00:00:00", "--window-width", width]) == 0
+
+
+def test_dfg_takes_no_summary_period_rule(tmp_path, capsys):
+    # the dfg builds no summary, so a week before 0001-01-01 does not stop it
+    args = ["dfg", "--input", early_csv(tmp_path), "--origin", "0001-01-01T01:00:00"]
+    assert run(args + ["--window-width", "1h"]) == 0
+    assert capsys.readouterr().out.startswith("digraph dfg {")
 
 
 def test_an_out_of_range_scenario_start_is_a_config_error(tmp_path, capsys):

@@ -95,11 +95,11 @@ def test_delay_single_step_inside_window():
 
 
 def test_unknown_component_raises(log_t):
-    with pytest.raises(KeyError, match="unknown activity: 'z'"):
+    with pytest.raises(ConfigError, match="unknown activity: 'z'"):
         evaluate(log_t, F20, activities=["z"])
-    with pytest.raises(KeyError, match="unknown resource: 'nobody'"):
+    with pytest.raises(ConfigError, match="unknown resource: 'nobody'"):
         evaluate(log_t, F20, resources=["nobody"])
-    with pytest.raises(KeyError, match=r"unknown segment: \(a,c\)"):
+    with pytest.raises(ConfigError, match=r"unknown segment: \(a,c\)"):
         evaluate(log_t, F20, segments=[Segment("a", "c")])
 
 

@@ -3,12 +3,12 @@ import io
 import random
 import tracemalloc
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from conftest import BASE
+from conftest import BASE, make_log
 from oracles import Entry, cascade_ids, entries, entry_reprs, high_level_log, hle_table
 
 from highline import (
@@ -348,3 +348,18 @@ def test_a_summary_period_under_one_microsecond_is_a_config_error(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     with pytest.raises(ConfigError, match="at least 1 µs"):
         summarize(log_t, result.entries, 1e-7, BASE)
+
+
+def test_a_summary_period_before_year_one_is_a_config_error():
+    log = make_log([("c1", "a", 0, "r1"), ("c1", "b", 3 * 3600, "r2")], base=datetime(1, 1, 1))
+    origin = datetime(1, 1, 1, 1)
+    # the first event's 1h window starts on 0001-01-01, its week on day 0
+    result = analyze_log(log, Framing(origin, 3600.0), 0.0, 0.0)
+    with pytest.raises(ConfigError, match=(
+        r"^origin 0001-01-01T01:00:00 and width 604800.0 s put period 0 before 0001-01-01$"
+    )):
+        summarize(log, result.entries, 604800.0, origin)
+    # the first event's own week starts there
+    origin = datetime(1, 1, 1)
+    result = analyze_log(log, Framing(origin, 3600.0), 0.0, 0.0)
+    assert summarize(log, result.entries, 604800.0, origin).first_period == 1
