@@ -29,9 +29,10 @@ _MODULES = {
     **dict.fromkeys(("Framing", "WindowSet", "default_origin", "parse_duration", "window_set"), "framing"),
     **dict.fromkeys(("ScenarioConfig", "WeekSpec", "generate", "weekly_event_counts"), "generator"),
     **dict.fromkeys((
-        "FlattenOrder", "HighLevelLog", "SummaryTable", "build_hlel", "export_dfg", "flatten", "read_hlel_csv",
-        "summarize", "write_hlel_csv", "write_summary_csv",
+        "FlattenOrder", "HighLevelLog", "SummaryTable", "build_hlel", "export_dfg", "flatten", "summarize",
+        "write_hlel_csv", "write_summary_csv",
     ), "hlelog"),
+    "read_hlel_csv": "_reader",
     **dict.fromkeys((
         "CascadeAssignment", "LinkTable", "build_link_table", "cascades", "propagation_edges",
     ), "linkage"),

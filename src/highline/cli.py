@@ -102,9 +102,7 @@ class RunConfig:
         )
 
     def view_selection(self) -> tuple[View, ...] | None:
-        if self.views is None:
-            return None
-        return tuple(View(name) for name in self.views)
+        return None if self.views is None else tuple(View(name) for name in self.views)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
@@ -210,11 +208,7 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
     else:
         origin = parse_config_timestamp(config.origin, "--origin value", config.timestamp_format)
     framing = Framing(origin=origin, width=parse_duration(config.window_width))
-    order = (
-        FlattenOrder.from_file(config.flatten_order_file)
-        if config.flatten_order_file
-        else None
-    )
+    order = FlattenOrder.from_file(config.flatten_order_file) if config.flatten_order_file else None
     return analyze_log(
         log,
         framing,

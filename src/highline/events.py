@@ -12,15 +12,11 @@ resources and segments (activity pairs realized by at least one step).
 from __future__ import annotations
 
 import csv
-import logging
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import islice
-from operator import itemgetter
 from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -28,11 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, not_utf8_error
 
-log_ = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A single recorded process event.
 
     ``id`` is unique within one log (assigned from the input row number on
@@ -76,8 +69,7 @@ class ComponentKind(str, Enum):
     SEGMENT = "segment"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A process entity a feature can measure: activity, resource or segment."""
 
     kind: ComponentKind
@@ -100,8 +92,7 @@ class Component:
         return self.key.label if isinstance(self.key, Segment) else self.key
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class ColumnMapping(NamedTuple):
     """Names of the four mandatory columns in an input CSV."""
 
     case: str = "case"
@@ -126,34 +117,6 @@ def from_microseconds(us: int) -> datetime:
 
 def _datetimes(times_us: np.ndarray) -> list[datetime]:
     return times_us.astype("datetime64[us]").tolist()
-
-
-class _Columns:
-    """Event columns given as ``str`` names, as they grow, as int64 bytes:
-    case, activity and resource codes, each coded in order of first
-    appearance, and microseconds since the epoch."""
-
-    def __init__(self) -> None:
-        self.codes: tuple[dict[str, int], ...] = ({}, {}, {})
-        self.columns = (bytearray(), bytearray(), bytearray())
-        self.times_us = bytearray()
-
-    def add(self, names: Sequence[Sequence[str]], times_us) -> None:
-        """Append cases, activities and resources (``names``) and their
-        timestamps."""
-        for code, column, values in zip(self.codes, self.columns, names):
-            fresh = [name for name in dict.fromkeys(values) if name not in code]
-            code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
-            column += np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values)).data
-        self.times_us += np.ascontiguousarray(times_us, dtype=np.int64).data
-
-    def ranked(self) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
-        """Per column, the sorted names and each row's index among them."""
-        for code, column in zip(self.codes, self.columns):
-            names = sorted(code)
-            rank = np.empty(len(names), dtype=np.intp)
-            rank[list(map(code.__getitem__, names))] = np.arange(len(names))
-            yield tuple(names), rank[np.frombuffer(column, dtype=np.int64)]
 
 
 # the byte mask that keeps the first i bytes of a big-endian 8-byte word
@@ -278,13 +241,11 @@ class EventLog:
     steps as objects; the analysis never builds them.
     """
 
-    def __init__(
-        self,
-        columns: _Columns | _Keys,
-        ids: Sequence[int] | None = None,
-    ):
-        """Rank the codes by name and sort the rows, unless they already are
-        in order; ids default to 1..n in the order the rows were added."""
+    def __init__(self, columns, ids: Sequence[int] | None = None):
+        """The log of a reader's ``columns`` (their ``ranked`` names and codes,
+        and ``times_us``): rank the codes by name and sort the rows, unless
+        they already are in order; ids default to 1..n in the order the rows
+        were added."""
         (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
             columns.ranked()
         )
@@ -314,6 +275,8 @@ class EventLog:
     ) -> "EventLog":
         """A log from parallel columns: names, microseconds since the epoch
         and event ids (1..n in input order when omitted)."""
+        from ._reader import _Columns
+
         columns = _Columns()
         columns.add((cases, activities, resources), times_us)
         return cls(columns, ids)
@@ -431,10 +394,8 @@ def parse_config_timestamp(text: str, name: str, timestamp_format: str | None = 
 
 
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
-# the general reader takes rows this many at a time, and the standard-layout
-# reader bytes this many at a time (cut at the last newline), so that only
-# one chunk's fields are alive at once
-_CHUNK_ROWS = 1 << 12
+# the standard-layout reader takes bytes this many at a time (cut at the last
+# newline), so that only one chunk's fields are alive at once
 _CHUNK_BYTES = 1 << 16
 
 
@@ -460,18 +421,18 @@ def ingest_csv(
     ``csv.reader`` from its first line. Both give the same log.
     """
     mapping = mapping or ColumnMapping()
-    columns: _Keys | _Columns | None = None
     if timestamp_format is None:
         try:
-            columns = _read_standard(path, mapping)
+            return EventLog(_read_standard(path, mapping))
         except _NotStandard:
             pass
-    if columns is None:
-        columns = _Columns()
-        try:
-            _read_general(path, mapping, timestamp_format, columns)
-        except UnicodeDecodeError:
-            raise not_utf8_error(path) from None
+    from ._reader import _Columns, _read_general
+
+    columns = _Columns()
+    try:
+        _read_general(path, mapping, timestamp_format, columns)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     return EventLog(columns)
 
 
@@ -608,108 +569,6 @@ def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndar
     if us.min() < _YEAR_ONE_US:
         raise _NotStandard
     return us
-
-
-def _read_general(path: str, mapping: ColumnMapping, timestamp_format: str | None, columns: _Columns) -> None:
-    """Fill ``columns`` from any CSV file through ``csv.reader``; raises the
-    error of the first invalid row, and warns of mixed UTC offsets."""
-    parse = _parser(timestamp_format)
-    aware: list[np.ndarray] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        index: dict[str, int] = {}
-        for attr in _ATTRIBUTES:
-            column = getattr(mapping, attr)
-            if column not in header:
-                raise ConfigError(f"{path}: missing column {column!r} (mapped to {attr})")
-            index[attr] = header.index(column)
-        # each chunk is checked column by column; the first invalid row is
-        # then located by a row-by-row re-read that knows its line number
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if min(map(len, chunk)) <= max(index.values()):
-                raise _row_error(path, index, timestamp_format)
-            case, activity, stamp, resource = (
-                list(map(str.strip, map(itemgetter(index[attr]), chunk))) for attr in _ATTRIBUTES
-            )
-            if "" in case or "" in activity or "" in stamp or "" in resource:
-                raise _row_error(path, index, timestamp_format)
-            try:
-                stamps = list(map(parse, stamp))
-            except ValueError:
-                raise _row_error(path, index, timestamp_format) from None
-            try:
-                us, offset = _microseconds(stamps)
-            except OverflowError:
-                raise _row_error(path, index, timestamp_format) from None
-            columns.add((case, activity, resource), us)
-            aware.append(offset)
-    if aware:
-        _warn_mixed_offsets(path, np.concatenate(aware))
-
-
-def _microseconds(stamps: list[datetime]) -> tuple[np.ndarray, np.ndarray]:
-    """Microseconds since the epoch of parsed timestamps, offsets folded
-    into naive UTC, and which of the timestamps carried an offset."""
-    n = len(stamps)
-    try:
-        us = np.fromiter(((t - _EPOCH) // _MICROSECOND for t in stamps), dtype=np.int64, count=n)
-        return us, np.zeros(n, dtype=bool)
-    except TypeError:  # an offset-aware timestamp
-        us = np.fromiter((to_microseconds(_naive_utc(t)) for t in stamps), dtype=np.int64, count=n)
-        return us, np.fromiter((t.tzinfo is not None for t in stamps), dtype=bool, count=n)
-
-
-def _warn_mixed_offsets(path: str, aware: np.ndarray) -> None:
-    """Warn once when some but not all timestamps carried a UTC offset."""
-    n_aware = int(aware.sum())
-    if not 0 < n_aware < len(aware):
-        return
-    minority = n_aware <= len(aware) - n_aware
-    row = int(np.argmax(aware == minority))
-    line, _ = next(islice(_data_rows(path), row, None))
-    log_.warning(
-        "%s: %d timestamps carry a UTC offset and %d do not; all are read as naive UTC "
-        "(first %s timestamp on line %d)",
-        path,
-        n_aware,
-        len(aware) - n_aware,
-        "offset-aware" if minority else "naive",
-        line,
-    )
-
-
-def _data_rows(path: str) -> Iterator[tuple[int, list[str]]]:
-    """The data rows of a CSV file, each with the line number it ends on."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            yield reader.line_num, row
-
-
-def _row_error(path: str, index: dict[str, int], timestamp_format: str | None) -> DataError:
-    """The error of the first invalid data row of ``path``."""
-    parse = _parser(timestamp_format)
-    for line, row in _data_rows(path):
-        if len(row) <= max(index.values()):
-            return DataError(f"{path}, line {line}: too few columns")
-        values = {attr: row[i].strip() for attr, i in index.items()}
-        for attr, value in values.items():
-            if not value:
-                return DataError(f"{path}, line {line}: empty {attr} value")
-        try:
-            _naive_utc(parse(values["timestamp"]))
-        except ValueError:
-            return DataError(f"{path}, line {line}: unparseable timestamp {values['timestamp']!r}")
-        except OverflowError:
-            return DataError(
-                f"{path}, line {line}: timestamp {values['timestamp']!r} is out of range in UTC"
-            )
-    return DataError(f"{path}: changed while being read")
 
 
 # --- text output -----------------------------------------------------------------

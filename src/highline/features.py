@@ -24,11 +24,10 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,20 +63,19 @@ VIEW_KIND: dict[View, ComponentKind] = {
 ALL_VIEWS: tuple[View, ...] = tuple(View)
 
 
-@dataclass(frozen=True)
-class FeatureId:
+class FeatureId(NamedTuple("FeatureId", [("view", View), ("component", Component)])):
     """A (view, component) pair naming one high-level feature."""
 
-    view: View
-    component: Component
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = VIEW_KIND[self.view]
-        if self.component.kind is not expected:
+    def __new__(cls, view: View, component: Component):
+        expected = VIEW_KIND[view]
+        if component.kind is not expected:
             raise ConfigError(
-                f"view {self.view.value!r} applies to {expected.value} components, "
-                f"got {self.component.kind.value}"
+                f"view {view.value!r} applies to {expected.value} components, "
+                f"got {component.kind.value}"
             )
+        return super().__new__(cls, view, component)
 
     @property
     def name(self) -> str:
@@ -85,8 +83,7 @@ class FeatureId:
         return f"{self.view.value}-{self.component.label}"
 
 
-@dataclass(frozen=True)
-class HighLevelEvent:
+class HighLevelEvent(NamedTuple):
     """A feature whose value reached the threshold in one window."""
 
     feature: FeatureId
@@ -190,8 +187,8 @@ def evaluate(
 ) -> EvaluationMatrix:
     """Evaluate the selected features over every window of the log.
 
-    Defaults to all views over all components. Unknown components in an
-    explicit selection raise ConfigError.
+    Defaults to all views over all components. An empty view selection and
+    unknown components in an explicit selection raise ConfigError.
     """
     windows = window_set(framing, log)
     chosen = {
@@ -201,6 +198,8 @@ def evaluate(
     }
     # name order is (view, label) order: no view name is a prefix of another
     selected = sorted(set(views if views is not None else ALL_VIEWS), key=lambda v: v.value)
+    if not selected:
+        raise ConfigError(f"no view selected; choose from {sorted(v.value for v in View)}")
     features = [FeatureId(v, c) for v in selected for c in chosen[VIEW_KIND[v]][0]]
     values = np.empty((len(features), len(windows)))
     grid, start = _Grid(log, framing, windows), 0
@@ -337,8 +336,7 @@ def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 # --- thresholds and high-level events ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(NamedTuple):
     """One threshold per view; all features of a view share it."""
 
     percentile: float

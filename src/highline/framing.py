@@ -8,8 +8,8 @@ origin + (w+1)*width)``; a boundary timestamp belongs to the later window.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,23 +21,22 @@ from .events import from_microseconds, to_microseconds
 MAX_WIDTH = (datetime.max - datetime.min).total_seconds()
 
 
-@dataclass(frozen=True)
-class Framing:
+class Framing(NamedTuple("Framing", [("origin", datetime), ("width", float)])):
     """Fixed-width windows anchored at ``origin``; ``width`` in seconds."""
 
-    origin: datetime
-    width: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, origin: datetime, width: float):
         # below one microsecond, consecutive windows would share a start
-        if not self.width >= 1e-6:
-            raise ConfigError(f"width must be at least 1 µs (0.000001 s), got {self.width}")
+        if not width >= 1e-6:
+            raise ConfigError(f"width must be at least 1 µs (0.000001 s), got {width}")
         # above the span of datetime, the starts of the windows around a time
         # leave its range and can overflow int64 microseconds
-        if self.width > MAX_WIDTH:
+        if width > MAX_WIDTH:
             raise ConfigError(
-                f"width must be at most {MAX_WIDTH:.0f} s (0001-01-01 to 9999-12-31), got {self.width} s"
+                f"width must be at most {MAX_WIDTH:.0f} s (0001-01-01 to 9999-12-31), got {width} s"
             )
+        return super().__new__(cls, origin, width)
 
     def starts_us(self, windows) -> np.ndarray:
         """The start of each window in microseconds since the epoch, rounded
@@ -66,16 +65,16 @@ class Framing:
         return np.floor(elapsed_us / (self.width * 1e6)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """The contiguous window index range covering a log, bounds inclusive."""
+class WindowSet(NamedTuple("WindowSet", [("first", int), ("last", int)])):
+    """The contiguous window index range covering a log, bounds inclusive;
+    its ``len`` is the number of windows."""
 
-    first: int
-    last: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first > self.last:
+    def __new__(cls, first: int, last: int):
+        if first > last:
             raise DataError("window set is empty")
+        return super().__new__(cls, first, last)
 
     def __len__(self) -> int:
         return self.last - self.first + 1

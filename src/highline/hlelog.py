@@ -9,18 +9,13 @@ them into a classical log for directly-follows analysis.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, not_utf8_error
-from .events import (
-    EventLog, csv_fields, format_stamps, lexsort_order, parse_timestamp, row_blocks, to_microseconds,
-    write_csv,
-)
+from .errors import ConfigError, not_utf8_error
+from .events import EventLog, csv_fields, format_stamps, lexsort_order, row_blocks, write_csv
 from .features import ThresholdTable, View
 from .framing import Framing, check_year_one
 from .linkage import CascadeAssignment
@@ -119,16 +114,8 @@ def build_hlel(
                     thresholds.for_feature(f))
         for f in table.features
     ]
-    return HighLevelLog(
-        features,
-        codes,
-        cases,
-        windows,
-        values,
-        np.arange(1, len(codes) + 1),
-        framing.starts_us(starts),
-        stamp_codes,
-    )
+    ids = np.arange(1, len(codes) + 1)
+    return HighLevelLog(features, codes, cases, windows, values, ids, framing.starts_us(starts), stamp_codes)
 
 
 class FlattenOrder:
@@ -243,51 +230,10 @@ def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return top + low if majors is None else majors[top], keys % bound, groups
 
 
-def read_hlel_csv(path: str, timestamp_format: str | None = None) -> HighLevelLog:
-    """Read a ``write_hlel_csv`` export back, interning the feature columns
-    and the timestamps. A malformed row raises DataError naming the path and
-    its line, and so does a byte that is not UTF-8."""
-    features: dict[tuple[HLELFeature, str], int] = {}
-    stamp_code: dict[str, int] = {}
-    stamps_us: list[int] = []
-    rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
-    values: list[float] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(HLEL_COLUMNS):
-                raise DataError(f"{path}: not a high-level event log export")
-            for row in reader:
-                if len(row) != len(HLEL_COLUMNS):
-                    few = "few" if len(row) < len(HLEL_COLUMNS) else "many"
-                    raise DataError(f"{path}, line {reader.line_num}: too {few} columns")
-                try:
-                    hle_id, case, window = int(row[0]), int(row[1]), int(row[4])
-                    value, threshold = float(row[8]), float(row[9])
-                    feature = HLELFeature(row[2], row[5], row[6], row[7], threshold)
-                    if row[3] not in stamp_code:
-                        stamps_us.append(to_microseconds(parse_timestamp(row[3], timestamp_format)))
-                        stamp_code[row[3]] = len(stamp_code)
-                except ValueError as exc:
-                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-                # keyed by the threshold's text too, so that -0.0 and 0.0 stay apart
-                code = features.setdefault((feature, row[9]), len(features))
-                rows.append((hle_id, case, window, code, stamp_code[row[3]]))
-                values.append(value)
-    except UnicodeDecodeError:
-        raise not_utf8_error(path) from None
-    ids, cases, windows, codes, stamp_codes = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return HighLevelLog(
-        [f for f, _ in features], codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
-    )
-
-
 # --- summary -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SummaryTable:
+class SummaryTable(NamedTuple):
     """Per-period counts and value sums of the busiest high-level
     activities, next to the original event volume, as columns.
 

@@ -16,8 +16,7 @@ cascade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,8 +123,7 @@ def build_link_table(log: EventLog) -> LinkTable:
 # --- proximity and cascades ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Layers:
+class _Layers(NamedTuple):
     """Distinct high-level events sorted by (window, feature name, value),
     grouped into (window, component) super-nodes, and the super-node edges
     that propagate at the given lambda.

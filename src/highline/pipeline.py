@@ -3,7 +3,7 @@ links -> cascades -> high-level event log."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .events import EventLog
 from .features import (
@@ -20,8 +20,7 @@ from .hlelog import FlattenOrder, HighLevelLog, build_hlel, flatten
 from .linkage import CascadeAssignment, LinkTable, build_link_table, cascades
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     log: EventLog
     framing: Framing
     windows: WindowSet
@@ -55,14 +54,7 @@ def analyze_log(
     ``views`` and the three component filters default to everything the log
     contains.
     """
-    matrix = evaluate(
-        log,
-        framing,
-        views=views,
-        activities=activities,
-        resources=resources,
-        segments=segments,
-    )
+    matrix = evaluate(log, framing, views, activities, resources, segments)
     thresholds = compute_thresholds(matrix, percentile, exclude_zeros=exclude_zeros)
     hles = generate_hles(matrix, thresholds)
     links = build_link_table(log)

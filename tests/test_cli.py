@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -47,13 +48,54 @@ def fresh(script, **env):
 
 
 def test_analyze_never_imports_the_simulator(log_t_csv, tmp_path):
-    # a fresh interpreter: this one has imported the simulator already
+    # a fresh interpreter: this one has imported the simulator already; a
+    # file in the standard layout needs neither it nor the general reader
     done = fresh(f"""
 import sys
 from highline.cli import main
 assert main(["analyze", "--input", {log_t_csv!r}, "--out", {str(tmp_path / "out")!r}]) == 0
 assert "highline.generator" not in sys.modules, "analyze imported the simulator"
+assert "highline._reader" not in sys.modules, "analyze imported the general reader"
 """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_file_with_quoted_fields_loads_the_general_reader_and_gives_the_same_log(log_t_csv, tmp_path):
+    quoted = tmp_path / "quoted.csv"
+    with open(log_t_csv, newline="") as plain, open(quoted, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(plain))
+    done = fresh(f"""
+import sys
+from highline import ingest_csv
+plain = ingest_csv({log_t_csv!r})
+assert "highline._reader" not in sys.modules, "the standard layout loaded the general reader"
+quoted = ingest_csv({str(quoted)!r})
+assert "highline._reader" in sys.modules, "a quoted file was read without the general reader"
+for name in ("case_names", "activity_names", "resource_names"):
+    assert getattr(plain, name) == getattr(quoted, name), name
+for name in ("case_codes", "activity_codes", "resource_codes", "times_us", "ids"):
+    assert (getattr(plain, name) == getattr(quoted, name)).all(), name
+""")
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_command_freezes_the_import_heap_before_the_run():
+    done = fresh("""
+import gc
+import highline.__main__ as command
+from highline import cli
+counts = []
+cli.main = lambda argv: counts.append(gc.get_freeze_count()) or 0
+assert command.main(["analyze", "--input", "absent.csv", "--out", "out"]) == 0
+assert counts and counts[0] > 0, counts
+""")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["highline", "highline.cli", "highline.__main__"])
+def test_importing_freezes_nothing(module):
+    # only running the command freezes; a library user keeps normal collection
+    done = fresh(f"import gc, {module}\nassert gc.get_freeze_count() == 0, gc.get_freeze_count()")
     assert done.returncode == 0, done.stderr
 
 
@@ -235,6 +277,21 @@ def test_a_mistyped_config_field_is_a_config_error(log_t_csv, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: field {field!r} must be ")
     assert err.rstrip().endswith(f"got {json.dumps(value)}")
+
+
+@pytest.mark.parametrize("how", ["comma", "empty", "config"])
+def test_an_empty_view_selection_is_a_config_error(log_t_csv, tmp_path, capsys, how):
+    out = tmp_path / "o"
+    if how == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"input": log_t_csv, "out": str(out), "views": []}))
+        args = ["analyze", "--config", str(path)]
+    else:
+        args = ["analyze", "--input", log_t_csv, "--out", str(out), "--views", "," if how == "comma" else ""]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no view selected; choose from ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):

@@ -30,6 +30,7 @@ from highline import (
     summarize,
     write_event_csv,
 )
+import highline._reader as reader_module
 import highline.events as events_module
 from highline.events import to_microseconds
 from highline.generator import QUIET_ARRIVALS
@@ -142,7 +143,7 @@ def test_ingest_bad_timestamp_names_line(tmp_path):
 
 
 def test_ingest_names_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(events_module, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(reader_module, "_CHUNK_ROWS", 2)
     monkeypatch.setattr(events_module, "_CHUNK_BYTES", 16)
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -242,7 +243,7 @@ def test_year_one_round_trips_under_a_timestamp_format(tmp_path):
 
 @pytest.mark.parametrize("chunk_rows", [2, 4096])
 def test_mixed_timezone_offsets_warn_once(tmp_path, caplog, monkeypatch, chunk_rows):
-    monkeypatch.setattr(events_module, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(reader_module, "_CHUNK_ROWS", chunk_rows)
     if chunk_rows == 2:
         # the first line is in the standard layout, so the standard-layout
         # reader takes one chunk before the offset sends the file to csv.reader
@@ -311,6 +312,7 @@ def test_a_generated_log_is_read_without_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(events_module, "_CHUNK_BYTES", 4096)
     monkeypatch.setattr(events_module.csv, "reader", refuse)
     monkeypatch.setattr(events_module, "_parser", refuse)
+    monkeypatch.setattr(reader_module, "_read_general", refuse)
     assert columns(ingest_csv(str(path))) == columns(log)
 
 
@@ -335,7 +337,7 @@ def test_a_nul_byte_sends_the_file_to_csv_reader(tmp_path, name):
     # a packed key pads a name with NULs, so "c" and "c\0" would collide
     path = tmp_path / "nul.csv"
     event_csv(path, [("c", "a", 0, "r1"), (name, "a", 1, "r1")])
-    with mock.patch.object(events_module, "_read_general", wraps=events_module._read_general) as general:
+    with mock.patch.object(reader_module, "_read_general", wraps=reader_module._read_general) as general:
         log = ingest_csv(str(path))
     assert general.called
     assert log.case_names == tuple(sorted({"c", name}))

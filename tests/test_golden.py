@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import highline.events as events
+import highline._reader as reader
 from highline import export_dfg, flatten, read_hlel_csv, summarize, write_summary_csv
 from oracles import entry_reprs
 from highline.cli import RunConfig, main, run_analyze
@@ -58,8 +58,8 @@ def assert_analyze_reproduces_artifacts(source: Path, out: Path) -> None:
 def count_general_reads(monkeypatch) -> list:
     """A list that grows by one for each file read by csv.reader."""
     reads = []
-    read_general = events._read_general
-    monkeypatch.setattr(events, "_read_general", lambda *args: reads.append(read_general(*args)))
+    read_general = reader._read_general
+    monkeypatch.setattr(reader, "_read_general", lambda *args: reads.append(read_general(*args)))
     return reads
 
 

@@ -24,6 +24,7 @@ import oracles
 from conftest import BASE, read_general
 from oracles import edge_events, entries, entry_reprs, event_log, high_level_log, hle_table
 
+import highline._reader as reader
 import highline.cli as cli
 import highline.events as events
 import highline.linkage as linkage
@@ -33,6 +34,7 @@ from highline import (
     ColumnMapping,
     Component,
     ComponentKind,
+    ConfigError,
     Event,
     FeatureId,
     FlattenOrder,
@@ -211,7 +213,8 @@ def test_links_csv_in_blocks_of_one_row_equals_one_block(rows):
 @st.composite
 def selections(draw):
     """COMMA_ROWS and a selection of views and of their log's components,
-    with repeats; None selects everything, and an empty list nothing."""
+    with repeats; None selects everything, and an empty list nothing (no
+    view at all is a ConfigError)."""
     rows = draw(COMMA_ROWS)
     log = event_log(events_of(rows))
 
@@ -256,6 +259,10 @@ def test_hles_and_matrix_csv_equal_the_oracles(tmp_path_factory, selection, fram
                                                exclude_zeros):
     rows, views, activities, resources, segments = selection
     log = event_log(events_of(rows))
+    if views == []:
+        with pytest.raises(ConfigError, match="no view selected"):
+            evaluate(log, framing, views, activities, resources, segments)
+        return
     matrix = evaluate(log, framing, views, activities, resources, segments)
     assert list(matrix.features) == selected_features(log, *selection[1:])
     thresholds = compute_thresholds(matrix, p, exclude_zeros=exclude_zeros)
@@ -423,7 +430,7 @@ def test_standard_reader_agrees_with_csv_reader_or_defers(tmp_path_factory, file
     path = tmp_path_factory.mktemp("ingest") / "log.csv"
     path.write_bytes(data)
     with mock.patch.object(events, "_CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(events, "_read_general", wraps=events._read_general) as general:
+            mock.patch.object(reader, "_read_general", wraps=reader._read_general) as general:
         got = outcome(ingest_csv, str(path))
     event("read by csv.reader" if general.called else "read in the standard layout")
     assert got == outcome(read_general, str(path))
