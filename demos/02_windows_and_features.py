@@ -42,18 +42,18 @@ def main():
     matrix = evaluate(log, framing)
 
     print("feature matrix (rows: features, columns: 15-minute windows):")
-    for fid, row in zip(matrix.features, matrix.values.tolist()):
+    for name, row in zip(matrix.features.names.tolist(), matrix.values.tolist()):
         cells = ["   -" if math.isnan(v) else f"{v:4.0f}" for v in row]
-        print(f"  {fid.name:<22}" + " ".join(cells))
+        print(f"  {name:<22}" + " ".join(cells))
 
     for p in (0.5, 0.8, 1.0):
         thresholds = compute_thresholds(matrix, p)
         hles = generate_hles(matrix, thresholds)
         print(f"\npercentile p={p}: {len(hles)} high-level events")
+        views, names = hles.features.views, hles.features.names
         for c, w, v in zip(hles.codes.tolist(), hles.windows.tolist(), hles.values.tolist()):
-            feature = hles.features[c]
-            if feature.view.value in ("wl", "delay"):
-                print(f"  window {w}: {feature.name} = {v:.0f}")
+            if views[c] in ("wl", "delay"):
+                print(f"  window {w}: {names[c]} = {v:.0f}")
 
 
 if __name__ == "__main__":

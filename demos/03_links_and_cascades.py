@@ -51,9 +51,10 @@ def main():
         print(f"\nlambda={lam}: {len(result.hles)} high-level events "
               f"in {result.cascade_count} cascades")
         hles, cases = result.assignment.hles, result.assignment.cases
+        features = hles.features.names[hles.codes]
         for cid in range(1, result.cascade_count + 1):
             rows = np.flatnonzero(cases == cid).tolist()
-            names = ", ".join(f"{hles.features[hles.codes[k]].name}@w{hles.windows[k]}" for k in rows)
+            names = ", ".join(f"{features[k]}@w{hles.windows[k]}" for k in rows)
             print(f"  cascade {cid}: {names}")
     print("\nthis toy process is fully linked (every value 1.0), so lambda does")
     print("not split anything here; the empty window between the calm phase and")

@@ -23,7 +23,7 @@ _MODULES = {
         "ingest_csv", "write_event_csv",
     ), "events"),
     **dict.fromkeys((
-        "EvaluationMatrix", "FeatureId", "HighLevelEvent", "HLETable", "ThresholdTable", "View",
+        "EvaluationMatrix", "HighLevelEvent", "HLETable", "ThresholdTable", "View",
         "compute_thresholds", "evaluate", "generate_hles", "nearest_rank",
     ), "features"),
     **dict.fromkeys(("Framing", "WindowSet", "default_origin", "parse_duration", "window_set"), "framing"),

@@ -160,9 +160,13 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None):
     """Read a ``write_hlel_csv`` export back as a ``HighLevelLog``, interning
     the feature columns and the timestamps. A malformed row raises DataError
     naming the path and its line, and so does a byte that is not UTF-8."""
-    from .hlelog import HLEL_COLUMNS, HighLevelLog, HLELFeature
+    from .features import FeatureTable
+    from .hlelog import HLEL_COLUMNS, HighLevelLog
 
-    features: dict[tuple[HLELFeature, str], int] = {}
+    # activity, view, kind, component and threshold, keyed by the threshold's
+    # text, so that -0.0 and 0.0 stay apart
+    features: dict[tuple[str, str, str, str, str], int] = {}
+    thresholds: list[float] = []
     stamp_code: dict[str, int] = {}
     stamps_us: list[int] = []
     rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
@@ -180,19 +184,22 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None):
                 try:
                     hle_id, case, window = int(row[0]), int(row[1]), int(row[4])
                     value, threshold = float(row[8]), float(row[9])
-                    feature = HLELFeature(row[2], row[5], row[6], row[7], threshold)
                     if row[3] not in stamp_code:
                         stamps_us.append(to_microseconds(parse_timestamp(row[3], timestamp_format)))
                         stamp_code[row[3]] = len(stamp_code)
                 except ValueError as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-                # keyed by the threshold's text too, so that -0.0 and 0.0 stay apart
-                code = features.setdefault((feature, row[9]), len(features))
+                code = features.setdefault((row[2], row[5], row[6], row[7], row[9]), len(features))
+                if code == len(thresholds):
+                    thresholds.append(threshold)
                 rows.append((hle_id, case, window, code, stamp_code[row[3]]))
                 values.append(value)
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
     ids, cases, windows, codes, stamp_codes = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    names, views, kinds, labels = (np.array([key[k] for key in features], dtype=object) for k in range(4))
+    # a read-back log has no component code space
+    table = FeatureTable(views, np.full(len(names), -1), kinds, labels, names)
     return HighLevelLog(
-        [f for f, _ in features], codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
+        table, np.array(thresholds), codes, cases, windows, np.array(values), ids, stamps_us, stamp_codes
     )

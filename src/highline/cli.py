@@ -24,6 +24,7 @@ from .events import (
     ColumnMapping,
     EventLog,
     Segment,
+    csv_column,
     csv_fields,
     ingest_csv,
     parse_config_timestamp,
@@ -259,7 +260,7 @@ def _link_blocks(links: LinkTable, names: np.ndarray, include_zeros: bool):
 
 def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
     """The defined cells, by (feature name, window), about WRITE_ROWS cells at a time."""
-    names = np.array([csv_fields(f.view.value, f.component.label) for f in matrix.features], dtype=object)
+    names = csv_column(matrix.features.views, matrix.features.labels)
     step = max(1, events.WRITE_ROWS // len(matrix.windows))  # features per block
 
     def blocks():

@@ -337,6 +337,25 @@ class EventLog:
         return tuple(Segment(names[s], names[t]) for s, t in self.step_segments[1].tolist())
 
     @cached_property
+    def component_codes(self) -> dict[ComponentKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per kind, its components by name code: each one's code, the code of
+        the first component of its label, and its label (object array). The
+        component code space numbers the log's components in (kind, label)
+        order, activities from 0, then resources, then segments; two segments
+        of one label (names may hold commas) by (source, target)."""
+        n_act, n_res = len(self.activity_names), len(self.resource_names)
+        activities, resources = np.arange(n_act), n_act + np.arange(n_res)
+        labels = np.array([s.label for s in self.segment_names], dtype=object)
+        by_label = np.argsort(labels, kind="stable")
+        segments = n_act + n_res + np.argsort(by_label)
+        first = n_act + n_res + np.searchsorted(labels[by_label], labels)
+        return {
+            ComponentKind.ACTIVITY: (activities, activities, np.array(self.activity_names, dtype=object)),
+            ComponentKind.RESOURCE: (resources, resources, np.array(self.resource_names, dtype=object)),
+            ComponentKind.SEGMENT: (segments, first, labels),
+        }
+
+    @cached_property
     def events(self) -> tuple[Event, ...]:
         """The rows as ``Event`` objects."""
         cases, acts, ress = self.case_names, self.activity_names, self.resource_names
@@ -533,18 +552,27 @@ def _add_standard(chunk: bytes, width: int, index: list[int], keys: _Keys) -> No
 
 
 # a strict ISO 8601 timestamp, by byte position: lowest byte, and the span
-# up to the highest
+# up to the highest, so that a minute or a second is below 60
 _ISO_LOW = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
-_ISO_SPAN = np.frombuffer(b"9999-99-99T99:99:99.999999", dtype=np.uint8) - _ISO_LOW
-_YEAR_ONE_US = to_microseconds(datetime(1, 1, 1))
+_ISO_SPAN = np.frombuffer(b"9999-19-39T29:59:59.999999", dtype=np.uint8) - _ISO_LOW
+
+
+# every hour of a leap year as the range of its MM-DDTHH digits, less
+# _ISO_LOW and packed big-endian (hour 23 packs to 0x203), in (first, last + 1)
+# pairs: a packed time is an hour of the year where searchsorted(side="right")
+# is odd, and an hour of February 29 where it is _FEB29
+_MONTHS = np.repeat(np.arange(1, 13), [31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS = np.arange(366) - np.searchsorted(_MONTHS, _MONTHS) + 1
+_FIRST = _MONTHS // 10 << 56 | _MONTHS % 10 << 48 | _DAYS // 10 << 32 | _DAYS % 10 << 24
+_HOURS, _FEB29 = np.add.outer(_FIRST, [0, 0x204]).ravel().astype(">u8"), 2 * (31 + 28) + 1
 
 
 def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Microseconds since the epoch of the timestamps at ``starts`` in the
     bytes ``raw`` (which run on at least 26 bytes past each start), if
     they are all ASCII ``YYYY-MM-DDTHH:MM:SS`` or
-    ``YYYY-MM-DDTHH:MM:SS.ffffff`` with a year of at least 1, as
-    ``datetime.fromisoformat`` reads them; otherwise raises
+    ``YYYY-MM-DDTHH:MM:SS.ffffff`` dates that exist, with a year of at
+    least 1, as ``datetime.fromisoformat`` reads them; otherwise raises
     ``_NotStandard``."""
     short = lengths == 19
     width = 19 if short.all() else 26
@@ -552,7 +580,8 @@ def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndar
         raise _NotStandard
     grid = sliding_window_view(raw, width)[starts]
     # a byte below the lowest wraps around to above the span
-    shaped = grid - _ISO_LOW[:width] <= _ISO_SPAN[:width]
+    digits = grid - _ISO_LOW[:width]
+    shaped = digits <= _ISO_SPAN[:width]
     if not shaped[:, :19].all():
         raise _NotStandard
     if width > 19:
@@ -560,15 +589,19 @@ def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndar
             raise _NotStandard
         # short stamps among long ones are padded with NULs, which numpy drops
         grid[short, 19:] = 0
-    try:
-        # numpy refuses month 13, Feb 30, hour 24, minute 60 and second 60,
-        # as fromisoformat does, but reads year 0
-        us = grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
-    except ValueError:
-        raise _NotStandard from None
-    if us.min() < _YEAR_ONE_US:
+    # Every date must exist before the cast: numpy 2.4 reads year 0, and its
+    # cast of a few hundred stamps with one month 13, Feb 30, hour 24, minute
+    # 60 or second 60 among them (the last two out of the span) may crash the
+    # process instead of raising ValueError.
+    hours = np.ndarray((len(digits),), dtype=">u8", buffer=digits, offset=5, strides=(width,))
+    years = np.ndarray((len(digits),), dtype=np.uint32, buffer=digits, strides=(width,))
+    at = np.searchsorted(_HOURS, hours, side="right")
+    # the years of stamps on February 29: leap years, divisible by 4, or by 16
+    # where divisible by 25 (so by 400 where divisible by 100)
+    leap = digits[at == _FEB29, :4] @ [1000, 100, 10, 1]
+    if not ((at & 1).all() and years.all()) or (leap % np.where(leap % 25, 4, 16)).any():
         raise _NotStandard
-    return us
+    return grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
 
 
 # --- text output -----------------------------------------------------------------
@@ -594,6 +627,11 @@ def csv_fields(*values: str) -> str:
     """The values as the csv module writes them inside a row, with no line
     end; the extra empty field keeps a lone empty value unquoted."""
     return _row((*values, ""))[:-3]
+
+
+def csv_column(*columns: np.ndarray) -> np.ndarray:
+    """The ``csv_fields`` of each row of the given text columns, as an object array."""
+    return np.frompyfunc(csv_fields, len(columns), 1)(*columns)
 
 
 def csv_lines(*columns) -> str:
@@ -666,7 +704,7 @@ def write_event_csv(
     """Write a log back to CSV in the standard four-column layout."""
     mapping = mapping or ColumnMapping()
     names = (log.case_names, log.activity_names, log.resource_names)
-    cases, acts, ress = (np.array([csv_fields(name) for name in column], dtype=object) for column in names)
+    cases, acts, ress = (csv_column(np.array(column, dtype=object)) for column in names)
     # rows are in timestamp order: a new stamp starts wherever the time changes
     new = np.ones(len(log), dtype=bool)
     new[1:] = log.times_us[1:] != log.times_us[:-1]

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .events import Component, ComponentKind, EventLog, Segment, lexsort_order, to_microseconds
+from .events import ComponentKind, EventLog, Segment, lexsort_order, to_microseconds
 from .framing import Framing, WindowSet, window_set
 
 log_ = logging.getLogger(__name__)
@@ -63,54 +61,44 @@ VIEW_KIND: dict[View, ComponentKind] = {
 ALL_VIEWS: tuple[View, ...] = tuple(View)
 
 
-class FeatureId(NamedTuple("FeatureId", [("view", View), ("component", Component)])):
-    """A (view, component) pair naming one high-level feature."""
+class FeatureTable:
+    """High-level features as columns (texts as object arrays): row k is the
+    feature ``names[k]``, view ``views[k]`` of the component of code
+    ``components[k]``, kind ``kinds[k]`` and label ``labels[k]``. ``evaluate``
+    makes the rows in name order, and the codes in the log's component code
+    space (``LinkTable.components``). Iteration yields (view, code) pairs."""
 
-    __slots__ = ()
+    def __init__(self, views, components, kinds, labels, names):
+        self.views, self.components, self.kinds = views, components, kinds
+        self.labels, self.names = labels, names
 
-    def __new__(cls, view: View, component: Component):
-        expected = VIEW_KIND[view]
-        if component.kind is not expected:
-            raise ConfigError(
-                f"view {view.value!r} applies to {expected.value} components, "
-                f"got {component.kind.value}"
-            )
-        return super().__new__(cls, view, component)
+    def __len__(self) -> int:
+        return len(self.names)
 
-    @property
-    def name(self) -> str:
-        """The high-level activity name, e.g. ``delay-(report,answer)``."""
-        return f"{self.view.value}-{self.component.label}"
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return zip(self.views.tolist(), self.components.tolist())
 
 
 class HighLevelEvent(NamedTuple):
-    """A feature whose value reached the threshold in one window."""
+    """A feature, as a (view, component code) pair, that reached its threshold in one window."""
 
-    feature: FeatureId
+    feature: tuple[str, int]
     window: int
     value: float
 
 
 class HLETable(Sequence[HighLevelEvent]):
-    """High-level events as columns: row k is the event of feature
-    ``features[codes[k]]`` in window ``windows[k]`` with value ``values[k]``.
+    """High-level events as columns: row k is the event of feature row
+    ``codes[k]`` of ``features``, a ``FeatureTable``, in window
+    ``windows[k]`` with value ``values[k]``.
 
     ``features`` are in name order, so a code orders rows like the feature's
     name. As a sequence the table yields ``HighLevelEvent`` objects, built
     once on first use; the analysis reads the columns only.
     """
 
-    def __init__(
-        self,
-        features: tuple[FeatureId, ...],
-        codes: np.ndarray,
-        windows: np.ndarray,
-        values: np.ndarray,
-    ):
-        self.features = features
-        self.codes = codes
-        self.windows = windows
-        self.values = values
+    def __init__(self, features: FeatureTable, codes: np.ndarray, windows: np.ndarray, values: np.ndarray):
+        self.features, self.codes, self.windows, self.values = features, codes, windows, values
 
     def distinct(self) -> "HLETable":
         """The distinct events ordered by (window, feature name, value);
@@ -128,7 +116,7 @@ class HLETable(Sequence[HighLevelEvent]):
 
     @cached_property
     def _objects(self) -> tuple[HighLevelEvent, ...]:
-        features = self.features
+        features = list(self.features)
         return tuple(
             HighLevelEvent(features[c], w, v)
             for c, w, v in zip(self.codes.tolist(), self.windows.tolist(), self.values.tolist())
@@ -146,27 +134,25 @@ class HLETable(Sequence[HighLevelEvent]):
 
 class EvaluationMatrix:
     """Feature values as one (feature, window) array; NaN marks undefined cells.
-    Row k of ``values`` is ``features[k]``. Rows run in feature name order, so
-    each view's features are one row range, ``blocks[view]``."""
+    Row k of ``values`` is row k of ``features``, a ``FeatureTable`` in name
+    order, so each view's features are one row range, ``blocks[view]``."""
 
-    def __init__(self, windows: WindowSet, features: Sequence[FeatureId], values: np.ndarray):
-        self.windows, self.features, self.values = windows, tuple(features), values
-        self._names = [f.name for f in self.features]
-        if self._names != sorted(self._names):
-            raise ValueError("the features of an evaluation matrix must be in name order")
-        self.blocks: dict[View, slice] = {}
-        for k, f in enumerate(self.features):  # extend the view's block to row k
-            self.blocks[f.view] = slice(self.blocks.get(f.view, slice(k, k)).start, k + 1)
+    def __init__(self, windows: WindowSet, features: FeatureTable, values: np.ndarray):
+        self.windows, self.features, self.values = windows, features, values
+        views = np.unique(features.views, return_index=True, return_counts=True)
+        self.blocks = {View(v): slice(s, s + n) for v, s, n in zip(*(a.tolist() for a in views))}
 
-    def _row(self, feature: FeatureId) -> int:
-        # from the first row of the feature's name: segments of one label share it
-        for k in range(bisect_left(self._names, feature.name), len(self._names)):
-            if self.features[k] == feature:
-                return k
-        raise KeyError(feature)
-
-    def array(self, feature: FeatureId) -> np.ndarray:
-        return self.values[self._row(feature)]
+    def array(self, feature: tuple[str, int | str]) -> np.ndarray:
+        """The row of one feature: a (view, component) pair, the component
+        given by its code, as iterating ``features`` yields the pair, or by
+        its label (of two segments of one label, the first)."""
+        view, component = feature
+        block = self.blocks.get(View(view), slice(0, 0))
+        column = self.features.labels if isinstance(component, str) else self.features.components
+        hits = np.flatnonzero(column[block] == component)
+        if not len(hits):
+            raise KeyError(feature)
+        return self.values[block.start + hits[0]]
 
     def pooled(self, view: View, exclude_zeros: bool = False) -> np.ndarray:
         """All defined values of a view across components and windows."""
@@ -191,43 +177,54 @@ def evaluate(
     unknown components in an explicit selection raise ConfigError.
     """
     windows = window_set(framing, log)
+    names = (log.activity_names, log.resource_names, log.segment_names)
     chosen = {
-        ComponentKind.ACTIVITY: _selection(log.activity_names, activities, ComponentKind.ACTIVITY),
-        ComponentKind.RESOURCE: _selection(log.resource_names, resources, ComponentKind.RESOURCE),
-        ComponentKind.SEGMENT: _selection(log.segment_names, segments, ComponentKind.SEGMENT),
+        kind: _selection(log, kind, kind_names, requested)
+        for kind, kind_names, requested in zip(ComponentKind, names, (activities, resources, segments))
     }
     # name order is (view, label) order: no view name is a prefix of another
     selected = sorted(set(views if views is not None else ALL_VIEWS), key=lambda v: v.value)
     if not selected:
         raise ConfigError(f"no view selected; choose from {sorted(v.value for v in View)}")
-    features = [FeatureId(v, c) for v in selected for c in chosen[VIEW_KIND[v]][0]]
+    counts = [len(chosen[VIEW_KIND[v]]) for v in selected]
+    view_names = np.repeat(np.array([v.value for v in selected], dtype=object), counts)
+    kind_codes = [log.component_codes[VIEW_KIND[v]] for v in selected]
+    labels = np.concatenate([c[2][chosen[VIEW_KIND[v]]] for v, c in zip(selected, kind_codes)])
+    features = FeatureTable(
+        view_names,
+        np.concatenate([c[0][chosen[VIEW_KIND[v]]] for v, c in zip(selected, kind_codes)]),
+        np.repeat(np.array([VIEW_KIND[v].value for v in selected], dtype=object), counts),
+        labels,
+        view_names + "-" + labels,
+    )
     values = np.empty((len(features), len(windows)))
     grid, start = _Grid(log, framing, windows), 0
-    for view in selected:
-        codes = chosen[VIEW_KIND[view]][1]
-        block, rows = values[start:start + len(codes)], grid.view(view)
+    for view, n in zip(selected, counts):
+        codes = chosen[VIEW_KIND[view]]
+        block, rows = values[start:start + n], grid.view(view)
         # one cast copy of an int grid into the float block
         if np.array_equal(codes, np.arange(len(rows))):
             np.copyto(block, rows)
         else:
             block[...] = rows[codes]
-        start += len(codes)
+        start += n
     return EvaluationMatrix(windows, features, values)
 
 
-def _selection(names, requested, kind: ComponentKind) -> tuple[list[Component], np.ndarray]:
-    """The selected components of one kind, once each, in label order (two
-    segments of one label in selection order), and their codes in ``names``."""
+def _selection(log: EventLog, kind: ComponentKind, names, requested) -> np.ndarray:
+    """The codes in ``names`` of the selected components of one kind, once
+    each, in label order (two segments of one label in selection order)."""
+    first = log.component_codes[kind][1]
+    if requested is None:
+        return np.argsort(first, kind="stable")
     code = {name: i for i, name in enumerate(names)}
-    requested = names if requested is None else list(requested)
-    for item in requested:
-        if item not in code:
-            label = item.label if isinstance(item, Segment) else repr(item)
-            raise ConfigError(f"unknown {kind.value}: {label}")
-    # the log's own name for each item: a segment given as a plain pair is a Segment
-    components = [Component(kind, names[code[item]]) for item in dict.fromkeys(requested)]
-    components.sort(key=attrgetter("label"))
-    return components, np.array([code[c.key] for c in components], dtype=np.int64)
+    try:
+        chosen = np.array([code[item] for item in dict.fromkeys(requested)], dtype=np.int64)
+    except KeyError as exc:
+        item = exc.args[0]
+        label = item.label if isinstance(item, Segment) else repr(item)
+        raise ConfigError(f"unknown {kind.value}: {label}") from None
+    return chosen[np.argsort(first[chosen], kind="stable")]
 
 
 class _Grid:
@@ -342,9 +339,6 @@ class ThresholdTable(NamedTuple):
     percentile: float
     by_view: Mapping[View, float]
 
-    def for_feature(self, feature: FeatureId) -> float:
-        return self.by_view[feature.view]
-
 
 def nearest_rank(values: np.ndarray, p: float) -> float:
     """The nearest-rank percentile: the value at rank ceil(p*n), 1-based.
@@ -392,10 +386,11 @@ def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> HLETa
 
     Ordered by (window, feature name).
     """
-    features = tuple(f for f in matrix.features if f.view in thresholds.by_view)
-    limits = np.array([thresholds.by_view.get(f.view, np.nan) for f in matrix.features])
+    limits = np.full(len(matrix.features), np.nan)
+    for view, block in matrix.blocks.items():
+        limits[block] = thresholds.by_view.get(view, np.nan)
     # NaN compares false, so undefined cells and views without a threshold never
     # qualify; nonzero of the transposed mask runs by window, then feature name
     offsets, rows = np.nonzero((matrix.values >= limits[:, None]).T)
-    codes = np.cumsum(~np.isnan(limits))[rows] - 1  # the rank among thresholded rows
-    return HLETable(features, codes, matrix.windows.first + offsets, matrix.values[rows, offsets])
+    codes = rows.copy()  # not a strided view into nonzero's index array
+    return HLETable(matrix.features, codes, matrix.windows.first + offsets, matrix.values[rows, offsets])

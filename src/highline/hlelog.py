@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, not_utf8_error
-from .events import EventLog, csv_fields, format_stamps, lexsort_order, row_blocks, write_csv
-from .features import ThresholdTable, View
+from .events import EventLog, csv_column, format_stamps, lexsort_order, row_blocks, write_csv
+from .features import FeatureTable, ThresholdTable, View
 from .framing import Framing, check_year_one
 from .linkage import CascadeAssignment
 
@@ -34,58 +34,31 @@ HLEL_COLUMNS = (
 )
 
 
-class HLELFeature(NamedTuple):
-    """The columns an entry takes from its feature."""
-
-    activity: str
-    view: str
-    component_kind: str
-    component: str
-    threshold: float
-
-
 class HighLevelLog:
-    """The high-level event log as columns.
+    """The high-level event log as columns: row k is entry ``hle_ids[k]`` of
+    case ``cases[k]``, for feature row ``feature_codes[k]`` of ``features``,
+    a ``FeatureTable`` whose row j has the threshold ``thresholds[j]``, in
+    window ``windows[k]`` with value ``values[k]``, timestamped
+    ``stamps_us[stamp_codes[k]]`` (microseconds since the epoch, naive UTC).
+    ``len`` is the number of entries."""
 
-    Row k is entry ``hle_ids[k]`` of case ``cases[k]``, for the feature
-    ``features[feature_codes[k]]`` in window ``windows[k]`` with value
-    ``values[k]``, timestamped ``stamps_us[stamp_codes[k]]`` (microseconds
-    since the epoch, naive UTC). ``len`` is the number of entries.
-    """
-
-    def __init__(
-        self,
-        features: Sequence[HLELFeature],
-        feature_codes: np.ndarray,
-        cases: np.ndarray,
-        windows: np.ndarray,
-        values: np.ndarray,
-        hle_ids: np.ndarray,
-        stamps_us: np.ndarray,
-        stamp_codes: np.ndarray,
-    ):
-        self.features = tuple(features)
-        self.feature_codes = feature_codes
-        self.cases = cases
-        self.windows = windows
-        self.values = values
-        self.hle_ids = hle_ids
-        self.stamps_us = np.asarray(stamps_us, dtype=np.int64)
-        self.stamp_codes = stamp_codes
+    def __init__(self, features: FeatureTable, thresholds, feature_codes, cases, windows, values, hle_ids,
+                 stamps_us, stamp_codes):
+        self.features, self.thresholds, self.feature_codes = features, thresholds, feature_codes
+        self.cases, self.windows, self.values, self.hle_ids = cases, windows, values, hle_ids
+        self.stamps_us, self.stamp_codes = np.asarray(stamps_us, dtype=np.int64), stamp_codes
 
     def take(self, rows: np.ndarray) -> "HighLevelLog":
         """The log of the given rows, in that order."""
         return HighLevelLog(
-            self.features, self.feature_codes[rows], self.cases[rows], self.windows[rows],
+            self.features, self.thresholds, self.feature_codes[rows], self.cases[rows], self.windows[rows],
             self.values[rows], self.hle_ids[rows], self.stamps_us, self.stamp_codes[rows],
         )
 
-    def activity_codes(self) -> tuple[list[str], np.ndarray]:
+    def activity_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted distinct activity names of the features, and each
         row's index among them."""
-        names = sorted({f.activity for f in self.features})
-        rank = {name: i for i, name in enumerate(names)}
-        of_feature = np.array([rank[f.activity] for f in self.features], dtype=np.intp)
+        names, of_feature = np.unique(self.features.names, return_inverse=True)
         return names, of_feature[self.feature_codes]
 
     def __len__(self) -> int:
@@ -109,13 +82,14 @@ def build_hlel(
     if order is not None:
         codes, windows, cases, values = codes[order], windows[order], cases[order], values[order]
     starts, stamp_codes = np.unique(windows, return_inverse=True)
-    features = [
-        HLELFeature(f.name, f.view.value, f.component.kind.value, f.component.label,
-                    thresholds.for_feature(f))
-        for f in table.features
-    ]
+    features = table.features
+    threshold = np.full(len(features), np.nan)
+    for view, value in thresholds.by_view.items():
+        threshold[features.views == view.value] = value
     ids = np.arange(1, len(codes) + 1)
-    return HighLevelLog(features, codes, cases, windows, values, ids, framing.starts_us(starts), stamp_codes)
+    return HighLevelLog(
+        features, threshold, codes, cases, windows, values, ids, framing.starts_us(starts), stamp_codes
+    )
 
 
 class FlattenOrder:
@@ -126,10 +100,9 @@ class FlattenOrder:
     """
 
     def __init__(self, names: Sequence[str] | None = None):
-        names = list(names or ())
-        if len(set(names)) != len(names):
+        self.names = tuple(names or ())
+        if len(set(self.names)) != len(self.names):
             raise ConfigError("flatten order contains duplicate names")
-        self._rank = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def from_file(cls, path: str) -> "FlattenOrder":
@@ -140,22 +113,27 @@ class FlattenOrder:
             raise not_utf8_error(path, ConfigError) from None
         return cls(names)
 
-    def key(self, name: str) -> tuple[int, int | str]:
-        if name in self._rank:
-            return (0, self._rank[name])
-        return (1, name)
-
 
 def flatten(hlel: HighLevelLog, order: FlattenOrder | None = None) -> HighLevelLog:
     """Totally order the log: by case, then window, then the fixed
     activity order within each window. Idempotent: a log already in that
     order, as ``build_hlel`` makes it for name order, is returned itself."""
-    order = order or FlattenOrder()
-    keys = [order.key(f.activity) for f in hlel.features]
-    rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
-    rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
-    rows = lexsort_order((rank[hlel.feature_codes], hlel.windows, hlel.cases))
+    listed = (order or FlattenOrder()).names
+    names, act = hlel.activity_codes()
+    rank = _places(names, listed, len(listed) + np.arange(len(names)))
+    rows = lexsort_order((rank[act], hlel.windows, hlel.cases))
     return hlel if rows is None else hlel.take(rows)
+
+
+def _places(names: np.ndarray, listed: Sequence[str], rest: np.ndarray) -> np.ndarray:
+    """Per text of ``names`` (sorted, distinct), its index in ``listed``
+    (distinct) where it is listed, else its item of ``rest``."""
+    wanted = np.array(listed, dtype=object)
+    at = np.searchsorted(names, wanted)  # np.isin loops over object arrays in Python
+    hit = at < len(names)
+    hit[hit] = names[at[hit]] == wanted[hit]
+    rest[at[hit]] = np.flatnonzero(hit)
+    return rest
 
 
 def export_dfg(hlel: HighLevelLog) -> str:
@@ -195,7 +173,8 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
     and four texts.
     """
     stamps = format_stamps(hlel.stamps_us, timestamp_format)
-    activities = [csv_fields(f.activity) for f in hlel.features]
+    features = hlel.features
+    activities = csv_column(features.names).tolist()
     codes = hlel.feature_codes
     cases, case_codes, by_case = _pairs(hlel.cases, codes)
     windows, stamp_codes, by_window = _pairs(hlel.windows, hlel.stamp_codes)
@@ -204,12 +183,11 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
     texts = [np.array(column, dtype=object) for column in (
         [f"{c},{activities[a]}" for c, a in zip(cases.tolist(), case_codes.tolist())],
         [f"{stamps[s]},{w}" for w, s in zip(windows.tolist(), stamp_codes.tolist())],
-        [csv_fields(f.view, f.component_kind, f.component) for f in hlel.features],
-        [repr(f.threshold) for f in hlel.features],
     )]
     write_csv(path, HLEL_COLUMNS, row_blocks(
-        hlel.hle_ids, (texts[0], by_case), (texts[1], by_window), (texts[2], codes), hlel.values,
-        (texts[3], codes),
+        hlel.hle_ids, (texts[0], by_case), (texts[1], by_window),
+        (csv_column(features.views, features.kinds, features.labels), codes), hlel.values,
+        (np.frompyfunc(repr, 1, 1)(hlel.thresholds), codes),
     ))
 
 
@@ -274,8 +252,8 @@ def summarize(
     freq = np.bincount(act, minlength=len(names))
     if activities is None:
         # a stable sort by count keeps equally frequent names in name order
-        present = [i for i in sorted(range(len(names)), key=lambda i: -freq[i]) if freq[i]]
-        chosen = [names[i] for i in present[:top]]
+        by_count = np.argsort(-freq, kind="stable")
+        chosen = names[by_count[freq[by_count] > 0][:top]].tolist()
     else:
         chosen = list(activities)
 
@@ -290,8 +268,8 @@ def summarize(
     # entries of other names go to one last column, which is dropped
     column = {name: j for j, name in enumerate(dict.fromkeys(chosen))}
     n = len(column) + 1
-    cell = (hle_period - first) * n + np.array([column.get(a, n - 1) for a in names], dtype=np.intp)[act]
-    scale = np.where([f.view == View.DELAY.value for f in hlel.features], 3600.0, 1.0)
+    cell = (hle_period - first) * n + _places(names, list(column), np.full(len(names), n - 1))[act]
+    scale = np.where(hlel.features.views == View.DELAY.value, 3600.0, 1.0)
     columns = [column[a] for a in chosen]
     counts = np.bincount(cell, minlength=size * n).reshape(size, n)[:, columns]
     sums = np.bincount(cell, hlel.values / scale[hlel.feature_codes], minlength=size * n)

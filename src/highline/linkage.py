@@ -47,7 +47,6 @@ class LinkTable:
         self.values = np.zeros(len(keys))
         np.maximum.at(self.values, pair, values[keep])
         self.first, self.second = np.divmod(keys, n)
-        self._codes = {c: i for i, c in enumerate(self.components)}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -61,15 +60,10 @@ def build_link_table(log: EventLog) -> LinkTable:
     co-executions, (segment, resource) touches and chained step pairs.
     """
     n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
-    # activity and resource codes already follow their names; segments are
-    # ranked by label, and by segment code, so (source, target), within one
-    by_label = sorted(range(n_seg), key=lambda s: (log.segment_names[s].label, s))
-    seg_code = n_act + n_res + np.argsort(by_label)
-    components = (
-        [Component.activity(a) for a in log.activity_names]
-        + [Component.resource(r) for r in log.resource_names]
-        + [Component(ComponentKind.SEGMENT, log.segment_names[s]) for s in by_label]
-    )
+    # activity and resource codes follow their names
+    seg_code = log.component_codes[ComponentKind.SEGMENT][0]
+    components = [*map(Component.activity, log.activity_names), *map(Component.resource, log.resource_names)]
+    components += [Component(ComponentKind.SEGMENT, log.segment_names[s]) for s in np.argsort(seg_code)]
     act, res = log.activity_codes, log.resource_codes
     first, second = log.step_rows
     seg, ends = log.step_segments
@@ -148,15 +142,16 @@ def _offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
 
 
-def _near(links: LinkTable, components: list[Component], lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (i, j) positions in ``components`` whose link reaches ``lam``, i == j too."""
+def _near(links: LinkTable, components: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (i, j) positions in ``components`` (sorted distinct codes, any
+    beyond the table's code space linked to none) whose link reaches ``lam``,
+    i == j too."""
     n = len(components)
     if lam <= 0:  # unlinked pairs too
         return np.divmod(np.arange(n * n), n)
-    codes = np.array([links._codes.get(c, -1) for c in components], dtype=np.int64)
-    known = np.flatnonzero(codes >= 0)
+    known = np.flatnonzero(components < len(links.components))
     position = np.full(len(links.components), -1)
-    position[codes[known]] = known
+    position[components[known]] = known
     strong = links.values >= lam
     i, j = position[links.first[strong]], position[links.second[strong]]
     both = (i >= 0) & (j >= 0)
@@ -168,11 +163,7 @@ def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     if not 0 <= lam <= 1:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     table = hles.distinct()
-    components: dict[Component, int] = {}
-    component_of = np.array(
-        [components.setdefault(f.component, len(components)) for f in table.features],
-        dtype=np.intp,
-    )
+    components, component_of = np.unique(table.features.components, return_inverse=True)
     n_c = max(len(components), 1)
     # a window enters the keys as its rank among the distinct windows, so
     # the keys stay below rows * components whatever the window numbers
@@ -187,7 +178,7 @@ def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     # successors: each one's candidate heads are its component's neighbours
     adjacent = np.append(np.diff(w[new]) == 1, False)
     source = np.flatnonzero(adjacent[rank])
-    near_rows, near = _near(links, list(components), lam)
+    near_rows, near = _near(links, components, lam)
     near_start = np.searchsorted(near_rows, np.arange(n_c + 1))
     degree = np.diff(near_start)[component[source]]
     tail = np.repeat(source, degree)

@@ -18,13 +18,25 @@ from typing import NamedTuple
 import numpy as np
 
 from highline import (
-    ColumnMapping, Component, ComponentKind, EventLog, HighLevelEvent, HLETable, HighLevelLog, LinkTable,
+    ColumnMapping, Component, ComponentKind, EventLog, HighLevelEvent, HLETable, HighLevelLog, LinkTable, View,
 )
 from highline.events import from_microseconds, to_microseconds
-from highline.hlelog import HLELFeature
+from highline.features import FeatureTable
 
 
 # --- per-row views of the columns ------------------------------------------------
+
+
+class Feature(NamedTuple):
+    """A feature as a (view, component) pair."""
+
+    view: View
+    component: Component
+
+    @property
+    def name(self) -> str:
+        """The high-level activity name, e.g. ``delay-(report,answer)``."""
+        return f"{self.view.value}-{self.component.label}"
 
 
 def event_log(events):
@@ -48,10 +60,44 @@ def order_key(e):
     return (e.timestamp, e.id)
 
 
-def cell(matrix, feature, w):
-    """The value of one feature in window ``w`` of an evaluation matrix, or
-    None where it is undefined."""
-    v = float(matrix.array(feature)[w - matrix.windows.first])
+def code_space(log):
+    """The components of a log in code order: ``component_order``."""
+    events = _events(log)
+    return sorted(
+        {Component.activity(e.activity) for e in events}
+        | {Component.resource(e.resource) for e in events}
+        | {Component.segment(e1.activity, e2.activity) for e1, e2 in oracle_step_events(log)},
+        key=component_order,
+    )
+
+
+def feature_rows(table, components):
+    """The rows of a ``FeatureTable`` as ``Feature``s, read through its
+    (view, component code) pairs, each code an index into ``components``."""
+    return [Feature(View(view), components[code]) for view, code in table]
+
+
+def feature_table(features, components):
+    """A ``FeatureTable`` of ``Feature``s, in the given order, each component
+    coded by its index in ``components``."""
+
+    def texts(values):
+        return np.array(list(values), dtype=object)
+
+    return FeatureTable(
+        texts(f.view.value for f in features),
+        np.array([components.index(f.component) for f in features], dtype=np.int64),
+        texts(f.component.kind.value for f in features),
+        texts(f.component.label for f in features),
+        texts(f.name for f in features),
+    )
+
+
+def cell(matrix, feature, w, components):
+    """The value of a ``Feature`` in window ``w`` of an evaluation matrix
+    whose component codes index ``components``, or None where it is
+    undefined."""
+    v = float(matrix.array((feature.view, components.index(feature.component)))[w - matrix.windows.first])
     return None if math.isnan(v) else v
 
 
@@ -92,14 +138,24 @@ class Entry(NamedTuple):
     threshold: float
 
 
+def hlel_features(hlel):
+    """The features of a ``HighLevelLog`` as (activity, view,
+    component_kind, component, threshold) tuples."""
+    f = hlel.features
+    columns = (f.names, f.views, f.kinds, f.labels, hlel.thresholds)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def entries(hlel):
     """The rows of a ``HighLevelLog`` as ``Entry`` tuples, read from its columns."""
     stamps = [from_microseconds(us) for us in hlel.stamps_us.tolist()]
-    features = [hlel.features[k] for k in hlel.feature_codes.tolist()]
+    features = hlel_features(hlel)
     return [
-        Entry(i, c, f.activity, stamps[s], w, f.view, f.component_kind, f.component, v, f.threshold)
-        for i, c, f, s, w, v in zip(hlel.hle_ids.tolist(), hlel.cases.tolist(), features,
-                                    hlel.stamp_codes.tolist(), hlel.windows.tolist(), hlel.values.tolist())
+        Entry(i, c, a, stamps[s], w, view, kind, component, v, threshold)
+        for i, c, (a, view, kind, component, threshold), s, w, v in zip(
+            hlel.hle_ids.tolist(), hlel.cases.tolist(), (features[k] for k in hlel.feature_codes.tolist()),
+            hlel.stamp_codes.tolist(), hlel.windows.tolist(), hlel.values.tolist(),
+        )
     ]
 
 
@@ -239,16 +295,18 @@ def oracle_delay(steps, origin, width, seg, w):
 # --- high-level events and the matrix dump -------------------------------------
 
 
-def oracle_hles(matrix, thresholds):
+def oracle_hles(matrix, thresholds, components):
     """The cells that reach their view's threshold, window by window and
-    features in name order, each read from the matrix one at a time."""
+    features in name order, each read from the matrix one at a time; the
+    matrix codes its components by their index in ``components``."""
     by_view = thresholds.by_view
-    features = sorted((f for f in matrix.features if f.view in by_view), key=lambda f: f.name)
+    chosen = sorted((f for f in feature_rows(matrix.features, components) if f.view in by_view),
+                    key=lambda f: f.name)
     return [
         HighLevelEvent(f, w, v)
         for w in windows_of(matrix)
-        for f in features
-        if (v := cell(matrix, f, w)) is not None and v >= by_view[f.view]
+        for f in chosen
+        if (v := cell(matrix, f, w, components)) is not None and v >= by_view[f.view]
     ]
 
 
@@ -261,16 +319,17 @@ def csv_text(rows):
     return "".join(line[:-2] + "\n" for line in lines)
 
 
-def oracle_matrix_csv(matrix):
+def oracle_matrix_csv(matrix, components):
     """The text of ``matrix.csv``: one row per defined cell, by (feature
-    name, window)."""
+    name, window); the matrix codes its components by their index in
+    ``components``."""
     return csv_text([
         ["view", "component", "window", "value"],
         *(
             [f.view.value, f.component.label, w, repr(v)]
-            for f in sorted(matrix.features, key=lambda f: f.name)
+            for f in sorted(feature_rows(matrix.features, components), key=lambda f: f.name)
             for w in windows_of(matrix)
-            if (v := cell(matrix, f, w)) is not None
+            if (v := cell(matrix, f, w, components)) is not None
         ),
     ])
 
@@ -407,14 +466,7 @@ def oracle_links_csv(log, include_zeros=False):
     or with ``include_zeros`` per pair of the log's components, 0.0 where
     they are not linked; pairs and rows in ``component_order``."""
     links = oracle_link_table(log)
-    events = _events(log)
-    components = sorted(
-        {Component.activity(e.activity) for e in events}
-        | {Component.resource(e.resource) for e in events}
-        | {Component.segment(e1.activity, e2.activity) for e1, e2 in oracle_step_events(log)},
-        key=component_order,
-    )
-    pairs = itertools.combinations(components, 2) if include_zeros else links
+    pairs = itertools.combinations(code_space(log), 2) if include_zeros else links
     return csv_text([
         ["kind1", "component1", "kind2", "component2", "link"],
         *([c1.kind.value, c1.label, c2.kind.value, c2.label, repr(links.get((c1, c2), 0.0))] for c1, c2 in pairs),
@@ -503,15 +555,16 @@ def oracle_cascade_ids(hles, link_value, lam):
     return {h: ids[block] for h, block in block_of.items()}
 
 
-def cascade_ids(assignment):
-    """The cascade of every distinct event of a cascade assignment."""
-    return dict(zip(assignment.hles, assignment.cases.tolist()))
+def cascade_ids(assignment, components):
+    """The cascade of every distinct event of a cascade assignment, the
+    events read by ``hle_rows``."""
+    return dict(zip(hle_rows(assignment.hles, components), assignment.cases.tolist()))
 
 
-def partition_of(assignment):
+def partition_of(assignment, components):
     """Turn a cascade assignment into a partition for comparison."""
     groups = {}
-    for h, cid in cascade_ids(assignment).items():
+    for h, cid in cascade_ids(assignment, components).items():
         groups.setdefault(cid, set()).add(h)
     return {frozenset(g) for g in groups.values()}
 
@@ -614,44 +667,63 @@ def oracle_event_csv(log, mapping=None, timestamp_format=None):
 # --- columns of hand-made objects --------------------------------------------------
 
 
-def hle_table(hles):
-    """An ``HLETable`` of the given high-level events, in the given order,
-    built from its columns; features in name order, as the table has them."""
+def hle_rows(table, components):
+    """The rows of an ``HLETable``, as its sequence yields them, each
+    feature read as a ``Feature`` whose component code indexes
+    ``components``."""
+    return [h._replace(feature=Feature(View(h.feature[0]), components[h.feature[1]])) for h in table]
+
+
+def hle_table(hles, components=None):
+    """An ``HLETable`` of high-level events of ``Feature``s, in the given
+    order, built from its columns; features in name order, as the table
+    has them, each component coded by its index in ``components`` (by
+    default, the events' components in ``component_order``)."""
     hles = list(hles)
-    features = sorted({h.feature for h in hles}, key=lambda f: f.name)
+    if components is None:
+        components = sorted({h.feature.component for h in hles}, key=component_order)
+    features = sorted({h.feature for h in hles}, key=lambda f: (f.name, components.index(f.component)))
     code = {f: i for i, f in enumerate(features)}
     return HLETable(
-        tuple(features),
+        feature_table(features, components),
         np.array([code[h.feature] for h in hles], dtype=np.intp),
         np.array([h.window for h in hles], dtype=np.int64),
         np.array([h.value for h in hles], dtype=float),
     )
 
 
-def edge_events(hles, edges):
-    """The rows of a ``propagation_edges`` array over ``hles`` as pairs of
-    high-level events."""
-    events = list(hles.distinct())
+def edge_events(table, edges, components):
+    """The rows of a ``propagation_edges`` array over ``table`` as pairs of
+    high-level events, read by ``hle_rows``."""
+    events = hle_rows(table.distinct(), components)
     return [(events[i], events[j]) for i, j in edges.tolist()]
+
+
+def hlel_of(features, *columns):
+    """A ``HighLevelLog`` of (activity, view, component_kind, component,
+    threshold) feature tuples and its columns from ``feature_codes`` on."""
+    texts = [np.array([f[k] for f in features], dtype=object) for k in range(4)]
+    table = FeatureTable(texts[1], np.full(len(features), -1), texts[2], texts[3], texts[0])
+    return HighLevelLog(table, np.array([f[4] for f in features], dtype=float), *columns)
 
 
 def high_level_log(rows):
     """A ``HighLevelLog`` of the given ``Entry`` rows, in the given order,
     built from its columns."""
     rows = list(rows)
-    features = [
-        HLELFeature(e.activity, e.view, e.component_kind, e.component, e.threshold)
-        for e in rows
-    ]
-    feature_code = {f: i for i, f in enumerate(dict.fromkeys(features))}
+    features = [(e.activity, e.view, e.component_kind, e.component, e.threshold) for e in rows]
+    # keyed by the threshold's repr too, so that -0.0 and 0.0 stay apart
+    feature_code = {}
+    for f in features:
+        feature_code.setdefault((f, repr(f[4])), len(feature_code))
     stamp_code = {t: i for i, t in enumerate(dict.fromkeys(e.timestamp for e in rows))}
 
     def column(values, dtype):
         return np.array(list(values), dtype=dtype)
 
-    return HighLevelLog(
-        list(feature_code),
-        column(map(feature_code.__getitem__, features), np.intp),
+    return hlel_of(
+        [f for f, _ in feature_code],
+        column((feature_code[f, repr(f[4])] for f in features), np.intp),
         column((e.case for e in rows), np.int64),
         column((e.window for e in rows), np.int64),
         column((e.value for e in rows), float),
@@ -659,3 +731,9 @@ def high_level_log(rows):
         column(map(to_microseconds, stamp_code), np.int64),
         column((stamp_code[e.timestamp] for e in rows), np.intp),
     )
+
+
+def flatten_key(order):
+    """The sort key of a ``FlattenOrder`` over activity names: listed names
+    first, in list order, then the others by name."""
+    return lambda name: (0, order.names.index(name)) if name in order.names else (1, name)

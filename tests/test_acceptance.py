@@ -32,7 +32,7 @@ from highline import (
     write_event_csv,
 )
 from highline.cli import main as cli_main
-from highline.features import FeatureId, HighLevelEvent
+from highline.features import HighLevelEvent
 from highline.generator import WEEK_SECONDS
 from highline.linkage import cascades
 
@@ -125,9 +125,10 @@ def test_features_oracle_equivalence():
             for e1, e2 in steps:
                 steps_by_res.setdefault(e2.resource, []).append((e1, e2))
 
-            for fid in matrix.features:
+            space = oracles.code_space(log)
+            for fid in oracles.feature_rows(matrix.features, space):
                 comp = fid.component.key
-                arr = matrix.array(fid)
+                arr = matrix.array((fid.view, space.index(fid.component)))
                 for off, w in enumerate(windows):
                     got = arr[off]
                     if fid.view is View.EXEC:
@@ -165,13 +166,12 @@ def test_features_oracle_equivalence():
 
             # conservation
             for s in log.segment_names:
-                enter_fid = FeatureId(View.ENTER, Component(ComponentKind.SEGMENT, s))
-                exit_fid = FeatureId(View.EXIT, Component(ComponentKind.SEGMENT, s))
+                code = space.index(Component(ComponentKind.SEGMENT, s))
                 total = len(steps_by_seg[s])
-                assert matrix.array(enter_fid).sum() == total
-                assert matrix.array(exit_fid).sum() == total
+                assert matrix.array((View.ENTER, code)).sum() == total
+                assert matrix.array((View.EXIT, code)).sum() == total
             for a in log.activity_names:
-                fid = FeatureId(View.EXEC, Component.activity(a))
+                fid = (View.EXEC, space.index(Component.activity(a)))
                 assert matrix.array(fid).sum() == sum(e.activity == a for e in log.events)
 
 
@@ -227,20 +227,20 @@ def test_cascade_correctness():
                 seen.add(key)
                 hles.append(
                     HighLevelEvent(
-                        FeatureId(View.EXEC, comps[key[0]]), key[1], rng.random()
+                        oracles.Feature(View.EXEC, comps[key[0]]), key[1], rng.random()
                     )
                 )
             lam1, lam2 = sorted((rng.random(), rng.random()))
-            table = oracles.hle_table(hles)
+            table = oracles.hle_table(hles, links.components)
             fine = cascades(table, links, lam2)
             def raw(c1, c2):
                 # the oracle reads the raw pairs, not the table under test
                 return pairs.get((c1, c2), pairs.get((c2, c1), 0.0))
 
-            assert oracles.partition_of(fine) == oracles.oracle_partition(hles, raw, lam2)
+            assert oracles.partition_of(fine, links.components) == oracles.oracle_partition(hles, raw, lam2)
             # lambda-monotone refinement: each fine cascade nests in a coarse one
-            coarse = oracles.cascade_ids(cascades(table, links, lam1))
-            for block in oracles.partition_of(fine):
+            coarse = oracles.cascade_ids(cascades(table, links, lam1), links.components)
+            for block in oracles.partition_of(fine, links.components):
                 assert len({coarse[h] for h in block}) == 1
 
 
@@ -268,13 +268,13 @@ def test_table_one_qualitative_reproduction(scenario, scenario_analysis, tmp_pat
 
     with criterion("workload, traffic, delay and follow-up features share a cascade"):
         fired_weeks = {name: set() for name in TARGET_ACTIVITIES}
-        for h in result.hles:
+        for h in oracles.hle_rows(result.hles, result.links.components):
             if h.feature.name in fired_weeks:
                 fired_weeks[h.feature.name].add(week_of_window(result, config, h.window))
         for name, weeks_fired in fired_weeks.items():
             assert BUSY_WEEKS <= weeks_fired, (name, weeks_fired)
         by_cascade = {}
-        for h, cascade in oracles.cascade_ids(result.assignment).items():
+        for h, cascade in oracles.cascade_ids(result.assignment, result.links.components).items():
             by_cascade.setdefault(cascade, set()).add(h.feature.name)
         assert any(
             set(TARGET_ACTIVITIES) <= names for names in by_cascade.values()
@@ -344,9 +344,10 @@ def test_hlel_bijection(scenario_analysis, log_t):
         big, _ = scenario_analysis
         for result in (small, big):
             assert len(result.entries) == len(result.hles)
-            by_key = {(h.feature.name, h.window): h for h in result.hles}
+            space = result.links.components
+            by_key = {(h.feature.name, h.window): h for h in oracles.hle_rows(result.hles, space)}
             assert len(by_key) == len(result.hles)
-            ids = oracles.cascade_ids(result.assignment)
+            ids = oracles.cascade_ids(result.assignment, space)
             framing = result.framing
             for entry in oracles.entries(result.entries):
                 h = by_key[(entry.activity, entry.window)]

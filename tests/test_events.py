@@ -1,7 +1,10 @@
 import codecs
 import csv
 import logging
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta
@@ -34,6 +37,8 @@ import highline._reader as reader_module
 import highline.events as events_module
 from highline.events import to_microseconds
 from highline.generator import QUIET_ARRIVALS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def step_ids(log):
@@ -157,6 +162,32 @@ def test_ingest_names_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
     # the quoted field spans two lines, so the bad timestamp ends on line 6
     with pytest.raises(DataError, match="line 6: unparseable timestamp 'later'"):
         ingest_csv(str(path))
+
+
+@pytest.mark.parametrize("stamp", [
+    "2023-13-02T08:13:35", "2023-00-10T00:00:00", "2023-02-29T12:00:00", "2024-04-31T00:00:00",
+    "2023-01-02T24:00:00", "2023-01-02T08:60:00", "2023-01-02T08:59:60",
+])
+def test_an_impossible_date_in_a_standard_file_names_its_line(tmp_path, stamp):
+    # numpy's cast of a few hundred stamps with one impossible date among
+    # them may crash the process, so each file is read in a fresh one
+    for rows in (20, 2000):
+        path = tmp_path / f"rows{rows}.csv"
+        bad = rows // 2
+        lines = ["case,activity,timestamp,resource"] + [
+            f"c{k % 7},a{k % 3},{stamp if k == bad else (BASE + timedelta(seconds=k)).isoformat()},r{k % 2}"
+            for k in range(rows)
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "highline", "analyze", "--input", str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {path}, line {bad + 2}: unparseable timestamp {stamp!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def test_ingest_empty_value(tmp_path):

@@ -12,15 +12,15 @@ from conftest import BASE, make_log, random_log
 import oracles
 
 from highline import (
+    CascadeAssignment,
     Component,
     ComponentKind,
     ConfigError,
     EventLog,
-    EvaluationMatrix,
-    FeatureId,
     Framing,
     Segment,
     View,
+    build_hlel,
     compute_thresholds,
     default_origin,
     evaluate,
@@ -41,7 +41,8 @@ def cell(log, view, key, w):
     """One cell of the evaluation matrix of ``log`` under F20."""
     kind = VIEW_KIND[view]
     comp = Component.segment(*key) if kind is ComponentKind.SEGMENT else Component(kind, key)
-    return oracles.cell(evaluate(log, F20, views=(view,)), FeatureId(view, comp), w)
+    feature = oracles.Feature(view, comp)
+    return oracles.cell(evaluate(log, F20, views=(view,)), feature, w, oracles.code_space(log))
 
 
 # --- spot values on the micro fixture (all re-derivable via oracles.py) ---------
@@ -108,22 +109,26 @@ def test_unknown_component_raises(log_t):
 
 def test_matrix_rows_are_features_in_name_order(log_t):
     matrix = evaluate(log_t, F20, views=(View.EXEC, View.DO), activities=["c", "a"])
-    assert [f.name for f in matrix.features] == ["do-r1", "do-r2", "exec-a", "exec-c"]
+    space = oracles.code_space(log_t)
+    assert [f.name for f in oracles.feature_rows(matrix.features, space)] == ["do-r1", "do-r2", "exec-a", "exec-c"]
+    assert matrix.features.names.tolist() == ["do-r1", "do-r2", "exec-a", "exec-c"]
     assert matrix.blocks == {View.DO: slice(0, 2), View.EXEC: slice(2, 4)}
-    row = matrix.array(FeatureId(View.EXEC, Component.activity("c")))
-    assert row.tolist() == [0, 1, 1] and np.shares_memory(row, matrix.values)
-    with pytest.raises(KeyError):
-        matrix.array(FeatureId(View.EXEC, Component.activity("b")))
-    with pytest.raises(ValueError, match="must be in name order"):
-        EvaluationMatrix(matrix.windows, matrix.features[::-1], matrix.values[::-1])
+    # a row by view and component code, and by view and component name
+    for component in (space.index(Component.activity("c")), "c"):
+        row = matrix.array((View.EXEC, component))
+        assert row.tolist() == [0, 1, 1] and np.shares_memory(row, matrix.values)
+    for component in (space.index(Component.activity("b")), "b"):
+        with pytest.raises(KeyError):
+            matrix.array((View.EXEC, component))
 
 
 def test_matrix_agrees_with_single_cell(log_t):
     matrix = evaluate(log_t, F20)
     steps = oracles.oracle_step_events(log_t)
-    for fid in matrix.features:
+    space = oracles.code_space(log_t)
+    for fid in oracles.feature_rows(matrix.features, space):
         for w in oracles.windows_of(matrix):
-            got = oracles.cell(matrix, fid, w)
+            got = oracles.cell(matrix, fid, w, space)
             expected = _oracle_cell(log_t, steps, BASE, 20.0, fid.view, fid.component.key, w)
             if expected is None:
                 assert got is None
@@ -204,16 +209,11 @@ def test_evaluate_memory_stays_near_the_matrix():
     assert peak < 1.85 * matrix.values.nbytes
 
 
-def test_view_component_pairing_enforced():
-    with pytest.raises(ConfigError):
-        FeatureId(View.EXEC, Component.resource("r1"))
-    with pytest.raises(ConfigError):
-        FeatureId(View.DELAY, Component.activity("a"))
-
-
 def test_view_filter(log_t):
     matrix = evaluate(log_t, F20, views=(View.EXEC, View.DELAY))
-    assert {f.view for f in matrix.features} == {View.EXEC, View.DELAY}
+    assert {f.view for f in oracles.feature_rows(matrix.features, oracles.code_space(log_t))} == {
+        View.EXEC, View.DELAY
+    }
 
 
 def test_matrix_matches_oracle_small():
@@ -224,10 +224,11 @@ def test_matrix_matches_oracle_small():
         framing = Framing(BASE, width)
         matrix = evaluate(log, framing)
         steps = oracles.oracle_step_events(log)
-        for fid in matrix.features:
+        space = oracles.code_space(log)
+        for fid in oracles.feature_rows(matrix.features, space):
             comp = fid.component.key
             for w in oracles.windows_of(matrix):
-                got = oracles.cell(matrix, fid, w)
+                got = oracles.cell(matrix, fid, w, space)
                 expected = _oracle_cell(log, steps, BASE, width, fid.view, comp, w)
                 if expected is None:
                     assert got is None, fid.name
@@ -261,9 +262,10 @@ def test_conservation_invariants():
         log = random_log(rng, max_events=150, span=3000)
         matrix = evaluate(log, Framing(BASE, 111.0))
         steps = oracles.oracle_step_events(log)
+        space = oracles.code_space(log)
 
         def arr(view, comp):
-            return matrix.array(FeatureId(view, comp))
+            return matrix.array((view, space.index(comp)))
 
         for a in log.activity_names:
             comp = Component.activity(a)
@@ -309,8 +311,10 @@ def test_thresholds_pool_per_view(log_t):
     pooled = matrix.pooled(View.EXEC)
     assert table.by_view[View.EXEC] == pooled.max()
     # all exec features share the view threshold
-    fid = FeatureId(View.EXEC, Component.activity("a"))
-    assert table.for_feature(fid) == table.by_view[View.EXEC]
+    hles = generate_hles(matrix, table)
+    hlel = build_hlel(CascadeAssignment(hles, np.ones(len(hles), dtype=np.int64)), F20, table)
+    exec_a = hlel.features.names == "exec-a"
+    assert exec_a.sum() == 1 and hlel.thresholds[exec_a].tolist() == [table.by_view[View.EXEC]]
 
 
 def test_thresholds_exclude_zeros(log_t):
@@ -343,7 +347,7 @@ def test_threshold_at_the_pool_minimum_warns_once_per_view(caplog):
     ]
     # value >= threshold still holds: every progr cell is an event
     hles = generate_hles(matrix, table)
-    assert sum(h.feature.view is View.PROGR for h in hles) == 3
+    assert sum(h.feature.view is View.PROGR for h in oracles.hle_rows(hles, oracles.code_space(log))) == 3
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="highline.features"):
         compute_thresholds(matrix, 0.0)
@@ -357,8 +361,8 @@ def test_generate_hles_p0_fires_every_defined_cell(log_t):
     table = compute_thresholds(matrix, 0.0)
     hles = generate_hles(matrix, table)
     assert len(hles) == np.count_nonzero(~np.isnan(matrix.values))
-    for h in hles:
-        assert h.value >= table.for_feature(h.feature)
+    for h in oracles.hle_rows(hles, oracles.code_space(log_t)):
+        assert h.value >= table.by_view[h.feature.view]
 
 
 def test_hles_monotone_in_percentile():

@@ -12,10 +12,14 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import highline._reader as reader
-from highline import export_dfg, flatten, read_hlel_csv, summarize, write_summary_csv
+from highline import (
+    Framing, analyze_log, default_origin, export_dfg, flatten, ingest_csv, read_hlel_csv, summarize,
+    write_summary_csv,
+)
 from oracles import entry_reprs
 from highline.cli import RunConfig, main, run_analyze
 from highline.framing import parse_duration
@@ -89,3 +93,27 @@ def test_a_read_back_hlel_feeds_the_stages_as_the_analysis_entries_do(tmp_path):
         texts.append(io.StringIO())
         write_summary_csv(summarize(result.log, hlel, period, origin), texts[-1])
     assert texts[0].getvalue() == texts[1].getvalue() == (DEMO / "summary.csv").read_text(encoding="utf-8")
+
+
+def test_the_benchmark_trace_counts_the_demo_analysis_from_the_library(monkeypatch):
+    """``perfbench/trace_child.py`` counts each layer of a run through the
+    library's object views; a change that breaks one of them shows here,
+    not only when the benchmark runs."""
+    monkeypatch.syspath_prepend(str(DEMO.parent / "perfbench"))
+    from trace_child import layer_counts
+
+    log = ingest_csv(str(DEMO / "scenario.csv"))
+    result = analyze_log(log, Framing(default_origin(log), parse_duration("1h")), percentile=0.9, lam=0.5)
+    counts, missing = layer_counts(result, 0.5)
+    assert missing == []
+    matrix, hles, links = result.matrix, result.hles, result.links
+    # the same counts from the columns: an edge joins events of adjacent
+    # windows whose components are one, or linked at least at lambda
+    near = np.eye(len(links.components), dtype=bool)
+    near[links.first, links.second] = near[links.second, links.first] = links.values >= 0.5
+    component = hles.features.components[hles.codes]
+    edges = (hles.windows[:, None] + 1 == hles.windows) & near[component[:, None], component]
+    assert counts["features.features"] == len(matrix.features.names) == matrix.values.shape[0]
+    assert counts["features.defined_cells"] == np.count_nonzero(~np.isnan(matrix.values))
+    assert counts["features.hles"] == len(hles.codes)
+    assert counts["linkage.edges"] == np.count_nonzero(edges)

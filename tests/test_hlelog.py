@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import BASE, make_log
-from oracles import Entry, cascade_ids, entries, entry_reprs, high_level_log, hle_table
+from oracles import (
+    Entry, Feature, cascade_ids, entries, entry_reprs, flatten_key, high_level_log, hle_rows, hle_table, hlel_of,
+)
 
 from highline import (
     CascadeAssignment,
     Component,
     ConfigError,
     DataError,
-    FeatureId,
     FlattenOrder,
     Framing,
     HighLevelEvent,
@@ -33,13 +34,12 @@ from highline import (
     write_summary_csv,
 )
 from highline.events import to_microseconds
-from highline.hlelog import HLELFeature
 
 F20 = Framing(BASE, 20.0)
 
 
 def hle(name, w, value=5.0, view=View.WL):
-    return HighLevelEvent(FeatureId(view, Component.resource(name)), w, value)
+    return HighLevelEvent(Feature(view, Component.resource(name)), w, value)
 
 
 def thresholds_for(*views):
@@ -83,7 +83,7 @@ def test_build_hlel_is_bijective():
 
 
 def test_flatten_orders_within_window():
-    hles = [hle("Jane", 3), HighLevelEvent(FeatureId(View.ENTER, Component.segment("report", "answer")), 3, 9.0)]
+    hles = [hle("Jane", 3), HighLevelEvent(Feature(View.ENTER, Component.segment("report", "answer")), 3, 9.0)]
     thresholds = ThresholdTable(0.5, {View.WL: 1.0, View.ENTER: 1.0})
     hlel = build_hlel(assigned(hles, [1, 1]), F20, thresholds)
     flat = flatten(hlel)
@@ -96,9 +96,11 @@ def test_flatten_order_from_file(tmp_path):
     path = tmp_path / "order.txt"
     path.write_text("wl-Jane\nenter-(report,answer)\n\n")
     order = FlattenOrder.from_file(str(path))
-    assert order.key("wl-Jane") < order.key("enter-(report,answer)")
+    assert order.names == ("wl-Jane", "enter-(report,answer)")
+    key = flatten_key(order)
+    assert key("wl-Jane") < key("enter-(report,answer)")
     # unlisted names sort after every listed one
-    assert order.key("enter-(report,answer)") < order.key("delay-(report,answer)")
+    assert key("enter-(report,answer)") < key("delay-(report,answer)")
 
 
 def test_flatten_order_rejects_duplicates():
@@ -220,8 +222,8 @@ def _corrupt_hlel(tmp_path, log_t, edit):
 
 
 def test_features_that_differ_only_in_the_sign_of_a_zero_threshold_read_back_apart(tmp_path):
-    hlel = HighLevelLog(
-        [HLELFeature("wl-a", "wl", "resource", "a", 0.0), HLELFeature("wl-a", "wl", "resource", "a", -0.0)],
+    hlel = hlel_of(
+        [("wl-a", "wl", "resource", "a", 0.0), ("wl-a", "wl", "resource", "a", -0.0)],
         np.array([0, 1]), np.array([1, 1]), np.array([0, 0]), np.array([1.0, 1.0]), np.array([1, 2]),
         np.array([0]), np.array([0, 0]),
     )
@@ -265,9 +267,9 @@ def test_read_hlel_latin1_byte_names_its_line(tmp_path, log_t):
 
 def test_case_ids_are_cascade_ids(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
-    ids = cascade_ids(result.assignment)
+    ids = cascade_ids(result.assignment, result.links.components)
     for e in entries(result.entries):
-        by_hand = {h for h in result.hles if ids[h] == e.case}
+        by_hand = {h for h in hle_rows(result.hles, result.links.components) if ids[h] == e.case}
         assert e.activity in {h.feature.name for h in by_hand}
 
 
@@ -326,8 +328,8 @@ def test_summary_memory_follows_the_chosen_activities_not_every_name(log_t):
     # count per (period, name) cell would take 115 MB for a result of 92 KB
     rng = np.random.default_rng(0)
     n, hours = 100_000, 1440
-    features = [HLELFeature(f"wl-r{i}", "wl", "resource", f"r{i}", 1.0) for i in range(10_000)]
-    hlel = HighLevelLog(
+    features = [(f"wl-r{i}", "wl", "resource", f"r{i}", 1.0) for i in range(10_000)]
+    hlel = hlel_of(
         features, rng.integers(0, len(features), n), np.ones(n, dtype=np.int64),
         np.zeros(n, dtype=np.int64), rng.random(n), np.arange(1, n + 1),
         to_microseconds(BASE) + np.arange(hours, dtype=np.int64) * 3600 * 10**6, rng.integers(0, hours, n),

@@ -12,7 +12,6 @@ from highline import (
     Component,
     ComponentKind,
     ConfigError,
-    FeatureId,
     HighLevelEvent,
     HLETable,
     Segment,
@@ -158,13 +157,13 @@ def test_table_matches_oracle():
 
 
 def hle(view, comp, w, value=1.0):
-    return HighLevelEvent(FeatureId(view, comp), w, value)
+    return HighLevelEvent(oracles.Feature(view, comp), w, value)
 
 
 def edges_at(hles, links, lam):
     """The propagation edges among ``hles`` as a set of event pairs."""
-    table = hle_table(hles)
-    return set(edge_events(table, propagation_edges(table, links, lam)))
+    table = hle_table(hles, links.components)
+    return set(edge_events(table, propagation_edges(table, links, lam), links.components))
 
 
 def test_proximity_rules(log_t):
@@ -210,8 +209,8 @@ def table_of(pairs):
 def test_chain_of_three_shares_one_cascade():
     links = table_of({("A", "B"): 0.8, ("B", "C"): 0.8, ("A", "C"): 0.0})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hle_table(hles), links, 0.5)
-    assert len(set(cascade_ids(assignment).values())) == 1
+    assignment = cascades(hle_table(hles, links.components), links, 0.5)
+    assert len(set(cascade_ids(assignment, links.components).values())) == 1
 
 
 def test_simultaneous_events_joined_through_shared_successor():
@@ -219,22 +218,23 @@ def test_simultaneous_events_joined_through_shared_successor():
     a0 = hle(View.EXEC, comp("A"), 0)
     b0 = hle(View.EXEC, comp("B"), 0)
     c1 = hle(View.EXEC, comp("C"), 1)
-    assignment = cascades(hle_table([a0, b0, c1]), links, 0.5)
-    ids = cascade_ids(assignment)
+    assignment = cascades(hle_table([a0, b0, c1], links.components), links, 0.5)
+    ids = cascade_ids(assignment, links.components)
     assert ids[a0] == ids[b0] == ids[c1]
 
 
 def test_lambda_one_with_weak_links_gives_singletons():
     links = table_of({("A", "B"): 0.99, ("B", "C"): 0.99})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hle_table(hles), links, 1.0)
-    assert len(set(cascade_ids(assignment).values())) == 3
+    assignment = cascades(hle_table(hles, links.components), links, 1.0)
+    assert len(set(cascade_ids(assignment, links.components).values())) == 3
 
 
 def test_persistence_propagates_at_lambda_one():
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("A"), 1)]
+    # a component beyond the code space of the empty table
     assignment = cascades(hle_table(hles), link_table({}), 1.0)
-    assert len(set(cascade_ids(assignment).values())) == 1
+    assert len(set(cascade_ids(assignment, [comp("A")]).values())) == 1
 
 
 def test_cascade_ids_dense_and_deterministically_numbered():
@@ -246,7 +246,7 @@ def test_cascade_ids_dense_and_deterministically_numbered():
     ]
     assignment = cascades(hle_table(hles), links, 0.5)
     # numbering by earliest window, then smallest feature name
-    ids = cascade_ids(assignment)
+    ids = cascade_ids(assignment, sorted({h.feature.component for h in hles}, key=oracles.component_order))
     assert ids[hles[2]] == 1
     assert ids[hles[1]] == 2
     assert ids[hles[0]] == 3
@@ -265,11 +265,12 @@ def test_cascade_ids_invariant_under_input_permutation():
         hle(View.EXEC, comp(rng.choice(names)), rng.randint(0, 5), value=float(i))
         for i in range(30)
     ]
-    baseline = cascades(hle_table(hles), links, 0.4)
+    baseline = cascades(hle_table(hles, links.components), links, 0.4)
     for _ in range(5):
         shuffled = hles[:]
         rng.shuffle(shuffled)
-        assert cascade_ids(cascades(hle_table(shuffled), links, 0.4)) == cascade_ids(baseline)
+        assignment = cascades(hle_table(shuffled, links.components), links, 0.4)
+        assert cascade_ids(assignment, links.components) == cascade_ids(baseline, links.components)
 
 
 def test_lambda_out_of_range():
@@ -286,7 +287,8 @@ WORLD_VIEWS = {
 
 def random_hle_world(rng, n_hles=60, n_windows=8):
     """Random high-level events and links, as a LinkTable and as the raw pair
-    dict it was built from.
+    dict it was built from, and the table's code space extended by the
+    components it lacks.
 
     Components of all three kinds, several views per resource and segment,
     the last two components absent from the table, windows with gaps, and a
@@ -314,7 +316,8 @@ def random_hle_world(rng, n_hles=60, n_windows=8):
         hles.append(hle(*key, value=rng.random()))
     for h in rng.sample(hles, min(5, len(hles))):
         hles.append(hle(h.feature.view, h.feature.component, h.window, h.value))
-    return hles, link_table(pairs), pairs
+    links = link_table(pairs)
+    return hles, links, pairs, [*links.components, *components[-2:]]
 
 
 def raw_link(pairs):
@@ -329,13 +332,13 @@ def world_lambdas(rng):
 def test_propagation_edges_span_adjacent_windows_only():
     rng = random.Random(71)
     for _ in range(10):
-        hles, links, pairs = random_hle_world(rng)
-        table = hle_table(hles)
+        hles, links, pairs, space = random_hle_world(rng)
+        table = hle_table(hles, space)
         for lam in world_lambdas(rng):
             edges = propagation_edges(table, links, lam)
             rows = list(map(tuple, edges.tolist()))
             assert rows == sorted(set(rows))  # sorted, no edge twice
-            pairs_of = edge_events(table, edges)
+            pairs_of = edge_events(table, edges, space)
             assert all(h2.window == h1.window + 1 for h1, h2 in pairs_of)
             # edge set is exactly the pairs the oracle passes on the raw links
             assert set(pairs_of) == {
@@ -349,10 +352,10 @@ def test_propagation_edges_span_adjacent_windows_only():
 def test_cascades_match_reachability_oracle():
     rng = random.Random(61)
     for _ in range(20):
-        hles, links, pairs = random_hle_world(rng)
+        hles, links, pairs, space = random_hle_world(rng)
         for lam in world_lambdas(rng):
-            assignment = cascades(hle_table(hles), links, lam)
-            got = oracles.partition_of(assignment)
+            assignment = cascades(hle_table(hles, space), links, lam)
+            got = oracles.partition_of(assignment, space)
             expected = oracles.oracle_partition(hles, raw_link(pairs), lam)
             assert got == expected
 
@@ -360,13 +363,13 @@ def test_cascades_match_reachability_oracle():
 def test_lambda_refines_cascades():
     rng = random.Random(67)
     for _ in range(10):
-        hles, links, _ = random_hle_world(rng)
+        hles, links, _, space = random_hle_world(rng)
         lam1, lam2 = sorted((rng.random(), rng.random()))
-        table = hle_table(hles)
+        table = hle_table(hles, space)
         coarse = cascades(table, links, lam1)
         fine = cascades(table, links, lam2)
-        coarse_of = cascade_ids(coarse)
-        for block in oracles.partition_of(fine):
+        coarse_of = cascade_ids(coarse, space)
+        for block in oracles.partition_of(fine, space):
             assert len({coarse_of[h] for h in block}) == 1
 
 
@@ -376,12 +379,12 @@ def chain(windows):
     Names order r0 first, so the component id descends at every step from
     an even window to the next."""
     r0, r1 = Component.resource("r0"), Component.resource("r1")
-    features = (FeatureId(View.DO, r0), FeatureId(View.DO, r1), FeatureId(View.WL, r1))
+    features = [oracles.Feature(View.DO, r0), oracles.Feature(View.DO, r1), oracles.Feature(View.WL, r1)]
     odd = np.arange(1, windows, 2)
     even = np.arange(0, windows, 2)
     codes = np.concatenate([np.zeros(len(odd)), np.ones(len(even)), np.full(len(even), 2)])
     table = HLETable(
-        features,
+        oracles.feature_table(features, [r0, r1]),
         codes.astype(np.intp),
         np.concatenate([odd, even, even]).astype(np.int64),
         np.ones(len(codes)),
@@ -400,10 +403,12 @@ def test_a_long_alternating_chain_is_one_cascade():
     prefix, _ = chain(300)
     assignment = cascades(prefix, links, 0.5)
     link = oracles.link_value(links)
-    assert cascade_ids(assignment) == oracles.oracle_cascade_ids(prefix, link, 0.5)
-    assert set(edge_events(prefix, propagation_edges(prefix, links, 0.5))) == {
+    space = links.components
+    events = oracles.hle_rows(prefix, space)
+    assert cascade_ids(assignment, space) == oracles.oracle_cascade_ids(events, link, 0.5)
+    assert set(edge_events(prefix, propagation_edges(prefix, links, 0.5), space)) == {
         (h1, h2)
-        for h1, h2 in itertools.product(prefix, repeat=2)
+        for h1, h2 in itertools.product(events, repeat=2)
         if oracles.oracle_propagates(h1, h2, link, 0.5)
     }
 
@@ -416,7 +421,7 @@ def test_joining_takes_at_most_log2_rounds_where_plain_min_hooking_takes_more():
     r = [Component.resource(f"r{i}") for i in range(8)]
     edges = [(0, 5), (1, 6), (2, 7), (3, 7), (4, 7), (3, 5), (4, 6)]
     links = link_table({(r[a], r[b]): 1.0 for a, b in edges})
-    hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)])
+    hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)], links.components)
     layers = linkage._layers(hles, links, 0.5)
     assert (layers.nodes, len(layers.tail)) == (8, len(edges))
     root, rounds = linkage._join(layers.nodes, layers.tail, layers.head)

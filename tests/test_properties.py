@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE, read_general
-from oracles import edge_events, entries, entry_reprs, event_log, high_level_log, hle_table
+from oracles import Feature, edge_events, entries, entry_reprs, event_log, high_level_log, hle_rows, hle_table, hlel_of
 
 import highline._reader as reader
 import highline.cli as cli
@@ -36,11 +36,9 @@ from highline import (
     ComponentKind,
     ConfigError,
     Event,
-    FeatureId,
     FlattenOrder,
     Framing,
     HighLevelEvent,
-    HighLevelLog,
     Segment,
     View,
     analyze_log,
@@ -62,7 +60,6 @@ from highline import (
 )
 from highline.events import from_microseconds, parse_timestamp, to_microseconds
 from highline.features import VIEW_KIND
-from highline.hlelog import HLELFeature
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -141,12 +138,14 @@ def test_evaluate_equals_oracles_for_every_view(rows, framing):
     events = events_of(rows)
     steps = oracles.oracle_step_events(events)
     matrix = evaluate(event_log(events), framing)
-    assert {f.view for f in matrix.features} == (
+    space = oracles.code_space(events)
+    features = oracles.feature_rows(matrix.features, space)
+    assert {f.view for f in features} == (
         set(View) if steps else {View.EXEC, View.DO, View.TODO, View.WL}
     )
-    for fid in matrix.features:
+    for fid in features:
         for w in oracles.windows_of(matrix):
-            got = oracles.cell(matrix, fid, w)
+            got = oracles.cell(matrix, fid, w, space)
             want = oracle_value(fid.view, events, steps, framing, fid.component.key, w)
             if want is None or fid.view is not View.DELAY:
                 assert got == want, (fid.name, w)
@@ -238,7 +237,7 @@ def selected_features(log, views, activities, resources, segments):
         for key in (names if chosen is None else chosen):
             rank.setdefault(Component(kind, key), len(rank))
     views = View if views is None else views
-    features = {FeatureId(v, c) for v in views for c in rank if c.kind is VIEW_KIND[v]}
+    features = {Feature(v, c) for v in views for c in rank if c.kind is VIEW_KIND[v]}
     return sorted(features, key=lambda f: (f.name, rank[f.component]))
 
 
@@ -264,16 +263,19 @@ def test_hles_and_matrix_csv_equal_the_oracles(tmp_path_factory, selection, fram
             evaluate(log, framing, views, activities, resources, segments)
         return
     matrix = evaluate(log, framing, views, activities, resources, segments)
-    assert list(matrix.features) == selected_features(log, *selection[1:])
+    space = oracles.code_space(log)
+    features = oracles.feature_rows(matrix.features, space)
+    assert features == selected_features(log, *selection[1:])
+    assert matrix.features.names.tolist() == [f.name for f in features]
     thresholds = compute_thresholds(matrix, p, exclude_zeros=exclude_zeros)
     hles = generate_hles(matrix, thresholds)
-    assert list(hles) == oracles.oracle_hles(matrix, thresholds)
-    assert hles.features == tuple(f for f in matrix.features if f.view in thresholds.by_view)
+    assert hle_rows(hles, space) == oracles.oracle_hles(matrix, thresholds, space)
+    assert hles.features is matrix.features
     path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
     for write_rows in (events.WRITE_ROWS, 1):
         with mock.patch.object(events, "WRITE_ROWS", write_rows):
             cli._write_matrix_csv(matrix, str(path))
-        assert path.read_bytes().decode("utf-8") == oracles.oracle_matrix_csv(matrix)
+        assert path.read_bytes().decode("utf-8") == oracles.oracle_matrix_csv(matrix, space)
 
 
 def write_csv(path, rows):
@@ -293,9 +295,10 @@ def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, d
     write_csv(tmp / "b.csv", permuted)
     logs = [ingest_csv(str(tmp / name)) for name in ("a.csv", "b.csv")]
     m1, m2 = (evaluate(log, framing) for log in logs)
-    assert m1.features == m2.features
+    spaces = [oracles.code_space(log) for log in logs]
+    assert oracles.feature_rows(m1.features, spaces[0]) == oracles.feature_rows(m2.features, spaces[1])
     for fid in m1.features:
-        assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid.name
+        assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid
     t1, t2 = (build_link_table(log) for log in logs)
     assert oracles.link_pairs(t1) == oracles.link_pairs(t2)
 
@@ -472,8 +475,8 @@ def test_raising_lambda_refines_the_cascades(rows, framing, p, lam1, lam2):
     matrix = evaluate(log, framing)
     hles = generate_hles(matrix, compute_thresholds(matrix, p))
     links = build_link_table(log)
-    coarse = oracles.cascade_ids(cascades(hles, links, lam1))
-    for block in oracles.partition_of(cascades(hles, links, lam2)):
+    coarse = oracles.cascade_ids(cascades(hles, links, lam1), links.components)
+    for block in oracles.partition_of(cascades(hles, links, lam2), links.components):
         assert len({coarse[h] for h in block}) == 1
 
 
@@ -582,7 +585,7 @@ def high_level_logs(draw):
     log read back; negative and huge windows; and values drawn from a few
     that repeat, or from any float."""
     features = draw(st.lists(
-        st.builds(HLELFeature, NAMES, NAMES, NAMES, NAMES, FLOATS), min_size=1, max_size=4
+        st.tuples(NAMES, NAMES, NAMES, NAMES, FLOATS), min_size=1, max_size=4
     ))
     stamps = draw(st.lists(STAMPS, min_size=1, max_size=5, unique=True))
     n = draw(st.integers(0, 30))
@@ -591,7 +594,7 @@ def high_level_logs(draw):
     def column(elements, dtype):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
 
-    return HighLevelLog(
+    return hlel_of(
         features,
         column(st.integers(0, len(features) - 1), np.intp),
         column(st.integers(1, 10**6), np.int64),
@@ -608,8 +611,8 @@ def edge_log(windows, values, stamp_codes):
     three stamps (year 1, with microseconds, year 9999), and the given
     columns; cases and features alternate."""
     n = len(windows)
-    return HighLevelLog(
-        [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', -0.0), HLELFeature("x\ny", "", " ", "%s", 1e22)],
+    return hlel_of(
+        [('wl-a,"b"', "wl", "resource", 'a,"b"', -0.0), ("x\ny", "", " ", "%s", 1e22)],
         np.arange(n, dtype=np.intp) % 2,
         np.arange(n) // 2 + 1,
         np.array(windows, dtype=np.int64),
@@ -686,7 +689,7 @@ def test_event_csv_equals_the_per_row_oracle(tmp_path_factory, rows, mapping, ti
 
 # summary activities that csv quotes, some of the delay view, whose values
 # are averaged in hours
-SUMMARY_FEATURES = st.builds(HLELFeature, NAMES, st.sampled_from(["delay", "wl"]), NAMES, NAMES, FLOATS)
+SUMMARY_FEATURES = st.tuples(NAMES, st.sampled_from(["delay", "wl"]), NAMES, NAMES, FLOATS)
 SUMMARY_PERIODS = st.sampled_from([0.7, 1 / 3, 7.3, 60.0, 86400.0])
 
 
@@ -703,7 +706,7 @@ def summary_cases(draw):
     def column(elements, dtype):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
 
-    hlel = HighLevelLog(
+    hlel = hlel_of(
         features,
         column(st.integers(0, len(features) - 1), np.intp),
         column(st.integers(1, 5), np.int64),
@@ -713,7 +716,7 @@ def summary_cases(draw):
         to_microseconds(BASE) + np.array(stamps, dtype=np.int64),
         column(st.integers(0, len(stamps) - 1), np.intp),
     )
-    names = [f.activity for f in features] + ["no entries"]
+    names = [f[0] for f in features] + ["no entries"]
     activities = draw(st.none() | st.lists(st.sampled_from(names), max_size=5))
     return draw(ROWS), hlel, draw(SUMMARY_PERIODS), draw(st.integers(-30, 120)), activities
 
@@ -722,8 +725,8 @@ def summary_case(values, shift, activities):
     """Two quoted activities, one of the delay view, on two stamps a second
     apart, with the given values, and two events."""
     n = len(values)
-    hlel = HighLevelLog(
-        [HLELFeature('wl-a,"b"', "wl", "resource", 'a,"b"', 1.0), HLELFeature("x\ny", "delay", "segment", "z", 2.0)],
+    hlel = hlel_of(
+        [('wl-a,"b"', "wl", "resource", 'a,"b"', 1.0), ("x\ny", "delay", "segment", "z", 2.0)],
         np.arange(n, dtype=np.intp) % 2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
         np.array(values, dtype=float), np.arange(1, n + 1),
         to_microseconds(BASE) + np.array([0, 10**6]), np.arange(n, dtype=np.intp) % 2,
@@ -750,7 +753,7 @@ def test_summary_csv_equals_the_per_row_oracle(case, timestamp_format):
 def copy_of(h):
     """An equal high-level event that shares no object with ``h``."""
     c = h.feature.component
-    return HighLevelEvent(FeatureId(h.feature.view, Component(c.kind, c.key)), h.window, h.value)
+    return HighLevelEvent(Feature(h.feature.view, Component(c.kind, c.key)), h.window, h.value)
 
 
 def dfg_counts(dot):
@@ -771,27 +774,29 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     thresholds = compute_thresholds(matrix, p)
     table = generate_hles(matrix, thresholds)
     links = build_link_table(log)
-    copies = [copy_of(h) for h in table]
+    space = links.components
+    events = hle_rows(table, space)
+    copies = [copy_of(h) for h in events]
     repeats = data.draw(st.lists(st.sampled_from(copies), max_size=5)) if copies else []
-    shuffled = hle_table(data.draw(st.permutations(copies + [copy_of(h) for h in repeats])))
+    shuffled = hle_table(data.draw(st.permutations(copies + [copy_of(h) for h in repeats])), space)
     perm = np.array(data.draw(st.permutations(range(len(table)))), dtype=np.intp)
 
     assignment = cascades(table, links, lam)
     from_shuffled = cascades(shuffled, links, lam)
-    assert oracles.cascade_ids(assignment) == oracles.cascade_ids(from_shuffled)
+    assert oracles.cascade_ids(assignment, space) == oracles.cascade_ids(from_shuffled, space)
     assert assignment.count == from_shuffled.count
     link = oracles.link_value(links)
     if len(table) <= 500:  # the oracle compares every pair of events
-        assert oracles.partition_of(assignment) == oracles.oracle_partition(table, link, lam)
+        assert oracles.partition_of(assignment, space) == oracles.oracle_partition(events, link, lam)
     edges = propagation_edges(table, links, lam)
     # the distinct rows of the shuffled table are the rows of the table
     assert np.array_equal(edges, propagation_edges(shuffled, links, lam))
     by_window = {}
-    for h in table:
+    for h in events:
         by_window.setdefault(h.window, []).append(h)
-    assert set(edge_events(table, edges)) == {
+    assert set(edge_events(table, edges, space)) == {
         (h1, h2)
-        for h1 in table
+        for h1 in events
         for h2 in by_window.get(h1.window + 1, ())
         if oracles.oracle_propagates(h1, h2, link, lam)
     }
@@ -799,14 +804,14 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     hlel = build_hlel(assignment, framing, thresholds)
     rows = entry_reprs(hlel)
     assert rows == entry_reprs(build_hlel(from_shuffled, framing, thresholds))
-    permuted = CascadeAssignment(hle_table(table[k] for k in perm), assignment.cases[perm])
+    permuted = CascadeAssignment(hle_table((events[k] for k in perm), space), assignment.cases[perm])
     assert rows == entry_reprs(build_hlel(permuted, framing, thresholds))
 
     names = sorted({e.activity for e in rows})
     for order in (None, FlattenOrder(data.draw(st.permutations(names))[: len(names) // 2])):
         flat = entry_reprs(flatten(hlel, order))
         assert flat == entry_reprs(flatten(high_level_log(entries(hlel)), order))
-        key = (order or FlattenOrder()).key
+        key = oracles.flatten_key(order or FlattenOrder())
         assert flat == sorted(rows, key=lambda e: (e.case, e.window, key(e.activity)))
     flat = flatten(hlel)
     assert export_dfg(flat) == export_dfg(high_level_log(entries(flat)))
@@ -832,8 +837,8 @@ def propagation_graphs(draw):
     descending resource ids, so its window order and its component order
     disagree. A zig-zag fills windows w and w+1 with many resources; a star
     has one resource in its middle window and many on both sides. A
-    resource's views order its features' names, and so its component id,
-    differently from its number.
+    resource's views order its features' names differently from its
+    number, which is its component code.
     """
     lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     m = draw(st.integers(1, 8))
@@ -862,29 +867,32 @@ def propagation_graphs(draw):
             placed += [(start + 2, i) for i in draw(some)]
     views = st.lists(st.sampled_from([View.DO, View.TODO, View.WL]), min_size=1, max_size=2)
     hles = [
-        HighLevelEvent(FeatureId(view, resources[i]), w, draw(st.sampled_from([0.5, 1.0])))
+        HighLevelEvent(Feature(view, resources[i]), w, draw(st.sampled_from([0.5, 1.0])))
         for w, i in placed
         for view in draw(views)
     ]
-    return hle_table(hles), links, lam
+    # with one resource the table has no components, and r0 lies beyond them
+    assert list(links.components) in ([], resources)
+    return hle_table(hles, resources), links, lam, resources
 
 
 @SETTINGS
 @given(propagation_graphs())
 def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
-    table, links, lam = graph
+    table, links, lam, space = graph
     assignment = cascades(table, links, lam)
     link = oracles.link_value(links)
-    assert oracles.cascade_ids(assignment) == oracles.oracle_cascade_ids(table, link, lam)
+    events = hle_rows(table, space)
+    assert oracles.cascade_ids(assignment, space) == oracles.oracle_cascade_ids(events, link, lam)
     edges = propagation_edges(table, links, lam)
     rows = list(map(tuple, edges.tolist()))
     assert rows == sorted(set(rows))
     # row order is (window, feature name, value) order
-    keys = [(h.window, h.feature.name, h.value) for h in table.distinct()]
+    keys = [(h.window, h.feature.name, h.value) for h in hle_rows(table.distinct(), space)]
     assert keys == sorted(set(keys))
-    assert set(edge_events(table, edges)) == {
+    assert set(edge_events(table, edges, space)) == {
         (h1, h2)
-        for h1, h2 in itertools.product(set(table), repeat=2)
+        for h1, h2 in itertools.product(set(events), repeat=2)
         if oracles.oracle_propagates(h1, h2, link, lam)
     }
     # every round at least halves the sets of each connected part
