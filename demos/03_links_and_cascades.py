@@ -39,9 +39,9 @@ def main():
     log = build_log()
     links = build_link_table(log)
     print("nonzero component links (closeness in [0,1]):")
+    kinds, labels = links.kinds, links.labels
     for i, j, value in zip(links.first.tolist(), links.second.tolist(), links.values.tolist()):
-        c1, c2 = links.components[i], links.components[j]
-        print(f"  {c1.kind.value:<8} {c1.label:<16} {c2.kind.value:<8} {c2.label:<16} {value:.2f}")
+        print(f"  {kinds[i]:<8} {labels[i]:<16} {kinds[j]:<8} {labels[j]:<16} {value:.2f}")
 
     framing = Framing(origin=START, width=15 * 60)
     # without exclude_zeros the sparse views get a threshold of 0 at this

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _MODULES = {
     **dict.fromkeys(("ConfigError", "DataError", "HighlineError"), "errors"),
     **dict.fromkeys((
-        "ColumnMapping", "Component", "ComponentKind", "Event", "EventLog", "Segment", "Step",
+        "ColumnMapping", "ComponentKind", "Event", "EventLog", "Segment", "Step",
         "ingest_csv", "write_event_csv",
     ), "events"),
     **dict.fromkeys((

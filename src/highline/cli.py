@@ -25,7 +25,6 @@ from .events import (
     EventLog,
     Segment,
     csv_column,
-    csv_fields,
     ingest_csv,
     parse_config_timestamp,
     row_blocks,
@@ -227,9 +226,8 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
 def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
     """The link table as CSV, pairs in code order: components by (kind,
     label), two segments of one label by (source, target)."""
-    names = np.array([csv_fields(c.kind.value, c.label) for c in links.components], dtype=object)
     header = ("kind1", "component1", "kind2", "component2", "link")
-    write_csv(path_or_fh, header, _link_blocks(links, names, include_zeros))
+    write_csv(path_or_fh, header, _link_blocks(links, csv_column(links.kinds, links.labels), include_zeros))
 
 
 def _link_blocks(links: LinkTable, names: np.ndarray, include_zeros: bool):
@@ -241,7 +239,7 @@ def _link_blocks(links: LinkTable, names: np.ndarray, include_zeros: bool):
     if not include_zeros:
         yield from row_blocks((names, first), (names, second), values)
         return
-    n = len(links.components)
+    n = len(links.labels)
 
     def row_start(i):  # pair (i, j) is pair row_start(i) + j - i - 1 of the triangle
         return i * n - i * (i + 1) // 2

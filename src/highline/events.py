@@ -69,29 +69,6 @@ class ComponentKind(str, Enum):
     SEGMENT = "segment"
 
 
-class Component(NamedTuple):
-    """A process entity a feature can measure: activity, resource or segment."""
-
-    kind: ComponentKind
-    key: str | Segment
-
-    @staticmethod
-    def activity(name: str) -> "Component":
-        return Component(ComponentKind.ACTIVITY, name)
-
-    @staticmethod
-    def resource(name: str) -> "Component":
-        return Component(ComponentKind.RESOURCE, name)
-
-    @staticmethod
-    def segment(source: str, target: str) -> "Component":
-        return Component(ComponentKind.SEGMENT, Segment(source, target))
-
-    @property
-    def label(self) -> str:
-        return self.key.label if isinstance(self.key, Segment) else self.key
-
-
 class ColumnMapping(NamedTuple):
     """Names of the four mandatory columns in an input CSV."""
 
@@ -337,12 +314,13 @@ class EventLog:
         return tuple(Segment(names[s], names[t]) for s, t in self.step_segments[1].tolist())
 
     @cached_property
-    def component_codes(self) -> dict[ComponentKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per kind, its components by name code: each one's code, the code of
-        the first component of its label, and its label (object array). The
-        component code space numbers the log's components in (kind, label)
-        order, activities from 0, then resources, then segments; two segments
-        of one label (names may hold commas) by (source, target)."""
+    def component_codes(self) -> dict[ComponentKind, tuple[np.ndarray, np.ndarray]]:
+        """Per kind, its components by name code: each one's code and the code of
+        the first component of its label. The component code space numbers the
+        log's components in (kind, label) order, activities from 0, then
+        resources, then segments; two segments of one label (names may hold
+        commas) by (source, target). ``component_kinds`` and
+        ``component_labels`` hold each code's kind text and label."""
         n_act, n_res = len(self.activity_names), len(self.resource_names)
         activities, resources = np.arange(n_act), n_act + np.arange(n_res)
         labels = np.array([s.label for s in self.segment_names], dtype=object)
@@ -350,10 +328,24 @@ class EventLog:
         segments = n_act + n_res + np.argsort(by_label)
         first = n_act + n_res + np.searchsorted(labels[by_label], labels)
         return {
-            ComponentKind.ACTIVITY: (activities, activities, np.array(self.activity_names, dtype=object)),
-            ComponentKind.RESOURCE: (resources, resources, np.array(self.resource_names, dtype=object)),
-            ComponentKind.SEGMENT: (segments, first, labels),
+            ComponentKind.ACTIVITY: (activities, activities),
+            ComponentKind.RESOURCE: (resources, resources),
+            ComponentKind.SEGMENT: (segments, first),
         }
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Each component's label in code order (object array)."""
+        segments = self.component_codes[ComponentKind.SEGMENT][0]
+        labels = np.array([*self.activity_names, *self.resource_names, *[""] * len(segments)], dtype=object)
+        labels[segments] = [s.label for s in self.segment_names]
+        return _frozen(labels)
+
+    @cached_property
+    def component_kinds(self) -> np.ndarray:
+        """Each component's kind text in code order (object array)."""
+        sizes = (len(self.activity_names), len(self.resource_names), len(self.segment_names))
+        return _frozen(np.repeat(np.array([k.value for k in ComponentKind], dtype=object), sizes))
 
     @cached_property
     def events(self) -> tuple[Event, ...]:

@@ -65,8 +65,10 @@ class FeatureTable:
     """High-level features as columns (texts as object arrays): row k is the
     feature ``names[k]``, view ``views[k]`` of the component of code
     ``components[k]``, kind ``kinds[k]`` and label ``labels[k]``. ``evaluate``
-    makes the rows in name order, and the codes in the log's component code
-    space (``LinkTable.components``). Iteration yields (view, code) pairs."""
+    makes the rows in name order, the codes in the log's component code
+    space and the kinds and labels from its columns
+    (``EventLog.component_kinds`` and ``component_labels``). Iteration
+    yields (view, code) pairs."""
 
     def __init__(self, views, components, kinds, labels, names):
         self.views, self.components, self.kinds = views, components, kinds
@@ -74,6 +76,11 @@ class FeatureTable:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def activities(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct names, and each row's index among them."""
+        return np.unique(self.names, return_inverse=True)
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return zip(self.views.tolist(), self.components.tolist())
@@ -188,14 +195,10 @@ def evaluate(
         raise ConfigError(f"no view selected; choose from {sorted(v.value for v in View)}")
     counts = [len(chosen[VIEW_KIND[v]]) for v in selected]
     view_names = np.repeat(np.array([v.value for v in selected], dtype=object), counts)
-    kind_codes = [log.component_codes[VIEW_KIND[v]] for v in selected]
-    labels = np.concatenate([c[2][chosen[VIEW_KIND[v]]] for v, c in zip(selected, kind_codes)])
+    components = np.concatenate([log.component_codes[VIEW_KIND[v]][0][chosen[VIEW_KIND[v]]] for v in selected])
+    labels = log.component_labels[components]
     features = FeatureTable(
-        view_names,
-        np.concatenate([c[0][chosen[VIEW_KIND[v]]] for v, c in zip(selected, kind_codes)]),
-        np.repeat(np.array([VIEW_KIND[v].value for v in selected], dtype=object), counts),
-        labels,
-        view_names + "-" + labels,
+        view_names, components, log.component_kinds[components], labels, view_names + "-" + labels
     )
     values = np.empty((len(features), len(windows)))
     grid, start = _Grid(log, framing, windows), 0
@@ -339,6 +342,13 @@ class ThresholdTable(NamedTuple):
     percentile: float
     by_view: Mapping[View, float]
 
+    def per_feature(self, features: FeatureTable) -> np.ndarray:
+        """The threshold of each row of ``features``, NaN where its view has none."""
+        limits = np.full(len(features), np.nan)
+        for view, value in self.by_view.items():
+            limits[features.views == view.value] = value
+        return limits
+
 
 def nearest_rank(values: np.ndarray, p: float) -> float:
     """The nearest-rank percentile: the value at rank ceil(p*n), 1-based.
@@ -386,9 +396,7 @@ def generate_hles(matrix: EvaluationMatrix, thresholds: ThresholdTable) -> HLETa
 
     Ordered by (window, feature name).
     """
-    limits = np.full(len(matrix.features), np.nan)
-    for view, block in matrix.blocks.items():
-        limits[block] = thresholds.by_view.get(view, np.nan)
+    limits = thresholds.per_feature(matrix.features)
     # NaN compares false, so undefined cells and views without a threshold never
     # qualify; nonzero of the transposed mask runs by window, then feature name
     offsets, rows = np.nonzero((matrix.values >= limits[:, None]).T)

@@ -58,7 +58,7 @@ class HighLevelLog:
     def activity_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted distinct activity names of the features, and each
         row's index among them."""
-        names, of_feature = np.unique(self.features.names, return_inverse=True)
+        names, of_feature = self.features.activities
         return names, of_feature[self.feature_codes]
 
     def __len__(self) -> int:
@@ -83,12 +83,10 @@ def build_hlel(
         codes, windows, cases, values = codes[order], windows[order], cases[order], values[order]
     starts, stamp_codes = np.unique(windows, return_inverse=True)
     features = table.features
-    threshold = np.full(len(features), np.nan)
-    for view, value in thresholds.by_view.items():
-        threshold[features.views == view.value] = value
     ids = np.arange(1, len(codes) + 1)
     return HighLevelLog(
-        features, threshold, codes, cases, windows, values, ids, framing.starts_us(starts), stamp_codes
+        features, thresholds.per_feature(features), codes, cases, windows, values, ids,
+        framing.starts_us(starts), stamp_codes,
     )
 
 

@@ -16,12 +16,12 @@ cascade.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .events import Component, ComponentKind, EventLog
+from .events import ComponentKind, EventLog
 from .features import HLETable
 
 
@@ -29,18 +29,20 @@ class LinkTable:
     """Link values of unordered component pairs, as columns over one code
     space.
 
-    ``components`` is the code space: components ranked by (kind, label),
-    two segments of one label by (source, target). Pair k links
-    ``components[first[k]]`` to ``components[second[k]]`` with ``values[k]``
-    in (0, 1], where ``first[k] < second[k]``, in (first, second) order.
-    Unstored pairs have value 0, and a component is linked to itself with 1.
-    The constructor takes code pairs in either orientation, repeated or not:
-    each keeps its largest value, and values <= 0 are dropped.
+    ``kinds`` and ``labels`` are the code space, the kind text and the label
+    of each code (``EventLog.component_kinds`` and ``component_labels`` for
+    ``build_link_table``): components ranked by (kind, label), two segments
+    of one label by (source, target). Pair k links codes ``first[k]`` and
+    ``second[k]`` with ``values[k]`` in (0, 1], where ``first[k] <
+    second[k]``, in (first, second) order. Unstored pairs have value 0, and
+    a component is linked to itself with 1. The constructor takes code pairs
+    in either orientation, repeated or not: each keeps its largest value,
+    and values <= 0 are dropped.
     """
 
-    def __init__(self, components: Sequence[Component], first, second, values):
-        self.components = tuple(components)
-        n = len(self.components)
+    def __init__(self, kinds: np.ndarray, labels: np.ndarray, first, second, values):
+        self.kinds, self.labels = kinds, labels
+        n = len(labels)
         keep = (values > 0) & (first != second)
         low, high = np.minimum(first, second), np.maximum(first, second)
         keys, pair = np.unique((low * n + high)[keep], return_inverse=True)
@@ -62,8 +64,6 @@ def build_link_table(log: EventLog) -> LinkTable:
     n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
     # activity and resource codes follow their names
     seg_code = log.component_codes[ComponentKind.SEGMENT][0]
-    components = [*map(Component.activity, log.activity_names), *map(Component.resource, log.resource_names)]
-    components += [Component(ComponentKind.SEGMENT, log.segment_names[s]) for s in np.argsort(seg_code)]
     act, res = log.activity_codes, log.resource_codes
     first, second = log.step_rows
     seg, ends = log.step_segments
@@ -111,7 +111,7 @@ def build_link_table(log: EventLog) -> LinkTable:
     s1, s2, count = s1[distinct], s2[distinct], count[distinct]
     put(seg_code[s1], seg_code[s2], np.maximum(count / seg_n[s1], count / seg_n[s2]))
     i, j, values = (np.concatenate(column) for column in zip(*links))
-    return LinkTable(components, i, j, np.minimum(values, 1.0))
+    return LinkTable(log.component_kinds, log.component_labels, i, j, np.minimum(values, 1.0))
 
 
 # --- proximity and cascades ----------------------------------------------------
@@ -144,13 +144,13 @@ def _offsets(count: np.ndarray) -> np.ndarray:
 
 def _near(links: LinkTable, components: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (i, j) positions in ``components`` (sorted distinct codes, any
-    beyond the table's code space linked to none) whose link reaches ``lam``,
-    i == j too."""
-    n = len(components)
+    outside the table's code space linked to none) whose link reaches
+    ``lam``, i == j too."""
+    n, size = len(components), len(links.labels)
     if lam <= 0:  # unlinked pairs too
         return np.divmod(np.arange(n * n), n)
-    known = np.flatnonzero(components < len(links.components))
-    position = np.full(len(links.components), -1)
+    known = np.flatnonzero((components >= 0) & (components < size))
+    position = np.full(size, -1)
     position[components[known]] = known
     strong = links.values >= lam
     i, j = position[links.first[strong]], position[links.second[strong]]

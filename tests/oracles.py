@@ -18,13 +18,37 @@ from typing import NamedTuple
 import numpy as np
 
 from highline import (
-    ColumnMapping, Component, ComponentKind, EventLog, HighLevelEvent, HLETable, HighLevelLog, LinkTable, View,
+    ColumnMapping, ComponentKind, EventLog, HighLevelEvent, HLETable, HighLevelLog, LinkTable, Segment, View,
 )
 from highline.events import from_microseconds, to_microseconds
 from highline.features import FeatureTable
 
 
 # --- per-row views of the columns ------------------------------------------------
+
+
+class Component(NamedTuple):
+    """A process entity a feature can measure: an activity or a resource,
+    keyed by its name, or a segment, keyed by its ``Segment``."""
+
+    kind: ComponentKind
+    key: str | Segment
+
+    @staticmethod
+    def activity(name):
+        return Component(ComponentKind.ACTIVITY, name)
+
+    @staticmethod
+    def resource(name):
+        return Component(ComponentKind.RESOURCE, name)
+
+    @staticmethod
+    def segment(source, target):
+        return Component(ComponentKind.SEGMENT, Segment(source, target))
+
+    @property
+    def label(self):
+        return self.key.label if isinstance(self.key, Segment) else self.key
 
 
 class Feature(NamedTuple):
@@ -106,19 +130,30 @@ def windows_of(matrix):
     return range(matrix.windows.first, matrix.windows.last + 1)
 
 
-def link_pairs(table):
-    """The nonzero entries of a ``LinkTable`` as (component, component,
-    value), in (first, second) order."""
-    c = table.components
+def table_space(table):
+    """The code space of a ``LinkTable`` as ``Component``s, read from its kind
+    and label columns; each segment label must name its two ends, as
+    ``(source,target)`` does where no name holds a comma."""
+    return [
+        Component(ComponentKind(kind), Segment(*label[1:-1].split(",")) if kind == "segment" else label)
+        for kind, label in zip(table.kinds.tolist(), table.labels.tolist())
+    ]
+
+
+def link_pairs(table, components):
+    """The nonzero entries of a ``LinkTable`` whose codes index
+    ``components``, as (component, component, value), in (first, second)
+    order."""
     pairs = zip(table.first.tolist(), table.second.tolist(), table.values.tolist())
-    return [(c[i], c[j], v) for i, j, v in pairs]
+    return [(components[i], components[j], v) for i, j, v in pairs]
 
 
-def link_value(table):
-    """The link value of any two components under a ``LinkTable``: 1 for one
-    component, the stored value of the pair in either order, else 0."""
+def link_value(table, components):
+    """The link value of any two components under a ``LinkTable`` whose codes
+    index ``components``: 1 for one component, the stored value of the pair
+    in either order, else 0."""
     stored = {}
-    for c1, c2, v in link_pairs(table):
+    for c1, c2, v in link_pairs(table, components):
         stored[c1, c2] = stored[c2, c1] = v
     return lambda c1, c2: 1.0 if c1 == c2 else stored.get((c1, c2), 0.0)
 
@@ -479,7 +514,8 @@ def link_table(pairs):
     components = sorted({c for pair in pairs for c in pair}, key=component_order)
     code = {c: i for i, c in enumerate(components)}
     return LinkTable(
-        components,
+        np.array([c.kind.value for c in components], dtype=object),
+        np.array([c.label for c in components], dtype=object),
         np.array([code[c1] for c1, _ in pairs], dtype=np.int64),
         np.array([code[c2] for _, c2 in pairs], dtype=np.int64),
         np.array(list(pairs.values()), dtype=float),

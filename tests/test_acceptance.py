@@ -15,9 +15,9 @@ import pytest
 
 from conftest import BASE, random_log
 import oracles
+from oracles import Component
 
 from highline import (
-    Component,
     ComponentKind,
     Framing,
     ScenarioConfig,
@@ -193,7 +193,7 @@ def test_link_bounds_and_log_t_table(log_t):
             (r1, ab): 1.0, (r2, ab): 1.0, (r1, bc): 1.0, (r2, bc): 1.0,
             (ab, bc): 1.0,
         }
-        link = oracles.link_value(table)
+        link = oracles.link_value(table, oracles.code_space(log_t))
         for (c1, c2), want in expected.items():
             assert link(c1, c2) == pytest.approx(want), (c1.label, c2.label)
 
@@ -231,16 +231,17 @@ def test_cascade_correctness():
                     )
                 )
             lam1, lam2 = sorted((rng.random(), rng.random()))
-            table = oracles.hle_table(hles, links.components)
+            space = oracles.table_space(links)
+            table = oracles.hle_table(hles, space)
             fine = cascades(table, links, lam2)
             def raw(c1, c2):
                 # the oracle reads the raw pairs, not the table under test
                 return pairs.get((c1, c2), pairs.get((c2, c1), 0.0))
 
-            assert oracles.partition_of(fine, links.components) == oracles.oracle_partition(hles, raw, lam2)
+            assert oracles.partition_of(fine, space) == oracles.oracle_partition(hles, raw, lam2)
             # lambda-monotone refinement: each fine cascade nests in a coarse one
-            coarse = oracles.cascade_ids(cascades(table, links, lam1), links.components)
-            for block in oracles.partition_of(fine, links.components):
+            coarse = oracles.cascade_ids(cascades(table, links, lam1), space)
+            for block in oracles.partition_of(fine, space):
                 assert len({coarse[h] for h in block}) == 1
 
 
@@ -268,13 +269,14 @@ def test_table_one_qualitative_reproduction(scenario, scenario_analysis, tmp_pat
 
     with criterion("workload, traffic, delay and follow-up features share a cascade"):
         fired_weeks = {name: set() for name in TARGET_ACTIVITIES}
-        for h in oracles.hle_rows(result.hles, result.links.components):
+        space = oracles.code_space(result.log)
+        for h in oracles.hle_rows(result.hles, space):
             if h.feature.name in fired_weeks:
                 fired_weeks[h.feature.name].add(week_of_window(result, config, h.window))
         for name, weeks_fired in fired_weeks.items():
             assert BUSY_WEEKS <= weeks_fired, (name, weeks_fired)
         by_cascade = {}
-        for h, cascade in oracles.cascade_ids(result.assignment, result.links.components).items():
+        for h, cascade in oracles.cascade_ids(result.assignment, space).items():
             by_cascade.setdefault(cascade, set()).add(h.feature.name)
         assert any(
             set(TARGET_ACTIVITIES) <= names for names in by_cascade.values()
@@ -344,7 +346,7 @@ def test_hlel_bijection(scenario_analysis, log_t):
         big, _ = scenario_analysis
         for result in (small, big):
             assert len(result.entries) == len(result.hles)
-            space = result.links.components
+            space = oracles.code_space(result.log)
             by_key = {(h.feature.name, h.window): h for h in oracles.hle_rows(result.hles, space)}
             assert len(by_key) == len(result.hles)
             ids = oracles.cascade_ids(result.assignment, space)

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from conftest import log_t_csv_text
+import oracles
 
-from highline import HighLevelEvent
+from highline import HighLevelEvent, build_link_table, ingest_csv
 from highline.cli import main
 
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
@@ -508,6 +509,13 @@ def test_segments_of_one_label_share_one_row_in_label_then_segment_order(tmp_pat
     assert [r for r in rows if r.startswith("segment,")] == [
         'segment,"(a,a,a)",segment,"(a,a,a)",0.6666666666666666'
     ]
+    # the table's kind and label columns are the oracle's code space, in order
+    log = ingest_csv(str(path))
+    table, space = build_link_table(log), oracles.code_space(log)
+    assert table.kinds.tolist() == [c.kind.value for c in space]
+    assert table.labels.tolist() == [c.label for c in space]
+    expected = oracles.oracle_link_table(log)
+    assert oracles.link_pairs(table, space) == [(c1, c2, v) for (c1, c2), v in expected.items()]
 
 
 def test_summary_subcommand(log_t_csv, tmp_path):

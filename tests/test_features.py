@@ -10,10 +10,10 @@ import pytest
 
 from conftest import BASE, make_log, random_log
 import oracles
+from oracles import Component
 
 from highline import (
     CascadeAssignment,
-    Component,
     ComponentKind,
     ConfigError,
     EventLog,

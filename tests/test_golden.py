@@ -109,7 +109,7 @@ def test_the_benchmark_trace_counts_the_demo_analysis_from_the_library(monkeypat
     matrix, hles, links = result.matrix, result.hles, result.links
     # the same counts from the columns: an edge joins events of adjacent
     # windows whose components are one, or linked at least at lambda
-    near = np.eye(len(links.components), dtype=bool)
+    near = np.eye(len(links.labels), dtype=bool)
     near[links.first, links.second] = near[links.second, links.first] = links.values >= 0.5
     component = hles.features.components[hles.codes]
     edges = (hles.windows[:, None] + 1 == hles.windows) & near[component[:, None], component]

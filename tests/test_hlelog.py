@@ -10,12 +10,12 @@ import pytest
 
 from conftest import BASE, make_log
 from oracles import (
-    Entry, Feature, cascade_ids, entries, entry_reprs, flatten_key, high_level_log, hle_rows, hle_table, hlel_of,
+    Component, Entry, Feature, cascade_ids, code_space, entries, entry_reprs, flatten_key, high_level_log, hle_rows,
+    hle_table, hlel_of,
 )
 
 from highline import (
     CascadeAssignment,
-    Component,
     ConfigError,
     DataError,
     FlattenOrder,
@@ -267,9 +267,10 @@ def test_read_hlel_latin1_byte_names_its_line(tmp_path, log_t):
 
 def test_case_ids_are_cascade_ids(log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
-    ids = cascade_ids(result.assignment, result.links.components)
+    space = code_space(log_t)
+    ids = cascade_ids(result.assignment, space)
     for e in entries(result.entries):
-        by_hand = {h for h in hle_rows(result.hles, result.links.components) if ids[h] == e.case}
+        by_hand = {h for h in hle_rows(result.hles, space) if ids[h] == e.case}
         assert e.activity in {h.feature.name for h in by_hand}
 
 

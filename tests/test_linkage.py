@@ -9,7 +9,6 @@ from conftest import make_log, random_log
 import oracles
 
 from highline import (
-    Component,
     ComponentKind,
     ConfigError,
     HighLevelEvent,
@@ -20,8 +19,9 @@ from highline import (
     cascades,
     propagation_edges,
 )
+from highline.features import FeatureTable
 import highline.linkage as linkage
-from oracles import cascade_ids, edge_events, hle_table, link_table
+from oracles import Component, cascade_ids, edge_events, hle_table, link_table, table_space
 
 AB = Segment("a", "b")
 BC = Segment("b", "c")
@@ -61,7 +61,7 @@ LOG_T_TABLE = {
 
 
 def test_log_t_full_table(log_t):
-    link = oracles.link_value(build_link_table(log_t))
+    link = oracles.link_value(build_link_table(log_t), oracles.code_space(log_t))
     for (c1, c2), expected in LOG_T_TABLE.items():
         assert link(c1, c2) == expected, (c1.label, c2.label)
         assert link(c2, c1) == expected, (c2.label, c1.label)
@@ -69,7 +69,7 @@ def test_log_t_full_table(log_t):
 
 def link(log, c1, c2):
     """The production link value of two components of ``log``."""
-    return oracles.link_value(build_link_table(log))(c1, c2)
+    return oracles.link_value(build_link_table(log), oracles.code_space(log))(c1, c2)
 
 
 def test_resource_working_alone_has_zero_resource_links():
@@ -127,7 +127,7 @@ def test_segments_of_one_label_keep_their_larger_value_once():
     table = build_link_table(log)
     x, y = Component.segment("a,a", "a"), Component.segment("a", "a,a")
     # a tie in (kind, label) goes by (source, target)
-    pairs = oracles.link_pairs(table)
+    pairs = oracles.link_pairs(table, oracles.code_space(log))
     segment_pairs = [p for p in pairs if p[0].kind is p[1].kind is ComponentKind.SEGMENT]
     assert segment_pairs == [(y, x, 2 / 3)]
     assert pairs == [(c1, c2, v) for (c1, c2), v in oracles.oracle_link_table(log).items()]
@@ -139,7 +139,7 @@ def test_table_matches_oracle():
         log = random_log(rng, max_events=80, max_cases=8)
         steps = oracles.oracle_step_events(log)
         table = build_link_table(log)
-        link = oracles.link_value(table)
+        link = oracles.link_value(table, oracles.code_space(log))
         components = (
             [Component.activity(a) for a in log.activity_names]
             + [Component.resource(r) for r in log.resource_names]
@@ -162,8 +162,9 @@ def hle(view, comp, w, value=1.0):
 
 def edges_at(hles, links, lam):
     """The propagation edges among ``hles`` as a set of event pairs."""
-    table = hle_table(hles, links.components)
-    return set(edge_events(table, propagation_edges(table, links, lam), links.components))
+    space = table_space(links)
+    table = hle_table(hles, space)
+    return set(edge_events(table, propagation_edges(table, links, lam), space))
 
 
 def test_proximity_rules(log_t):
@@ -209,8 +210,9 @@ def table_of(pairs):
 def test_chain_of_three_shares_one_cascade():
     links = table_of({("A", "B"): 0.8, ("B", "C"): 0.8, ("A", "C"): 0.0})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hle_table(hles, links.components), links, 0.5)
-    assert len(set(cascade_ids(assignment, links.components).values())) == 1
+    space = table_space(links)
+    assignment = cascades(hle_table(hles, space), links, 0.5)
+    assert len(set(cascade_ids(assignment, space).values())) == 1
 
 
 def test_simultaneous_events_joined_through_shared_successor():
@@ -218,16 +220,22 @@ def test_simultaneous_events_joined_through_shared_successor():
     a0 = hle(View.EXEC, comp("A"), 0)
     b0 = hle(View.EXEC, comp("B"), 0)
     c1 = hle(View.EXEC, comp("C"), 1)
-    assignment = cascades(hle_table([a0, b0, c1], links.components), links, 0.5)
-    ids = cascade_ids(assignment, links.components)
+    space = table_space(links)
+    assignment = cascades(hle_table([a0, b0, c1], space), links, 0.5)
+    ids = cascade_ids(assignment, space)
     assert ids[a0] == ids[b0] == ids[c1]
 
 
 def test_lambda_one_with_weak_links_gives_singletons():
     links = table_of({("A", "B"): 0.99, ("B", "C"): 0.99})
     hles = [hle(View.EXEC, comp("A"), 0), hle(View.EXEC, comp("B"), 1), hle(View.EXEC, comp("C"), 2)]
-    assignment = cascades(hle_table(hles, links.components), links, 1.0)
-    assert len(set(cascade_ids(assignment, links.components).values())) == 3
+    space = table_space(links)
+    assignment = cascades(hle_table(hles, space), links, 1.0)
+    assert len(set(cascade_ids(assignment, space).values())) == 3
+
+
+def texts(*values):
+    return np.array(values, dtype=object)
 
 
 def test_persistence_propagates_at_lambda_one():
@@ -235,6 +243,18 @@ def test_persistence_propagates_at_lambda_one():
     # a component beyond the code space of the empty table
     assignment = cascades(hle_table(hles), link_table({}), 1.0)
     assert len(set(cascade_ids(assignment, [comp("A")]).values())) == 1
+    # a code outside the code space, -1 as a read-back log gives or one past
+    # its end, is linked to nothing, not to the last component: (a,b), which
+    # is linked 1.0 to a
+    links = build_link_table(make_log([("c1", "a", 0, "r1"), ("c1", "b", 60, "r2")]))
+    assert links.labels[-1] == "(a,b)"
+    for outside in (-1, 99):
+        features = FeatureTable(
+            texts("delay", "exec"), np.array([outside, 0]), texts("segment", "activity"), texts("(a,b)", "a"),
+            texts("delay-(a,b)", "exec-a"),
+        )
+        table = HLETable(features, np.array([0, 1]), np.array([0, 1]), np.ones(2))
+        assert cascades(table, links, 0.5).cases.tolist() == [1, 2]
 
 
 def test_cascade_ids_dense_and_deterministically_numbered():
@@ -265,12 +285,13 @@ def test_cascade_ids_invariant_under_input_permutation():
         hle(View.EXEC, comp(rng.choice(names)), rng.randint(0, 5), value=float(i))
         for i in range(30)
     ]
-    baseline = cascades(hle_table(hles, links.components), links, 0.4)
+    space = table_space(links)
+    baseline = cascades(hle_table(hles, space), links, 0.4)
     for _ in range(5):
         shuffled = hles[:]
         rng.shuffle(shuffled)
-        assignment = cascades(hle_table(shuffled, links.components), links, 0.4)
-        assert cascade_ids(assignment, links.components) == cascade_ids(baseline, links.components)
+        assignment = cascades(hle_table(shuffled, space), links, 0.4)
+        assert cascade_ids(assignment, space) == cascade_ids(baseline, space)
 
 
 def test_lambda_out_of_range():
@@ -317,7 +338,7 @@ def random_hle_world(rng, n_hles=60, n_windows=8):
     for h in rng.sample(hles, min(5, len(hles))):
         hles.append(hle(h.feature.view, h.feature.component, h.window, h.value))
     links = link_table(pairs)
-    return hles, links, pairs, [*links.components, *components[-2:]]
+    return hles, links, pairs, [*table_space(links), *components[-2:]]
 
 
 def raw_link(pairs):
@@ -402,8 +423,8 @@ def test_a_long_alternating_chain_is_one_cascade():
 
     prefix, _ = chain(300)
     assignment = cascades(prefix, links, 0.5)
-    link = oracles.link_value(links)
-    space = links.components
+    space = table_space(links)
+    link = oracles.link_value(links, space)
     events = oracles.hle_rows(prefix, space)
     assert cascade_ids(assignment, space) == oracles.oracle_cascade_ids(events, link, 0.5)
     assert set(edge_events(prefix, propagation_edges(prefix, links, 0.5), space)) == {
@@ -421,7 +442,7 @@ def test_joining_takes_at_most_log2_rounds_where_plain_min_hooking_takes_more():
     r = [Component.resource(f"r{i}") for i in range(8)]
     edges = [(0, 5), (1, 6), (2, 7), (3, 7), (4, 7), (3, 5), (4, 6)]
     links = link_table({(r[a], r[b]): 1.0 for a, b in edges})
-    hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)], links.components)
+    hles = hle_table([hle(View.DO, r[i], 0 if i < 5 else 1) for i in range(8)], table_space(links))
     layers = linkage._layers(hles, links, 0.5)
     assert (layers.nodes, len(layers.tail)) == (8, len(edges))
     root, rounds = linkage._join(layers.nodes, layers.tail, layers.head)

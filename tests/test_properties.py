@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BASE, read_general
-from oracles import Feature, edge_events, entries, entry_reprs, event_log, high_level_log, hle_rows, hle_table, hlel_of
+from oracles import (
+    Component, Feature, edge_events, entries, entry_reprs, event_log, high_level_log, hle_rows, hle_table, hlel_of,
+)
 
 import highline._reader as reader
 import highline.cli as cli
@@ -32,7 +34,6 @@ import highline.linkage as linkage
 from highline import (
     CascadeAssignment,
     ColumnMapping,
-    Component,
     ComponentKind,
     ConfigError,
     Event,
@@ -84,16 +85,6 @@ def events_of(rows):
     return [
         Event(i + 1, c, a, BASE + timedelta(seconds=s), r) for i, (c, a, s, r) in enumerate(rows)
     ]
-
-
-def components_of(events):
-    steps = oracles.oracle_step_events(events)
-    return sorted(
-        {Component.activity(e.activity) for e in events}
-        | {Component.resource(e.resource) for e in events}
-        | {Component.segment(e1.activity, e2.activity) for e1, e2 in steps},
-        key=oracles.sort_key,
-    )
 
 
 @SETTINGS
@@ -158,8 +149,9 @@ def test_evaluate_equals_oracles_for_every_view(rows, framing):
 def test_link_table_equals_oracle(rows):
     events = events_of(rows)
     steps = oracles.oracle_step_events(events)
-    link = oracles.link_value(build_link_table(event_log(events)))
-    for c1, c2 in itertools.combinations(components_of(events), 2):
+    space = oracles.code_space(events)
+    link = oracles.link_value(build_link_table(event_log(events)), space)
+    for c1, c2 in itertools.combinations(space, 2):
         assert link(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
 
 
@@ -185,9 +177,10 @@ def test_link_table_columns_equal_the_dict_oracle(rows):
     log = event_log(events_of(rows))
     table = build_link_table(log)
     expected = oracles.oracle_link_table(log)
-    assert oracles.link_pairs(table) == [(c1, c2, v) for (c1, c2), v in expected.items()]
-    components = sorted(components_of(events_of(rows)), key=oracles.component_order)
-    assert list(table.components) == components
+    space = oracles.code_space(events_of(rows))
+    assert oracles.link_pairs(table, space) == [(c1, c2, v) for (c1, c2), v in expected.items()]
+    assert table.kinds.tolist() == [c.kind.value for c in space]
+    assert table.labels.tolist() == [c.label for c in space]
     for include_zeros in (False, True):
         got = io.StringIO()
         cli._write_links_csv(table, got, include_zeros)
@@ -206,7 +199,7 @@ def test_links_csv_in_blocks_of_one_row_equals_one_block(rows):
             cli._write_links_csv(table, small, include_zeros)
         assert small.getvalue() == whole.getvalue()
         # with zeros, one row of the triangle per block
-        assert triangle.call_count == (len(table.components) if include_zeros else 0)
+        assert triangle.call_count == (len(table.labels) if include_zeros else 0)
 
 
 @st.composite
@@ -300,7 +293,7 @@ def test_row_order_of_the_csv_does_not_matter(tmp_path_factory, rows, framing, d
     for fid in m1.features:
         assert np.array_equal(m1.array(fid), m2.array(fid), equal_nan=True), fid
     t1, t2 = (build_link_table(log) for log in logs)
-    assert oracles.link_pairs(t1) == oracles.link_pairs(t2)
+    assert oracles.link_pairs(t1, spaces[0]) == oracles.link_pairs(t2, spaces[1])
 
 
 # --- ingest: the standard-layout reader agrees with csv.reader -----------------
@@ -475,8 +468,9 @@ def test_raising_lambda_refines_the_cascades(rows, framing, p, lam1, lam2):
     matrix = evaluate(log, framing)
     hles = generate_hles(matrix, compute_thresholds(matrix, p))
     links = build_link_table(log)
-    coarse = oracles.cascade_ids(cascades(hles, links, lam1), links.components)
-    for block in oracles.partition_of(cascades(hles, links, lam2), links.components):
+    space = oracles.code_space(log)
+    coarse = oracles.cascade_ids(cascades(hles, links, lam1), space)
+    for block in oracles.partition_of(cascades(hles, links, lam2), space):
         assert len({coarse[h] for h in block}) == 1
 
 
@@ -774,7 +768,7 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     thresholds = compute_thresholds(matrix, p)
     table = generate_hles(matrix, thresholds)
     links = build_link_table(log)
-    space = links.components
+    space = oracles.code_space(log)
     events = hle_rows(table, space)
     copies = [copy_of(h) for h in events]
     repeats = data.draw(st.lists(st.sampled_from(copies), max_size=5)) if copies else []
@@ -785,7 +779,7 @@ def test_hle_table_and_shuffled_objects_agree(rows, framing, p, lam, period, dat
     from_shuffled = cascades(shuffled, links, lam)
     assert oracles.cascade_ids(assignment, space) == oracles.cascade_ids(from_shuffled, space)
     assert assignment.count == from_shuffled.count
-    link = oracles.link_value(links)
+    link = oracles.link_value(links, space)
     if len(table) <= 500:  # the oracle compares every pair of events
         assert oracles.partition_of(assignment, space) == oracles.oracle_partition(events, link, lam)
     edges = propagation_edges(table, links, lam)
@@ -872,7 +866,7 @@ def propagation_graphs(draw):
         for view in draw(views)
     ]
     # with one resource the table has no components, and r0 lies beyond them
-    assert list(links.components) in ([], resources)
+    assert oracles.table_space(links) in ([], resources)
     return hle_table(hles, resources), links, lam, resources
 
 
@@ -881,7 +875,7 @@ def propagation_graphs(draw):
 def test_cascades_of_adversarial_graphs_agree_with_the_oracles(graph):
     table, links, lam, space = graph
     assignment = cascades(table, links, lam)
-    link = oracles.link_value(links)
+    link = oracles.link_value(links, space)
     events = hle_rows(table, space)
     assert oracles.cascade_ids(assignment, space) == oracles.oracle_cascade_ids(events, link, lam)
     edges = propagation_edges(table, links, lam)
