@@ -30,7 +30,7 @@ def main():
         path.write_text(CSV)
         log = ingest_csv(str(path))
 
-    print(f"ingested {len(log)} events from {path}")
+    print(f"ingested {len(log)} events from {path.name}")
     case = [log.case_names[c] for c in log.case_codes.tolist()]
     activity = [log.activity_names[a] for a in log.activity_codes.tolist()]
     times = log.times_us.astype("datetime64[us]").tolist()
@@ -43,7 +43,7 @@ def main():
 
     print(f"\nactivities: {list(log.activity_names)}")
     print(f"resources:  {list(log.resource_names)}")
-    print(f"segments:   {sorted(s.label for s in log.segment_names)}")
+    print(f"segments:   {[s.label for s in log.segment_names]}")  # in label order
 
     print("\nJane's events:")
     for row in np.flatnonzero(log.resource_codes == log.resource_names.index("Jane")).tolist():

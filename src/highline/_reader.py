@@ -172,7 +172,7 @@ def read_hlel_csv(path: str, timestamp_format: str | None = None):
     rows: list[tuple[int, int, int, int, int]] = []  # id, case, window, feature, stamp
     values: list[float] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != list(HLEL_COLUMNS):

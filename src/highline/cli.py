@@ -225,7 +225,8 @@ def _run_pipeline(config: RunConfig) -> AnalysisResult:
 
 def _write_links_csv(links: LinkTable, path_or_fh, include_zeros: bool) -> None:
     """The link table as CSV, pairs in code order: components by (kind,
-    label), two segments of one label by (source, target)."""
+    label), two segments of one label by (source, target), as each kind's
+    name codes follow the kinds before it."""
     header = ("kind1", "component1", "kind2", "component2", "link")
     write_csv(path_or_fh, header, _link_blocks(links, csv_column(links.kinds, links.labels), include_zeros))
 
@@ -257,7 +258,7 @@ def _link_blocks(links: LinkTable, names: np.ndarray, include_zeros: bool):
 
 
 def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
-    """The defined cells, by (feature name, window), about WRITE_ROWS cells at a time."""
+    """The defined cells, by (feature name, window), at most WRITE_ROWS cells at a time."""
     names = csv_column(matrix.features.views, matrix.features.labels)
     step = max(1, events.WRITE_ROWS // len(matrix.windows))  # features per block
 
@@ -265,7 +266,7 @@ def _write_matrix_csv(matrix: EvaluationMatrix, path: str) -> None:
         for start in range(0, len(names), step):
             rows, offsets = np.nonzero(~np.isnan(matrix.values[start:start + step]))
             rows += start
-            yield (names, rows), matrix.windows.first + offsets, matrix.values[rows, offsets]
+            yield from row_blocks((names, rows), matrix.windows.first + offsets, matrix.values[rows, offsets])
 
     write_csv(path, ("view", "component", "window", "value"), blocks())
 

@@ -39,7 +39,7 @@ def read_json_object(path: str) -> dict:
     """The JSON object of a config file; ConfigError for a file that is not
     UTF-8, not JSON or not an object."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except UnicodeDecodeError:
         raise not_utf8_error(path, ConfigError) from None

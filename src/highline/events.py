@@ -294,10 +294,10 @@ class EventLog:
     @cached_property
     def step_segments(self) -> tuple[np.ndarray, np.ndarray]:
         """The segment code of each step, and the (source, target) activity
-        codes of each segment as an (S, 2) array. Segment codes follow
-        (source, target) name order."""
+        codes of each segment as an (S, 2) array. Segment codes follow label
+        order, two of one label (names may hold commas) by (source, target)."""
         first, second = self.step_rows
-        n = len(self.activity_names)
+        n, names = len(self.activity_names), self.activity_names
         pairs = self.activity_codes[first] * n + self.activity_codes[second]
         if n * n <= len(pairs):
             # few possible pairs: mark those that occur and rank them, no sort
@@ -305,41 +305,27 @@ class EventLog:
             distinct, codes = np.flatnonzero(occurs), (np.cumsum(occurs) - 1)[pairs]
         else:
             distinct, codes = np.unique(pairs, return_inverse=True)
-        return _frozen(codes.reshape(-1)), _frozen(np.stack([distinct // n, distinct % n], axis=1))
+        ends = np.stack([distinct // n, distinct % n], axis=1)
+        # pairs are in (source, target) order, which a stable sort keeps among equal labels
+        labels = np.array([Segment(names[s], names[t]).label for s, t in ends.tolist()], dtype=object)
+        by_label = np.argsort(labels, kind="stable")
+        ends, codes = ends[by_label], np.argsort(by_label)[codes]
+        return _frozen(codes.reshape(-1)), _frozen(ends)
 
     @cached_property
     def segment_names(self) -> tuple[Segment, ...]:
-        """The segments in code order."""
+        """The segments in code order: label order, then (source, target)."""
         names = self.activity_names
         return tuple(Segment(names[s], names[t]) for s, t in self.step_segments[1].tolist())
 
     @cached_property
-    def component_codes(self) -> dict[ComponentKind, tuple[np.ndarray, np.ndarray]]:
-        """Per kind, its components by name code: each one's code and the code of
-        the first component of its label. The component code space numbers the
-        log's components in (kind, label) order, activities from 0, then
-        resources, then segments; two segments of one label (names may hold
-        commas) by (source, target). ``component_kinds`` and
-        ``component_labels`` hold each code's kind text and label."""
-        n_act, n_res = len(self.activity_names), len(self.resource_names)
-        activities, resources = np.arange(n_act), n_act + np.arange(n_res)
-        labels = np.array([s.label for s in self.segment_names], dtype=object)
-        by_label = np.argsort(labels, kind="stable")
-        segments = n_act + n_res + np.argsort(by_label)
-        first = n_act + n_res + np.searchsorted(labels[by_label], labels)
-        return {
-            ComponentKind.ACTIVITY: (activities, activities),
-            ComponentKind.RESOURCE: (resources, resources),
-            ComponentKind.SEGMENT: (segments, first),
-        }
-
-    @cached_property
     def component_labels(self) -> np.ndarray:
-        """Each component's label in code order (object array)."""
-        segments = self.component_codes[ComponentKind.SEGMENT][0]
-        labels = np.array([*self.activity_names, *self.resource_names, *[""] * len(segments)], dtype=object)
-        labels[segments] = [s.label for s in self.segment_names]
-        return _frozen(labels)
+        """Each component's label in code order (object array): the code
+        space numbers components in (kind, label) order, so a component's
+        code is its name code plus the count of components of the kinds
+        before its own (activities, resources, then segments)."""
+        segments = [s.label for s in self.segment_names]
+        return _frozen(np.array([*self.activity_names, *self.resource_names, *segments], dtype=object))
 
     @cached_property
     def component_kinds(self) -> np.ndarray:

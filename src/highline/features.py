@@ -66,9 +66,9 @@ class FeatureTable:
     feature ``names[k]``, view ``views[k]`` of the component of code
     ``components[k]``, kind ``kinds[k]`` and label ``labels[k]``. ``evaluate``
     makes the rows in name order, the codes in the log's component code
-    space and the kinds and labels from its columns
-    (``EventLog.component_kinds`` and ``component_labels``). Iteration
-    yields (view, code) pairs."""
+    space (a kind's offset plus the name code) and the kinds and labels
+    from its columns (``EventLog.component_kinds`` and
+    ``component_labels``). Iteration yields (view, code) pairs."""
 
     def __init__(self, views, components, kinds, labels, names):
         self.views, self.components, self.kinds = views, components, kinds
@@ -185,17 +185,17 @@ def evaluate(
     """
     windows = window_set(framing, log)
     names = (log.activity_names, log.resource_names, log.segment_names)
-    chosen = {
-        kind: _selection(log, kind, kind_names, requested)
-        for kind, kind_names, requested in zip(ComponentKind, names, (activities, resources, segments))
-    }
+    requested = (activities, resources, segments)
+    chosen = {kind: _selection(kind, n, r) for kind, n, r in zip(ComponentKind, names, requested)}
+    # a component's code is its name code plus the count of components of the kinds before its own
+    offset = dict(zip(ComponentKind, np.cumsum([0, *map(len, names)]).tolist()))
     # name order is (view, label) order: no view name is a prefix of another
     selected = sorted(set(views if views is not None else ALL_VIEWS), key=lambda v: v.value)
     if not selected:
         raise ConfigError(f"no view selected; choose from {sorted(v.value for v in View)}")
     counts = [len(chosen[VIEW_KIND[v]]) for v in selected]
     view_names = np.repeat(np.array([v.value for v in selected], dtype=object), counts)
-    components = np.concatenate([log.component_codes[VIEW_KIND[v]][0][chosen[VIEW_KIND[v]]] for v in selected])
+    components = np.concatenate([offset[VIEW_KIND[v]] + chosen[VIEW_KIND[v]] for v in selected])
     labels = log.component_labels[components]
     features = FeatureTable(
         view_names, components, log.component_kinds[components], labels, view_names + "-" + labels
@@ -214,20 +214,21 @@ def evaluate(
     return EvaluationMatrix(windows, features, values)
 
 
-def _selection(log: EventLog, kind: ComponentKind, names, requested) -> np.ndarray:
+def _selection(kind: ComponentKind, names, requested) -> np.ndarray:
     """The codes in ``names`` of the selected components of one kind, once
-    each, in label order (two segments of one label in selection order)."""
-    first = log.component_codes[kind][1]
+    each, in label order (two segments of one label in selection order);
+    by default all of them, whose codes follow their labels."""
     if requested is None:
-        return np.argsort(first, kind="stable")
+        return np.arange(len(names))
     code = {name: i for i, name in enumerate(names)}
     try:
-        chosen = np.array([code[item] for item in dict.fromkeys(requested)], dtype=np.int64)
+        chosen = [code[item] for item in dict.fromkeys(requested)]
     except KeyError as exc:
         item = exc.args[0]
         label = item.label if isinstance(item, Segment) else repr(item)
         raise ConfigError(f"unknown {kind.value}: {label}") from None
-    return chosen[np.argsort(first[chosen], kind="stable")]
+    # not by code, which orders two segments of one label by (source, target)
+    return np.array(sorted(chosen, key=lambda c: getattr(names[c], "label", names[c])), dtype=np.int64)
 
 
 class _Grid:

@@ -105,7 +105,7 @@ class FlattenOrder:
     @classmethod
     def from_file(cls, path: str) -> "FlattenOrder":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 names = [line.strip() for line in fh if line.strip()]
         except UnicodeDecodeError:
             raise not_utf8_error(path, ConfigError) from None

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .events import ComponentKind, EventLog
+from .events import EventLog
 from .features import HLETable
 
 
@@ -32,12 +32,13 @@ class LinkTable:
     ``kinds`` and ``labels`` are the code space, the kind text and the label
     of each code (``EventLog.component_kinds`` and ``component_labels`` for
     ``build_link_table``): components ranked by (kind, label), two segments
-    of one label by (source, target). Pair k links codes ``first[k]`` and
-    ``second[k]`` with ``values[k]`` in (0, 1], where ``first[k] <
-    second[k]``, in (first, second) order. Unstored pairs have value 0, and
-    a component is linked to itself with 1. The constructor takes code pairs
-    in either orientation, repeated or not: each keeps its largest value,
-    and values <= 0 are dropped.
+    of one label by (source, target), so that a component's code is its
+    name code plus the count of components of the kinds before its own.
+    Pair k links codes ``first[k]`` and ``second[k]`` with ``values[k]`` in
+    (0, 1], where ``first[k] < second[k]``, in (first, second) order.
+    Unstored pairs have value 0, and a component is linked to itself with
+    1. The constructor takes code pairs in either orientation, repeated or
+    not: each keeps its largest value, and values <= 0 are dropped.
     """
 
     def __init__(self, kinds: np.ndarray, labels: np.ndarray, first, second, values):
@@ -62,8 +63,8 @@ def build_link_table(log: EventLog) -> LinkTable:
     co-executions, (segment, resource) touches and chained step pairs.
     """
     n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
-    # activity and resource codes follow their names
-    seg_code = log.component_codes[ComponentKind.SEGMENT][0]
+    # activities from code 0, then resources from n_act, then segments
+    seg_code = n_act + n_res + np.arange(n_seg)
     act, res = log.activity_codes, log.resource_codes
     first, second = log.step_rows
     seg, ends = log.step_segments
@@ -91,10 +92,11 @@ def build_link_table(log: EventLog) -> LinkTable:
     put(n_act + h1[handover], n_act + h2[handover], count[handover] / res_n[h1[handover]])
     a, r, count = pair_counts(act, n_act, res, n_res)
     put(a, n_act + r, np.maximum(count / act_n[a], count / res_n[r]))
-    # steps moving a case over the segment in either direction; segment
-    # codes follow (source, target), so their keys are sorted
+    # steps moving a case over the segment in either direction, each
+    # segment's reverse found among the (source, target) keys in key order
     keys, back = source * n_act + target, target * n_act + source
-    at = np.minimum(np.searchsorted(keys, back), n_seg - 1)
+    by_key = np.argsort(keys)
+    at = by_key[np.minimum(np.searchsorted(keys[by_key], back), n_seg - 1)]
     moved = np.maximum(seg_n, np.where(keys[at] == back, seg_n[at], 0))
     put(source, seg_code, moved / act_n[source])
     put(target[~loop], seg_code[~loop], moved[~loop] / act_n[target[~loop]])

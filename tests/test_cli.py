@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import log_t_csv_text
+from conftest import BASE, log_t_csv_text
 import oracles
 
-from highline import HighLevelEvent, build_link_table, ingest_csv
+from highline import Framing, HighLevelEvent, build_link_table, cli, evaluate, events, ingest_csv
 from highline.cli import main
+from highline.events import csv_lines
 
 ARTIFACTS = ("hlel.csv", "links.csv", "summary.csv", "dfg.dot")
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -233,6 +235,11 @@ def test_analyze_config_round_trip(log_t_csv, tmp_path):
     out2 = tmp_path / "out2"
     assert run(["analyze", "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
     assert read_artifacts(str(out1)) == read_artifacts(str(out2))
+    # a leading byte order mark is skipped
+    bom_path, out3 = tmp_path / "bom.json", tmp_path / "out3"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + (out1 / "config.json").read_bytes())
+    assert run(["analyze", "--config", str(bom_path), "--out", str(out3)]) == 0
+    assert read_artifacts(str(out1)) == read_artifacts(str(out3))
     config = json.loads((out1 / "config.json").read_text())
     assert config["percentile"] == 0.7
     assert config["window_width"] == "20s"
@@ -516,6 +523,26 @@ def test_segments_of_one_label_share_one_row_in_label_then_segment_order(tmp_pat
     assert table.labels.tolist() == [c.label for c in space]
     expected = oracles.oracle_link_table(log)
     assert oracles.link_pairs(table, space) == [(c1, c2, v) for (c1, c2), v in expected.items()]
+
+
+def test_matrix_csv_is_written_at_most_write_rows_cells_at_a_time(log_t_csv, tmp_path, monkeypatch):
+    # 2 cells per block, and a feature row of 3 windows
+    matrix = evaluate(ingest_csv(log_t_csv), Framing(BASE, 20.0))
+    assert len(matrix.windows) == 3
+    whole, small = tmp_path / "whole.csv", tmp_path / "small.csv"
+    cli._write_matrix_csv(matrix, str(whole))
+    sizes = []
+
+    def spy(*columns):
+        sizes.append(len(columns[-1]))
+        return csv_lines(*columns)
+
+    monkeypatch.setattr(events, "WRITE_ROWS", 2)
+    monkeypatch.setattr(events, "csv_lines", spy)
+    cli._write_matrix_csv(matrix, str(small))
+    assert max(sizes) == 2
+    assert sum(sizes) == np.count_nonzero(~np.isnan(matrix.values))
+    assert small.read_bytes() == whole.read_bytes()
 
 
 def test_summary_subcommand(log_t_csv, tmp_path):

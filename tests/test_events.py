@@ -1,5 +1,6 @@
 import codecs
 import csv
+import itertools
 import logging
 import os
 import random
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import BASE, log_t_csv_text, make_log, random_log, read_general
-from oracles import event_log, oracle_steps, order_key
+import oracles
+from oracles import event_log, oracle_step_events, oracle_steps, order_key
 
 from highline import (
     ColumnMapping,
+    ComponentKind,
     ConfigError,
     DataError,
     Event,
@@ -26,8 +29,11 @@ from highline import (
     ScenarioConfig,
     Step,
     WeekSpec,
+    View,
     analyze_log,
+    build_link_table,
     default_origin,
+    evaluate,
     generate,
     ingest_csv,
     summarize,
@@ -36,6 +42,7 @@ from highline import (
 import highline._reader as reader_module
 import highline.events as events_module
 from highline.events import to_microseconds
+from highline.features import VIEW_KIND
 from highline.generator import QUIET_ARRIVALS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -456,6 +463,54 @@ def test_step_segments_rank_the_activity_pairs_that_occur(n_act, sorts):
     assert unique.called == sorts
     assert seg.tolist() == codes.tolist()
     assert ends.tolist() == [[p // n_act, p % n_act] for p in distinct.tolist()]
+
+
+def test_a_components_code_is_its_kinds_offset_plus_its_name_code():
+    # a space sorts below the comma, so the label (a b,x) comes before (a,x)
+    # while the name "a b" comes after "a"; ("a", "a,a") and ("a,a", "a")
+    # share the label (a,a,a), and (x,a b), taken once, is the reverse of
+    # (a b,x), taken twice
+    log = make_log([
+        ("c1", "a", 0, "r1"), ("c1", "x", 1, "r2"),
+        ("c2", "a b", 0, "r2"), ("c2", "x", 2, "r1"),
+        ("c3", "a,a", 0, "r1"), ("c3", "a", 1, "r1"), ("c3", "a,a", 2, "r2"),
+        ("c4", "x", 1, "r2"), ("c4", "a b", 3, "r1"),
+        ("c5", "a b", 4, "r2"), ("c5", "x", 5, "r2"),
+    ])
+    assert log.activity_names == ("a", "a b", "a,a", "x")
+    assert log.segment_names == (
+        ("a b", "x"), ("a", "a,a"), ("a,a", "a"), ("a", "x"), ("x", "a b"),
+    )
+    seg, ends = log.step_segments
+    names = log.activity_names
+    assert [(names[s], names[t]) for s, t in ends.tolist()] == list(log.segment_names)
+    assert [log.segment_names[s] for s in seg.tolist()] == [
+        (e1.activity, e2.activity) for e1, e2 in oracle_step_events(log)
+    ]
+    offset = 0
+    labels = (log.activity_names, log.resource_names, [s.label for s in log.segment_names])
+    for kind, kind_labels in zip(ComponentKind, labels):
+        for code, label in enumerate(kind_labels):
+            assert log.component_kinds[offset + code] == kind.value
+            assert log.component_labels[offset + code] == label
+        offset += len(kind_labels)
+    space = oracles.code_space(log)
+    assert offset == len(space)
+    table = build_link_table(log)
+    assert table.kinds.tolist() == [c.kind.value for c in space]
+    assert table.labels.tolist() == [c.label for c in space]
+    link = oracles.link_value(table, space)
+    steps = oracle_step_events(log)
+    for c1, c2 in itertools.combinations(space, 2):
+        assert link(c1, c2) == oracles.oracle_link(log, steps, c1, c2), (c1, c2)
+    matrix = evaluate(log, Framing(BASE, 1.0))
+    features = oracles.feature_rows(matrix.features, space)
+    assert features == sorted(
+        (oracles.Feature(v, c) for v in View for c in space if c.kind is VIEW_KIND[v]),
+        key=lambda f: (f.name, space.index(f.component)),
+    )
+    assert matrix.features.labels.tolist() == [f.component.label for f in features]
+    assert matrix.features.kinds.tolist() == [f.component.kind.value for f in features]
 
 
 def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypatch):

@@ -94,9 +94,11 @@ def test_flatten_orders_within_window():
 
 def test_flatten_order_from_file(tmp_path):
     path = tmp_path / "order.txt"
-    path.write_text("wl-Jane\nenter-(report,answer)\n\n")
-    order = FlattenOrder.from_file(str(path))
-    assert order.names == ("wl-Jane", "enter-(report,answer)")
+    # a leading byte order mark is no part of the first name
+    for bom in ("\ufeff", ""):
+        path.write_text(bom + "wl-Jane\nenter-(report,answer)\n\n", encoding="utf-8")
+        order = FlattenOrder.from_file(str(path))
+        assert order.names == ("wl-Jane", "enter-(report,answer)")
     key = flatten_key(order)
     assert key("wl-Jane") < key("enter-(report,answer)")
     # unlisted names sort after every listed one
@@ -203,9 +205,13 @@ def test_hlel_csv_round_trip(tmp_path, log_t):
     result = analyze_log(log_t, F20, percentile=0.0, lam=0.0)
     path = tmp_path / "hlel.csv"
     write_hlel_csv(result.entries, str(path))
-    back = read_hlel_csv(str(path))
-    assert isinstance(back, HighLevelLog)
-    assert entry_reprs(back) == entry_reprs(result.entries)
+    text = path.read_bytes()
+    # a leading byte order mark is skipped
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text)
+        back = read_hlel_csv(str(path))
+        assert isinstance(back, HighLevelLog)
+        assert entry_reprs(back) == entry_reprs(result.entries)
 
 
 def _corrupt_hlel(tmp_path, log_t, edit):
