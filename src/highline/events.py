@@ -12,6 +12,7 @@ resources and segments (activity pairs realized by at least one step).
 from __future__ import annotations
 
 import csv
+import os
 import re
 from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
@@ -20,7 +21,6 @@ from functools import cached_property
 from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, not_utf8_error
 
@@ -105,63 +105,66 @@ _KEY_BYTES_PER_BYTE = 2
 
 
 class _Keys:
-    """Event columns of a standard-layout file as they grow.
+    """Event columns of a standard-layout file, filled in place chunk by chunk.
 
     Each name column is held as packed keys: its UTF-8 bytes, NUL-padded to
     whole 8-byte words and read big-endian, so that integer order is byte
-    order, one uint64 array per word. Timestamps are int64 bytes of
-    microseconds since the epoch. ``finish`` interns each column once.
+    order, one uint64 array per word. Timestamps are int64 microseconds
+    since the epoch. ``add`` hands out the rows of the next chunk. Every
+    array is sized for the rows of a file of ``file_size`` bytes, as the
+    chunks so far predict them, and at least doubles when a chunk needs
+    more room; a word is zero until written, so that a word past a row's
+    name reads as padding. ``finish`` interns each column once.
     """
 
-    def __init__(self) -> None:
-        self.words: tuple[list[bytearray], ...] = ([], [], [])
+    def __init__(self, file_size: int) -> None:
+        self.words: tuple[list[np.ndarray], ...] = ([], [], [])
         self.rows = 0
         self.size = 0  # bytes of the chunks added
-        self.times_us = bytearray()
+        self.file_size = file_size
+        self.times_us = np.zeros(0, dtype=np.int64)
         self._ranked: list[tuple[tuple[str, ...], np.ndarray]] = []
 
-    def fits(self, rows: int, size: int, words: Sequence[int]) -> bool:
-        """Whether the keys stay within ``_KEY_BYTES_PER_BYTE`` bytes per
-        byte read after adding ``rows`` rows of ``size`` bytes whose name
-        columns need ``words`` words each."""
+    def add(self, rows: int, size: int, words: Sequence[int]) -> slice:
+        """The slice of every column that holds ``rows`` more rows, read from
+        ``size`` bytes, whose name columns need ``words`` words each, for the
+        caller to fill. Raises ``_NotStandard`` if the keys would take more
+        than ``_KEY_BYTES_PER_BYTE`` bytes per byte read."""
         total = self.rows + rows
         key_bytes = sum(8 * total * max(k, len(column)) for k, column in zip(words, self.words))
-        return key_bytes <= _KEY_BYTES_PER_BYTE * (self.size + size)
-
-    def add(self, keys: Sequence[Sequence[np.ndarray]], times_us: np.ndarray, size: int) -> None:
-        """Append the words of each name column's keys (``keys``) and the
-        timestamps of ``size`` bytes of rows; a column with fewer words
-        than before is padded with zero words, and one with more is padded
-        in the rows before."""
-        n = len(times_us)
-        for column, words in zip(self.words, keys):
-            for j, word in enumerate(words):
-                if j == len(column):
-                    column.append(bytearray(8 * self.rows))
-                column[j] += word.data
-            for word in column[len(words) :]:
-                word += bytes(8 * n)
-        self.rows += n
-        self.size += size
-        self.times_us += times_us.data
+        if key_bytes > _KEY_BYTES_PER_BYTE * (self.size + size):
+            raise _NotStandard
+        capacity = len(self.times_us)
+        if total > capacity:
+            # room for the file's rows at the rows per byte so far, a sixteenth more
+            capacity = max(total, 2 * capacity, total * self.file_size * 17 // (16 * (self.size + size)))
+            self.times_us = _grown(self.times_us, capacity, self.rows)
+            for column in self.words:
+                column[:] = [_grown(word, capacity, self.rows) for word in column]
+        for k, column in zip(words, self.words):
+            column += [np.zeros(capacity, dtype=np.uint64) for _ in range(k - len(column))]
+        part = slice(self.rows, total)
+        self.rows, self.size = total, self.size + size
+        return part
 
     def finish(self) -> None:
-        """Intern each column: one ``np.unique`` per word, and one more to
-        fold each later word's ranks into the ranks of the words before.
-        Raises ``_NotStandard`` for a name with surrounding whitespace."""
+        """Intern each column: ``_ranks`` of each word, and of each later
+        word's ranks folded into the ranks of the words before. Raises
+        ``_NotStandard`` for a name with surrounding whitespace."""
+        self.times_us = self.times_us[: self.rows]
         if not self.rows:
             self._ranked = [((), np.zeros(0, dtype=np.intp))] * 3
             return
         for column in self.words:
             codes = None
             for word in column:
-                values, rank = np.unique(np.frombuffer(word, dtype=np.uint64), return_inverse=True)
+                values, rank = _ranks(word[: self.rows])
                 if codes is not None:  # both ranks stay below rows, so the pair fits in int64
-                    rank = np.unique(codes * len(values) + rank, return_inverse=True)[1]
+                    rank = _ranks(codes * len(values) + rank)[1]
                 codes = rank
             first = np.empty(int(codes.max()) + 1, dtype=np.intp)
             first[codes] = np.arange(self.rows)
-            names = _decoded(np.stack([np.frombuffer(w, dtype=np.uint64)[first] for w in column], axis=1))
+            names = _decoded(np.stack([word[first] for word in column], axis=1))
             if list(map(str.strip, names)) != names:
                 raise _NotStandard
             self._ranked.append((tuple(names), codes))
@@ -170,6 +173,31 @@ class _Keys:
     def ranked(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
         """Per column, the sorted names and each row's index among them."""
         return self._ranked
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of a 1-d array: the sorted
+    distinct keys, and each key's index among them. Each key is looked up
+    among a few distinct ones (an activity or resource column) by binary
+    search, and ranked among many (a case column) by an argsort."""
+    ordered = np.sort(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    values = ordered[new]
+    del ordered  # before the ranks, which take as much memory
+    if len(values) <= 1 << 10:
+        return values, np.searchsorted(values, keys)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[np.argsort(keys)] = np.cumsum(new) - 1
+    return values, ranks
+
+
+def _grown(a: np.ndarray, capacity: int, rows: int) -> np.ndarray:
+    """A zeroed array of ``capacity`` items that starts with ``a``'s first ``rows``."""
+    grown = np.zeros(capacity, dtype=a.dtype)
+    grown[:rows] = a[:rows]
+    return grown
 
 
 def _decoded(keys: np.ndarray) -> list[str]:
@@ -392,8 +420,10 @@ def parse_config_timestamp(text: str, name: str, timestamp_format: str | None = 
 
 _ATTRIBUTES = ("case", "activity", "timestamp", "resource")
 # the standard-layout reader takes bytes this many at a time (cut at the last
-# newline), so that only one chunk's fields are alive at once
-_CHUNK_BYTES = 1 << 16
+# newline), so that only one chunk's fields are alive at once: on the
+# desk-10x benchmark log, 1 MiB chunks were no faster than 128 KiB ones and
+# raised the command's peak RSS by 0.5 MB
+_CHUNK_BYTES = 1 << 17
 
 
 def ingest_csv(
@@ -444,13 +474,14 @@ def _read_standard(path: str, mapping: ColumnMapping) -> _Keys:
     The layout: UTF-8 with no ``"``, carriage return or NUL byte; every
     line, the last one included, has the header's number of fields; names
     are non-empty and have no surrounding whitespace; timestamps are ASCII
-    ``YYYY-MM-DDTHH:MM:SS[.ffffff]``. Such a file gives ``csv.reader`` and
-    ``datetime.fromisoformat`` nothing to do that numpy cannot. A chunk that
-    fails sends the whole file to the general reader, since a quoted field
-    may span the newline the chunk was cut at; so does a name too long to
-    pack (``_KEY_BYTES_PER_BYTE``).
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` of a date and time that exist. Such a
+    file gives ``csv.reader`` and ``datetime.fromisoformat`` nothing to do
+    that numpy cannot. The file is read ``_CHUNK_BYTES`` at a time, cut at
+    the last newline, and each chunk's fields are written into the columns
+    in place. A chunk that fails sends the whole file to the general
+    reader, since a quoted field may span the newline the chunk was cut at;
+    so does a name too long to pack (``_KEY_BYTES_PER_BYTE``).
     """
-    keys = _Keys()
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
@@ -464,48 +495,55 @@ def _read_standard(path: str, mapping: ColumnMapping) -> _Keys:
             index = [header.index(getattr(mapping, attr)) for attr in _ATTRIBUTES]
         except ValueError:
             raise _NotStandard from None
-        rest = b""
-        while True:
-            block = fh.read(_CHUNK_BYTES)
-            data = rest + block
-            if not block:
-                if data:
-                    _add_standard(data + b"\n", len(header), index, keys)
-                break
-            cut = data.rfind(b"\n") + 1
+        keys = _Keys(os.fstat(fh.fileno()).st_size)
+        rest = b""  # the start of a line that the next chunk ends
+        while block := fh.read(_CHUNK_BYTES):
+            cut = block.rfind(b"\n") + 1
             if cut:
-                _add_standard(data[:cut], len(header), index, keys)
-            rest = data[cut:]
+                _add_standard(b"".join((rest, memoryview(block)[:cut], _PAD)), len(header), index, keys)
+                rest = b""
+            rest += block[cut:]
             if len(rest) > csv.field_size_limit():
                 raise _NotStandard  # a line csv.reader may refuse
+        if rest:
+            _add_standard(rest + b"\n" + _PAD, len(header), index, keys)
     keys.finish()
     return keys
 
 
+# the NUL bytes after a chunk's lines: every 8-byte word from a position in
+# a line, and the 26 bytes from a 19-byte stamp, end inside the chunk
+_PAD = bytes(8)
+
+
 def _add_standard(chunk: bytes, width: int, index: list[int], keys: _Keys) -> None:
-    """Add the lines of ``chunk`` (complete lines of ``width`` fields each)
-    to ``keys``, or raise ``_NotStandard``. Every field is located from the
-    positions of the commas and newlines, and gathered from the bytes."""
+    """Add the lines of ``chunk`` (complete lines of ``width`` fields each,
+    then ``_PAD``) to ``keys``, or raise ``_NotStandard``. Every field is
+    located from the positions of the commas and newlines, and gathered
+    from the bytes."""
+    size = len(chunk) - len(_PAD)
     # a NUL would pack like the padding of a shorter name
-    if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+    if b'"' in chunk or b"\r" in chunk or chunk.find(b"\0", 0, size) >= 0:
         raise _NotStandard
-    try:
-        chunk.decode("utf-8")
-    except UnicodeDecodeError:
-        raise _NotStandard from None
+    if not chunk.isascii():
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _NotStandard from None
     raw = np.frombuffer(chunk, dtype=np.uint8)
-    stops = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    if len(stops) % width:
-        raise _NotStandard
     # one row of field ends per line: commas, then the line's newline
-    stops = stops.reshape(-1, width)
-    line = np.full(width, ord(","), dtype=np.uint8)
-    line[-1] = ord("\n")
-    if (raw[stops] != line).any():
+    separator = raw == ord("\n")
+    lines = np.count_nonzero(separator)
+    separator |= raw == ord(",")
+    stops = np.flatnonzero(separator)
+    if len(stops) != lines * width:
         raise _NotStandard
-    if np.diff(stops[:, -1], prepend=-1).max() > csv.field_size_limit():
-        raise _NotStandard  # a line csv.reader may refuse
+    stops = stops.reshape(lines, width)
+    if (raw[stops[:, -1]] != ord("\n")).any():
+        raise _NotStandard
     starts = np.concatenate(([0], stops.ravel()[:-1] + 1)).reshape(stops.shape)
+    if (stops[:, -1] + 1 - starts[:, 0]).max() > csv.field_size_limit():
+        raise _NotStandard  # a line csv.reader may refuse
     lengths = stops - starts
     case, activity, stamp, resource = index
     columns = [case, activity, resource]
@@ -513,20 +551,16 @@ def _add_standard(chunk: bytes, width: int, index: list[int], keys: _Keys) -> No
     if name_lengths.min() == 0:
         raise _NotStandard  # an empty name is a row error
     words = ((name_lengths.max(axis=0) + 7) // 8).tolist()
-    if not keys.fits(len(stops), len(chunk), words):
-        raise _NotStandard
-    padded = chunk + bytes(8 * max(words) + len(_ISO_LOW))
-    # every 8 bytes from each position of the chunk, as one big-endian word
-    at = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
-    packed = [
-        [
-            np.bitwise_and(at[starts[:, i] + 8 * j], _KEEP[np.clip(lengths[:, i] - 8 * j, 0, 8)])
-            for j in range(k)
-        ]
-        for i, k in zip(columns, words)
-    ]
-    us = _standard_microseconds(np.frombuffer(padded, dtype=np.uint8), starts[:, stamp], lengths[:, stamp])
-    keys.add(packed, us, len(chunk))
+    part = keys.add(lines, size, words)
+    # every 8 bytes from each position of the chunk, as one big-endian word;
+    # a word past the end of a shorter name is masked out whatever it reads
+    at = np.ndarray((len(chunk) - 7,), dtype=">u8", buffer=chunk, strides=(1,))
+    for i, k, column in zip(columns, words, keys.words):
+        for j in range(k):
+            word = at[np.minimum(starts[:, i] + 8 * j, len(at) - 1)]
+            keep = _KEEP[np.minimum(np.maximum(lengths[:, i] - 8 * j, 0), 8)]
+            np.bitwise_and(word, keep, out=column[j][part])
+    _standard_microseconds(raw, starts[:, stamp], lengths[:, stamp], keys.times_us[part])
 
 
 # a strict ISO 8601 timestamp, by byte position: lowest byte, and the span
@@ -535,51 +569,61 @@ _ISO_LOW = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
 _ISO_SPAN = np.frombuffer(b"9999-19-39T29:59:59.999999", dtype=np.uint8) - _ISO_LOW
 
 
-# every hour of a leap year as the range of its MM-DDTHH digits, less
-# _ISO_LOW and packed big-endian (hour 23 packs to 0x203), in (first, last + 1)
-# pairs: a packed time is an hour of the year where searchsorted(side="right")
-# is odd, and an hour of February 29 where it is _FEB29
-_MONTHS = np.repeat(np.arange(1, 13), [31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS = np.arange(366) - np.searchsorted(_MONTHS, _MONTHS) + 1
-_FIRST = _MONTHS // 10 << 56 | _MONTHS % 10 << 48 | _DAYS // 10 << 32 | _DAYS % 10 << 24
-_HOURS, _FEB29 = np.add.outer(_FIRST, [0, 0x204]).ravel().astype(">u8"), 2 * (31 + 28) + 1
+def _days(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days from 1970-01-01 to a date of the proleptic Gregorian calendar,
+    counted in years that start on March 1, so that a leap day ends one."""
+    y = year - (month <= 2)
+    return 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
 
 
-def _standard_microseconds(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Microseconds since the epoch of the timestamps at ``starts`` in the
-    bytes ``raw`` (which run on at least 26 bytes past each start), if
-    they are all ASCII ``YYYY-MM-DDTHH:MM:SS`` or
-    ``YYYY-MM-DDTHH:MM:SS.ffffff`` dates that exist, with a year of at
-    least 1, as ``datetime.fromisoformat`` reads them; otherwise raises
-    ``_NotStandard``."""
+def _standard_microseconds(
+    raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write to ``out``, and return, the microseconds since the epoch of
+    the timestamps at ``starts`` in the bytes ``raw`` (which run on at least
+    7 bytes past each timestamp), if they are all ASCII
+    ``YYYY-MM-DDTHH:MM:SS`` or ``YYYY-MM-DDTHH:MM:SS.ffffff`` of a date and
+    time that exist, with a year of at least 1, as ``datetime.fromisoformat``
+    reads them; otherwise raise ``_NotStandard``.
+
+    Every stamp's bytes are checked against the shape. The date and hour
+    (bytes 0-12) are checked and converted to microseconds once per run of
+    rows that share them, as the rows of an hour do in a log in time order,
+    by integer day-count arithmetic; each row then adds its minutes, seconds
+    and fraction, digit by digit, in int32."""
     short = lengths == 19
     width = 19 if short.all() else 26
     if width > 19 and not (short | (lengths == 26)).all():
         raise _NotStandard
-    grid = sliding_window_view(raw, width)[starts]
+    # the bytes from each start, gathered as one item each
+    digits = np.ndarray((len(raw) - width + 1,), dtype=f"V{width}", buffer=raw, strides=(1,))[starts]
+    digits = digits.view(np.uint8).reshape(-1, width)
     # a byte below the lowest wraps around to above the span
-    digits = grid - _ISO_LOW[:width]
+    digits -= _ISO_LOW[:width]
     shaped = digits <= _ISO_SPAN[:width]
-    if not shaped[:, :19].all():
+    if not shaped[:, :19].all() or (width > 19 and not (shaped[:, 19:].all(axis=1) | short).all()):
         raise _NotStandard
+    # a run starts where bytes 0-3 or 5-12 change (byte 4 is a "-")
+    n = len(digits)
+    years = np.ndarray((n,), dtype=np.uint32, buffer=digits, strides=(width,))
+    hours = np.ndarray((n,), dtype=np.uint64, buffer=digits, offset=5, strides=(width,))
+    head = np.concatenate(([True], (hours[1:] != hours[:-1]) | (years[1:] != years[:-1])))
+    h = digits[head, :13].T.astype(np.int32)
+    year = ((h[0] * 10 + h[1]) * 10 + h[2]) * 10 + h[3]
+    month, day, hour = h[5] * 10 + h[6], h[8] * 10 + h[9], h[11] * 10 + h[12]
+    days = _days(year, month, day)
+    # a day exists if it comes before the first of the next month
+    exists = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23)
+    if not (exists & (days < _days(year + month // 12, month % 12 + 1, 1))).all():
+        raise _NotStandard
+    # minutes and seconds are below 60 by the span
+    d = digits.T
+    seconds = d[14] * np.int32(600) + d[15] * np.int32(60) + d[17] * np.int32(10) + d[18]
+    np.multiply(seconds, 1_000_000, out=out, dtype=np.int64)
     if width > 19:
-        if not (shaped[:, 19:].all(axis=1) | short).all():
-            raise _NotStandard
-        # short stamps among long ones are padded with NULs, which numpy drops
-        grid[short, 19:] = 0
-    # Every date must exist before the cast: numpy 2.4 reads year 0, and its
-    # cast of a few hundred stamps with one month 13, Feb 30, hour 24, minute
-    # 60 or second 60 among them (the last two out of the span) may crash the
-    # process instead of raising ValueError.
-    hours = np.ndarray((len(digits),), dtype=">u8", buffer=digits, offset=5, strides=(width,))
-    years = np.ndarray((len(digits),), dtype=np.uint32, buffer=digits, strides=(width,))
-    at = np.searchsorted(_HOURS, hours, side="right")
-    # the years of stamps on February 29: leap years, divisible by 4, or by 16
-    # where divisible by 25 (so by 400 where divisible by 100)
-    leap = digits[at == _FEB29, :4] @ [1000, 100, 10, 1]
-    if not ((at & 1).all() and years.all()) or (leap % np.where(leap % 25, 4, 16)).any():
-        raise _NotStandard
-    return grid.view(f"S{width}").ravel().astype("datetime64[us]").view(np.int64)
+        out += np.where(short, 0, sum(d[k] * np.int32(10 ** (25 - k)) for k in range(20, 26)))
+    out += ((days * 24 + hour).astype(np.int64) * 3_600_000_000)[np.cumsum(head) - 1]
+    return out
 
 
 # --- text output -----------------------------------------------------------------

@@ -270,6 +270,11 @@ class _Grid:
         return np.cumsum(sums, axis=1, out=sums)[:, :-1]
 
     @cached_property
+    def _do(self) -> np.ndarray:
+        """The do view, which the wl view adds to."""
+        return self._count(self.log.resource_codes, self.offsets, len(self.log.resource_names))
+
+    @cached_property
     def _progr(self) -> np.ndarray:
         """The progr view, which the delay view divides by."""
         return self._cover(self.segment, self.lo, self.hi + 1, len(self.log.segment_names))
@@ -281,14 +286,14 @@ class _Grid:
         if view is View.EXEC:
             return self._count(log.activity_codes, self.offsets, len(log.activity_names))
         if view is View.DO:
-            return self._count(log.resource_codes, self.offsets, n_res)
+            return self._do
         if view is View.TODO:
             return self._count(log.resource_codes[second], lo, n_res)
         if view is View.WL:
             # Every event counts in its own window, and a triggered event
             # also in each window from its trigger's up to its own.
             waiting = self._cover(log.resource_codes[second], lo, hi, n_res)
-            waiting += self._count(log.resource_codes, self.offsets, n_res)
+            waiting += self._do
             return waiting
         if view is View.ENTER:
             return self._count(self.segment, lo, n_seg)

@@ -176,8 +176,9 @@ def test_ingest_names_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
     "2023-01-02T24:00:00", "2023-01-02T08:60:00", "2023-01-02T08:59:60",
 ])
 def test_an_impossible_date_in_a_standard_file_names_its_line(tmp_path, stamp):
-    # numpy's cast of a few hundred stamps with one impossible date among
-    # them may crash the process, so each file is read in a fresh one
+    # the command reads each file in a fresh process, which must exit 1 with
+    # one line on stderr (numpy 2.4's string cast, which the reader no longer
+    # makes, crashed on such a stamp among a few hundred)
     for rows in (20, 2000):
         path = tmp_path / f"rows{rows}.csv"
         bad = rows // 2
@@ -195,6 +196,52 @@ def test_an_impossible_date_in_a_standard_file_names_its_line(tmp_path, stamp):
             1, f"error: {path}, line {bad + 2}: unparseable timestamp {stamp!r}\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stamp", [
+    "2023-13-02T08:13:35", "2023-00-10T00:00:00", "2023-02-29T12:00:00", "2024-04-31T00:00:00",
+    "2023-01-02T24:00:00", "2023-01-02T08:60:00", "2023-01-02T08:59:60",
+    "1900-02-29T10:00:00", "2000-02-29T10:00:00.250000", "2100-02-29T10:00:00",
+])
+@pytest.mark.parametrize("place", ["head", "interior", "after the hour of another year"])
+@pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
+def test_a_stamp_at_the_head_or_inside_a_run_of_one_hour_reads_as_fromisoformat(
+    tmp_path, monkeypatch, stamp, place, chunk_bytes
+):
+    # the standard reader checks a date and hour once per run of rows that
+    # share them; here the stamp starts such a run, follows a row of its run
+    # or follows the same month, day and hour of 2000 (a leap year); the
+    # rows mix 19- and 26-byte stamps, and 64-byte chunks cut the run apart
+    monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk_bytes)
+    hour = stamp[:13]
+    run = [f"{hour}:00:01", f"{hour}:30:00.500000", f"{hour}:45:59"]
+    run.insert(1 if place == "interior" else 0, stamp)
+    before = [(BASE + timedelta(minutes=7 * k, microseconds=k % 2)).isoformat() for k in range(20)]
+    if place != "interior":
+        before.append(f"2000{stamp[4:13]}:59:59")
+    stamps = before + run + [(BASE + timedelta(days=1, minutes=k)).isoformat() for k in range(20)]
+    path = tmp_path / "runs.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n" + "".join(f"c{k % 3},a,{t},r\n" for k, t in enumerate(stamps)),
+        encoding="utf-8",
+    )
+    bad = [k for k, t in enumerate(stamps) if not _exists(t)]
+    if bad:
+        with pytest.raises(DataError) as error:
+            ingest_csv(str(path))
+        assert str(error.value) == f"{path}, line {bad[0] + 2}: unparseable timestamp {stamps[bad[0]]!r}"
+    else:
+        with mock.patch.object(reader_module, "_read_general", side_effect=AssertionError):
+            log = ingest_csv(str(path))
+        assert log.times_us.tolist() == sorted(to_microseconds(datetime.fromisoformat(t)) for t in stamps)
+
+
+def _exists(stamp):
+    try:
+        datetime.fromisoformat(stamp)
+    except ValueError:
+        return False
+    return True
 
 
 def test_ingest_empty_value(tmp_path):

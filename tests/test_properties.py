@@ -144,8 +144,24 @@ def test_evaluate_equals_oracles_for_every_view(rows, framing):
                 assert got == pytest.approx(want, rel=1e-9), (fid.name, w)
 
 
+# activity names holding a space or "!", both below ",": segment labels then
+# sort apart from their (source, target) codes, "(a b,a)" before "(a,a b)",
+# so build_link_table finds each segment's reverse by its key, not its code
+LINK_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["c1", "c2", "c3", "c4"]),
+        st.sampled_from(["a", "a b", "a!", "b", "b c"]),
+        st.integers(0, 40),
+        st.sampled_from(["r1", "r2", "r3"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
 @SETTINGS
-@given(ROWS)
+@given(LINK_ROWS)
+@example([("c1", "a", 0, "r1"), ("c1", "a b", 0, "r1"), ("c1", "a", 0, "r1"), ("c1", "a b", 0, "r1")])
 def test_link_table_equals_oracle(rows):
     events = events_of(rows)
     steps = oracles.oracle_step_events(events)
@@ -366,10 +382,20 @@ def event_csvs(draw):
 
     lines = [",".join(header)]
     rows = draw(st.integers(0, 8))
+    stamps = []
+    if draw(st.booleans()):
+        # sorted stamps a few minutes apart: runs of rows of one date and
+        # hour, which the chunks cut through
+        t = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 20)))
+        for _ in range(rows):
+            t += timedelta(seconds=draw(st.integers(0, 900)))
+            stamps.append((t if draw(st.booleans()) else t.replace(microsecond=0)).isoformat())
     # one odd stamp among plain ones is what the standard reader must notice
     odd_row = draw(st.integers(0, rows - 1)) if "stamps" in odd and rows else None
     for k in range(rows):
         row = [field(column) for column in header]
+        if stamps:
+            row[header.index("timestamp")] = stamps[k]
         if k == odd_row:
             row[header.index("timestamp")] = draw(ODD_STAMPS)
         if "wide rows" in odd and draw(st.booleans()):
@@ -399,10 +425,22 @@ def outcome(read, path):
     )
 
 
+# the minutes, seconds and fraction of a stamp, 19 or 26 characters long
+# after a date and hour
+CLOCKS = st.builds(
+    lambda m, s, us: f":{m:02d}:{s:02d}" + ("" if us is None else f".{us:06d}"),
+    st.integers(0, 59), st.integers(0, 59), st.none() | st.integers(0, 999_999),
+)
+
+
 @SETTINGS
-@given(st.lists(PLAIN_STAMPS, max_size=4), ODD_STAMPS, st.lists(PLAIN_STAMPS, max_size=4))
-def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(before, stamp, after):
-    stamps = [*before, stamp, *after]
+@given(ODD_STAMPS, st.data())
+def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(stamp, data):
+    # a neighbour is a plain stamp, or shares the odd stamp's date and hour
+    # (its first 13 characters), so that the odd one heads a run of rows of
+    # one date and hour or lies inside one
+    neighbours = st.lists(st.one_of(PLAIN_STAMPS, CLOCKS.map(lambda clock: stamp[:13] + clock)), max_size=4)
+    stamps = [*data.draw(neighbours), stamp, *data.draw(neighbours)]
     try:
         want = [to_microseconds(parse_timestamp(s)) for s in stamps]
     except (ValueError, OverflowError):  # an offset can move year 1 out of range
@@ -413,10 +451,23 @@ def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(before, stamp
     starts = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
     raw = np.frombuffer(b",".join(fields) + b"\n" + bytes(26), dtype=np.uint8)
     try:
-        got = events._standard_microseconds(raw, starts, lengths).tolist()
+        got = events._standard_microseconds(raw, starts, lengths, np.empty(len(stamps), dtype=np.int64)).tolist()
     except events._NotStandard:
         return
     assert got == want
+
+
+@SETTINGS
+@given(st.integers(0, 3000), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_key_ranks_are_np_unique(rows, distinct, seed):
+    # the standard reader interns a name column by binary search among up
+    # to 1,024 distinct keys and by an argsort among more
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 2**64, size=distinct, dtype=np.uint64)[rng.integers(0, distinct, size=rows)]
+    values, ranks = events._ranks(keys)
+    want_values, want_ranks = np.unique(keys, return_inverse=True)
+    assert values.tolist() == want_values.tolist()
+    assert ranks.dtype == want_ranks.dtype and ranks.tolist() == want_ranks.tolist()
 
 
 @settings(max_examples=300, deadline=None)
