@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, not_utf8_error
-from .events import EventLog, csv_column, format_stamps, lexsort_order, row_blocks, write_csv
+from .events import EventLog, code_pairs, csv_column, format_stamps, lexsort_order, row_blocks, write_csv
 from .features import FeatureTable, ThresholdTable, View
 from .framing import Framing, check_year_one
 from .linkage import CascadeAssignment
@@ -143,14 +143,13 @@ def export_dfg(hlel: HighLevelLog) -> str:
     names, act = hlel.activity_codes()
     nodes = np.bincount(act, minlength=len(names))
     same = hlel.cases[1:] == hlel.cases[:-1]
-    pairs, counts = np.unique(act[:-1][same] * len(names) + act[1:][same], return_counts=True)
+    sources, targets, counts = code_pairs(act[:-1][same], act[1:][same], counts=True)
 
     lines = ["digraph dfg {", "  rankdir=LR;"]
     for i in np.flatnonzero(nodes).tolist():
         name = names[i]
         lines.append(f'  {_quote(name)} [label={_quote(f"{name} ({nodes[i]})")}];')
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        src, dst = names[pair // len(names)], names[pair % len(names)]
+    for src, dst, count in zip(names[sources].tolist(), names[targets].tolist(), counts.tolist()):
         lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(str(count))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -174,8 +173,8 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
     features = hlel.features
     activities = csv_column(features.names).tolist()
     codes = hlel.feature_codes
-    cases, case_codes, by_case = _pairs(hlel.cases, codes)
-    windows, stamp_codes, by_window = _pairs(hlel.windows, hlel.stamp_codes)
+    cases, case_codes, by_case = code_pairs(hlel.cases, codes)
+    windows, stamp_codes, by_window = code_pairs(hlel.windows, hlel.stamp_codes)
     # texts as object arrays, so that each block's lookup is one gather; ids,
     # cases, windows and float reprs never need quoting
     texts = [np.array(column, dtype=object) for column in (
@@ -187,23 +186,6 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
         (csv_column(features.views, features.kinds, features.labels), codes), hlel.values,
         (np.frompyfunc(repr, 1, 1)(hlel.thresholds), codes),
     ))
-
-
-def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (major, minor) pairs of two int columns, ``minor`` holding
-    codes from 0, in ascending order, and each row's index among them: one
-    ``np.unique`` over the pair packed into an int64 key. A major column too
-    wide to pack, such as windows near both ends of the int64 range, is
-    ranked first, so that the key cannot overflow."""
-    bound = int(minor.max(initial=0)) + 1
-    low = int(major.min(initial=0))
-    if (int(major.max(initial=0)) - low + 1) * bound <= 2**63:
-        majors, ranks = None, major - low
-    else:
-        majors, ranks = np.unique(major, return_inverse=True)
-    keys, groups = np.unique(ranks * bound + minor, return_inverse=True)
-    top = keys // bound
-    return top + low if majors is None else majors[top], keys % bound, groups
 
 
 # --- summary -------------------------------------------------------------------

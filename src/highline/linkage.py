@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventLog
+from .events import EventLog, code_pairs
 from .features import HLETable
 
 
@@ -43,13 +43,11 @@ class LinkTable:
 
     def __init__(self, kinds: np.ndarray, labels: np.ndarray, first, second, values):
         self.kinds, self.labels = kinds, labels
-        n = len(labels)
         keep = (values > 0) & (first != second)
-        low, high = np.minimum(first, second), np.maximum(first, second)
-        keys, pair = np.unique((low * n + high)[keep], return_inverse=True)
-        self.values = np.zeros(len(keys))
-        np.maximum.at(self.values, pair, values[keep])
-        self.first, self.second = np.divmod(keys, n)
+        first, second, values = first[keep], second[keep], values[keep]
+        self.first, self.second, pair = code_pairs(np.minimum(first, second), np.maximum(first, second))
+        self.values = np.zeros(len(self.first))
+        np.maximum.at(self.values, pair, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -58,9 +56,10 @@ class LinkTable:
 def build_link_table(log: EventLog) -> LinkTable:
     """The full link table of a log over its components.
 
-    Every count is a ``bincount`` over the log's codes: events per activity
-    or resource, steps per segment, resource handovers, (activity, resource)
-    co-executions, (segment, resource) touches and chained step pairs.
+    Steps per segment are a ``bincount``; every other count comes from
+    ``code_pairs``, in memory linear in the log: (activity, resource)
+    co-executions, resource handovers, (segment, resource) touches and
+    chained step pairs.
     """
     n_act, n_res, n_seg = len(log.activity_names), len(log.resource_names), len(log.segment_names)
     # activities from code 0, then resources from n_act, then segments
@@ -68,8 +67,10 @@ def build_link_table(log: EventLog) -> LinkTable:
     act, res = log.activity_codes, log.resource_codes
     first, second = log.step_rows
     seg, ends = log.step_segments
-    act_n = np.bincount(act, minlength=n_act)
-    res_n = np.bincount(res, minlength=n_res)
+    # co-executions sum to the events per activity and per resource
+    a, r, both = code_pairs(act, res, counts=True)
+    act_n = np.bincount(a, both, minlength=n_act)
+    res_n = np.bincount(r, both, minlength=n_res)
     seg_n = np.bincount(seg, minlength=n_seg)
     r1, r2 = res[first], res[second]
     source, target = ends[:, 0], ends[:, 1]
@@ -79,19 +80,12 @@ def build_link_table(log: EventLog) -> LinkTable:
         """Link component codes i[k] and j[k] with values[k]."""
         links.append((i, j, values))
 
-    def pair_counts(x, n_x, y, n_y):
-        """The (x, y) code pairs that occur, as (x, y, count) arrays."""
-        counts = np.bincount(x * n_y + y, minlength=n_x * n_y)
-        nonzero = np.flatnonzero(counts)
-        return nonzero // n_y, nonzero % n_y, counts[nonzero]
-
     loop = source == target
     put(source[~loop], target[~loop], seg_n[~loop] / act_n[source[~loop]])
-    h1, h2, count = pair_counts(r1, n_res, r2, n_res)
+    h1, h2, count = code_pairs(r1, r2, counts=True)
     handover = h1 != h2
     put(n_act + h1[handover], n_act + h2[handover], count[handover] / res_n[h1[handover]])
-    a, r, count = pair_counts(act, n_act, res, n_res)
-    put(a, n_act + r, np.maximum(count / act_n[a], count / res_n[r]))
+    put(a, n_act + r, np.maximum(both / act_n[a], both / res_n[r]))
     # steps moving a case over the segment in either direction, each
     # segment's reverse found among the (source, target) keys in key order
     keys, back = source * n_act + target, target * n_act + source
@@ -102,13 +96,11 @@ def build_link_table(log: EventLog) -> LinkTable:
     put(target[~loop], seg_code[~loop], moved[~loop] / act_n[target[~loop]])
     # a step touches a resource once, even where both its events share it
     other = r1 != r2
-    s, r, count = pair_counts(
-        np.concatenate([seg, seg[other]]), n_seg, np.concatenate([r1, r2[other]]), n_res
-    )
+    s, r, count = code_pairs(np.concatenate([seg, seg[other]]), np.concatenate([r1, r2[other]]), counts=True)
     put(seg_code[s], n_act + r, np.maximum(count / res_n[r], count / seg_n[s]))
     # consecutive steps of one case share an event: chained segment pairs
     chained = second[:-1] == first[1:]
-    s1, s2, count = pair_counts(seg[:-1][chained], n_seg, seg[1:][chained], n_seg)
+    s1, s2, count = code_pairs(seg[:-1][chained], seg[1:][chained], counts=True)
     distinct = s1 != s2
     s1, s2, count = s1[distinct], s2[distinct], count[distinct]
     put(seg_code[s1], seg_code[s2], np.maximum(count / seg_n[s1], count / seg_n[s2]))
@@ -172,10 +164,8 @@ def _layers(hles: HLETable, links: LinkTable, lam: float) -> _Layers:
     w = table.windows
     new = np.ones(len(w), dtype=bool)
     new[1:] = w[1:] != w[:-1]
-    keys, node = np.unique(
-        (np.cumsum(new) - 1) * n_c + component_of[table.codes], return_inverse=True
-    )
-    rank, component = np.divmod(keys, n_c)
+    rank, component, node = code_pairs(np.cumsum(new) - 1, component_of[table.codes])
+    keys = rank * n_c + component
     # only super-nodes whose next distinct window is directly adjacent have
     # successors: each one's candidate heads are its component's neighbours
     adjacent = np.append(np.diff(w[new]) == 1, False)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from highline import (
     ComponentKind,
     ConfigError,
+    EventLog,
     HighLevelEvent,
     HLETable,
     Segment,
@@ -151,6 +153,37 @@ def test_table_matches_oracle():
             assert got == pytest.approx(expected), (c1.label, c2.label)
             assert 0.0 <= got <= 1.0
         assert (table.first < table.second).all()
+
+
+def test_link_table_of_thousands_of_segments_takes_memory_linear_in_its_steps():
+    # 3,000 cases of 5 events, each activity of 600 followed by one of 5:
+    # 12,000 steps over 2,880 segments, so that a grid of segment pairs
+    # would hold 8.3 M cells. Each event and step puts a few links, each
+    # held in a few int64 or float64 columns at a time: about 400 bytes
+    # per step, where the grid alone takes 66 MB, 5,500 per step
+    rng = np.random.default_rng(0)
+    cases, length, n_act = 3_000, 5, 600
+    successors = rng.integers(0, n_act, (n_act, 5))
+    act = np.empty((cases, length), dtype=np.int64)
+    act[:, 0] = rng.integers(0, n_act, cases)
+    for k in range(1, length):
+        act[:, k] = successors[act[:, k - 1], rng.integers(0, 5, cases)]
+    log = EventLog.from_columns(
+        [f"c{c}" for c in np.repeat(np.arange(cases), length).tolist()],
+        [f"a{a}" for a in act.ravel().tolist()],
+        np.tile(np.arange(length) * 60_000_000, cases).tolist(),
+        [f"r{r}" for r in rng.integers(0, 3, cases * length).tolist()],
+    )
+    steps = len(log.step_rows[0])
+    assert (steps, len(log.segment_names)) == (12_000, 2_880)
+    tracemalloc.start()
+    try:
+        table = build_link_table(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 24_817
+    assert peak < 2_000 * steps
 
 
 # --- proximity --------------------------------------------------------------------

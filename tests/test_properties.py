@@ -171,6 +171,60 @@ def test_link_table_equals_oracle(rows):
         assert link(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
 
 
+def counted(x, y):
+    """Whether ``code_pairs`` counts the pairs of (x, y) in their key grid,
+    rather than sorting them: a grid of span * n_y cells, or of distinct x *
+    n_y where the span overflows the key, no larger than the rows."""
+    if not len(x):
+        return False
+    n_y, span = int(y.max()) + 1, int(x.max()) - int(x.min()) + 1
+    return (span if span * n_y <= 2**63 else len(np.unique(x))) * n_y <= len(x)
+
+
+@st.composite
+def segment_rows(draw):
+    """Rows of 3 cases and 2 resources over 1, 2 or 8 activities: with 8,
+    most steps have a segment of their own; with 1, all share one."""
+    activities = [f"a{k}" for k in range(draw(st.sampled_from([1, 2, 8])))]
+    row = st.tuples(
+        st.sampled_from(["c1", "c2", "c3"]),
+        st.sampled_from(activities),
+        st.integers(0, 30),
+        st.sampled_from(["r1", "r2"]),
+    )
+    return draw(st.lists(row, min_size=1, max_size=40))
+
+
+@SETTINGS
+@given(segment_rows())
+# every pair count of build_link_table counts its grid: one segment, one resource
+@example([("c1", "a0", s, "r1") for s in range(5)])
+# every pair count sorts its keys: more cells in each grid than rows
+@example([("c1", "a0", 0, "r1"), ("c1", "a1", 1, "r1"), ("c1", "a2", 2, "r2"), ("c1", "a3", 3, "r2")])
+def test_link_table_of_many_segments_equals_oracle(rows):
+    events = events_of(rows)
+    log = event_log(events)
+    sides = []
+
+    def spy(x, y, counts=False):
+        if counts:
+            sides.append(("counted" if counted(x, y) else "sorted") if len(x) else "empty")
+        return real(x, y, counts)
+
+    real = linkage.code_pairs
+    with mock.patch.object(linkage, "code_pairs", side_effect=spy):
+        table = build_link_table(log)
+    # the co-execution, handover, touch and chained-step counts, in that order
+    assert len(sides) == 4
+    for site, side in zip(("co-executions", "handovers", "touches", "chained steps"), sides):
+        event(f"{site} {side}")
+    steps = oracles.oracle_step_events(events)
+    space = oracles.code_space(events)
+    link = oracles.link_value(table, space)
+    for c1, c2 in itertools.combinations(space, 2):
+        assert link(c1, c2) == oracles.oracle_link(events, steps, c1, c2), (c1, c2)
+
+
 # names with commas give distinct segments one label: ("a,a", "a") and
 # ("a", "a,a") are both (a,a,a), and ("a,", "a") and ("a", ",a") both (a,,a)
 COMMA_ROWS = st.lists(
@@ -468,6 +522,43 @@ def test_key_ranks_are_np_unique(rows, distinct, seed):
     want_values, want_ranks = np.unique(keys, return_inverse=True)
     assert values.tolist() == want_values.tolist()
     assert ranks.dtype == want_ranks.dtype and ranks.tolist() == want_ranks.tolist()
+
+
+# x columns: a few values above an offset, which the key is anchored at;
+# values at both ends of int64, whose span overflows the key unless x is
+# ranked first; or any int64 values, ranked first with many distinct
+CODE_PAIR_X = st.one_of(
+    st.builds(lambda offset, xs: [offset + x for x in xs], st.integers(-(2**62), 2**62),
+              st.lists(st.integers(-3, 3), max_size=60)),
+    st.lists(st.sampled_from([-(2**63), -(2**63) + 1, 0, 2**63 - 1]), max_size=60),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CODE_PAIR_X, st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example([], 0, 0)
+@example([7] * 5, 0, 0)  # y all zero: a grid of one cell
+@example([-(2**63), 2**63 - 1] * 3, 1, 0)  # ranked first, then counted
+@example(list(range(-(2**63), -(2**63) + 10)) + [2**63 - 1], 3, 0)  # ranked first, then sorted
+def test_code_pairs_are_np_unique_of_the_packed_pair(xs, top, seed):
+    rng = np.random.default_rng(seed)
+    x = np.array(xs, dtype=np.int64)
+    y = rng.integers(0, top + 1, size=len(x))
+    # the reference ranks x first, so that its key never overflows
+    x_values, x_ranks = np.unique(x, return_inverse=True)
+    n_y = int(y.max(initial=0)) + 1
+    keys, index, counts = np.unique(x_ranks * n_y + y, return_inverse=True, return_counts=True)
+    dense = counted(x, y)
+    event("counted" if dense else "sorted")
+    for with_counts, want in ((False, index), (True, counts)):
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            got_x, got_y, got = events.code_pairs(x, y, counts=with_counts)
+        assert bincount.called == dense
+        assert got_x.tolist() == x_values[keys // n_y].tolist()
+        assert got_y.tolist() == (keys % n_y).tolist()
+        assert got.tolist() == want.tolist()
+        assert got_x.dtype == got_y.dtype == np.int64
 
 
 @settings(max_examples=300, deadline=None)
