@@ -176,15 +176,17 @@ class _Keys:
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, return_inverse=True)`` of a 1-d array: the sorted
     distinct keys, and each key's index among them. Each key is looked up
-    among a few distinct ones (an activity or resource column) by binary
-    search, and ranked among many (a case column) by an argsort."""
+    by binary search among up to 4 distinct ones, and ranked by an argsort
+    among more: on 188,535 uint64 keys (2-vCPU VM) the search took 2.4 ms
+    against 2.7 ms at 4 distinct keys, and already lost at 5 (2.7 against
+    1.7-2.7 ms) and at 16 (5.0 against 3.1 ms)."""
     ordered = np.sort(keys)
     new = np.empty(len(keys), dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     values = ordered[new]
     del ordered  # before the ranks, which take as much memory
-    if len(values) <= 1 << 10:
+    if len(values) <= 4:
         return values, np.searchsorted(values, keys)
     ranks = np.empty(len(keys), dtype=np.intp)
     ranks[np.argsort(keys)] = np.cumsum(new) - 1
@@ -680,14 +682,25 @@ def csv_column(*columns: np.ndarray) -> np.ndarray:
     return np.frompyfunc(csv_fields, len(columns), 1)(*columns)
 
 
+def float_texts(values: np.ndarray, form: Callable[[float], str] = repr) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of the distinct values of a float column, each written by
+    ``form``, as an object array, and each value's index among them. Values
+    are told apart by their bits, so that -0.0 and 0.0 stay apart and each
+    NaN is written on its own."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(form, bits.view(np.float64).tolist())), dtype=object), index
+
+
 def csv_lines(*columns) -> str:
     """Lines of comma-separated fields, line k holding item k of each column.
 
-    A column is an array, or a ``(texts, codes)`` pair of an object array of
-    csv fields and the index of each line's field, so that one gather looks
-    them up. One ``%`` format makes all lines; ``%s`` writes a float as its
-    ``repr``.
+    A column is an int array, a float array, or a ``(texts, codes)`` pair of
+    an object array of csv fields and the index of each line's field, so
+    that one gather looks them up. A float column is written as the
+    ``repr`` of each value, made once per distinct value by ``float_texts``
+    and gathered. One ``%`` format then makes all lines from ints and texts.
     """
+    columns = [float_texts(c) if not isinstance(c, tuple) and c.dtype.kind == "f" else c for c in columns]
     fields = [c[0][c[1]].tolist() if isinstance(c, tuple) else c.tolist() for c in columns]
     rows, width = len(fields[0]), len(fields)
     flat = [None] * (rows * width)

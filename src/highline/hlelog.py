@@ -15,7 +15,9 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, not_utf8_error
-from .events import EventLog, code_pairs, csv_column, format_stamps, lexsort_order, row_blocks, write_csv
+from .events import (
+    EventLog, code_pairs, csv_column, float_texts, format_stamps, lexsort_order, row_blocks, write_csv,
+)
 from .features import FeatureTable, ThresholdTable, View
 from .framing import Framing, check_year_one
 from .linkage import CascadeAssignment
@@ -165,27 +167,57 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
 
     Columns that repeat together are written as one text per distinct
     group: ``case,activity`` per (case, feature) and ``timestamp,window``
-    per (stamp, window); ``view,component_kind,component`` and
-    ``threshold`` are one text per feature. A row is then its id, its value
-    and four texts.
+    per (stamp, window) over the whole log, and
+    ``view,component_kind,component,value,threshold`` per (feature, value)
+    within each block of ``WRITE_ROWS`` rows, so that only one block's
+    value texts are alive at a time. A row is then its id and three texts;
+    each float is written as its ``repr``, once per distinct value.
     """
     stamps = format_stamps(hlel.stamps_us, timestamp_format)
     features = hlel.features
     activities = csv_column(features.names).tolist()
     codes = hlel.feature_codes
     cases, case_codes, by_case = code_pairs(hlel.cases, codes)
-    windows, stamp_codes, by_window = code_pairs(hlel.windows, hlel.stamp_codes)
+    windows, stamp_codes, by_stamp = _groups(hlel.windows, hlel.stamp_codes, len(hlel.stamps_us))
     # texts as object arrays, so that each block's lookup is one gather; ids,
     # cases, windows and float reprs never need quoting
-    texts = [np.array(column, dtype=object) for column in (
+    case_texts, stamp_texts = (np.array(column, dtype=object) for column in (
         [f"{c},{activities[a]}" for c, a in zip(cases.tolist(), case_codes.tolist())],
         [f"{stamps[s]},{w}" for w, s in zip(windows.tolist(), stamp_codes.tolist())],
-    )]
-    write_csv(path, HLEL_COLUMNS, row_blocks(
-        hlel.hle_ids, (texts[0], by_case), (texts[1], by_window),
-        (csv_column(features.views, features.kinds, features.labels), codes), hlel.values,
-        (np.frompyfunc(repr, 1, 1)(hlel.thresholds), codes),
     ))
+    # per feature, the texts before and after its value
+    heads = csv_column(features.views, features.kinds, features.labels).tolist()
+    thresholds, of_feature = float_texts(hlel.thresholds)
+    tails = thresholds[of_feature].tolist()
+
+    def blocks():
+        for ids, case_rows, stamp_rows, block_codes, values in row_blocks(
+            hlel.hle_ids, (case_texts, by_case), (stamp_texts, by_stamp), codes, hlel.values
+        ):
+            texts, of_value = float_texts(values)
+            feature, value, pair = _groups(block_codes, of_value, len(texts))
+            texts = texts.tolist()
+            yield ids, case_rows, stamp_rows, (np.array([
+                f"{heads[f]},{texts[v]},{tails[f]}" for f, v in zip(feature.tolist(), value.tolist())
+            ], dtype=object), pair)
+
+    write_csv(path, HLEL_COLUMNS, blocks())
+
+
+def _groups(x: np.ndarray, y: np.ndarray, n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of two int columns grouped by their (x, y) pair, ``y``
+    holding codes below ``n_y``: the pairs as two arrays, in no set order,
+    and each row's index among them. Where x is a function of y, as the
+    window is of the stamp in a log from ``build_hlel``, or the feature of
+    the value in a block of distinct values, one pass over the rows shows
+    it, and there is one pair per y code, indexed by ``y`` itself, with no
+    sort (a code that no row holds pairs with 0); else the distinct pairs
+    of ``code_pairs``."""
+    x_of = np.zeros(n_y, dtype=x.dtype)
+    x_of[y] = x
+    if np.array_equal(x_of[y], x):
+        return x_of, np.arange(n_y), y
+    return code_pairs(x, y)
 
 
 # --- summary -------------------------------------------------------------------
@@ -280,14 +312,11 @@ def write_summary_csv(
 
 
 def _averages(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.6g`` texts of the distinct averages of one activity's column
-    (first an empty text, for a count of 0), and each period's index among
-    them; distinct by bits, so that -0.0 and 0.0 stay apart."""
+    """The ``%.6g`` texts of the distinct averages of one activity's column,
+    then an empty text, for a count of 0, and each period's index among
+    them."""
     filled = counts > 0
-    averages = np.divide(sums, counts, out=np.zeros(len(counts)), where=filled)
-    bits, codes = np.unique(averages[filled].view(np.int64), return_inverse=True)
-    texts = ["", *("%.6g" % a for a in bits.view(float).tolist())]
-    index = np.zeros(len(counts), dtype=np.intp)
-    index[filled] = codes.reshape(-1) + 1
-    return np.array(texts, dtype=object), index
-
+    texts, index = float_texts(sums[filled] / counts[filled], "%.6g".__mod__)
+    codes = np.full(len(counts), len(texts))
+    codes[filled] = index
+    return np.append(texts, ""), codes

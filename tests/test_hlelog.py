@@ -11,7 +11,7 @@ import pytest
 from conftest import BASE, make_log
 from oracles import (
     Component, Entry, Feature, cascade_ids, code_space, entries, entry_reprs, flatten_key, high_level_log, hle_rows,
-    hle_table, hlel_of,
+    hle_table, hlel_of, oracle_hlel_csv,
 )
 
 from highline import (
@@ -33,6 +33,7 @@ from highline import (
     write_hlel_csv,
     write_summary_csv,
 )
+from highline import events
 from highline.events import to_microseconds
 
 F20 = Framing(BASE, 20.0)
@@ -239,6 +240,29 @@ def test_features_that_differ_only_in_the_sign_of_a_zero_threshold_read_back_apa
     assert second.read_bytes() == first.read_bytes()
     assert first.read_text().splitlines()[1:] == ["1,1,wl-a,1970-01-01T00:00:00,0,wl,resource,a,1.0,0.0",
                                                   "2,1,wl-a,1970-01-01T00:00:00,0,wl,resource,a,1.0,-0.0"]
+
+
+def test_hlel_csv_memory_follows_one_block_not_the_log(tmp_path):
+    # 4 blocks of rows, every value distinct, so that each row has its own
+    # value text: grouped per block, the writer peaks at about 460 bytes per
+    # row of one block, whatever the log's length; grouped over the whole
+    # log it holds every row's text at once, about 1,040 bytes per row of
+    # one block here, and more with each block
+    n = 4 * events.WRITE_ROWS
+    features = [(f"wl-r{i}", "wl", "resource", f"r{i}", 0.5) for i in range(4)]
+    hlel = hlel_of(
+        features, np.arange(n) % 4, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+        np.random.default_rng(0).random(n), np.arange(1, n + 1), np.array([0]), np.zeros(n, dtype=np.intp),
+    )
+    path = tmp_path / "hlel.csv"
+    tracemalloc.start()
+    try:
+        write_hlel_csv(hlel, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == oracle_hlel_csv(hlel).encode()
+    assert peak < 720 * events.WRITE_ROWS
 
 
 def test_read_hlel_short_row_names_its_line(tmp_path, log_t):

@@ -513,9 +513,11 @@ def test_standard_stamps_read_as_fromisoformat_reads_them_or_defer(stamp, data):
 
 @SETTINGS
 @given(st.integers(0, 3000), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+@example(3000, 4, 0)  # 4 distinct keys: the last taken by binary search
+@example(3000, 5, 0)  # 5: the first ranked by an argsort
 def test_key_ranks_are_np_unique(rows, distinct, seed):
     # the standard reader interns a name column by binary search among up
-    # to 1,024 distinct keys and by an argsort among more
+    # to 4 distinct keys and by an argsort among more
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 2**64, size=distinct, dtype=np.uint64)[rng.integers(0, distinct, size=rows)]
     values, ranks = events._ranks(keys)
@@ -629,6 +631,31 @@ def test_hlel_csv_round_trip(tmp_path_factory, rows, framing, p, lam):
 # the switch to exponent notation at 1e16, and a large exponent
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, 9999999999999998.0, 0.1, 1e-05]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+
+
+# the bits of any float: the special ones, both zeros, and NaNs of either
+# sign with any payload
+FLOAT_BITS = st.one_of(
+    FLOATS.map(lambda v: int(np.float64(v).view(np.uint64))),
+    st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload, st.integers(0, 1), st.integers(1, 2**52 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOAT_BITS, max_size=12), st.sampled_from([repr, "%.6g".__mod__]))
+@example([], repr)
+@example([0], repr)
+@example([0, 1 << 63, 0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001, 0, 1 << 63], repr)
+@example([0, 1 << 63, 0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001, 0, 1 << 63], "%.6g".__mod__)
+def test_float_texts_are_each_values_text_once_per_distinct_bits(bits, form):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    texts, index = events.float_texts(values, form)
+    want = [form(v) for v in values.tolist()]
+    assert texts[index].tolist() == want
+    assert len(texts) == len(set(bits))
+    if form is repr:
+        # csv_lines writes a float column through the same texts
+        assert events.csv_lines(np.arange(len(values)), values) == "".join(f"{k},{t}\n" for k, t in enumerate(want))
 
 
 # names that csv quotes (a comma, a quote, a line break, a carriage return),
@@ -768,6 +795,15 @@ EDGE_LOG = edge_log([-3, -2, 0, 0, 7, 7], [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.5], 
 NAN_LOG = edge_log([-3, -2, 0, 0, 7, 7], [-0.0, 0.0, math.nan, -0.0, 0.0, -math.nan], [0, 1, 2, 2, 0, 1])
 HUGE_WINDOWS_LOG = edge_log([2**31, 2**31, 2**62, -(2**62), 2**31 - 1, 2**31], [1.5] * 6, [0, 0, 1, 2, 1, 0])
 EMPTY_LOG = edge_log([], [], [])
+# a block and two rows more: stamp k % 3 in window (-3, 0, 7)[k % 3], as
+# build_hlel pairs them, and values -0.0, 0.0, 1.5 in turn, so that each
+# feature's values repeat within a block and across the block boundary, in
+# another order of (feature, value) pairs in the second block
+BLOCK_LOG = edge_log(
+    [(-3, 0, 7)[k % 3] for k in range(events.WRITE_ROWS + 2)],
+    [(-0.0, 0.0, 1.5)[k % 3] for k in range(events.WRITE_ROWS + 2)],
+    [k % 3 for k in range(events.WRITE_ROWS + 2)],
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -780,6 +816,7 @@ EMPTY_LOG = edge_log([], [], [])
 @example(HUGE_WINDOWS_LOG, "%Y-%m-%d %H:%M:%S.%f")
 @example(EMPTY_LOG, None)
 @example(EMPTY_LOG, "%Y-%m-%d %H:%M:%S.%f")
+@example(BLOCK_LOG, None)
 def test_hlel_csv_equals_the_per_row_oracle(tmp_path_factory, hlel, timestamp_format):
     path = tmp_path_factory.mktemp("hlel") / "hlel.csv"
     write_hlel_csv(hlel, str(path), timestamp_format)
