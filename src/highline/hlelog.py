@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, not_utf8_error
 from .events import (
-    EventLog, code_pairs, csv_column, float_texts, format_stamps, lexsort_order, row_blocks, write_csv,
+    EventLog, code_pairs, code_pairs_by_y, csv_column, float_texts, format_stamps, lexsort_order, row_blocks,
+    write_csv,
 )
 from .features import FeatureTable, ThresholdTable, View
 from .framing import Framing, check_year_one
@@ -178,7 +179,7 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
     activities = csv_column(features.names).tolist()
     codes = hlel.feature_codes
     cases, case_codes, by_case = code_pairs(hlel.cases, codes)
-    windows, stamp_codes, by_stamp = _groups(hlel.windows, hlel.stamp_codes, len(hlel.stamps_us))
+    windows, stamp_codes, by_stamp = code_pairs_by_y(hlel.windows, hlel.stamp_codes, len(hlel.stamps_us))
     # texts as object arrays, so that each block's lookup is one gather; ids,
     # cases, windows and float reprs never need quoting
     case_texts, stamp_texts = (np.array(column, dtype=object) for column in (
@@ -195,29 +196,13 @@ def write_hlel_csv(hlel: HighLevelLog, path: str, timestamp_format: str | None =
             hlel.hle_ids, (case_texts, by_case), (stamp_texts, by_stamp), codes, hlel.values
         ):
             texts, of_value = float_texts(values)
-            feature, value, pair = _groups(block_codes, of_value, len(texts))
+            feature, value, pair = code_pairs(block_codes, of_value)
             texts = texts.tolist()
             yield ids, case_rows, stamp_rows, (np.array([
                 f"{heads[f]},{texts[v]},{tails[f]}" for f, v in zip(feature.tolist(), value.tolist())
             ], dtype=object), pair)
 
     write_csv(path, HLEL_COLUMNS, blocks())
-
-
-def _groups(x: np.ndarray, y: np.ndarray, n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of two int columns grouped by their (x, y) pair, ``y``
-    holding codes below ``n_y``: the pairs as two arrays, in no set order,
-    and each row's index among them. Where x is a function of y, as the
-    window is of the stamp in a log from ``build_hlel``, or the feature of
-    the value in a block of distinct values, one pass over the rows shows
-    it, and there is one pair per y code, indexed by ``y`` itself, with no
-    sort (a code that no row holds pairs with 0); else the distinct pairs
-    of ``code_pairs``."""
-    x_of = np.zeros(n_y, dtype=x.dtype)
-    x_of[y] = x
-    if np.array_equal(x_of[y], x):
-        return x_of, np.arange(n_y), y
-    return code_pairs(x, y)
 
 
 # --- summary -------------------------------------------------------------------

@@ -244,9 +244,9 @@ def test_features_that_differ_only_in_the_sign_of_a_zero_threshold_read_back_apa
 
 def test_hlel_csv_memory_follows_one_block_not_the_log(tmp_path):
     # 4 blocks of rows, every value distinct, so that each row has its own
-    # value text: grouped per block, the writer peaks at about 460 bytes per
+    # value text: grouped per block, the writer peaks at about 470 bytes per
     # row of one block, whatever the log's length; grouped over the whole
-    # log it holds every row's text at once, about 1,040 bytes per row of
+    # log it holds every row's text at once, about 1,070 bytes per row of
     # one block here, and more with each block
     n = 4 * events.WRITE_ROWS
     features = [(f"wl-r{i}", "wl", "resource", f"r{i}", 0.5) for i in range(4)]
