@@ -156,6 +156,68 @@ def test_only_the_command_defaults_openblas_to_one_thread(statement, value, expe
     assert done.stdout == expected
 
 
+# a fake C library records each mallopt call; LIBC "bare" has no mallopt
+# and "none" cannot be loaded, as on a platform without glibc
+FAKE_LIBC = """
+import ctypes
+calls = []
+
+def mallopt(param, value):
+    calls.append((param, value))
+    return 1
+
+class Libc:
+    def __init__(self, name, *args, **kwargs):
+        if LIBC == "none":
+            raise OSError("no C library")
+        if LIBC == "glibc":
+            self.mallopt = mallopt
+
+ctypes.CDLL = Libc
+"""
+# the command runs with cli.main replaced: it prints the calls made before it
+RUN_COMMAND = """
+import highline.__main__ as command
+from highline import cli
+seen = []
+cli.main = lambda argv: seen.append(list(calls)) or 0
+assert command.main(["analyze"]) == 0
+assert len(seen) == 1, "cli.main did not run once"
+print(seen[0])
+"""
+POLICY = [(-3, 16 << 20), (-2, 4 << 20)]  # M_MMAP_THRESHOLD, then M_TOP_PAD
+
+
+@pytest.mark.parametrize(
+    "libc, statement, env, expected",
+    [
+        ("glibc", RUN_COMMAND, {}, POLICY),
+        ("glibc", RUN_COMMAND, {"GLIBC_TUNABLES": "glibc.elision.enable=0"}, POLICY),
+        ("glibc", RUN_COMMAND, {"MALLOC_MMAP_THRESHOLD_": "131072"}, []),
+        ("glibc", RUN_COMMAND, {"MALLOC_TOP_PAD_": "0"}, []),
+        ("glibc", RUN_COMMAND, {"MALLOC_TRIM_THRESHOLD_": "131072"}, []),
+        ("glibc", RUN_COMMAND, {"GLIBC_TUNABLES": "glibc.elision.enable=0:glibc.malloc.top_pad=0"}, []),
+        ("bare", RUN_COMMAND, {}, []),
+        ("none", RUN_COMMAND, {}, []),
+        ("glibc", "import highline\nprint(calls)", {}, []),
+        ("glibc", "import highline.cli\nprint(calls)", {}, []),
+        ("glibc", "import highline.__main__\nprint(calls)", {}, []),
+    ],
+    ids=[
+        "command", "command-other-tunable", "user-mmap-threshold", "user-top-pad", "user-trim-threshold",
+        "user-malloc-tunable", "libc-without-mallopt", "no-libc", "package", "cli", "command-module",
+    ],
+)
+def test_only_the_command_sets_the_allocator_policy(libc, statement, env, expected):
+    # command.main asks glibc to keep freed memory, before cli.main runs;
+    # a user's own malloc setting wins, and a C library without mallopt
+    # leaves the command running as it was
+    unset = dict.fromkeys(("MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"))
+    done = fresh(f"LIBC = {libc!r}\n{FAKE_LIBC}{statement}", **{**unset, **env})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{expected}\n"
+
+
 def test_the_installed_command_runs_the_entry_point():
     done = fresh(f"""
 import os, sys, tomllib
