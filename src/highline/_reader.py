@@ -6,7 +6,6 @@ and ``read_hlel_csv``."""
 from __future__ import annotations
 
 import csv
-import logging
 from datetime import datetime
 from itertools import islice
 from operator import itemgetter
@@ -14,12 +13,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, not_utf8_error
+from .errors import ConfigError, DataError, not_utf8_error, warn
 from .events import _ATTRIBUTES, _EPOCH, _MICROSECOND, ColumnMapping, _naive_utc, _parser
 from .events import parse_timestamp, to_microseconds
 
 # the warnings of ingest_csv, under the name of the module that defines it
-log_ = logging.getLogger("highline.events")
+_LOGGER = "highline.events"
 
 # the general reader takes rows this many at a time, so that only one
 # chunk's fields are alive at once
@@ -115,7 +114,8 @@ def _warn_mixed_offsets(path: str, aware: np.ndarray) -> None:
     minority = n_aware <= len(aware) - n_aware
     row = int(np.argmax(aware == minority))
     line, _ = next(islice(_data_rows(path), row, None))
-    log_.warning(
+    warn(
+        _LOGGER,
         "%s: %d timestamps carry a UTC offset and %d do not; all are read as naive UTC "
         "(first %s timestamp on line %d)",
         path,

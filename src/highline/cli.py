@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime
 
 import numpy as np
@@ -46,8 +45,7 @@ from .linkage import LinkTable, build_link_table
 from .pipeline import AnalysisResult, analyze_log
 
 
-@dataclass
-class RunConfig:
+class RunConfig(typing.NamedTuple):
     """Everything one `analyze` run depends on; echoed to the output
     directory so a run can be reproduced from its artifacts."""
 
@@ -107,7 +105,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
         data = read_json_object(path)
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
         if "input" not in data:
@@ -117,7 +115,7 @@ class RunConfig:
 
     def write_json(self, path: str) -> None:
         with text_output(path) as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(self._asdict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -185,14 +183,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--input is required (or provide --config)")
         config = RunConfig(input=args.input)
     overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for name in RunConfig._fields:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[f.name] = value
+            overrides[name] = value
     if "views" in overrides:
         overrides["views"] = [v.strip() for v in str(overrides["views"]).split(",") if v.strip()]
-    for name, value in overrides.items():
-        setattr(config, name, value)
+    config = config._replace(**overrides)
     config.validate()
     return config
 
@@ -318,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cascades: {result.cascade_count}")
             print(f"artifacts written to {config.out}")
         elif args.command == "generate":
+            from dataclasses import replace
+
             from .generator import ScenarioConfig, generate
 
             scenario = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()

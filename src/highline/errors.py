@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the checks that turn an
-input file that is not UTF-8, or a mistyped JSON config, into one."""
+"""Exception types shared across the package, the checks that turn an
+input file that is not UTF-8, or a mistyped JSON config, into one, and the
+package's warnings."""
 
 from __future__ import annotations
 
@@ -20,6 +21,14 @@ class ConfigError(HighlineError):
 class DataError(HighlineError):
     """Input data cannot be processed: unparseable row, empty log, broken
     invariant in a constructed log."""
+
+
+def warn(logger: str, message: str, *args: object) -> None:
+    """Log a warning on the ``logger`` named. ``logging`` is imported with
+    the first warning, so that a run that has none never loads it."""
+    import logging
+
+    logging.getLogger(logger).warning(message, *args)
 
 
 def not_utf8_error(path: str, error: type[HighlineError] = DataError) -> HighlineError:

@@ -21,7 +21,6 @@ view pooled across components and windows.
 
 from __future__ import annotations
 
-import logging
 import math
 from enum import Enum
 from functools import cached_property
@@ -29,11 +28,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, warn
 from .events import ComponentKind, EventLog, Segment, lexsort_order, to_microseconds
 from .framing import Framing, WindowSet, window_set
-
-log_ = logging.getLogger(__name__)
 
 
 class View(str, Enum):
@@ -385,11 +382,12 @@ def compute_thresholds(
     for view in matrix.blocks:
         pool = matrix.pooled(view, exclude_zeros=exclude_zeros)
         if len(pool) == 0:
-            log_.warning("view %s has no defined values; no threshold derived", view.value)
+            warn(__name__, "view %s has no defined values; no threshold derived", view.value)
             continue
         threshold = by_view[view] = nearest_rank(pool, p)
         if threshold == pool.min():
-            log_.warning(
+            warn(
+                __name__,
                 "view %s: threshold %r is the minimum of its %d pooled values; "
                 "every defined cell of the view becomes a high-level event",
                 view.value, threshold, len(pool),

@@ -148,12 +148,15 @@ def export_dfg(hlel: HighLevelLog) -> str:
     same = hlel.cases[1:] == hlel.cases[:-1]
     sources, targets, counts = code_pairs(act[:-1][same], act[1:][same], counts=True)
 
+    # each name of a node quoted once and gathered by the edges' codes; a
+    # label appends digits, which need no escaping, inside the quotes
+    shown = np.flatnonzero(nodes)
+    quoted = np.empty(len(names), dtype=object)
+    quoted[shown] = [_quote(name) for name in names[shown].tolist()]
     lines = ["digraph dfg {", "  rankdir=LR;"]
-    for i in np.flatnonzero(nodes).tolist():
-        name = names[i]
-        lines.append(f'  {_quote(name)} [label={_quote(f"{name} ({nodes[i]})")}];')
-    for src, dst, count in zip(names[sources].tolist(), names[targets].tolist(), counts.tolist()):
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(str(count))}];")
+    lines += (f'  {q} [label={q[:-1]} ({n})"];' for q, n in zip(quoted[shown].tolist(), nodes[shown].tolist()))
+    edges = zip(quoted[sources].tolist(), quoted[targets].tolist(), counts.tolist())
+    lines += (f'  {a} -> {b} [label="{n}"];' for a, b, n in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -38,16 +38,22 @@ def read_artifacts(out_dir):
     return contents
 
 
-def fresh(script, **env):
-    """Run a script in a fresh interpreter with src on the path. A keyword
-    sets an environment variable; None unsets it."""
+def src_environ(**env):
+    """The environment with src on the path. A keyword sets an environment
+    variable; None unsets it."""
     environ = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     for key, value in env.items():
         if value is None:
             environ.pop(key, None)
         else:
             environ[key] = value
-    return subprocess.run([sys.executable, "-c", script], env=environ, capture_output=True, text=True)
+    return environ
+
+
+def fresh(script, **env):
+    """Run a script in a fresh interpreter with src on the path and ``env``
+    as ``src_environ`` takes it."""
+    return subprocess.run([sys.executable, "-c", script], env=src_environ(**env), capture_output=True, text=True)
 
 
 def test_analyze_never_imports_the_simulator(log_t_csv, tmp_path):
@@ -98,7 +104,7 @@ assert counts and counts[0] > 0, counts
 @pytest.mark.parametrize("module", ["highline", "highline.cli", "highline.__main__"])
 def test_importing_freezes_nothing(module):
     # only running the command freezes; a library user keeps normal collection
-    done = fresh(f"import gc, {module}\nassert gc.get_freeze_count() == 0, gc.get_freeze_count()")
+    done = fresh(f"import gc, {module}\nassert gc.get_freeze_count() == 0, gc.get_freeze_count()\nassert gc.isenabled()")
     assert done.returncode == 0, done.stderr
 
 
@@ -138,22 +144,62 @@ sys.meta_path.insert(0, Watch())
 """
 
 
+# the command runs to a usage error, which it reports on stderr alone
+RUN_TO_ERROR = "import highline.__main__ as command\nassert command.main(['analyze']) == 2"
+
+
 @pytest.mark.parametrize(
     "statement, value, expected",
     [
-        ("import highline.__main__", None, "numpy 1\n1\n"),
-        ("import highline.__main__", "3", "numpy 3\n3\n"),
+        (RUN_TO_ERROR, None, "numpy 1\n1\n"),
+        (RUN_TO_ERROR, "3", "numpy 3\n3\n"),
         ("import highline", None, "None\n"),
         ("import highline.cli", None, "numpy None\nNone\n"),
     ],
     ids=["command", "command-user-value", "package", "cli"],
 )
 def test_only_the_command_defaults_openblas_to_one_thread(statement, value, expected):
-    # importing the command's module sets the default before numpy loads,
-    # and runs no main: its stdout is the watcher's line and the value alone
+    # the command's main sets the default before numpy loads, and a user's
+    # value wins: its stdout is the watcher's line and the value alone
     done = fresh(f"{WATCH_NUMPY}{statement}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))", OPENBLAS_NUM_THREADS=value)
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+def test_importing_the_command_loads_and_changes_nothing():
+    done = fresh("""
+import gc, os, sys
+import highline.__main__
+assert "numpy" not in sys.modules and "highline.cli" not in sys.modules, "the import loaded the package"
+assert "OPENBLAS_NUM_THREADS" not in os.environ, "the import set the BLAS default"
+assert gc.isenabled(), "the import left the collector off"
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+""", OPENBLAS_NUM_THREADS=None)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_command_loads_the_package_without_a_collection():
+    # a hook records each collection and the freeze in order; the freeze also
+    # replaces cli.main, which records whether the collector is back on
+    done = fresh("""
+import gc, sys
+import highline.__main__ as command
+seen = []
+gc.callbacks.append(lambda phase, info: phase == "start" and seen.append("collection"))
+freeze = gc.freeze
+
+def watched_freeze():
+    seen.append("freeze")
+    sys.modules["highline.cli"].main = lambda argv: seen.append(("cli.main", gc.isenabled())) or 0
+    freeze()
+
+gc.freeze = watched_freeze
+assert command.main(["analyze"]) == 0
+assert seen[0] == "freeze", seen[:5]
+assert ("cli.main", True) in seen, seen
+assert gc.isenabled() and gc.get_freeze_count() > 0
+""")
+    assert done.returncode == 0, done.stderr
 
 
 # a fake C library records each mallopt call; LIBC "bare" has no mallopt
@@ -225,13 +271,102 @@ from importlib import import_module
 with open({os.path.join(ROOT, "pyproject.toml")!r}, "rb") as fh:
     target = tomllib.load(fh)["project"]["scripts"]["highline"]
 module, _, name = target.partition(":")
-main = getattr(import_module(module), name)
-assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+entry = getattr(import_module(module), name)
+assert entry is import_module("highline.__main__").run
 sys.argv = ["highline", "--help"]
-sys.exit(main())
+entry()
 """, OPENBLAS_NUM_THREADS=None)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: highline")
+
+
+def command(args, cwd, entry="run", before="", **kwargs):
+    """``args`` in a fresh process that starts the command through ``entry``:
+    ``run``, which ends the process itself, or ``main``, whose code
+    ``sys.exit`` returns after the interpreter's teardown."""
+    start = {"run": "run()", "main": "sys.exit(main())"}[entry]
+    script = f"{before}\nimport sys\nfrom highline.__main__ import {entry}\n{start}"
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=src_environ(), text=True, **kwargs)
+
+
+SCENARIO = os.path.abspath(os.path.join(ROOT, "demo_output", "scenario.csv"))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["analyze", "--input", SCENARIO, "--out", "out"], 0),
+        (["analyze", "--input", "absent.csv", "--out", "out"], 1),
+        (["analyze", "--input", SCENARIO, "--out", "out", "--percentile", "high"], 2),
+        (["analyze", "--input", SCENARIO, "--out", "out", "--no-such-option"], 2),
+        (["analyze", "--input", SCENARIO, "--out", "out", "--percentile", "2"], 2),
+        (["--help"], 0),
+    ],
+    ids=["analyze", "missing-input", "bad-percentile", "unknown-option", "percentile-out-of-range", "help"],
+)
+def test_the_command_ends_as_the_interpreter_would(args, code, tmp_path):
+    # the same exit code and the same output, on pipes, as main's code
+    # returned through the interpreter's teardown
+    runs = [command(args, tmp_path, entry, capture_output=True) for entry in ("run", "main")]
+    assert [r.returncode for r in runs] == [code, code]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
+    assert "Traceback" not in runs[0].stderr
+    if args == ["--help"]:
+        assert runs[0].stdout.startswith("usage: highline") and runs[0].stdout.endswith("and exit\n")
+
+
+def test_the_command_runs_exit_handlers_registered_before_it(tmp_path):
+    before = "import atexit\natexit.register(print, 'handler ran')"
+    done = command(["analyze", "--input", "absent.csv", "--out", "out"], tmp_path, before=before, capture_output=True)
+    assert done.returncode == 1
+    assert done.stdout == "handler ran\n"
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_the_command_completes_stdout_redirected_to_a_file(tmp_path):
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        done = command(["analyze", "--input", SCENARIO, "--out", "out"], tmp_path, stdout=fh, stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "stdout.txt").read_text().splitlines(keepends=True)
+    assert [line.split(":")[0] for line in lines] == [
+        "events", "windows", "high-level events", "cascades", "artifacts written to out\n",
+    ]
+    assert all(line.endswith("\n") for line in lines)
+
+
+def test_an_analyze_without_warnings_loads_neither_dataclasses_nor_logging(tmp_path):
+    done = fresh(f"""
+import sys
+from highline.__main__ import main
+before = set(sys.modules)
+assert main(["analyze", "--input", {SCENARIO!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+loaded = set(sys.modules) - before
+assert "highline.cli" in loaded
+assert not loaded & {{"dataclasses", "logging"}}, sorted(loaded & {{"dataclasses", "logging"}})
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def test_the_sparse_logs_threshold_warnings_reach_stderr(tmp_path):
+    path = tmp_path / "sparse.csv"
+    path.write_text(
+        "case,activity,timestamp,resource\n"
+        "c1,request,2023-01-02T00:10:00,Ann\n"
+        "c1,answer,2023-01-02T00:40:00,Bob\n"
+        "c2,request,2023-01-03T00:20:00,Ann\n"
+        "c2,answer,2023-01-03T00:55:00,Bob\n"
+    )
+    done = command(["analyze", "--input", str(path), "--out", "out", "--window-width", "60s"], tmp_path,
+                   capture_output=True)
+    assert done.returncode == 0, done.stderr
+    pools = {"do": 2972, "enter": 1486, "exec": 2972, "exit": 1486, "progr": 1486, "todo": 2972, "wl": 2972}
+    assert done.stderr == "".join(
+        f"view {view}: threshold 0.0 is the minimum of its {n} pooled values; "
+        "every defined cell of the view becomes a high-level event\n"
+        for view, n in pools.items()
+    )
 
 
 def test_analyze_writes_artifacts(log_t_csv, tmp_path, capsys):

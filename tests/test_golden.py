@@ -80,8 +80,9 @@ def test_a_quoted_crlf_copy_of_the_input_reproduces_them_through_csv_reader(tmp_
 
 
 def test_a_read_back_hlel_feeds_the_stages_as_the_analysis_entries_do(tmp_path):
-    config = RunConfig(**json.loads((DEMO / "config.json").read_text(encoding="utf-8")))
-    config.input, config.out = str(DEMO / "scenario.csv"), str(tmp_path / "out")
+    config = RunConfig(**json.loads((DEMO / "config.json").read_text(encoding="utf-8")))._replace(
+        input=str(DEMO / "scenario.csv"), out=str(tmp_path / "out")
+    )
     result = run_analyze(config)
     back = read_hlel_csv(str(tmp_path / "out" / "hlel.csv"))
     assert entry_reprs(back) == entry_reprs(result.entries)
