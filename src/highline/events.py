@@ -149,12 +149,16 @@ class _Keys:
 
     def finish(self) -> None:
         """Intern each column: ``_ranks`` of each word, each later word's
-        ranks folded into those of the words before by ``code_pairs``.
-        Raises ``_NotStandard`` for a name with surrounding whitespace."""
+        ranks folded into those of the words before by ``code_pairs``, and
+        the distinct keys gathered in code order. Activity and resource
+        names are decoded; the case column keeps its keys, for
+        ``EventLog.case_names`` to decode on first read. Raises
+        ``_NotStandard`` for a name with surrounding whitespace."""
         self.times_us = self.times_us[: self.rows]
         if not self.rows:
             self._ranked = [((), np.zeros(0, dtype=np.intp))] * 3
             return
+        ranked = []
         for column in self.words:
             codes = None
             for word in column:
@@ -162,14 +166,17 @@ class _Keys:
                 codes = rank if codes is None else code_pairs(codes, rank)[2]
             first = np.empty(int(codes.max()) + 1, dtype=np.intp)
             first[codes] = np.arange(self.rows)
-            names = _decoded(np.stack([word[first] for word in column], axis=1))
-            if list(map(str.strip, names)) != names:
-                raise _NotStandard
-            self._ranked.append((tuple(names), codes))
+            keys = np.stack([word[first] for word in column], axis=1)
             column.clear()
+            if _padded(keys):
+                raise _NotStandard
+            ranked.append((keys, codes))
+        (cases, case), *named = ranked
+        self._ranked = [(cases, case), *((tuple(_decoded(keys)), codes) for keys, codes in named)]
 
-    def ranked(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
-        """Per column, the sorted names and each row's index among them."""
+    def ranked(self) -> list[tuple[tuple[str, ...] | np.ndarray, np.ndarray]]:
+        """Per column, the sorted names and each row's index among them; the
+        case names as their packed keys, one row of words per name."""
         return self._ranked
 
 
@@ -258,10 +265,32 @@ def _decoded(keys: np.ndarray) -> list[str]:
     return lines[lines != 0].tobytes().decode("utf-8").split("\n")[:-1]
 
 
+# the ASCII characters that ``str.isspace`` holds, by byte
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[c for c in range(128) if chr(c).isspace()]] = True
+
+
+def _padded(keys: np.ndarray) -> bool:
+    """Whether a name of distinct packed keys has surrounding whitespace, as
+    ``str.strip`` sees it: its first or last byte is an ASCII space, or is
+    not ASCII and the decoded name changes when stripped. Only the names
+    with such a byte at an end are decoded."""
+    grid = keys.astype(">u8").view(np.uint8)
+    # names hold no NUL, so the last nonzero byte of a row ends its name
+    ends = np.stack([grid[:, 0], grid[np.arange(len(grid)), np.count_nonzero(grid, axis=1) - 1]])
+    if _ASCII_SPACE[ends].any():
+        return True
+    wide = (ends >= 0x80).any(axis=0)
+    if not wide.any():
+        return False
+    names = _decoded(keys[wide])
+    return list(map(str.strip, names)) != names
+
+
 def lexsort_order(keys: Sequence[np.ndarray]) -> np.ndarray | None:
     """``np.lexsort(keys)``, or None when the rows already are in that order,
-    the last key primary: one pass over adjacent rows. A NaN key is never
-    in order."""
+    the last key primary: one pass over adjacent rows. Both keep rows tied
+    on every key in their order. A NaN key is never in order."""
     tied = True  # adjacent rows equal on every key looked at so far
     for key in reversed(keys):
         before, after = key[:-1], key[1:]
@@ -290,8 +319,11 @@ class EventLog:
 
     Build a log with ``from_columns`` or ``ingest_csv``. Everything derived
     is computed once, on first use, and is read-only, so a log can be
-    shared freely across workers. ``events`` and ``steps`` give the rows and
-    steps as objects; the analysis never builds them.
+    shared freely across workers. No stage reads the case names or the ids:
+    a log read by the standard reader decodes ``case_names`` from its packed
+    keys on first read, and default ids in input order are made on first
+    read. ``events`` and ``steps`` give the rows and steps as objects; the
+    analysis never builds them.
     """
 
     def __init__(self, columns, ids: Sequence[int] | None = None):
@@ -299,23 +331,33 @@ class EventLog:
         and ``times_us``): rank the codes by name and sort the rows, unless
         they already are in order; ids default to 1..n in the order the rows
         were added."""
-        (self.case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
+        (case_names, case), (self.activity_names, activity), (self.resource_names, resource) = (
             columns.ranked()
         )
+        if isinstance(case_names, tuple):
+            self.case_names = case_names
+        else:
+            self._case_keys = case_names
+        self._case_count = len(case_names)
         times = np.frombuffer(columns.times_us, dtype=np.int64)
-        default_ids = ids is None
         # a copy, so that freezing the column leaves the caller's ids writable
-        ids = np.arange(1, len(case) + 1) if default_ids else np.array(ids, dtype=np.int64)
-        if not len(case) == len(activity) == len(times) == len(resource) == len(ids):
+        given = [] if ids is None else [np.array(ids, dtype=np.int64)]
+        arrays = [case, activity, resource, times, *given]
+        if len(set(map(len, arrays))) > 1:
             raise DataError("event columns differ in length")
-        arrays = (case, activity, resource, times, ids)
-        order = lexsort_order((ids, case, times))
+        # a stable sort keeps rows tied on time and case in input order, the
+        # order of default ids
+        order = lexsort_order((*given, case, times))
         if order is not None:
-            arrays = tuple(a[order] for a in arrays)
-        self.case_codes, self.activity_codes, self.resource_codes, self.times_us, self.ids = map(
-            _frozen, arrays
-        )
-        self._validate(default_ids)
+            arrays = [a[order] for a in arrays]
+            if ids is None:
+                order += 1  # each row's input row number, its default id
+                arrays.append(order)
+        frozen = map(_frozen, arrays)
+        self.case_codes, self.activity_codes, self.resource_codes, self.times_us, *id_column = frozen
+        if id_column:
+            self.ids = id_column[0]
+        self._validate(ids is None)
 
     @classmethod
     def from_columns(
@@ -334,13 +376,29 @@ class EventLog:
         columns.add((cases, activities, resources), times_us)
         return cls(columns, ids)
 
+    @cached_property
+    def case_names(self) -> tuple[str, ...]:
+        """The case names in code order. A log read by the standard reader
+        holds them as packed keys, and decodes them here on first read."""
+        names = tuple(_decoded(self._case_keys))
+        del self._case_keys
+        return names
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The event ids. Default ids of rows that kept their input order,
+        1..n, are made here on first read."""
+        return _frozen(np.arange(1, len(self) + 1))
+
     def _validate(self, default_ids: bool) -> None:
-        names = (self.case_names, self.activity_names, self.resource_names)
-        # names are sorted, so an empty name comes first
+        # names are sorted, so an empty name comes first; packed case keys
+        # never hold one, since the standard reader refuses an empty name
+        names = (vars(self).get("case_names", ()), self.activity_names, self.resource_names)
         empty = any(n[:1] == ("",) for n in names)
         if not empty and (default_ids or len(np.unique(self.ids)) == len(self.ids)):
             return
         # name the first offending event in row order
+        names = (self.case_names, self.activity_names, self.resource_names)
         seen: set[int] = set()
         columns = (self.case_codes, self.activity_codes, self.resource_codes)
         for row, i in enumerate(self.ids.tolist()):
@@ -351,7 +409,7 @@ class EventLog:
                 raise DataError(f"event {i}: empty attribute value")
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.times_us)
 
     @cached_property
     def step_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +419,7 @@ class EventLog:
         # leaves the rows of each case in (timestamp, id) order; on codes
         # of 8 or 16 bits (under 65,536 cases) numpy's stable sort is a
         # radix sort
-        codes = self.case_codes.astype(np.min_scalar_type(max(len(self.case_names) - 1, 0)))
+        codes = self.case_codes.astype(np.min_scalar_type(max(self._case_count - 1, 0)))
         order = np.argsort(codes, kind="stable")
         cases = codes[order]
         same = cases[1:] == cases[:-1]

@@ -241,7 +241,8 @@ class _Grid:
     def __init__(self, log: EventLog, framing: Framing, windows: WindowSet):
         self.log, self.framing, self.windows = log, framing, windows
         self.n = len(windows)
-        self.offsets = framing.windows_of(log.times_us) - windows.first
+        first, counts = framing.counts_of(log.times_us)
+        self.offsets = np.repeat(np.arange(first, first + len(counts)) - windows.first, counts)
         self.first, self.second = log.step_rows
         # the window offsets of each step's first and second event
         self.lo, self.hi = self.offsets[self.first], self.offsets[self.second]

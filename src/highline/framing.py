@@ -58,6 +58,17 @@ class Framing(NamedTuple("Framing", [("origin", datetime), ("width", float)])):
         w = self._estimates(t)
         return w - (self.starts_us(w) > t) + (self.starts_us(w + 1) <= t)
 
+    def counts_of(self, times_us: np.ndarray) -> tuple[int, np.ndarray]:
+        """For times in ascending order, such as a log's ``times_us``, the
+        window of the first, and how many fall in each window from that one
+        to the last one's: one search per window start among the times,
+        where ``windows_of`` searches once per time. No windows for no times."""
+        if not len(times_us):
+            return 0, np.zeros(0, dtype=np.intp)
+        first, last = self.windows_of(times_us[[0, -1]]).tolist()
+        bounds = np.searchsorted(times_us, self.starts_us(np.arange(first + 1, last + 1)))
+        return first, np.diff(bounds, prepend=0, append=len(times_us))
+
     def _estimates(self, times_us: np.ndarray) -> np.ndarray:
         # off by at most one window while |t - origin| spans fewer than 2**50
         # windows, so one exact comparison with each bound settles it

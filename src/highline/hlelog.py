@@ -257,11 +257,17 @@ def summarize(
     else:
         chosen = list(activities)
 
-    event_period = periods.windows_of(log.times_us)
+    # the log's rows are in time order, and its events are counted per period
+    event_first, event_counts = periods.counts_of(log.times_us)
     # entries with one timestamp share their period
     hle_period = periods.windows_of(hlel.stamps_us)[hlel.stamp_codes]
-    both = np.concatenate([event_period, hle_period])
-    first, size = (int(both.min()), int(np.ptp(both)) + 1) if len(both) else (0, 0)
+    spans = [(event_first, event_first + len(event_counts))] if len(event_counts) else []
+    if len(hle_period):
+        spans.append((int(hle_period.min()), int(hle_period.max()) + 1))
+    first = min((start for start, _ in spans), default=0)
+    size = max((stop for _, stop in spans), default=0) - first
+    events = np.zeros(size, dtype=np.int64)
+    events[event_first - first:][: len(event_counts)] = event_counts
     check_year_one(periods, first, f"period {first + 1}")
     # per (period, distinct chosen name): how many entries and the sum of
     # their values, added in entry order as a loop over the entries would;
@@ -278,7 +284,7 @@ def summarize(
         tuple(chosen),
         first + 1,
         periods.starts_us(np.arange(first, first + size)),
-        np.bincount(event_period - first, minlength=size),
+        events,
         np.bincount(hle_period - first, minlength=size),
         counts,
         sums.reshape(size, n)[:, columns],

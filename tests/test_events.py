@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import BASE, log_t_csv_text, make_log, random_log, read_general
+from conftest import BASE, LOG_T_ROWS, log_t_csv_text, make_log, random_log, read_general
 import oracles
 from oracles import event_log, oracle_step_events, oracle_steps, order_key
 
@@ -408,6 +408,41 @@ def event_csv(path, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def test_ingest_decodes_the_case_names_on_first_read(tmp_path, monkeypatch):
+    log = generate(ScenarioConfig(seed=3))
+    path = tmp_path / "generated.csv"
+    write_event_csv(log, str(path))
+    decode = events_module._decoded
+    decoded = []
+
+    def decoding(keys):
+        names = decode(keys)
+        decoded.append(tuple(names))
+        return names
+
+    monkeypatch.setattr(events_module, "_decoded", decoding)
+    back = ingest_csv(str(path))
+    assert decoded == [log.activity_names, log.resource_names]
+    assert back.case_names == log.case_names
+    assert decoded[2:] == [log.case_names]
+    assert columns(back) == columns(log)
+
+
+def test_an_ingested_log_keeps_under_40_bytes_a_row(tmp_path):
+    # its codes and times take 32 bytes a row, and the case names' packed
+    # keys 8 bytes a case; neither the names nor default ids are made
+    path = tmp_path / "generated.csv"
+    write_event_csv(generate(ScenarioConfig(seed=5)), str(path))
+    ingest_csv(str(path))  # so that no first-call allocation counts
+    tracemalloc.start()
+    try:
+        log = ingest_csv(str(path))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 40 * len(log)
+
+
 def test_a_short_line_and_a_wide_line_are_not_read_as_two_rows(tmp_path):
     # three fields, then five: the separators still add up to two lines of four
     path = tmp_path / "ragged.csv"
@@ -426,6 +461,22 @@ def test_a_nul_byte_sends_the_file_to_csv_reader(tmp_path, name):
         log = ingest_csv(str(path))
     assert general.called
     assert log.case_names == tuple(sorted({"c", name}))
+
+
+# every character str.strip takes away (the last is U+3000) but the line
+# ends, which an unquoted field cannot hold; and names whose first or last
+# byte is not ASCII though no space surrounds them
+SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace() and chr(c) not in "\n\r"]
+
+
+@pytest.mark.parametrize("name", [*(s + "x" for s in SPACES), *("x" + s for s in SPACES), "éx", "x日", "日x é"])
+def test_a_name_with_surrounding_whitespace_sends_the_file_to_csv_reader(tmp_path, name):
+    path = tmp_path / "spaces.csv"
+    event_csv(path, [("c", "a", 0, "r1"), (name, "a", 1, "r1")])
+    with mock.patch.object(reader_module, "_read_general", wraps=reader_module._read_general) as general:
+        log = ingest_csv(str(path))
+    assert general.called == (name.strip() != name)
+    assert columns(log) == columns(read_general(str(path)))
 
 
 def test_a_100000_byte_name_is_read_as_csv_reader_reads_it_in_bounded_memory(tmp_path):
@@ -558,6 +609,16 @@ def test_a_components_code_is_its_kinds_offset_plus_its_name_code():
     assert matrix.features.kinds.tolist() == [f.component.kind.value for f in features]
 
 
+def analyzed_log(path):
+    """The log ingested from ``path``, once analyzed and summarized."""
+    log = ingest_csv(str(path))
+    framing = Framing(default_origin(log), 20.0)
+    result = analyze_log(log, framing, percentile=0.5, lam=0.5)
+    summarize(log, result.entries, 60.0, framing.origin)
+    assert result.hles
+    return log
+
+
 def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an Event or Step object was built")
@@ -566,14 +627,18 @@ def test_analysis_of_an_ingested_log_builds_no_event_or_step(tmp_path, monkeypat
     monkeypatch.setattr(Step, "__new__", refuse)
     path = tmp_path / "t.csv"
     path.write_text(log_t_csv_text())
-    log = ingest_csv(str(path))
-    framing = Framing(default_origin(log), 20.0)
-    result = analyze_log(log, framing, percentile=0.5, lam=0.5)
-    summarize(log, result.entries, 60.0, framing.origin)
-    assert result.hles
-    assert not {"events", "steps"} & set(vars(log))
+    log = analyzed_log(path)
+    assert not {"events", "steps", "case_names"} & set(vars(log))
     with pytest.raises(AssertionError, match="was built"):
         log.events
+
+
+def test_analysis_of_a_log_in_row_order_reads_no_case_name_or_id(tmp_path):
+    # rows that keep their input order have default ids made only when read
+    path = tmp_path / "t.csv"
+    write_event_csv(make_log(LOG_T_ROWS), str(path))
+    log = analyzed_log(path)
+    assert not {"case_names", "ids"} & set(vars(log))
 
 
 def test_from_columns_matches_event_objects(log_t):

@@ -155,6 +155,25 @@ def test_every_event_in_exactly_one_window():
     assert ((f.starts_us(w) <= t) & (t < f.starts_us(w + 1))).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1e-6, 0.3, 1 / 3, 7.5, 60.0, 86400.0]),
+    st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-2, 2)), max_size=40),
+    st.integers(-10**7, 10**7),
+)
+def test_counts_of_sorted_times_are_the_windows_of_each(width, times, shift_us):
+    # the windows of times in ascending order come from a search per window
+    # start; windows_of, one search or estimate per time, must agree. Times
+    # lie within 1,000 windows of the origin, some a microsecond or two from
+    # a window start
+    f = Framing(BASE + timedelta(microseconds=shift_us), width)
+    t = np.sort(np.array([int(f.starts_us(w)) + d for w, d in times], dtype=np.int64))
+    first, counts = f.counts_of(t)
+    assert np.repeat(np.arange(first, first + len(counts)), counts).tolist() == f.windows_of(t).tolist()
+    if len(t):
+        assert counts[0] and counts[-1]
+
+
 def test_doubling_width_never_increases_window_count():
     rng = random.Random(9)
     for _ in range(10):

@@ -377,7 +377,12 @@ PLAIN_NAMES = [
 ODD_NAMES = [
     "", " c1", "c2 ", "a b", "\t", "\x85", "x,y", 'say "hi"', "two\nlines", "car\rriage", "n\x00ul",
     "\u00a0x", "x\u3000", "\x1cx",
+    # every ASCII character str.isspace holds that no name above has, and
+    # non-ASCII spaces, at the start and at the end of a name
+    *(name for space in "\x0b\x0c\x1d\x1e\x1f\u2003\u2028" for name in (space + "x", "x" + space)),
 ]
+# the odd names that surrounding whitespace keeps out of the standard layout
+SPACED_NAMES = [name for name in ODD_NAMES if name.strip() != name]
 # whole seconds (19 characters) and microseconds (26) mix in one file
 PLAIN_STAMPS = st.builds(
     lambda t, whole: (t.replace(microsecond=0) if whole else t).isoformat(),
@@ -422,9 +427,12 @@ def event_csvs(draw):
     """A CSV event log, and whether it is in the standard layout. Most files
     are, and the rest break it in one or a few ways."""
     odd = draw(st.sets(st.sampled_from(
-        ["names", "header", "stamps", "quotes", "crlf", "blank", "wide rows", "short rows"]
+        ["names", "spaced names", "header", "stamps", "quotes", "crlf", "blank", "wide rows", "short rows"]
     ), min_size=1, max_size=2)) if draw(st.booleans()) else set()
     names = st.sampled_from(PLAIN_NAMES + (ODD_NAMES if "names" in odd else []))
+    if "spaced names" in odd:
+        # one such name, so that it alone can send the file to csv.reader
+        names = st.one_of(names, st.just(draw(st.sampled_from(SPACED_NAMES))))
     extra = [draw(st.sampled_from(ODD_NAMES))] if "header" in odd else draw(st.sampled_from([[], ["note"]]))
     header = draw(st.permutations(["case", "activity", "timestamp", "resource"] + extra))
 
